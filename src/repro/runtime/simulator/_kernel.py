@@ -5,12 +5,16 @@ of :func:`repro.runtime.simulator.fast_engine.simulate_compiled` written
 in the numba-compatible subset of Python: module-level functions over
 numpy arrays and scalars only — no dicts, closures, tuples-in-heaps or
 Python object allocation anywhere in the loop.  The same source runs two
-ways:
+ways: compiled with numba (lazily, cached per process — what
+``simulate_compiled`` uses when numba is importable and the run is
+eligible), or uncompiled — slow, but it is how the suite pins the
+kernel's event ordering bit-for-bit against the numpy loop on machines
+without numba (``fast_engine._kernel_loop(run, compiled=False)``).
 
-* ``kernel="jit"`` compiles it with numba (lazily, cached per process);
-* ``kernel="interp"`` runs it uncompiled — slow, but it is how the suite
-  pins the kernel's event ordering bit-for-bit against the numpy path on
-  machines without numba.
+The two steps the event kinds share are each written once:
+:func:`_task_ready` (the numpy loop's ``enqueue_ready``) and
+:func:`_serve` (``NetworkSim._serve`` plus ``launch``).  Scalars cannot be
+passed by reference, so both take the counters they advance and return them.
 
 The transcription covers the lean configuration only (direct broadcast,
 no trace/synchronized/faults/aggregation/custom queue); anything else
@@ -146,6 +150,103 @@ def _arena_pop(kprio, kseq, kval, base, n):
     return v0, last
 
 
+def _task_ready(
+    t, time, node, dur, negprio, free,
+    ev_t, ev_s, ev_k, ev_p, ev_n, seq,
+    rq_prio, rq_seq, rq_task, rq_base, rq_n, rdy_seq,
+):
+    """Task ``t`` became ready at ``time``: start it or queue it.
+
+    Returns the advanced ``(ev_n, seq, rdy_seq)``.
+    """
+    n = node[t]
+    if free[n] > 0:
+        free[n] -= 1
+        seq += 1
+        ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
+                        time + dur[t], seq, 0, t)
+    else:
+        rdy_seq += 1
+        rq_n[n] = _arena_push(rq_prio, rq_seq, rq_task, rq_base[n],
+                              rq_n[n], negprio[t], rdy_seq, t)
+    return ev_n, seq, rdy_seq
+
+
+def _serve(
+    src, now, pair_dst, pair_prio, quantum, bandwidth, latency,
+    topo_on, tp_lat, tp_ptr, tp_eid, edge_bw, edge_sw, sw_bw,
+    link_free, switch_free, ingress_free, egress_busy,
+    tr_remaining, tr_started, tr_end,
+    nq_prio, nq_seq, nq_pair, nq_base, nq_n, net_seq,
+    ev_t, ev_s, ev_k, ev_p, ev_n, seq,
+):
+    """Serve one quantum of ``src``'s most urgent pending message at ``now``
+    (or mark its egress channel idle), and push the resulting events.
+
+    Returns the advanced ``(ev_n, seq, net_seq)``.
+    """
+    if nq_n[src] == 0:
+        egress_busy[src] = 0
+        return ev_n, seq, net_seq
+    p, nq_n[src] = _arena_pop(nq_prio, nq_seq, nq_pair,
+                              nq_base[src], nq_n[src])
+    remaining = tr_remaining[p]
+    size = quantum if quantum < remaining else remaining
+    remaining -= size
+    tr_remaining[p] = remaining
+    dstn = pair_dst[p]
+    if topo_on == 0:
+        wire = size / bandwidth
+        occupancy = wire if tr_started[p] == 1 else wire + latency
+        tr_started[p] = 1
+        egress_done = now + occupancy
+        ingress = ingress_free[dstn] + wire
+        delivery = egress_done if egress_done > ingress else ingress
+    else:
+        # Store-and-forward walk over the pair's route — the
+        # float-for-float transcription of NetworkSim._serve's topology
+        # branch (no fault hook: such runs never reach the kernel).
+        q0 = tp_ptr[p]
+        q1 = tp_ptr[p + 1]
+        wire = size / edge_bw[tp_eid[q0]]
+        occupancy = wire if tr_started[p] == 1 else wire + tp_lat[p]
+        tr_started[p] = 1
+        egress_done = now + occupancy
+        t_ = egress_done
+        last_wire = wire
+        if q1 - q0 > 1:
+            for qk in range(q0 + 1, q1):
+                e = tp_eid[qk]
+                s_ = edge_sw[e]
+                if s_ >= 0:
+                    sbw = sw_bw[s_]
+                    if sbw != np.inf:
+                        sf = switch_free[s_]
+                        t_ = (t_ if t_ > sf else sf) + size / sbw
+                        switch_free[s_] = t_
+                hw = size / edge_bw[e]
+                lf = link_free[e]
+                t_ = (t_ if t_ > lf else lf) + hw
+                link_free[e] = t_
+                last_wire = hw
+        ingress = ingress_free[dstn] + last_wire
+        delivery = t_ if t_ > ingress else ingress
+    ingress_free[dstn] = delivery
+    egress_busy[src] = 1
+    if remaining:
+        net_seq += 1
+        nq_n[src] = _arena_push(nq_prio, nq_seq, nq_pair, nq_base[src],
+                                nq_n[src], -pair_prio[p], net_seq, p)
+    else:
+        tr_end[p] = delivery
+    seq += 1
+    ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n, egress_done, seq, 1, src)
+    if not remaining:
+        seq += 1
+        ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n, delivery, seq, 2, p)
+    return ev_n, seq, net_seq
+
+
 def serve_loop(
     node,            # int32[n_tasks] task placement
     dur,             # float64[n_tasks] task durations
@@ -237,16 +338,10 @@ def serve_loop(
     # --- kick off: source tasks ascending, then misplaced initial data ------
     for t in range(n_tasks):
         if missing[t] == 0:
-            n = node[t]
-            if free[n] > 0:
-                free[n] -= 1
-                seq += 1
-                ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                                dur[t], seq, 0, t)
-            else:
-                rdy_seq += 1
-                rq_n[n] = _arena_push(rq_prio, rq_seq, rq_task, rq_base[n],
-                                      rq_n[n], negprio[t], rdy_seq, t)
+            ev_n, seq, rdy_seq = _task_ready(
+                t, now, node, dur, negprio, free,
+                ev_t, ev_s, ev_k, ev_p, ev_n, seq,
+                rq_prio, rq_seq, rq_task, rq_base, rq_n, rdy_seq)
     for ip in range(init_pairs.shape[0]):
         p = init_pairs[ip]
         src = pair_src[p]
@@ -256,68 +351,13 @@ def serve_loop(
         nq_n[src] = _arena_push(nq_prio, nq_seq, nq_pair, nq_base[src],
                                 nq_n[src], -pair_prio[p], net_seq, p)
         if egress_busy[src] == 0:
-            # serve(src, now=0): first quantum of the just-queued message.
-            p2, nq_n[src] = _arena_pop(nq_prio, nq_seq, nq_pair,
-                                       nq_base[src], nq_n[src])
-            remaining = tr_remaining[p2]
-            size = quantum if quantum < remaining else remaining
-            remaining -= size
-            tr_remaining[p2] = remaining
-            dstn = pair_dst[p2]
-            if topo_on == 0:
-                wire = size / bandwidth
-                occupancy = wire if tr_started[p2] == 1 else wire + latency
-                tr_started[p2] = 1
-                egress_done = occupancy
-                ingress = ingress_free[dstn] + wire
-                delivery = egress_done if egress_done > ingress else ingress
-            else:
-                # Store-and-forward walk over the pair's route — the
-                # float-for-float transcription of NetworkSim._serve's
-                # topology branch (no fault hook: such runs never reach
-                # the kernel).
-                q0 = tp_ptr[p2]
-                q1 = tp_ptr[p2 + 1]
-                wire = size / edge_bw[tp_eid[q0]]
-                occupancy = (wire if tr_started[p2] == 1
-                             else wire + tp_lat[p2])
-                tr_started[p2] = 1
-                egress_done = occupancy
-                t_ = egress_done
-                last_wire = wire
-                if q1 - q0 > 1:
-                    for qk in range(q0 + 1, q1):
-                        e = tp_eid[qk]
-                        s_ = edge_sw[e]
-                        if s_ >= 0:
-                            sbw = sw_bw[s_]
-                            if sbw != np.inf:
-                                sf = switch_free[s_]
-                                t_ = (t_ if t_ > sf else sf) + size / sbw
-                                switch_free[s_] = t_
-                        hw = size / edge_bw[e]
-                        lf = link_free[e]
-                        t_ = (t_ if t_ > lf else lf) + hw
-                        link_free[e] = t_
-                        last_wire = hw
-                ingress = ingress_free[dstn] + last_wire
-                delivery = t_ if t_ > ingress else ingress
-            ingress_free[dstn] = delivery
-            egress_busy[src] = 1
-            if remaining:
-                net_seq += 1
-                nq_n[src] = _arena_push(nq_prio, nq_seq, nq_pair,
-                                        nq_base[src], nq_n[src],
-                                        -pair_prio[p2], net_seq, p2)
-            else:
-                tr_end[p2] = delivery
-            seq += 1
-            ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                            egress_done, seq, 1, src)
-            if not remaining:
-                seq += 1
-                ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                                delivery, seq, 2, p2)
+            ev_n, seq, net_seq = _serve(
+                src, now, pair_dst, pair_prio, quantum, bandwidth, latency,
+                topo_on, tp_lat, tp_ptr, tp_eid, edge_bw, edge_sw, sw_bw,
+                link_free, switch_free, ingress_free, egress_busy,
+                tr_remaining, tr_started, tr_end,
+                nq_prio, nq_seq, nq_pair, nq_base, nq_n, net_seq,
+                ev_t, ev_s, ev_k, ev_p, ev_n, seq)
 
     # --- event loop ---------------------------------------------------------
     while ev_n > 0:
@@ -348,18 +388,11 @@ def serve_loop(
                 for li in range(lc_ptr[d], lc_ptr[d + 1]):
                     tid = lc_ids[li]
                     missing[tid] -= 1
-                    if missing[tid] == 0:  # enqueue_ready(tid, now)
-                        n2 = node[tid]
-                        if free[n2] > 0:
-                            free[n2] -= 1
-                            seq += 1
-                            ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                                            now + dur[tid], seq, 0, tid)
-                        else:
-                            rdy_seq += 1
-                            rq_n[n2] = _arena_push(
-                                rq_prio, rq_seq, rq_task, rq_base[n2],
-                                rq_n[n2], negprio[tid], rdy_seq, tid)
+                    if missing[tid] == 0:
+                        ev_n, seq, rdy_seq = _task_ready(
+                            tid, now, node, dur, negprio, free,
+                            ev_t, ev_s, ev_k, ev_p, ev_n, seq,
+                            rq_prio, rq_seq, rq_task, rq_base, rq_n, rdy_seq)
                 p0 = kd_ptr[d]
                 p1 = kd_ptr[d + 1]
                 for p in range(p0, p1):  # request_transfers(d, n, now)
@@ -370,127 +403,22 @@ def serve_loop(
                                           nq_base[n], nq_n[n],
                                           -pair_prio[p], net_seq, p)
                     if egress_busy[n] == 0:
-                        p2, nq_n[n] = _arena_pop(nq_prio, nq_seq, nq_pair,
-                                                 nq_base[n], nq_n[n])
-                        remaining = tr_remaining[p2]
-                        size = quantum if quantum < remaining else remaining
-                        remaining -= size
-                        tr_remaining[p2] = remaining
-                        dstn = pair_dst[p2]
-                        if topo_on == 0:
-                            wire = size / bandwidth
-                            occupancy = (wire if tr_started[p2] == 1
-                                         else wire + latency)
-                            tr_started[p2] = 1
-                            egress_done = now + occupancy
-                            ingress = ingress_free[dstn] + wire
-                            delivery = (egress_done if egress_done > ingress
-                                        else ingress)
-                        else:
-                            q0 = tp_ptr[p2]
-                            q1 = tp_ptr[p2 + 1]
-                            wire = size / edge_bw[tp_eid[q0]]
-                            occupancy = (wire if tr_started[p2] == 1
-                                         else wire + tp_lat[p2])
-                            tr_started[p2] = 1
-                            egress_done = now + occupancy
-                            t_ = egress_done
-                            last_wire = wire
-                            if q1 - q0 > 1:
-                                for qk in range(q0 + 1, q1):
-                                    e = tp_eid[qk]
-                                    s_ = edge_sw[e]
-                                    if s_ >= 0:
-                                        sbw = sw_bw[s_]
-                                        if sbw != np.inf:
-                                            sf = switch_free[s_]
-                                            t_ = ((t_ if t_ > sf else sf)
-                                                  + size / sbw)
-                                            switch_free[s_] = t_
-                                    hw = size / edge_bw[e]
-                                    lf = link_free[e]
-                                    t_ = (t_ if t_ > lf else lf) + hw
-                                    link_free[e] = t_
-                                    last_wire = hw
-                            ingress = ingress_free[dstn] + last_wire
-                            delivery = t_ if t_ > ingress else ingress
-                        ingress_free[dstn] = delivery
-                        egress_busy[n] = 1
-                        if remaining:
-                            net_seq += 1
-                            nq_n[n] = _arena_push(
-                                nq_prio, nq_seq, nq_pair, nq_base[n],
-                                nq_n[n], -pair_prio[p2], net_seq, p2)
-                        else:
-                            tr_end[p2] = delivery
-                        seq += 1
-                        ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                                        egress_done, seq, 1, n)
-                        if not remaining:
-                            seq += 1
-                            ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                                            delivery, seq, 2, p2)
+                        ev_n, seq, net_seq = _serve(
+                            n, now, pair_dst, pair_prio, quantum, bandwidth,
+                            latency, topo_on, tp_lat, tp_ptr, tp_eid, edge_bw,
+                            edge_sw, sw_bw, link_free, switch_free,
+                            ingress_free, egress_busy,
+                            tr_remaining, tr_started, tr_end,
+                            nq_prio, nq_seq, nq_pair, nq_base, nq_n, net_seq,
+                            ev_t, ev_s, ev_k, ev_p, ev_n, seq)
         elif kind == 1:  # source egress channel freed
-            src = payload
-            if nq_n[src] == 0:
-                egress_busy[src] = 0
-                continue
-            p2, nq_n[src] = _arena_pop(nq_prio, nq_seq, nq_pair,
-                                       nq_base[src], nq_n[src])
-            remaining = tr_remaining[p2]
-            size = quantum if quantum < remaining else remaining
-            remaining -= size
-            tr_remaining[p2] = remaining
-            dstn = pair_dst[p2]
-            if topo_on == 0:
-                wire = size / bandwidth
-                occupancy = wire if tr_started[p2] == 1 else wire + latency
-                tr_started[p2] = 1
-                egress_done = now + occupancy
-                ingress = ingress_free[dstn] + wire
-                delivery = egress_done if egress_done > ingress else ingress
-            else:
-                q0 = tp_ptr[p2]
-                q1 = tp_ptr[p2 + 1]
-                wire = size / edge_bw[tp_eid[q0]]
-                occupancy = (wire if tr_started[p2] == 1
-                             else wire + tp_lat[p2])
-                tr_started[p2] = 1
-                egress_done = now + occupancy
-                t_ = egress_done
-                last_wire = wire
-                if q1 - q0 > 1:
-                    for qk in range(q0 + 1, q1):
-                        e = tp_eid[qk]
-                        s_ = edge_sw[e]
-                        if s_ >= 0:
-                            sbw = sw_bw[s_]
-                            if sbw != np.inf:
-                                sf = switch_free[s_]
-                                t_ = (t_ if t_ > sf else sf) + size / sbw
-                                switch_free[s_] = t_
-                        hw = size / edge_bw[e]
-                        lf = link_free[e]
-                        t_ = (t_ if t_ > lf else lf) + hw
-                        link_free[e] = t_
-                        last_wire = hw
-                ingress = ingress_free[dstn] + last_wire
-                delivery = t_ if t_ > ingress else ingress
-            ingress_free[dstn] = delivery
-            if remaining:
-                net_seq += 1
-                nq_n[src] = _arena_push(nq_prio, nq_seq, nq_pair,
-                                        nq_base[src], nq_n[src],
-                                        -pair_prio[p2], net_seq, p2)
-            else:
-                tr_end[p2] = delivery
-            seq += 1
-            ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                            egress_done, seq, 1, src)
-            if not remaining:
-                seq += 1
-                ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                                delivery, seq, 2, p2)
+            ev_n, seq, net_seq = _serve(
+                payload, now, pair_dst, pair_prio, quantum, bandwidth,
+                latency, topo_on, tp_lat, tp_ptr, tp_eid, edge_bw, edge_sw,
+                sw_bw, link_free, switch_free, ingress_free, egress_busy,
+                tr_remaining, tr_started, tr_end,
+                nq_prio, nq_seq, nq_pair, nq_base, nq_n, net_seq,
+                ev_t, ev_s, ev_k, ev_p, ev_n, seq)
         else:  # kind == 2: transfer delivered at the destination
             p = payload
             end = tr_end[p]
@@ -498,18 +426,11 @@ def serve_loop(
             for ri in range(s0, s0 + rn_count[p]):
                 tid = rn_ids[ri]
                 missing[tid] -= 1
-                if missing[tid] == 0:  # enqueue_ready(tid, end)
-                    n2 = node[tid]
-                    if free[n2] > 0:
-                        free[n2] -= 1
-                        seq += 1
-                        ev_n = _ev_push(ev_t, ev_s, ev_k, ev_p, ev_n,
-                                        end + dur[tid], seq, 0, tid)
-                    else:
-                        rdy_seq += 1
-                        rq_n[n2] = _arena_push(
-                            rq_prio, rq_seq, rq_task, rq_base[n2],
-                            rq_n[n2], negprio[tid], rdy_seq, tid)
+                if missing[tid] == 0:
+                    ev_n, seq, rdy_seq = _task_ready(
+                        tid, end, node, dur, negprio, free,
+                        ev_t, ev_s, ev_k, ev_p, ev_n, seq,
+                        rq_prio, rq_seq, rq_task, rq_base, rq_n, rdy_seq)
 
     queued = 0
     for n in range(num_nodes):
@@ -531,11 +452,10 @@ def numba_available() -> bool:
 def jit_serve_loop():
     """The numba-compiled :func:`serve_loop` (compiled once per process).
 
-    Raises ``ImportError`` when numba is not installed — callers decide
-    whether to surface that (``kernel="jit"``) or fall back silently
-    (``kernel="auto"``).
+    Raises ``ImportError`` when numba is not installed; the engine only
+    asks after :func:`numba_available` said yes.
     """
-    global _JIT, _ev_push, _ev_siftdown, _arena_push, _arena_pop
+    global _JIT
     if _JIT is None:
         from numba import njit
 
@@ -545,9 +465,8 @@ def jit_serve_loop():
         # around njit(serve_loop) would hand it back the plain functions.
         # The interpreted serve_loop keeps working either way (dispatchers
         # are plain callables and compute the identical arithmetic).
-        _ev_push = njit(**opts)(_ev_push)
-        _ev_siftdown = njit(**opts)(_ev_siftdown)
-        _arena_push = njit(**opts)(_arena_push)
-        _arena_pop = njit(**opts)(_arena_pop)
+        for name in ("_ev_push", "_ev_siftdown", "_arena_push", "_arena_pop",
+                     "_task_ready", "_serve"):
+            globals()[name] = njit(**opts)(globals()[name])
         _JIT = njit(**opts)(serve_loop)
     return _JIT

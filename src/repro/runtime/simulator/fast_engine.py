@@ -21,10 +21,13 @@ the loop:
 
 For the lean configuration (direct broadcast, untraced, unsynchronized,
 fault-free, default queue) the serve loop also exists as a flat-array
-kernel in :mod:`._kernel`, numba-compiled when available and selected
-with ``simulate_compiled(..., kernel="auto"|"jit")``; the loop in this
-module is the always-available fallback and the reference for the
-kernel's equality tests.
+kernel in :mod:`._kernel`.  Which loop runs is decided from what can be
+observed, not asked for: :func:`simulate_compiled` takes the kernel when
+numba is importable *and* the run is kernel-eligible, the numpy loop in
+this module otherwise.  :func:`_prepare` is the shared prelude,
+:func:`_numpy_loop` / :func:`_kernel_loop` the two loops and
+:func:`_report` the shared tail; the equality suite drives both loops
+from one prepared run through these private entry points.
 
 The transcription is deliberately statement-by-statement faithful to the
 object engine, including the order in which events are pushed (the heap
@@ -42,7 +45,7 @@ import gc
 from dataclasses import replace
 from heapq import heappop, heappush
 from collections import defaultdict, deque
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,10 +53,34 @@ from ...config import MachineSpec
 from ...graph.compiled import CompiledGraph, compiled_critical_path_priorities
 from ...obs import Recorder
 from ..faults import FaultPlan, SimulatedFailure
+from . import _kernel
 from .engine import SimReport
-from .network import NetworkSim, Transfer
+from .network import DEFAULT_QUANTUM, NetworkSim, Transfer
 
 __all__ = ["simulate_compiled"]
+
+
+class _Run(NamedTuple):
+    """What :func:`_prepare` hands either loop: the graph with its final
+    placement/priority columns and every option resolved."""
+
+    cg: CompiledGraph
+    machine: MachineSpec
+    durations: np.ndarray
+    plan: Any  # the graph's comm plan
+    pair_prio: np.ndarray  # float64[n_pairs] transfer priorities
+    ctopo: Any  # CompiledTopology, or None for the scalar network
+    cqueue: Any  # the policy's custom ReadyQueue, or None
+    synchronized: bool
+    trace: bool
+    broadcast: str
+    aggregate: bool
+    recorder: Optional[Recorder]
+    faults: Optional[FaultPlan]
+    #: The flat-array kernel covers this run (it serves routed
+    #: topologies, but not trace, barriers, faults, custom queues, tree
+    #: broadcast or aggregation).
+    kernel_ok: bool
 
 
 def simulate_compiled(
@@ -68,7 +95,6 @@ def simulate_compiled(
     recorder: Optional[Recorder] = None,
     faults: Optional[FaultPlan] = None,
     scheduler=None,
-    kernel: str = "auto",
 ) -> SimReport:
     """Simulate a compiled graph on ``machine``.
 
@@ -77,22 +103,13 @@ def simulate_compiled(
     (``durations``) rather than a callable.  Returns the same
     :class:`SimReport`.
 
-    ``kernel`` selects the implementation of the inner serve loop:
-
-    * ``"numpy"`` — the pure-Python/numpy event loop below (always
-      available, always tested);
-    * ``"jit"`` — the numba-compiled flat-array kernel
-      (:mod:`repro.runtime.simulator._kernel`); raises if numba is not
-      installed or the run needs features the kernel does not cover
-      (trace, ``synchronized``, faults, tree broadcast, aggregation,
-      custom ready queues);
-    * ``"interp"`` — the same flat-array kernel run uncompiled: slow,
-      but lets the suite pin the kernel's event ordering without numba;
-    * ``"auto"`` (default) — ``"jit"`` when numba is importable and the
-      run is kernel-eligible, else ``"numpy"``.
-
-    All kernels produce bit-identical makespan/bytes/messages (asserted
-    against the object engine in ``tests/test_compiled_engine.py``).
+    The serve loop is the numba-compiled flat-array kernel
+    (:mod:`repro.runtime.simulator._kernel`) when numba is importable and
+    the run is kernel-eligible (direct broadcast, no trace, barriers,
+    faults, aggregation or custom ready queue), else the numpy loop of
+    this module.  Both produce bit-identical makespan/bytes/messages
+    (asserted against the object engine in
+    ``tests/test_compiled_engine.py``), so there is nothing to select.
 
     ``scheduler`` names a policy from :data:`repro.schedulers.POLICIES`
     (or passes a ``SchedulerInterface`` instance).  Plans are applied to
@@ -107,6 +124,20 @@ def simulate_compiled(
     through the shared :class:`NetworkSim` code so the injected wire
     factors agree exactly).
     """
+    run = _prepare(cg, machine, synchronized, durations, auto_priorities,
+                   trace, broadcast, aggregate, recorder, faults, scheduler)
+    if run.kernel_ok and _kernel.numba_available():
+        return _kernel_loop(run, compiled=True)
+    return _numpy_loop(run)
+
+
+def _prepare(cg, machine, synchronized=False, durations=None,
+             auto_priorities=True, trace=False, broadcast="direct",
+             aggregate=False, recorder=None, faults=None,
+             scheduler=None) -> _Run:
+    """The prelude of :func:`simulate_compiled` (same arguments): validate,
+    derive durations, apply the scheduler policy, settle priorities and
+    build the comm plan — everything up to the choice of loop."""
     if broadcast not in ("direct", "tree"):
         raise ValueError(f"unknown broadcast mode {broadcast!r}")
     n_tasks = cg.n_tasks
@@ -116,8 +147,6 @@ def simulate_compiled(
         raise ValueError(
             f"graph uses {cg.nodes_used()} nodes but machine has {machine.nodes}"
         )
-    if kernel not in ("auto", "numpy", "jit", "interp"):
-        raise ValueError(f"unknown kernel {kernel!r}")
     num_nodes = machine.nodes
     if durations is None:
         mkern = machine.kernel
@@ -180,12 +209,16 @@ def simulate_compiled(
     ctopo = (machine.topology.compiled()
              if machine.topology is not None else None)
 
-    # --- kernel dispatch ----------------------------------------------------
-    # The flat-array kernel covers the lean configuration only — exactly
-    # the runs the numpy path below serves with its inlined loop.
-    # Topology runs ARE kernel-eligible: the kernel lowers the routing
-    # tables to flat arrays and walks them with the same float ops as
-    # ``NetworkSim._serve`` (fault hooks stay excluded).
+    # Per-pair transfer priority: max over the waiting tasks, exactly the
+    # max() the object engine evaluates at request time.
+    n_pairs = len(plan.pair_dst)
+    pair_prio = np.empty(n_pairs, dtype=np.float64)
+    if n_pairs:
+        starts = plan.pair_rn_start
+        order = np.argsort(starts, kind="stable")
+        pair_prio[order] = np.maximum.reduceat(
+            cg.priority[plan.rn_ids], starts[order])
+
     want_trace = trace or (recorder is not None and recorder.enabled)
     kernel_ok = (
         not want_trace
@@ -195,20 +228,18 @@ def simulate_compiled(
         and broadcast == "direct"
         and not aggregate
     )
-    if kernel in ("jit", "interp"):
-        if not kernel_ok:
-            raise ValueError(
-                f"kernel={kernel!r} supports only direct-broadcast, "
-                "untraced, unsynchronized, fault-free runs with the "
-                "default ready queue; use kernel='numpy' (or 'auto') "
-                "for this configuration"
-            )
-        return _run_kernel(cg, machine, plan, durations, kernel)
-    if kernel == "auto" and kernel_ok:
-        from . import _kernel as _k
+    return _Run(cg, machine, durations, plan, pair_prio, ctopo, cqueue,
+                synchronized, trace, broadcast, aggregate, recorder, faults,
+                kernel_ok)
 
-        if _k.numba_available():
-            return _run_kernel(cg, machine, plan, durations, "jit")
+
+def _numpy_loop(run: _Run) -> SimReport:
+    """The pure-Python/numpy event loop: every configuration, always
+    available, and the reference for the kernel's equality tests."""
+    (cg, machine, durations, plan, pair_prio_arr, ctopo, cqueue, synchronized,
+     trace, broadcast, aggregate, recorder, faults, _) = run
+    n_tasks = cg.n_tasks
+    num_nodes = machine.nodes
 
     # --- lowered per-run state ---------------------------------------------
     # ``bytes``/``bytearray`` columns index ~as fast as lists but without a
@@ -284,18 +315,8 @@ def simulate_compiled(
     rn_vec = rn_vec and isinstance(missing, bytearray)
     mi_view = np.frombuffer(missing, dtype=np.uint8) if rn_vec else None
 
-    # Per-pair transfer priority: max over the waiting tasks, exactly the
-    # max() the object engine evaluates at request time.
     n_pairs = len(pair_dst)
-    if n_pairs:
-        starts = plan.pair_rn_start
-        order = np.argsort(starts, kind="stable")
-        red = np.maximum.reduceat(cg.priority[rn_arr], starts[order])
-        pair_prio_arr = np.empty(n_pairs, dtype=np.float64)
-        pair_prio_arr[order] = red
-        pair_prio = memoryview(pair_prio_arr)
-    else:
-        pair_prio = memoryview(np.empty(0, dtype=np.float64))
+    pair_prio = memoryview(pair_prio_arr)
     # Deliveries resolve (data, dst) -> pair index by scanning the data's
     # kd slice (a handful of destinations) instead of a dict keyed on
     # data*num_nodes+dst: a few boxed compares per message in exchange
@@ -353,8 +374,8 @@ def simulate_compiled(
         # Loss targets topology edges: roll every hop of the pair's
         # deterministic route (single-hop cliques reduce to loss.lost).
         lost_fn = lambda s, d: ctopo.roll_loss(loss, s, d)  # noqa: E731
-    # The per-quantum server is transcribed inline in the event loop (the
-    # single hottest network path); bind its state once.
+    # The lean loop transcribes the per-quantum server inline (the single
+    # hottest network path); bind its state once.
     net_queues = net._queues
     net_ingress = net._ingress_free
     net_egress_busy = net._egress_busy
@@ -384,6 +405,9 @@ def simulate_compiled(
     data_keys = cg.data_keys
     kind_names = cg.kind_names
 
+    def key_of(tr: Transfer):  # the traced name of a message's (first) tile
+        return data_keys[tr.key] if data_keys is not None else tr.key
+
     if trace and faults is not None:
         # Same declaration order as the object engine.
         for w in faults.slowdowns:
@@ -393,19 +417,36 @@ def simulate_compiled(
             rec.record_fault("degraded", time=ln.start, src=ln.src, dst=ln.dst,
                              detail=f"x{ln.factor} until {ln.end:g}")
 
-    def enqueue_ready(t: int, time: float) -> None:
+    def start_task(t: int, n: int, time: float) -> None:
         nonlocal seq
+        dur = dur_l[t]
+        if fault_slow:
+            dur *= faults.compute_factor(n, time)
+            busy_acc[n] += dur
+            tbk_acc[kind_l[t]] += dur
+        if trace:
+            rec.record_task(t, kind_names[kind_l[t]], n,
+                            ready_time[t], time, time + dur, cg.flops[t])
+        seq += 1
+        heappush(events, (time + dur, seq, 0, t))
+
+    def enqueue_ready(t: int, time: float) -> None:
         if trace:
             ready_time[t] = time
         if synchronized and ipos[t] > released_idx:
             iter_blocked[ipos[t]].append(t)
             return
         n = node_l[t]
-        if dead is not None and dead[n]:
-            # Fail-stopped node: park the task (mirrors engine.simulate).
-            if cqueue is not None:
-                cqueue.push(n, t, prio_l[t])
-                return
+        # A fail-stopped node parks the task forever (mirrors
+        # engine.simulate); the run ends in a SimulatedFailure.
+        parked = dead is not None and dead[n]
+        if free[n] > 0 and not parked:
+            free[n] -= 1
+            start_task(t, n, time)
+            return
+        if cqueue is not None:
+            cqueue.push(n, t, prio_l[t])
+        else:
             np_ = negprio_l[t]
             bq = buckets[n]
             b = bq.get(np_)
@@ -414,36 +455,11 @@ def simulate_compiled(
                 heappush(pheap[n], np_)
             else:
                 b.append(t)
-            return
-        if free[n] > 0:
-            free[n] -= 1
-            dur = dur_l[t]
-            if fault_slow:
-                dur *= faults.compute_factor(n, time)
-                busy_acc[n] += dur
-                tbk_acc[kind_l[t]] += dur
-            if trace:
-                rec.record_task(t, kind_names[kind_l[t]], n,
-                                ready_time[t], time, time + dur, cg.flops[t])
-            seq += 1
-            heappush(events, (time + dur, seq, 0, t))
-        else:
-            if cqueue is not None:
-                cqueue.push(n, t, prio_l[t])
-            else:
-                np_ = negprio_l[t]
-                bq = buckets[n]
-                b = bq.get(np_)
-                if b is None:
-                    bq[np_] = deque((t,))
-                    heappush(pheap[n], np_)
-                else:
-                    b.append(t)
-            if trace:
-                qlen[n] += 1
-                rec.metrics.gauge(
-                    "queue.depth.max", "peak ready-queue depth per node"
-                ).set_max(qlen[n], labels=(n,))
+        if trace and not parked:
+            qlen[n] += 1
+            rec.metrics.gauge(
+                "queue.depth.max", "peak ready-queue depth per node"
+            ).set_max(qlen[n], labels=(n,))
 
     def launch(chunk) -> None:
         nonlocal seq
@@ -524,10 +540,11 @@ def simulate_compiled(
     # The loop allocates only acyclic temporaries (event tuples, chunks),
     # reclaimed by refcounting; with tens of millions of live ints in the
     # lowered lists, letting the cyclic collector run full passes here
-    # costs more than the whole event loop.  The two ``enqueue_ready``
-    # call sites below are inlined copies of the function above — the
-    # call itself (and the closure-cell reloads it forces) is measurable
-    # at ten million calls.
+    # costs more than the whole event loop.  The general loop calls
+    # ``enqueue_ready`` and ``NetworkSim.egress_freed``; only the lean
+    # loop (the configuration ``potrf_lean`` times on its own) carries
+    # inlined copies of both — the call itself (and the closure-cell
+    # reloads it forces) is measurable at ten million calls.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -568,17 +585,7 @@ def simulate_compiled(
                         else:
                             if trace:
                                 qlen[n] -= 1
-                            dur = dur_l[t2]
-                            if fault_slow:
-                                dur *= faults.compute_factor(n, now)
-                                busy_acc[n] += dur
-                                tbk_acc[kind_l[t2]] += dur
-                            if trace:
-                                rec.record_task(t2, kind_names[kind_l[t2]], n,
-                                                ready_time[t2], now, now + dur,
-                                                cg.flops[t2])
-                            seq += 1
-                            heappush(events, (now + dur, seq, 0, t2))
+                            start_task(t2, n, now)
                     d = t + n_init if write_dense else write_l[t]
                     if d >= 0:
                         a = lc_ptr[d]
@@ -590,121 +597,25 @@ def simulate_compiled(
                                         else lc_ids[a:b]):
                                 m = missing[tid] - 1
                                 missing[tid] = m
-                                if m == 0:  # inlined enqueue_ready(tid, now)
-                                    if trace:
-                                        ready_time[tid] = now
-                                    if synchronized and ipos[tid] > released_idx:
-                                        iter_blocked[ipos[tid]].append(tid)
-                                        continue
-                                    n2 = node_l[tid]
-                                    if dead is not None and dead[n2]:
-                                        if cqueue is not None:
-                                            cqueue.push(n2, tid, prio_l[tid])
-                                            continue
-                                        np_ = negprio_l[tid]
-                                        bq2 = buckets[n2]
-                                        b3 = bq2.get(np_)
-                                        if b3 is None:
-                                            bq2[np_] = deque((tid,))
-                                            heappush(pheap[n2], np_)
-                                        else:
-                                            b3.append(tid)
-                                        continue
-                                    if free[n2] > 0:
-                                        free[n2] -= 1
-                                        dur = dur_l[tid]
-                                        if fault_slow:
-                                            dur *= faults.compute_factor(n2, now)
-                                            busy_acc[n2] += dur
-                                            tbk_acc[kind_l[tid]] += dur
-                                        if trace:
-                                            rec.record_task(
-                                                tid, kind_names[kind_l[tid]], n2,
-                                                now, now, now + dur, cg.flops[tid])
-                                        seq += 1
-                                        heappush(events, (now + dur, seq, 0, tid))
-                                    else:
-                                        if cqueue is not None:
-                                            cqueue.push(n2, tid, prio_l[tid])
-                                        else:
-                                            np_ = negprio_l[tid]
-                                            bq = buckets[n2]
-                                            b3 = bq.get(np_)
-                                            if b3 is None:
-                                                bq[np_] = deque((tid,))
-                                                heappush(pheap[n2], np_)
-                                            else:
-                                                b3.append(tid)
-                                        if trace:
-                                            qlen[n2] += 1
-                                            rec.metrics.gauge(
-                                                "queue.depth.max",
-                                                "peak ready-queue depth per node",
-                                            ).set_max(qlen[n2], labels=(n2,))
+                                if m == 0:
+                                    enqueue_ready(tid, now)
                         if has_remote[d]:
                             request_transfers(d, n, now)
                     if synchronized:
                         iter_remaining[ipos[t]] -= 1
                         release_iterations(now)
                 elif kind == 1:  # source egress channel freed
-                    if faults is not None or ctopo is not None:
-                        # Fault and topology runs take the shared NetworkSim
-                        # path so the injected wire factors / routed walks
-                        # apply identically to both engines (the
-                        # transcription below skips both).
-                        nxt = net.egress_freed(payload, now)
-                        if nxt is not None:
-                            launch(nxt)
-                        continue
-                    # Statement-by-statement transcription of
-                    # ``NetworkSim._serve`` + ``launch``: the per-quantum path
-                    # runs millions of times and the call/Chunk overhead is
-                    # measurable.  Covered by the engine-equality suite.
-                    src_n = payload
-                    queue = net_queues[src_n]
-                    while queue:
-                        negprio, _s, tr = heappop(queue)
-                        if negprio == -tr.priority:
-                            break
-                    else:
-                        net_egress_busy[src_n] = False
-                        continue
-                    remaining = tr.remaining
-                    size = net_quantum if net_quantum < remaining else remaining
-                    remaining -= size
-                    tr.remaining = remaining
-                    wire = size / net_bw
-                    occupancy = wire if tr.started else wire + net_lat
-                    tr.started = True
-                    egress_done = now + occupancy
-                    dst = tr.dst
-                    ingress = net_ingress[dst] + wire
-                    delivery = egress_done if egress_done > ingress else ingress
-                    net_ingress[dst] = delivery
-                    net_busy[src_n] += occupancy
-                    if remaining:
-                        s2 = net._seq + 1
-                        net._seq = s2
-                        heappush(queue, (-tr.priority, s2, tr))
-                    else:
-                        tr.end = delivery
-                    if trace and (tr.key, dst) not in first_chunk_start:
-                        first_chunk_start[(tr.key, dst)] = egress_done
-                    seq += 1
-                    heappush(events, (egress_done, seq, 1, src_n))
-                    if not remaining:
-                        seq += 1
-                        heappush(events, (delivery, seq, 2, tr))
+                    nxt = net.egress_freed(payload, now)
+                    if nxt is not None:
+                        launch(nxt)
                 elif kind == 3:  # retransmission of a lost message
                     old = payload
                     nt = Transfer(old.key, old.src, old.dst, old.nbytes,
                                   old.priority)
                     nt.keys = list(old.keys)  # preserve aggregated payloads
                     if trace:
-                        rec.record_fault(
-                            "retry", time=now, src=old.src, dst=old.dst,
-                            key=(data_keys[old.key] if data_keys is not None
-                                 else old.key))
+                        rec.record_fault("retry", time=now, src=old.src,
+                                         dst=old.dst, key=key_of(old))
                     started = net.submit(nt, now)
                     if started is not None:
                         launch(started)
@@ -716,8 +627,7 @@ def simulate_compiled(
                         if trace:
                             rec.record_fault(
                                 "loss", time=tr.end, src=tr.src, dst=tr.dst,
-                                key=(data_keys[tr.key] if data_keys is not None
-                                     else tr.key),
+                                key=key_of(tr),
                                 detail="retry at "
                                 f"{tr.end + faults.retransmit_timeout:.6g}",
                             )
@@ -727,7 +637,7 @@ def simulate_compiled(
                         continue
                     if trace:
                         rec.record_transfer(
-                            key=data_keys[tr.key] if data_keys is not None else tr.key,
+                            key=key_of(tr),
                             src=tr.src,
                             dst=tr.dst,
                             nbytes=tr.nbytes,
@@ -766,57 +676,7 @@ def simulate_compiled(
                             # never read the counters, and the relative order
                             # of the newly-ready tasks is the slice order.
                             for tid in ready_iter:
-                                # inlined enqueue_ready(tid, end)
-                                if trace:
-                                    ready_time[tid] = end
-                                if synchronized and ipos[tid] > released_idx:
-                                    iter_blocked[ipos[tid]].append(tid)
-                                    continue
-                                n2 = node_l[tid]
-                                if dead is not None and dead[n2]:
-                                    if cqueue is not None:
-                                        cqueue.push(n2, tid, prio_l[tid])
-                                        continue
-                                    np_ = negprio_l[tid]
-                                    bq2 = buckets[n2]
-                                    b3 = bq2.get(np_)
-                                    if b3 is None:
-                                        bq2[np_] = deque((tid,))
-                                        heappush(pheap[n2], np_)
-                                    else:
-                                        b3.append(tid)
-                                    continue
-                                if free[n2] > 0:
-                                    free[n2] -= 1
-                                    dur = dur_l[tid]
-                                    if fault_slow:
-                                        dur *= faults.compute_factor(n2, end)
-                                        busy_acc[n2] += dur
-                                        tbk_acc[kind_l[tid]] += dur
-                                    if trace:
-                                        rec.record_task(
-                                            tid, kind_names[kind_l[tid]], n2,
-                                            end, end, end + dur, cg.flops[tid])
-                                    seq += 1
-                                    heappush(events, (end + dur, seq, 0, tid))
-                                else:
-                                    if cqueue is not None:
-                                        cqueue.push(n2, tid, prio_l[tid])
-                                    else:
-                                        np_ = negprio_l[tid]
-                                        bq = buckets[n2]
-                                        b3 = bq.get(np_)
-                                        if b3 is None:
-                                            bq[np_] = deque((tid,))
-                                            heappush(pheap[n2], np_)
-                                        else:
-                                            b3.append(tid)
-                                    if trace:
-                                        qlen[n2] += 1
-                                        rec.metrics.gauge(
-                                            "queue.depth.max",
-                                            "peak ready-queue depth per node",
-                                        ).set_max(qlen[n2], labels=(n2,))
+                                enqueue_ready(tid, end)
                         for child in tree_children.pop((d, dst), ()):
                             _send(
                                 d,
@@ -979,108 +839,29 @@ def simulate_compiled(
     else:
         unready = sum(1 for m in missing if m)
     done = n_tasks - queued - blocked - unready
-    if done != n_tasks:
-        if dead is not None and any(dead):
-            crashed = ", ".join(
-                f"node {i} after {completed_on[i]} tasks"
-                for i in range(num_nodes) if dead[i]
-            )
-            raise SimulatedFailure(
-                f"simulated worker crash ({crashed}): "
-                f"{n_tasks - done}/{n_tasks} tasks never ran"
-            )
-        raise RuntimeError(
-            f"simulation deadlock: executed {done}/{n_tasks} tasks "
-            f"({blocked} blocked on barriers)"
-        )
-
-    if fault_slow:
-        # Slowed durations depend on each task's start time, so they were
-        # accumulated in event order, exactly like the object engine.
-        busy_time = busy_acc
-        time_by_kind = {
-            kind_names[c]: tbk_acc[c]
-            for c in range(len(kind_names))
-            if tbk_acc[c]
-        }
-    else:
-        # Every task ran exactly once, so per-node and per-kind busy time
-        # are plain weighted bincounts over the task table.  Summation
-        # order differs from the object engine's event-order accumulation,
-        # so these match it to float rounding (makespan/bytes/messages
-        # stay exact).
-        busy_time = np.bincount(
-            cg.node, weights=durations, minlength=num_nodes
-        ).tolist()
-        counts = np.bincount(cg.kind_codes, minlength=len(kind_names))
-        kt = np.bincount(cg.kind_codes, weights=durations,
-                         minlength=len(kind_names))
-        time_by_kind = {
-            kind_names[c]: float(kt[c])
-            for c in range(len(kind_names))
-            if counts[c]
-        }
-    if trace:
-        rec.finalize_utilization(busy_time, now, machine.cores)
-        rec.metrics.gauge("makespan.seconds", "simulated makespan").set(now)
-    return SimReport(
-        makespan=now,
-        total_flops=cg.total_flops(),
-        num_nodes=machine.nodes,
-        comm_bytes=int(net.total_bytes),
-        comm_messages=int(net.total_messages),
-        busy_time=busy_time,
-        time_by_kind=time_by_kind,
-        num_tasks=n_tasks,
-        cores_per_node=machine.cores,
-        trace=rec.task_events if trace else None,
-        transfers=rec.transfer_events if trace else None,
-        obs=rec if trace else None,
-    )
+    crashed = () if dead is None else [
+        f"node {i} after {completed_on[i]} tasks"
+        for i in range(num_nodes) if dead[i]
+    ]
+    return _report(run, now, net.total_bytes, net.total_messages, done,
+                   blocked, crashed,
+                   (busy_acc, tbk_acc) if fault_slow else None, rec)
 
 
-def _run_kernel(
-    cg: CompiledGraph,
-    machine: MachineSpec,
-    plan,
-    durations: np.ndarray,
-    kernel: str,
-) -> SimReport:
-    """Run the lean event loop via :mod:`._kernel` and build the report.
-
-    ``kernel`` is the resolved mode: ``"jit"`` (numba-compiled) or
-    ``"interp"`` (same source, uncompiled).  Eligibility was checked by
-    the caller; priorities and the comm plan are already final.
-    """
-    from . import _kernel
-
-    n_tasks = cg.n_tasks
+def _kernel_loop(run: _Run, compiled: bool) -> SimReport:
+    """Lower a kernel-eligible run to flat arrays and drive
+    :func:`_kernel.serve_loop` — numba-compiled, or interpreted from the
+    same source (slow; it is how the suite pins the kernel's event order
+    on machines without numba)."""
+    cg, machine, durations, plan, pair_prio, ctopo = run[:6]
     num_nodes = machine.nodes
     n_pairs = len(plan.pair_dst)
-    n_data = len(cg.data_nbytes)
 
-    # Source node per data id: the producing task's node, or the declared
-    # home for initial data — exactly the ``src`` the numpy path hands
-    # ``request_transfers`` (correct under scheduler reassignment too,
-    # since ``cg.node`` here is the reassigned column).
-    src_of_data = np.zeros(n_data, dtype=np.int64)
-    wmask = cg.write_id >= 0
-    src_of_data[cg.write_id[wmask]] = cg.node[wmask]
-    for d, home in plan.initial_sources:
-        src_of_data[d] = home
-    pair_src = src_of_data[plan.pair_data]
+    # ``data_source_node`` (the producer's node, or the declared home of
+    # initial data) is the ``src`` the numpy loop hands
+    # ``request_transfers`` — it follows scheduler reassignment.
+    pair_src = cg.data_source_node[plan.pair_data]
     pair_nbytes = cg.data_nbytes[plan.pair_data].astype(np.int64, copy=False)
-
-    # Per-pair transfer priority: max over the waiting tasks (same
-    # reduceat as the numpy path's lowering).
-    if n_pairs:
-        starts = plan.pair_rn_start
-        order = np.argsort(starts, kind="stable")
-        red = np.maximum.reduceat(cg.priority[plan.rn_ids], starts[order])
-        pair_prio = np.empty(n_pairs, dtype=np.float64)
-        pair_prio[order] = red
-    else:
-        pair_prio = np.zeros(0, dtype=np.float64)
 
     # Misplaced initial data kicks off its transfers at t = 0, pairs in
     # CSR order per data — the numpy path's kick-off sequence.
@@ -1102,8 +883,6 @@ def _run_kernel(
     # The compiled routing tables are indexed (src, dst); the kernel works
     # per transfer pair, so gather each pair's route into its own CSR slice
     # (and its route latency) once, here, instead of per quantum.
-    ctopo = (machine.topology.compiled()
-             if machine.topology is not None else None)
     if ctopo is None:
         topo_on = 0
         tp_lat = np.zeros(0, dtype=np.float64)
@@ -1134,17 +913,7 @@ def _run_kernel(
         else:
             tp_eid = np.zeros(0, dtype=np.int64)
 
-    net = NetworkSim(machine.network, num_nodes)
-    if kernel == "jit":
-        try:
-            fn = _kernel.jit_serve_loop()
-        except ImportError as exc:
-            raise RuntimeError(
-                "kernel='jit' requires numba, which is not installed; "
-                "kernel='auto' falls back to the numpy path"
-            ) from exc
-    else:
-        fn = _kernel.serve_loop
+    fn = _kernel.jit_serve_loop() if compiled else _kernel.serve_loop
 
     now, total_bytes, total_messages, queued = fn(
         np.ascontiguousarray(cg.node, dtype=np.int32),
@@ -1165,9 +934,9 @@ def _run_kernel(
         init_pairs,
         num_nodes,
         cores_arr,
-        int(net.quantum),
-        float(net._bandwidth),
-        float(net._latency),
+        DEFAULT_QUANTUM,
+        float(machine.network.bandwidth),
+        float(machine.network.latency),
         topo_on,
         tp_lat,
         tp_ptr,
@@ -1177,38 +946,75 @@ def _run_kernel(
         sw_bw,
     )
 
-    unready = int(np.count_nonzero(missing))
-    queued = int(queued)
-    done = n_tasks - queued - unready
+    return _report(run, float(now), total_bytes, total_messages,
+                   cg.n_tasks - int(queued) - int(np.count_nonzero(missing)))
+
+
+def _report(run: _Run, now: float, comm_bytes: int, comm_messages: int,
+            done: int, blocked: int = 0, crashed: Any = (), slowed: Any = None,
+            rec: Optional[Recorder] = None) -> SimReport:
+    """The tail both loops share: diagnose a run that did not execute
+    every task, then assemble the :class:`SimReport`.
+
+    ``crashed`` names the fail-stopped nodes, ``slowed`` carries the
+    ``(busy_time, time_by_kind)`` accumulators of a slowdown run and
+    ``rec`` the recorder of a traced one (numpy loop only).
+    """
+    cg, machine, durations = run[:3]
+    n_tasks = cg.n_tasks
+    num_nodes = machine.nodes
+    kind_names = cg.kind_names
     if done != n_tasks:
+        if crashed:
+            raise SimulatedFailure(
+                f"simulated worker crash ({', '.join(crashed)}): "
+                f"{n_tasks - done}/{n_tasks} tasks never ran"
+            )
         raise RuntimeError(
             f"simulation deadlock: executed {done}/{n_tasks} tasks "
-            f"(0 blocked on barriers)"
+            f"({blocked} blocked on barriers)"
         )
 
-    kind_names = cg.kind_names
-    busy_time = np.bincount(
-        cg.node, weights=durations, minlength=num_nodes
-    ).tolist()
-    counts = np.bincount(cg.kind_codes, minlength=len(kind_names))
-    kt = np.bincount(cg.kind_codes, weights=durations,
-                     minlength=len(kind_names))
-    time_by_kind = {
-        kind_names[c]: float(kt[c])
-        for c in range(len(kind_names))
-        if counts[c]
-    }
+    if slowed is not None:
+        # Slowed durations depend on each task's start time, so they were
+        # accumulated in event order, exactly like the object engine.
+        busy_time, tbk_acc = slowed
+        time_by_kind = {
+            kind_names[c]: tbk_acc[c]
+            for c in range(len(kind_names))
+            if tbk_acc[c]
+        }
+    else:
+        # Every task ran exactly once, so per-node and per-kind busy time
+        # are plain weighted bincounts over the task table.  Summation
+        # order differs from the object engine's event-order accumulation,
+        # so these match it to float rounding (makespan/bytes/messages
+        # stay exact).
+        busy_time = np.bincount(
+            cg.node, weights=durations, minlength=num_nodes
+        ).tolist()
+        counts = np.bincount(cg.kind_codes, minlength=len(kind_names))
+        kt = np.bincount(cg.kind_codes, weights=durations,
+                         minlength=len(kind_names))
+        time_by_kind = {
+            kind_names[c]: float(kt[c])
+            for c in range(len(kind_names))
+            if counts[c]
+        }
+    if rec is not None:
+        rec.finalize_utilization(busy_time, now, machine.cores)
+        rec.metrics.gauge("makespan.seconds", "simulated makespan").set(now)
     return SimReport(
-        makespan=float(now),
+        makespan=now,
         total_flops=cg.total_flops(),
         num_nodes=machine.nodes,
-        comm_bytes=int(total_bytes),
-        comm_messages=int(total_messages),
+        comm_bytes=int(comm_bytes),
+        comm_messages=int(comm_messages),
         busy_time=busy_time,
         time_by_kind=time_by_kind,
         num_tasks=n_tasks,
         cores_per_node=machine.cores,
-        trace=None,
-        transfers=None,
-        obs=None,
+        trace=rec.task_events if rec is not None else None,
+        transfers=rec.transfer_events if rec is not None else None,
+        obs=rec,
     )

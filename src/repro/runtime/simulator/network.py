@@ -109,9 +109,9 @@ class NetworkSim:
             self._switch_free = None
         #: Fault-injection hook (repro.runtime.faults): multiplies the wire
         #: time of each quantum served on (src, dst) at a given time.  The
-        #: fast engine's inlined _serve transcription does NOT apply it —
-        #: when a fault plan is active the engines route every quantum
-        #: through this class instead.
+        #: fast engine's lean loop transcribes _serve inline and does NOT
+        #: apply it — fault runs take its general loop, which serves every
+        #: quantum through this class.
         self._wire_factor = wire_factor
         #: Coalesce queued messages sharing (source, destination) into one
         #: wire message (single latency): the aggregation optimization the
@@ -126,7 +126,8 @@ class NetworkSim:
         # headed to each destination (at most one exists — a second submit
         # to the same destination piggy-backs instead of queueing).  Entries
         # go stale once _serve starts the transfer; submit validates lazily,
-        # so _serve stays untouched (the compiled engine inlines it).
+        # so _serve stays untouched (the compiled engine's lean loop inlines
+        # it).
         self._unstarted: list[dict] = [{} for _ in range(num_nodes)]
         self._seq = 0
         self.total_bytes = 0
@@ -160,7 +161,7 @@ class NetworkSim:
                 del pending[transfer.dst]
                 queued = None
             if queued is not None:
-                queued.keys.append(transfer.key)
+                queued.keys.extend(transfer.keys)
                 queued.nbytes += transfer.nbytes
                 queued.remaining += transfer.nbytes
                 if transfer.priority > queued.priority:

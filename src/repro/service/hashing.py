@@ -50,7 +50,10 @@ __all__ = [
 #: per-node heterogeneity, ``None`` for the historic clique) — it feeds
 #: the config digest, since topology changes simulated timings but not
 #: the task graph.
-SCHEMA_VERSION = 4
+#: v5: JobSpec lost the ``kernel`` field (every serve loop is bit-identical
+#: by contract, so it could only split one result over four cache keys);
+#: a ``"kernel"`` key in a submitted dict is ignored.
+SCHEMA_VERSION = 5
 
 
 def _h(*parts: bytes) -> str:

@@ -51,12 +51,6 @@ __all__ = [
 #: Algorithms the runner knows how to build graphs for.
 ALGORITHMS = ("cholesky", "lu")
 ENGINES = ("compiled", "object")
-#: Serve-loop kernels of the compiled engine (see
-#: :func:`repro.runtime.simulator.simulate_compiled`).  "auto" resolves
-#: per worker — numba-jitted when importable, numpy otherwise — with
-#: bit-identical results either way, so it is safe inside content-
-#: addressed caching.
-KERNELS = ("auto", "numpy", "jit", "interp")
 
 
 def _policy_names() -> tuple[str, ...]:
@@ -262,10 +256,6 @@ class JobSpec:
     #: but NOT of the structure hash: policies act at simulation time, the
     #: built graph is the same.
     policy: str = "critical-path"
-    #: Compiled-engine serve-loop kernel (one of :data:`KERNELS`).  Like
-    #: ``policy`` it is simulation-time only: part of the config digest,
-    #: not the structure hash.  Ignored by the object engine.
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -286,10 +276,6 @@ class JobSpec:
                 f"unknown scheduler policy {self.policy!r}; "
                 f"use one of {names}"
             )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; use one of {KERNELS}"
-            )
 
     # -- construction -------------------------------------------------------
 
@@ -308,7 +294,6 @@ class JobSpec:
         faults: Union[FaultPlan, Mapping[str, Any], None] = None,
         collect_metrics: bool = False,
         policy: str = "critical-path",
-        kernel: str = "auto",
     ) -> JobSpec:
         """Build a spec from live objects or plain dicts."""
         dspec = dist if isinstance(dist, Mapping) else dist_to_spec(dist)
@@ -329,12 +314,16 @@ class JobSpec:
             faults=None if fspec is None else _freeze(fspec),
             collect_metrics=bool(collect_metrics),
             policy=policy,
-            kernel=kernel,
         )
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> JobSpec:
-        """Rebuild a spec from :meth:`to_dict` output (JSON data)."""
+        """Rebuild a spec from :meth:`to_dict` output (JSON data).
+
+        Keys that are not fields are ignored — in particular the
+        ``"kernel"`` key of schema <= 4 dicts (the serve loop is no longer
+        selectable; every loop is bit-identical by contract).
+        """
         return cls.make(
             algorithm=d["algorithm"],
             ntiles=d["ntiles"],
@@ -348,7 +337,6 @@ class JobSpec:
             faults=d.get("faults"),
             collect_metrics=d.get("collect_metrics", False),
             policy=d.get("policy", "critical-path"),
-            kernel=d.get("kernel", "auto"),
         )
 
     # -- canonical views ----------------------------------------------------
@@ -368,7 +356,6 @@ class JobSpec:
             "faults": None if self.faults is None else _thaw(self.faults),
             "collect_metrics": self.collect_metrics,
             "policy": self.policy,
-            "kernel": self.kernel,
         }
 
     def canonical(self) -> str:

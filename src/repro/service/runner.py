@@ -190,7 +190,6 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
             recorder=recorder,
             faults=faults,
             scheduler=spec.policy,
-            kernel=spec.kernel,
         )
     else:
         graph = _build_object_graph(spec)

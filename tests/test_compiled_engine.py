@@ -29,7 +29,14 @@ from repro.graph import (
     compiled_critical_path_priorities,
 )
 from repro.distributions import RowCyclic1D
-from repro.runtime.simulator import simulate, simulate_compiled
+from repro.runtime.simulator import fast_engine, simulate, simulate_compiled
+from repro.runtime.simulator._kernel import numba_available
+
+#: ``compiled`` flags of the flat-array kernel to pin against the numpy
+#: loop: interpreted always, numba-compiled when numba imports.  No public
+#: option selects a loop, so the suite reaches each through the engine's
+#: private entry points (``_prepare`` -> ``_numpy_loop`` / ``_kernel_loop``).
+KERNEL_MODES = [False] + ([True] if numba_available() else [])
 
 
 def assert_reports_equal(ref, fast):
@@ -119,6 +126,31 @@ class TestEngineEquality:
         fast = simulate_compiled(cg, m, broadcast=broadcast,
                                  aggregate=aggregate, faults=plan)
         assert_reports_equal(ref, fast)
+
+    @pytest.mark.parametrize("general", [
+        {"trace": True},
+        {"synchronized": True},
+        {"scheduler": "work-stealing"},
+    ], ids=lambda o: next(iter(o)))
+    @pytest.mark.parametrize("broadcast", ["direct", "tree"])
+    @pytest.mark.parametrize("aggregate", [False, True])
+    def test_general_loop_on_scalar_network(self, general, broadcast,
+                                            aggregate):
+        """Fault-free runs of the general loop on the scalar (clique)
+        network serve every quantum through the shared NetworkSim, as
+        fault and topology runs do.  2 MB tiles, so messages span several
+        quanta and the round-robin order matters."""
+        dist = SymmetricBlockCyclic(4)
+        g = build_cholesky_graph(10, 512, dist)
+        cg = compile_graph(g)
+        m = laptop(nodes=dist.num_nodes, cores=2)
+        opts = dict(general, broadcast=broadcast, aggregate=aggregate)
+        ref = simulate(g, m, **opts)
+        fast = simulate_compiled(cg, m, **opts)
+        assert_reports_equal(ref, fast)
+        if "trace" in general:
+            assert ([e.started for e in fast.transfers]
+                    == [e.started for e in ref.transfers])
 
     def test_lu_matches_object_engine(self):
         g = build_lu_graph(10, 32, BlockCyclic2D(3, 2))
@@ -303,12 +335,14 @@ class TestTopologyEquality:
         ref = simulate(g, m)
         fast = simulate_compiled(cg, m)
         assert_reports_equal(ref, fast)
-        kernels = ["interp"] + (["jit"] if _numba_available() else [])
-        for kern in kernels:
-            rep = simulate_compiled(cg, m, kernel=kern)
-            assert rep.makespan == ref.makespan, (topo.kind, kern)
-            assert rep.comm_bytes == ref.comm_bytes, (topo.kind, kern)
-            assert rep.comm_messages == ref.comm_messages, (topo.kind, kern)
+        run = fast_engine._prepare(cg, m)
+        assert run.kernel_ok  # routed topologies are kernel-eligible
+        assert_reports_equal(ref, fast_engine._numpy_loop(run))
+        for compiled in KERNEL_MODES:
+            rep = fast_engine._kernel_loop(run, compiled)
+            assert rep.makespan == ref.makespan, (topo.kind, compiled)
+            assert rep.comm_bytes == ref.comm_bytes, (topo.kind, compiled)
+            assert rep.comm_messages == ref.comm_messages, (topo.kind, compiled)
 
     def test_uniform_clique_topology_is_bit_identical_to_none(self):
         """topology=clique(P, network.bw, network.lat) must reproduce the
@@ -494,14 +528,6 @@ class TestPolicyConformance:
             simulate_compiled(cg, m, scheduler="round-robin")
 
 
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 #: The streamed-build property sweep: every layout family the direct
 #: compilers accept, including the basic SBC variant.
 STREAM_DISTS = [
@@ -564,68 +590,64 @@ class TestStreamedBuild:
 
 
 class TestKernelEquality:
-    """Every serve-loop kernel must agree bit-for-bit on the headline
-    numbers: object engine == numpy path == flat-array kernel (interp
-    always; jit when numba is installed — same source either way)."""
-
-    KERNELS = ["interp"] + (["jit"] if _numba_available() else [])
+    """Every serve-loop implementation must agree bit-for-bit on the
+    headline numbers: object engine == numpy loop == flat-array kernel
+    (interpreted always; jit when numba is installed — same source either
+    way), each driven from one prepared run."""
 
     @pytest.mark.parametrize("dist", STREAM_DISTS, ids=lambda d: d.name)
     def test_kernels_match_object_engine(self, dist):
         g = build_cholesky_graph(12, 32, dist)
         m = laptop(nodes=dist.num_nodes, cores=2)
         ref = simulate(g, m)
-        base = simulate_compiled(compile_cholesky(12, 32, dist), m,
-                                 kernel="numpy")
+        run = fast_engine._prepare(compile_cholesky(12, 32, dist), m)
+        base = fast_engine._numpy_loop(run)
         assert_reports_equal(ref, base)
-        for kern in self.KERNELS:
-            rep = simulate_compiled(compile_cholesky(12, 32, dist), m,
-                                    kernel=kern)
-            assert rep.makespan == base.makespan, kern
-            assert rep.comm_bytes == base.comm_bytes, kern
-            assert rep.comm_messages == base.comm_messages, kern
-            assert rep.busy_time == base.busy_time, kern
-            assert rep.time_by_kind == base.time_by_kind, kern
+        for compiled in KERNEL_MODES:
+            rep = fast_engine._kernel_loop(run, compiled)
+            assert rep.makespan == base.makespan, compiled
+            assert rep.comm_bytes == base.comm_bytes, compiled
+            assert rep.comm_messages == base.comm_messages, compiled
+            assert rep.busy_time == base.busy_time, compiled
+            assert rep.time_by_kind == base.time_by_kind, compiled
 
     def test_kernel_handles_initial_transfers(self):
         """Reassignment makes initial tiles remote — the kernel's t = 0
-        kick-off path must match the numpy path's event order exactly."""
+        kick-off path must match the numpy loop's event order exactly."""
         dist = SymmetricBlockCyclic(4)
         g = build_cholesky_graph(8, 32, dist)
         m = laptop(nodes=dist.num_nodes, cores=2)
         base = compile_graph(g)
         asg = ((base.node.astype(np.int64) + 1) % m.nodes).astype(
             base.node.dtype)
-        ref = simulate_compiled(compile_graph(g).reassigned(asg), m,
-                                kernel="numpy")
-        for kern in self.KERNELS:
-            cg = compile_graph(g).reassigned(asg)
-            assert len(cg.comm_plan().initial_sources) > 0
-            rep = simulate_compiled(cg, m, kernel=kern)
-            assert rep.makespan == ref.makespan, kern
-            assert rep.comm_bytes == ref.comm_bytes, kern
-            assert rep.comm_messages == ref.comm_messages, kern
+        run = fast_engine._prepare(base.reassigned(asg), m)
+        assert len(run.plan.initial_sources) > 0
+        ref = fast_engine._numpy_loop(run)
+        for compiled in KERNEL_MODES:
+            rep = fast_engine._kernel_loop(run, compiled)
+            assert rep.makespan == ref.makespan, compiled
+            assert rep.comm_bytes == ref.comm_bytes, compiled
+            assert rep.comm_messages == ref.comm_messages, compiled
 
     def test_kernel_with_custom_durations(self):
         cg = compile_cholesky(8, 32, BlockCyclic2D(2, 2))
         m = laptop(nodes=4, cores=2)
         rng = np.random.default_rng(3)
         dur = rng.uniform(0.5, 2.0, size=cg.n_tasks)
-        ref = simulate_compiled(compile_cholesky(8, 32, BlockCyclic2D(2, 2)),
-                                m, durations=dur, kernel="numpy")
-        rep = simulate_compiled(cg, m, durations=dur, kernel="interp")
+        run = fast_engine._prepare(cg, m, durations=dur)
+        ref = fast_engine._numpy_loop(run)
+        rep = fast_engine._kernel_loop(run, compiled=False)
         assert rep.makespan == ref.makespan
         assert rep.comm_messages == ref.comm_messages
 
     def test_auto_matches_numpy(self):
-        """'auto' resolves per machine (jit with numba, numpy without) but
-        never changes results."""
+        """The public entry picks its loop per machine (jit with numba,
+        numpy without) but never changes results."""
         dist = SymmetricBlockCyclic(4)
         m = laptop(nodes=dist.num_nodes, cores=2)
-        ref = simulate_compiled(compile_cholesky(10, 32, dist), m,
-                                kernel="numpy")
-        rep = simulate_compiled(compile_cholesky(10, 32, dist), m,
-                                kernel="auto")
+        ref = fast_engine._numpy_loop(
+            fast_engine._prepare(compile_cholesky(10, 32, dist), m))
+        rep = simulate_compiled(compile_cholesky(10, 32, dist), m)
         assert rep.makespan == ref.makespan
         assert rep.comm_bytes == ref.comm_bytes
         assert rep.comm_messages == ref.comm_messages
@@ -637,22 +659,12 @@ class TestKernelEquality:
         {"aggregate": True},
     ], ids=lambda o: next(iter(o)))
     def test_kernel_rejects_unsupported_options(self, opts):
+        """Options the flat-array kernel does not cover make the run
+        ineligible, so it takes the numpy loop whether or not numba is
+        installed."""
         cg = compile_cholesky(6, 32, BlockCyclic2D(2, 2))
         m = laptop(nodes=4, cores=2)
-        with pytest.raises(ValueError, match="kernel"):
-            simulate_compiled(cg, m, kernel="interp", **opts)
-        # 'auto' silently falls back to the numpy path instead.
-        rep = simulate_compiled(cg, m, kernel="auto", **opts)
-        assert rep.makespan > 0
-
-    def test_unknown_kernel_rejected(self):
-        cg = compile_cholesky(4, 32, BlockCyclic2D(2, 2))
-        with pytest.raises(ValueError, match="unknown kernel"):
-            simulate_compiled(cg, laptop(nodes=4, cores=2), kernel="cython")
-
-    @pytest.mark.skipif(_numba_available(),
-                        reason="numba installed: jit is expected to work")
-    def test_jit_without_numba_raises(self):
-        cg = compile_cholesky(4, 32, BlockCyclic2D(2, 2))
-        with pytest.raises(RuntimeError, match="numba"):
-            simulate_compiled(cg, laptop(nodes=4, cores=2), kernel="jit")
+        run = fast_engine._prepare(cg, m, **opts)
+        assert not run.kernel_ok
+        rep = simulate_compiled(cg, m, **opts)
+        assert rep.makespan == fast_engine._numpy_loop(run).makespan > 0

@@ -220,13 +220,17 @@ def test_structure_hash_ignores_kind_registration_order():
     assert structure_hash(flipped) != structure_hash(cg)
 
 
-def test_kernel_field_rotates_config_but_not_structure():
+def test_legacy_kernel_key_is_ignored():
+    """Schema <= 4 dicts carried a ``"kernel"`` selector; the loops are
+    bit-identical, so it is dropped on parse instead of splitting one
+    result over several cache keys."""
     base = spec()
-    explicit = spec(kernel="numpy")
-    assert config_digest(explicit) != config_digest(base)
-    assert structure_key(explicit) == structure_key(base)
-    with pytest.raises(ValueError, match="kernel"):
-        spec(kernel="cython")
+    legacy = dict(base.to_dict(), kernel="interp")
+    parsed = JobSpec.from_dict(legacy)
+    assert parsed == base
+    assert "kernel" not in parsed.to_dict()
+    assert config_digest(parsed) == config_digest(base)
+    assert structure_key(parsed) == structure_key(base)
 
 
 # --------------------------------------------------------------------------
