@@ -23,11 +23,9 @@ Modes (combinable; ``--all`` turns everything on):
 ``--report PATH`` writes the machine-readable findings document that CI
 publishes as an artifact; ``--sarif PATH`` writes the same findings as
 SARIF 2.1.0 for GitHub code scanning; ``--certificates DIR`` stores the
-per-policy model-checking certificates ``--mc`` proves.  Compiled-graph
-builds are memoized for the whole invocation under the sweep service's
-structure keys, so ``--all`` builds each distinct graph once.  Exit
-status is 0 iff no error-severity finding was produced (``--strict``
-also fails on warnings).
+per-policy model-checking certificates ``--mc`` proves.  Exit status is
+0 iff no error-severity finding was produced (``--strict`` also fails
+on warnings).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import argparse
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from ..distributions.base import Distribution
 from ..distributions.block_cyclic import BlockCyclic2D
@@ -71,62 +69,8 @@ from .schedule import verify_all, verify_policy_placement
 #: or None, tile count for the SBC rules)).
 Case = tuple[str, Callable[[], tuple[Any, ...]]]
 
-AnyDist = Union[Distribution, TwoDotFiveD]
 
-
-class _GraphMemo:
-    """In-run graph cache keyed by the sweep service's structure keys.
-
-    ``--graphs`` historically rebuilt every graph from scratch in each
-    pass: the 14-case builder matrix, then the policy zoo over the same
-    Cholesky graphs again.  The service already defines the canonical
-    identity of a built graph — ``structure_key(JobSpec)``, the key its
-    store memoizes structures under — so the CLI reuses that exact key
-    (namespaced ``object:`` / ``compiled:`` for the two build layers).
-
-    Graphs the service cannot describe (POSV/POTRI, remap variants)
-    fall through unmemoized, and the *direct* compilers
-    (``compile_cholesky`` / ``compile_lu``) are deliberately never
-    served from the memo: those matrix rows exist to cross-check an
-    independently built plan against the generic lowering.
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[str, Any] = {}
-        self.hits = 0
-        self.builds = 0
-
-    def _skey(self, algorithm: str, ntiles: int, b: int,
-              dist: AnyDist) -> Optional[str]:
-        from ..config import laptop
-        from ..service import JobSpec, structure_key
-
-        if algorithm not in ("cholesky", "lu"):
-            return None
-        try:
-            spec = JobSpec.make(algorithm, ntiles, b, dist, laptop())
-        except (TypeError, ValueError):
-            return None
-        return structure_key(spec)
-
-    def fetch(self, namespace: str, algorithm: str, ntiles: int, b: int,
-              dist: AnyDist, build: Callable[[], Any]) -> Any:
-        skey = self._skey(algorithm, ntiles, b, dist)
-        if skey is None:
-            return build()
-        key = f"{namespace}:{skey}"
-        if key in self._cache:
-            self.hits += 1
-        else:
-            self.builds += 1
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def stats(self) -> str:
-        return f"{self.hits} reuse(s), {self.builds} memoized build(s)"
-
-
-def _matrix(memo: Optional[_GraphMemo] = None) -> list[Case]:
+def _matrix() -> list[Case]:
     """Every shipped graph builder × the distributions it supports.
 
     Sizes are chosen so the whole matrix verifies in seconds while still
@@ -134,52 +78,34 @@ def _matrix(memo: Optional[_GraphMemo] = None) -> list[Case]:
     """
     N, b = 8, 32
     Ninv = 6
-    memo = memo if memo is not None else _GraphMemo()
-
-    def object_graph(algorithm: str, n: int, dist: AnyDist) -> TaskGraph:
-        builders = {"cholesky": build_cholesky_graph, "lu": build_lu_graph}
-        graph: TaskGraph = memo.fetch(
-            "object", algorithm, n, b, dist,
-            lambda: builders[algorithm](n, b, dist))
-        return graph
-
-    def generic(algorithm: str, n: int, dist: AnyDist) -> CompiledGraph:
-        g = object_graph(algorithm, n, dist)
-        cg: CompiledGraph = memo.fetch(
-            "compiled", algorithm, n, b, dist, lambda: compile_graph(g))
-        return cg
 
     def cholesky(
         dist: Distribution, n: int = N
     ) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        return (generic("cholesky", n, dist), dist,
-                object_graph("cholesky", n, dist), n)
+        g = build_cholesky_graph(n, b, dist)
+        return compile_graph(g), dist, g, n
 
     def cholesky_direct(
         dist: Distribution, n: int = N
     ) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
         # The direct compiler has no DataKey table; cross-check its plan
-        # against the object graph built with identical parameters.  The
-        # direct build itself must stay un-memoized — it is the
-        # independent half of the comparison.
-        g = object_graph("cholesky", n, dist)
+        # against the object graph built with identical parameters.
+        g = build_cholesky_graph(n, b, dist)
         return compile_cholesky(n, b, dist), dist, g, n
 
     def cholesky_25d(c: int) -> tuple[CompiledGraph, None, TaskGraph, int]:
         d25 = TwoDotFiveD(BlockCyclic2D(2, 2), c)
         g = build_cholesky_graph_25d(N, b, d25)
         # 2.5D runs tasks on slice copies: no single owner per tile, so
-        # the distribution-level rules do not apply (dist=None).  The
-        # 2.5D builders also have their own graph shape — not the
-        # service's `cholesky` structure — so they bypass the memo.
+        # the distribution-level rules do not apply (dist=None).
         return compile_graph(g), None, g, N
 
     def lu(dist: Distribution) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        return generic("lu", N, dist), dist, object_graph("lu", N, dist), N
+        g = build_lu_graph(N, b, dist)
+        return compile_graph(g), dist, g, N
 
     def lu_direct(dist: Distribution) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        g = object_graph("lu", N, dist)
-        return compile_lu(N, b, dist), dist, g, N
+        return compile_lu(N, b, dist), dist, build_lu_graph(N, b, dist), N
 
     def lu_25d(c: int) -> tuple[CompiledGraph, None, TaskGraph, int]:
         d25 = TwoDotFiveD(BlockCyclic2D(2, 2), c)
@@ -218,11 +144,10 @@ def _matrix(memo: Optional[_GraphMemo] = None) -> list[Case]:
     ]
 
 
-def run_graphs(quiet: bool = False,
-               memo: Optional[_GraphMemo] = None) -> Report:
+def run_graphs(quiet: bool = False) -> Report:
     """Verify the full builder matrix."""
     rep = Report()
-    for name, thunk in _matrix(memo):
+    for name, thunk in _matrix():
         cg, dist, graph, n, *extra = thunk()
         # A remap graph spans two distributions; the valid node range is
         # their union.
@@ -239,27 +164,20 @@ def run_graphs(quiet: bool = False,
     return rep
 
 
-def run_policies(quiet: bool = False,
-                 memo: Optional[_GraphMemo] = None) -> Report:
+def run_policies(quiet: bool = False) -> Report:
     """SCHED-PLACE over the scheduler policy zoo.
 
     Every registered policy plans a Cholesky graph on an SBC and a 2DBC
     distribution; non-migrating policies must keep every task on its
-    owner-computes node, migrating ones must stay on the machine.  The
-    graphs are the same two the builder matrix verifies, so with a
-    shared memo this pass performs no builds at all.
+    owner-computes node, migrating ones must stay on the machine.
     """
     from ..config import laptop
     from ..schedulers import POLICIES
 
     N, b = 8, 32
-    memo = memo if memo is not None else _GraphMemo()
     rep = Report()
     for dist in (SymmetricBlockCyclic(4), BlockCyclic2D(2, 4)):
-        cg: CompiledGraph = memo.fetch(
-            "compiled", "cholesky", N, b, dist,
-            lambda dist=dist: compile_graph(  # type: ignore[misc]
-                build_cholesky_graph(N, b, dist)))
+        cg = compile_graph(build_cholesky_graph(N, b, dist))
         machine = laptop(nodes=dist.num_nodes, cores=2)
         name = f"cholesky/{dist.name}"
         for pname in sorted(POLICIES):
@@ -413,7 +331,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     rep = Report()
-    memo = _GraphMemo()
     # --races (traced mode) and --self-test both start from the seeded
     # baseline simulation; under --all build it once and share it.
     base: Optional[Baseline] = None
@@ -422,12 +339,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if do_graphs:
         if not args.quiet:
             print("[schedule] verifying graph builders")
-        rep.extend(run_graphs(quiet=args.quiet, memo=memo))
+        rep.extend(run_graphs(quiet=args.quiet))
         if not args.quiet:
             print("[schedule] verifying scheduler-policy placement")
-        rep.extend(run_policies(quiet=args.quiet, memo=memo))
-        if not args.quiet:
-            print(f"  graph memo: {memo.stats()}")
+        rep.extend(run_policies(quiet=args.quiet))
     if do_flow:
         if not args.quiet:
             print("[flow] dataflow concurrency rules")

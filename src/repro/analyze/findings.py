@@ -31,8 +31,8 @@ __all__ = [
 #: Recognized severity levels, most severe first.
 SEVERITIES = ("error", "warning", "info")
 
-#: Schema version of :meth:`Report.to_dict`.  Version 2 added the
-#: per-rule ``rules`` summary; :meth:`Report.from_dict` accepts 1 and 2.
+#: Schema version of :meth:`Report.to_dict` (2 added the per-rule
+#: ``rules`` summary); :meth:`Report.from_dict` accepts no other.
 REPORT_VERSION = 2
 
 
@@ -184,12 +184,11 @@ class Report:
 
     @classmethod
     def from_dict(cls, doc: dict[str, object]) -> "Report":
-        """Parse a serialized report.  Accepts schema versions 1 and 2
-        (the v2 ``rules`` summary is derived, so it is recomputed rather
-        than trusted)."""
-        version = doc.get("version", 1)
-        if version not in (1, REPORT_VERSION):
-            raise ValueError(f"unsupported report version {version!r}")
+        """Parse a serialized report (the ``rules`` summary is derived,
+        so it is recomputed rather than trusted)."""
+        if doc.get("version") != REPORT_VERSION:
+            raise ValueError(
+                f"unsupported report version {doc.get('version')!r}")
         rep = cls()
         passes = doc.get("passes", {})
         if isinstance(passes, dict):

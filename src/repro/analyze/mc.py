@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import heapq
 import json
 import pickle
 from dataclasses import replace
@@ -62,12 +61,13 @@ from pathlib import Path
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, Optional, Union
 
+from ..schedulers.queues import PriorityQueues
 from .findings import Report
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..config import MachineSpec
     from ..graph.compiled import CompiledGraph
-    from ..schedulers import SchedulerInterface
+    from ..schedulers import GraphView, SchedulerInterface
 
 __all__ = [
     "CERT_SCHEMA",
@@ -91,39 +91,15 @@ DEFAULT_MAX_STATES = 200_000
 # Queue models
 # ---------------------------------------------------------------------------
 
-class _NativeQueue:
-    """Bit-exact model of the engines' native ready discipline.
-
-    ``repro.runtime.simulator.engine._NodeState`` keeps one max-priority
-    heap per node with FIFO tie-breaking via a push sequence number;
-    this mirrors it (and the compiled engine's vectorized equivalent).
-    """
-
-    __slots__ = ("heaps", "seq")
-
-    def __init__(self, nodes: int) -> None:
-        self.heaps: list[list[tuple[float, int, int]]] = [[] for _ in range(nodes)]
-        self.seq = 0
-
-    def push(self, node: int, task: int, priority: float) -> None:
-        self.seq += 1
-        heapq.heappush(self.heaps[node], (-priority, self.seq, task))
-
-    def pop(self, node: int) -> Optional[int]:
-        if not self.heaps[node]:
-            return None
-        return heapq.heappop(self.heaps[node])[2]
-
-    def depth(self, node: int) -> int:
-        return len(self.heaps[node])
-
-    def total(self) -> int:
-        return sum(len(h) for h in self.heaps)
+class _NativeQueue(PriorityQueues):
+    """The native ready discipline — the class the object engine runs —
+    plus what exploration needs: cheap clones and a canonical
+    fingerprint."""
 
     def clone(self) -> "_NativeQueue":
-        q = _NativeQueue(0)
-        q.heaps = [list(h) for h in self.heaps]
-        q.seq = self.seq
+        q = _NativeQueue(0, 0)
+        q._heaps = [list(h) for h in self._heaps]
+        q._seq = self._seq
         return q
 
     def fingerprint(self) -> tuple[tuple[tuple[float, int, int], ...], ...]:
@@ -131,7 +107,7 @@ class _NativeQueue:
         renumbered in pop order, so two histories with identical pop
         behaviour share one fingerprint."""
         out = []
-        for heap in self.heaps:
+        for heap in self._heaps:
             entries = sorted(heap)
             out.append(tuple((p, i, t) for i, (p, _, t) in enumerate(entries)))
         return tuple(out)
@@ -193,41 +169,36 @@ class _Model:
 
     def __init__(
         self,
-        cg: "CompiledGraph",
-        machine: "MachineSpec",
+        view: "GraphView",
         placement: Sequence[int],
         priorities: Sequence[float],
         synchronized: bool,
         queue_proto: Union[_NativeQueue, _ForeignQueue],
     ) -> None:
-        n = cg.n_tasks
+        n = view.n_tasks
         self.n_tasks = n
-        self.nodes = machine.nodes
-        self.cores = machine.cores
+        self.nodes = view.num_nodes
+        self.cores = view.cores
         self.node_of = [int(x) for x in placement]
         self.prio = [float(x) for x in priorities]
         self.synchronized = synchronized
         self.queue_proto = queue_proto
         self.all_done = (1 << n) - 1
 
-        read_ptr = cg.read_ptr
-        read_ids = cg.read_ids
-        producer = cg.data_producer
-        deps_mask = [0] * n
-        consumers: list[list[int]] = [[] for _ in range(n)]
-        for t in range(n):
-            for e in range(int(read_ptr[t]), int(read_ptr[t + 1])):
-                p = int(producer[int(read_ids[e])])
+        # The graph as the policy saw it: distinct producers per task and
+        # distinct consumers per producer (self-reads are no dependency).
+        self.deps_mask = [0] * n
+        for t, reads in enumerate(view.inputs):
+            for p, _nbytes, _src in reads:
                 if p >= 0 and p != t:
-                    if not (deps_mask[t] >> p) & 1:
-                        deps_mask[t] |= 1 << p
-                        consumers[p].append(t)
-        self.deps_mask = deps_mask
-        self.consumers = [tuple(c) for c in consumers]
+                    self.deps_mask[t] |= 1 << p
+        self.consumers = [
+            tuple(dict.fromkeys(c for c in cons if c != t))
+            for t, cons in enumerate(view.consumers)]
 
-        iters = sorted({int(i) for i in cg.iteration})
+        iters = sorted(set(view.iterations))
         iter_pos = {it: i for i, it in enumerate(iters)}
-        self.iter_of = [iter_pos[int(i)] for i in cg.iteration]
+        self.iter_of = [iter_pos[i] for i in view.iterations]
         iter_masks = [0] * len(iters)
         for t in range(n):
             iter_masks[self.iter_of[t]] |= 1 << t
@@ -429,41 +400,25 @@ def model_check(
     rep: Optional[Report] = None,
 ) -> tuple[ModelCheckResult, Report]:
     """Exhaustively explore one policy on one small compiled graph."""
-    from ..schedulers import CompiledGraphView, get_policy
+    from ..runtime.simulator.fast_engine import default_durations
+    from ..schedulers import GraphView, PlanError, check_plan, get_policy
 
     rep = rep if rep is not None else Report()
     pol = get_policy(policy)
     result = ModelCheckResult(label, cg.n_tasks)
     loc = f"mc:{label}[{pol.name}]"
 
-    kernel = machine.kernel
-    durations = kernel.overhead + cg.flops / kernel.rate(cg.b)
-    splan = pol.plan(CompiledGraphView(cg, machine, durations))
+    view = GraphView(cg, machine, default_durations(cg, machine))
+    splan = pol.plan(view)
 
     # Static placement / migration-declaration safety (MC-PLACE).
-    placement = [int(x) for x in cg.node]
-    if splan.assignment is not None:
-        asg = [int(x) for x in splan.assignment]
-        bad = len(asg) != cg.n_tasks or any(
-            a < 0 or a >= machine.nodes for a in asg)
-        moved = not bad and not pol.migrates and any(
-            a != p for a, p in zip(asg, placement))
-        if bad:
-            result.properties["placement_safe"] = False
-            rep.add("MC-PLACE", "error",
-                    f"policy {pol.name!r} returned an out-of-range or "
-                    f"mis-sized assignment ({len(asg)} entries for "
-                    f"{cg.n_tasks} tasks)", loc,
-                    "assignments must cover every task with a valid node")
-            return result, rep
-        if moved:
-            result.properties["placement_safe"] = False
-            rep.add("MC-PLACE", "error",
-                    f"policy {pol.name!r} migrates tasks without "
-                    "declaring migrates = True", loc,
-                    "declare migrates = True or return assignment=None")
-            return result, rep
-        placement = asg
+    try:
+        check_plan(pol, splan, cg.node, machine.nodes)
+    except PlanError as exc:
+        result.properties["placement_safe"] = False
+        rep.add("MC-PLACE", "error", str(exc), loc, exc.hint)
+        return result, rep
+    placement = view.node if splan.assignment is None else splan.assignment
 
     priorities: Sequence[float]
     if splan.priorities is not None:
@@ -474,12 +429,12 @@ def model_check(
     native = splan.queue_factory is None
     proto: Union[_NativeQueue, _ForeignQueue]
     if native:
-        proto = _NativeQueue(machine.nodes)
+        proto = _NativeQueue(machine.nodes, machine.cores)
     else:
         proto = _ForeignQueue(splan.queue_factory(machine.nodes,
                                                   machine.cores))
     synchronized = bool(splan.synchronized)
-    model = _Model(cg, machine, placement, priorities, synchronized, proto)
+    model = _Model(view, placement, priorities, synchronized, proto)
     use_por = native and not synchronized
 
     try:

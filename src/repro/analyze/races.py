@@ -44,20 +44,19 @@ recorded message, which intentionally hides payloads from the trace.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
 
 from ..graph.compiled import CompiledGraph
 from ..obs.events import Recorder, TaskEvent, TransferEvent
+from ..obs.export import assign_lanes
 from .findings import Report, Severity
 
 __all__ = [
     "detect_races",
     "compare_traces",
     "VectorClock",
-    "assign_lanes",
 ]
 
 #: Slack for comparing trace timestamps (simulated clocks are exact;
@@ -92,29 +91,6 @@ class VectorClock:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VC({self.c})"
-
-
-def assign_lanes(spans: Sequence[tuple[float, float]]) -> list[int]:
-    """Greedy interval colouring: overlapping spans get distinct lanes.
-
-    Same scheme the Perfetto exporter uses for worker lanes — two tasks
-    can only have executed on one worker if their spans do not overlap,
-    so same-lane order is real synchronization, not coincidence.
-    """
-    order = sorted(range(len(spans)), key=lambda i: (spans[i][0], spans[i][1]))
-    lanes_end: list[float] = []
-    out = [0] * len(spans)
-    for i in order:
-        start, end = spans[i]
-        for lane, busy_until in enumerate(lanes_end):
-            if busy_until <= start + EPS:
-                lanes_end[lane] = end
-                out[i] = lane
-                break
-        else:
-            out[i] = len(lanes_end)
-            lanes_end.append(end)
-    return out
 
 
 def _data_id_of_key(cg: CompiledGraph) -> dict[object, int]:

@@ -555,46 +555,23 @@ def verify_policy_placement(cg: CompiledGraph, machine: MachineSpec,
     distribution was chosen for), and a migrating policy must still land
     every task on a node the machine has.
     """
-    from ..schedulers import CompiledGraphView, get_policy
+    from ..runtime.simulator.fast_engine import default_durations
+    from ..schedulers import GraphView, PlanError, check_plan, get_policy
 
     rep = Report()
     rep.note_pass("policy-placement")
     pol = get_policy(policy)
-    kernel = machine.kernel
-    durations = kernel.overhead + cg.flops / kernel.rate(cg.b)
-    splan = pol.plan(CompiledGraphView(cg, machine, durations))
+    splan = pol.plan(GraphView(cg, machine, default_durations(cg, machine)))
     label = f"{name}[{pol.name}]"
-    if splan.assignment is None:
-        return rep
-    asg = np.asarray(splan.assignment)
-    if asg.shape != cg.node.shape:
-        rep.add(
-            "SCHED-PLACE", Severity.ERROR,
-            f"policy returned {asg.shape[0] if asg.ndim == 1 else asg.shape}"
-            f" assignments for {cg.n_tasks} tasks",
-            f"{label}:plan",
-            "SchedulePlan.assignment must cover every task exactly once",
-        )
-        return rep
-    out_of_range = np.flatnonzero((asg < 0) | (asg >= machine.nodes))
-    for t in out_of_range[:MAX_FINDINGS_PER_RULE]:
-        rep.add(
-            "SCHED-PLACE", Severity.ERROR,
-            f"task assigned to node {int(asg[t])}, outside "
-            f"[0, {machine.nodes})",
-            _task_loc(label, int(t)),
-        )
-    if not pol.migrates:
-        moved = np.flatnonzero(asg != cg.node)
-        for t in moved[:MAX_FINDINGS_PER_RULE]:
-            rep.add(
-                "SCHED-PLACE", Severity.ERROR,
-                f"non-migrating policy moves task from its data's node "
-                f"{int(cg.node[t])} to node {int(asg[t])}",
-                _task_loc(label, int(t)),
-                "declare migrates = True (and accept the extra input "
-                "transfers) or return assignment=None",
-            )
+    try:
+        check_plan(pol, splan, cg.node, machine.nodes)
+    except PlanError as exc:
+        # One finding per offending task, or one for the whole plan when
+        # a column is mis-sized.
+        where = ([_task_loc(label, t) for t in exc.tasks[:MAX_FINDINGS_PER_RULE]]
+                 or [f"{label}:plan"])
+        for loc in where:
+            rep.add("SCHED-PLACE", Severity.ERROR, str(exc), loc, exc.hint)
     return rep
 
 
@@ -613,10 +590,3 @@ def verify_all(
         rep.extend(verify_sbc(dist, N, name=name))
         rep.extend(verify_theorem1(dist, N, name=name))
     return rep
-
-
-def findings_summary(rep: Report) -> list[str]:
-    """One line per rule hit — convenience for CLI output."""
-    return [
-        f"{rule}: {len(rep.by_rule(rule))}" for rule in rep.rules_hit()
-    ]

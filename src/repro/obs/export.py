@@ -26,7 +26,8 @@ from dataclasses import asdict
 from ..graph.task import DataKey
 from .events import Recorder
 
-__all__ = ["chrome_trace", "write_chrome_trace", "write_jsonl", "read_jsonl"]
+__all__ = ["assign_lanes", "chrome_trace", "write_chrome_trace", "write_jsonl",
+           "read_jsonl"]
 
 #: JSONL schema version; bump on incompatible field changes.
 JSONL_VERSION = 1
@@ -73,12 +74,14 @@ def _key_label(key) -> str:
 # -- Chrome trace-event / Perfetto export -------------------------------------
 
 
-def _assign_lanes(spans: Sequence[tuple[float, float]]) -> list[int]:
+def assign_lanes(spans: Sequence[tuple[float, float]]) -> list[int]:
     """Greedy interval-graph colouring: first free lane per span.
 
     ``spans`` are (start, end) pairs; the result maps each span to a lane
     such that spans sharing a lane never overlap — what the trace viewer
-    needs to render concurrent slices side by side.
+    needs to render concurrent slices side by side, and what the race
+    detector takes as worker lanes (two tasks can only have run on one
+    worker if their spans do not overlap).
     """
     order = sorted(range(len(spans)), key=lambda i: (spans[i][0], spans[i][1]))
     lanes_end: list[float] = []
@@ -125,7 +128,7 @@ def chrome_trace(recorder: Recorder) -> dict:
     for e in recorder.task_events:
         by_node.setdefault(e.node, []).append(e)
     for node, evs in by_node.items():
-        lanes = _assign_lanes([(e.start, e.end) for e in evs])
+        lanes = assign_lanes([(e.start, e.end) for e in evs])
         for lane in range(max(lanes) + 1 if lanes else 0):
             events.append({"ph": "M", "pid": node, "tid": lane,
                            "name": "thread_name",
@@ -145,7 +148,7 @@ def chrome_trace(recorder: Recorder) -> dict:
     for e in recorder.transfer_events:
         by_src.setdefault(e.src, []).append(e)
     for src, evs in by_src.items():
-        lanes = _assign_lanes([(e.started, max(e.delivered, e.started)) for e in evs])
+        lanes = assign_lanes([(e.started, max(e.delivered, e.started)) for e in evs])
         for lane in range(max(lanes) + 1 if lanes else 0):
             events.append({"ph": "M", "pid": src, "tid": _TID_NIC + lane,
                            "name": "thread_name",

@@ -211,11 +211,7 @@ class FaultPlan:
         object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "crashes", tuple(self.crashes))
 
-    # -- queries (hot paths guard on the has_* flags first) ------------------
-
-    @property
-    def has_network_faults(self) -> bool:
-        return bool(self.links) or self.loss_rate > 0.0
+    # -- queries --------------------------------------------------------------
 
     def compute_factor(self, node: int, time: float) -> float:
         """Duration multiplier for a task starting at ``time`` on ``node``."""

@@ -1,7 +1,8 @@
 """Discrete-event cluster simulator (StarPU-like runtime timing model)."""
 
-from .engine import SimReport, TaskTrace, TransferTrace, simulate
+from .engine import simulate
 from .fast_engine import simulate_compiled
+from .harness import SimReport
 from .network import Chunk, NetworkSim, Transfer
 from .analysis import (
     CriticalPathBreakdown,
@@ -14,8 +15,6 @@ __all__ = [
     "simulate",
     "simulate_compiled",
     "SimReport",
-    "TaskTrace",
-    "TransferTrace",
     "NetworkSim",
     "Transfer",
     "Chunk",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...graph.task import DataKey, TaskGraph
-from .engine import SimReport
+from .harness import SimReport
 
 __all__ = [
     "CriticalPathBreakdown",

@@ -23,98 +23,19 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ...config import MachineSpec
+from ...graph.compiled import compile_graph
 from ...graph.priorities import set_critical_path_priorities
 from ...graph.task import DataKey, Task, TaskGraph
-from ...obs import Recorder, TaskEvent, TransferEvent
-from ..faults import FaultPlan, SimulatedFailure
+from ...obs import Recorder
+from ...schedulers import GraphView, PriorityQueues, ReadyQueue, check_plan, get_policy
+from ..faults import FaultPlan
+from .harness import SimReport, check_finished, check_inputs, fault_state, finish, resolve_recorder
 from .network import NetworkSim, Transfer
 
-__all__ = ["SimReport", "TaskTrace", "TransferTrace", "simulate"]
-
-#: Backwards-compatible names: the simulator's per-task / per-message
-#: trace records are now the shared observability events of
-#: :mod:`repro.obs.events` (same field names, plus kind/node/nbytes).
-TaskTrace = TaskEvent
-TransferTrace = TransferEvent
-
-
-@dataclass
-class SimReport:
-    """Outcome of one simulated execution."""
-
-    makespan: float
-    total_flops: float
-    num_nodes: int
-    comm_bytes: int
-    comm_messages: int
-    busy_time: list[float] = field(default_factory=list)
-    time_by_kind: dict[str, float] = field(default_factory=dict)
-    num_tasks: int = 0
-    cores_per_node: int = 1
-    trace: Optional[list[TaskEvent]] = None
-    transfers: Optional[list[TransferEvent]] = None
-    #: the recorder that collected the trace (None on un-traced runs);
-    #: carries the metrics registry and feeds the repro.obs exporters.
-    obs: Optional[Recorder] = None
-
-    @property
-    def gflops_per_node(self) -> float:
-        """The paper's figure of merit: #flops / (t * P) in GFlop/s."""
-        return self.total_flops / (self.makespan * self.num_nodes) / 1e9
-
-    @property
-    def avg_utilization(self) -> float:
-        """Mean fraction of worker-time spent computing."""
-        if not self.busy_time or self.makespan <= 0:
-            return 0.0
-        workers = len(self.busy_time) * self.cores_per_node
-        return sum(self.busy_time) / (self.makespan * workers)
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-serializable summary (durations in seconds, traffic in bytes)."""
-        return {
-            "makespan": self.makespan,
-            "gflops_per_node": self.gflops_per_node,
-            "total_flops": self.total_flops,
-            "num_nodes": self.num_nodes,
-            "cores_per_node": self.cores_per_node,
-            "comm_bytes": self.comm_bytes,
-            "comm_messages": self.comm_messages,
-            "avg_utilization": self.avg_utilization,
-            "num_tasks": self.num_tasks,
-            "time_by_kind": dict(self.time_by_kind),
-        }
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"makespan {self.makespan:.3f}s, {self.gflops_per_node:.1f} GFlop/s/node, "
-            f"{self.comm_bytes / 1e9:.2f} GB in {self.comm_messages} messages, "
-            f"utilization {self.avg_utilization:.2f}"
-        )
-
-
-class _NodeState:
-    """Worker pool and ready queue of one simulated node."""
-
-    __slots__ = ("free_workers", "ready", "seq")
-
-    def __init__(self, workers: int):
-        self.free_workers = workers
-        self.ready: list = []
-        self.seq = 0
-
-    def push(self, task: Task) -> None:
-        self.seq += 1
-        heapq.heappush(self.ready, (-task.priority, self.seq, task))
-
-    def pop(self) -> Optional[Task]:
-        if not self.ready:
-            return None
-        return heapq.heappop(self.ready)[2]
+__all__ = ["SimReport", "simulate"]
 
 
 def simulate(
@@ -166,10 +87,7 @@ def simulate(
     fields are restored afterwards), force fork-join barriers, or plug
     in a dynamic ready-queue discipline.  See ``docs/schedulers.md``.
     """
-    if broadcast not in ("direct", "tree"):
-        raise ValueError(f"unknown broadcast mode {broadcast!r}")
-    if not graph.tasks:
-        raise ValueError("cannot simulate an empty graph")
+    check_inputs(broadcast, len(graph.tasks), graph.nodes_used(), machine)
     if duration_fn is None:
         b = graph.b
         kernel = machine.kernel
@@ -183,51 +101,39 @@ def simulate(
         else:
             duration_fn = lambda t: kernel.duration(t.flops, b)  # noqa: E731
 
-    queue = None
-    saved_nodes: Optional[list[int]] = None
-    saved_prios: Optional[list[float]] = None
+    queue_factory = PriorityQueues  # the native discipline
+    saved = None  # the graph's own (node, priority) per task, if a plan overwrites them
     if scheduler is not None:
-        from ...schedulers import ObjectGraphView, get_policy
-
+        # Policies plan on the compiled plane (one view for both engines);
+        # the thunks run only if the policy reads a column, so the default
+        # policy lowers nothing.
+        tasks = graph.tasks
         policy = get_policy(scheduler)
-        splan = policy.plan(ObjectGraphView(graph, machine, duration_fn))
+        splan = policy.plan(GraphView(
+            lambda: compile_graph(graph), machine,
+            lambda: [duration_fn(t) for t in tasks]))
+        check_plan(policy, splan, [t.node for t in tasks], machine.nodes)
         synchronized = synchronized or splan.synchronized
+        if splan.priorities is not None or splan.assignment is not None:
+            saved = [(t.node, t.priority) for t in tasks]
         if splan.priorities is not None:
-            prios = list(splan.priorities)
-            if len(prios) != len(graph.tasks):
-                raise ValueError(
-                    f"policy {policy.name!r} returned {len(prios)} "
-                    f"priorities for {len(graph.tasks)} tasks")
-            saved_prios = [t.priority for t in graph.tasks]
-            for t in graph.tasks:
-                t.priority = prios[t.id]
+            for t, prio in zip(tasks, splan.priorities):
+                t.priority = prio
             auto_priorities = False
         if splan.assignment is not None:
-            asg = list(splan.assignment)
-            if len(asg) != len(graph.tasks):
-                raise ValueError(
-                    f"policy {policy.name!r} returned {len(asg)} "
-                    f"assignments for {len(graph.tasks)} tasks")
-            if any(not 0 <= n < machine.nodes for n in asg):
-                raise ValueError(
-                    f"policy {policy.name!r} assigned a task outside "
-                    f"nodes [0, {machine.nodes})")
-            saved_nodes = [t.node for t in graph.tasks]
-            for t in graph.tasks:
-                t.node = asg[t.id]
+            for t, node in zip(tasks, splan.assignment):
+                t.node = node
         if splan.queue_factory is not None:
-            queue = splan.queue_factory(machine.nodes, machine.cores)
+            queue_factory = splan.queue_factory
     try:
         return _simulate(graph, machine, synchronized, duration_fn,
                          auto_priorities, trace, broadcast, aggregate,
-                         recorder, faults, queue)
+                         recorder, faults,
+                         queue_factory(machine.nodes, machine.cores))
     finally:
-        if saved_nodes is not None:
-            for t in graph.tasks:
-                t.node = saved_nodes[t.id]
-        if saved_prios is not None:
-            for t in graph.tasks:
-                t.priority = saved_prios[t.id]
+        if saved is not None:
+            for t, (node, prio) in zip(graph.tasks, saved):
+                t.node, t.priority = node, prio
 
 
 def _simulate(
@@ -241,13 +147,9 @@ def _simulate(
     aggregate: bool,
     recorder: Optional[Recorder],
     faults: Optional[FaultPlan],
-    queue,
+    queue: ReadyQueue,
 ) -> SimReport:
     """The event loop behind :func:`simulate` (placement already applied)."""
-    if graph.nodes_used() > machine.nodes:
-        raise ValueError(
-            f"graph uses {graph.nodes_used()} nodes but machine has {machine.nodes}"
-        )
     num_nodes = machine.nodes
     if auto_priorities and all(t.priority == 0.0 for t in graph.tasks):
         # Bottom-level priorities mirror Chameleon's scheduling hints and
@@ -297,32 +199,16 @@ def _simulate(
     iter_blocked: dict[int, list[Task]] = defaultdict(list)
     released_idx = 0  # tasks with iteration index <= released_idx may run
 
-    # --- fault-plan state ---------------------------------------------------
-    fault_slow = faults is not None and bool(faults.slowdowns)
-    crash_after = (
-        {c.node: c.after_tasks for c in faults.crashes}
-        if faults is not None and faults.crashes else None
-    )
-    dead = [False] * num_nodes if crash_after is not None else None
-    completed_on = [0] * num_nodes
-    loss = faults.loss_state() if faults is not None else None
-    wire_factor = (
-        faults.link_factor if faults is not None and faults.links else None
-    )
-
-    nodes = [_NodeState(machine.cores_for(i)) for i in range(num_nodes)]
+    rec = resolve_recorder(trace, recorder)
+    trace = rec is not None
     ctopo = (machine.topology.compiled()
              if machine.topology is not None else None)
+    fstate = fault_state(faults, num_nodes, ctopo, rec)
+    fault_slow, dead, lost_fn = fstate.slow, fstate.dead, fstate.lost
+
+    free_workers = [machine.cores_for(i) for i in range(num_nodes)]
     net = NetworkSim(machine.network, num_nodes, aggregate=aggregate,
-                     wire_factor=wire_factor, topology=ctopo)
-    if loss is None:
-        lost_fn = None
-    elif ctopo is None:
-        lost_fn = loss.lost
-    else:
-        # Loss targets topology edges: roll every hop of the pair's
-        # deterministic route (single-hop cliques reduce to loss.lost).
-        lost_fn = lambda s, d: ctopo.roll_loss(loss, s, d)  # noqa: E731
+                     wire_factor=fstate.wire_factor, topology=ctopo)
 
     # --- event loop ---------------------------------------------------------
     events: list = []  # (time, seq, kind, payload)
@@ -337,25 +223,8 @@ def _simulate(
         seq += 1
         heapq.heappush(events, (time, seq, kind, payload))
 
-    if recorder is not None and recorder.enabled:
-        rec = recorder
-        trace = True
-    else:
-        # A NullRecorder counts as "tracing disabled": zero-cost no-op.
-        rec = Recorder(source="simulator") if trace and recorder is None else None
-        trace = rec is not None
     ready_time = [0.0] * n_tasks if trace else None
     first_chunk_start: dict[tuple[DataKey, int], float] = {}
-
-    if trace and faults is not None:
-        # Declare the plan's windows up front so the trace shows them even
-        # if nothing lands inside one.
-        for w in faults.slowdowns:
-            rec.record_fault("slowdown", time=w.start, node=w.node,
-                             detail=f"x{w.factor} until {w.end:g}")
-        for ln in faults.links:
-            rec.record_fault("degraded", time=ln.start, src=ln.src, dst=ln.dst,
-                             detail=f"x{ln.factor} until {ln.end:g}")
 
     def start_task(task: Task, time: float) -> None:
         dur = duration_fn(task)
@@ -375,29 +244,19 @@ def _simulate(
         if synchronized and iter_pos[task.iteration] > released_idx:
             iter_blocked[iter_pos[task.iteration]].append(task)
             return
-        st = nodes[task.node]
-        if dead is not None and dead[task.node]:
-            # Fail-stopped node: the task is parked forever; the run ends
-            # with a diagnostic SimulatedFailure.
-            if queue is not None:
-                queue.push(task.node, task.id, task.priority)
-            else:
-                st.push(task)
-            return
-        if st.free_workers > 0:
-            st.free_workers -= 1
+        node = task.node
+        # A fail-stopped node parks the task forever; the run ends with a
+        # diagnostic SimulatedFailure.
+        parked = dead is not None and dead[node]
+        if free_workers[node] > 0 and not parked:
+            free_workers[node] -= 1
             start_task(task, time)
-        else:
-            if queue is not None:
-                queue.push(task.node, task.id, task.priority)
-            else:
-                st.push(task)
-            if trace:
-                depth = (queue.depth(task.node) if queue is not None
-                         else len(st.ready))
-                rec.metrics.gauge(
-                    "queue.depth.max", "peak ready-queue depth per node"
-                ).set_max(depth, labels=(task.node,))
+            return
+        queue.push(node, task.id, task.priority)
+        if trace and not parked:
+            rec.metrics.gauge(
+                "queue.depth.max", "peak ready-queue depth per node"
+            ).set_max(queue.depth(node), labels=(node,))
 
     def data_arrived_local(key: DataKey, time: float) -> None:
         for tid in local_consumers.get(key, ()):
@@ -491,29 +350,16 @@ def _simulate(
             task = payload
             done += 1
             n = task.node
-            if crash_after is not None and not dead[n]:
-                completed_on[n] += 1
-                point = crash_after.get(n)
-                if point is not None and completed_on[n] >= point:
-                    # Fail-stop: in-flight tasks finish (their events are
-                    # queued), nothing new starts on this node.
-                    dead[n] = True
-                    if trace:
-                        rec.record_fault("crash", time=now, node=n,
-                                         detail=f"after {completed_on[n]} tasks")
-            st = nodes[n]
+            if dead is not None:
+                fstate.task_completed(n, now, rec)
             if dead is not None and dead[n]:
                 pass  # no workers left to pick up the next ready task
             else:
-                if queue is not None:
-                    tid = queue.pop(n)
-                    nxt = None if tid is None else tasks[tid]
+                tid = queue.pop(n)
+                if tid is not None:
+                    start_task(tasks[tid], now)
                 else:
-                    nxt = st.pop()
-                if nxt is not None:
-                    start_task(nxt, now)
-                else:
-                    st.free_workers += 1
+                    free_workers[n] += 1
             if task.write is not None:
                 data_arrived_local(task.write, now)
                 request_transfers(task.write, task.node, now)
@@ -569,35 +415,9 @@ def _simulate(
                         tr.end,
                     )
 
-    if done != n_tasks:
-        if dead is not None and any(dead):
-            crashed = ", ".join(
-                f"node {i} after {completed_on[i]} tasks"
-                for i in range(num_nodes) if dead[i]
-            )
-            raise SimulatedFailure(
-                f"simulated worker crash ({crashed}): "
-                f"{n_tasks - done}/{n_tasks} tasks never ran"
-            )
-        raise RuntimeError(
-            f"simulation deadlock: executed {done}/{n_tasks} tasks "
-            f"({sum(len(v) for v in iter_blocked.values())} blocked on barriers)"
-        )
+    check_finished(done, n_tasks,
+                   sum(len(v) for v in iter_blocked.values()), fstate)
 
-    if trace:
-        rec.finalize_utilization(busy_time, now, machine.cores)
-        rec.metrics.gauge("makespan.seconds", "simulated makespan").set(now)
-    return SimReport(
-        makespan=now,
-        total_flops=graph.total_flops(),
-        num_nodes=machine.nodes,
-        comm_bytes=net.total_bytes,
-        comm_messages=net.total_messages,
-        busy_time=busy_time,
-        time_by_kind=dict(time_by_kind),
-        num_tasks=n_tasks,
-        cores_per_node=machine.cores,
-        trace=rec.task_events if trace else None,
-        transfers=rec.transfer_events if trace else None,
-        obs=rec if trace else None,
-    )
+    return finish(machine, now, graph.total_flops(), net.total_bytes,
+                  net.total_messages, busy_time, dict(time_by_kind), n_tasks,
+                  rec)

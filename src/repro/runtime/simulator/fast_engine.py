@@ -52,12 +52,20 @@ import numpy as np
 from ...config import MachineSpec
 from ...graph.compiled import CompiledGraph, compiled_critical_path_priorities
 from ...obs import Recorder
-from ..faults import FaultPlan, SimulatedFailure
+from ..faults import FaultPlan
 from . import _kernel
-from .engine import SimReport
+from .harness import (
+    FaultState,
+    SimReport,
+    check_finished,
+    check_inputs,
+    fault_state,
+    finish,
+    resolve_recorder,
+)
 from .network import DEFAULT_QUANTUM, NetworkSim, Transfer
 
-__all__ = ["simulate_compiled"]
+__all__ = ["default_durations", "simulate_compiled"]
 
 
 class _Run(NamedTuple):
@@ -72,10 +80,9 @@ class _Run(NamedTuple):
     ctopo: Any  # CompiledTopology, or None for the scalar network
     cqueue: Any  # the policy's custom ReadyQueue, or None
     synchronized: bool
-    trace: bool
     broadcast: str
     aggregate: bool
-    recorder: Optional[Recorder]
+    rec: Optional[Recorder]  # where a traced run records; None = untraced
     faults: Optional[FaultPlan]
     #: The flat-array kernel covers this run (it serves routed
     #: topologies, but not trace, barriers, faults, custom queues, tree
@@ -131,6 +138,20 @@ def simulate_compiled(
     return _numpy_loop(run)
 
 
+def default_durations(cg: CompiledGraph, machine: MachineSpec) -> np.ndarray:
+    """Per-task seconds under ``machine``'s kernel model, divided by the
+    per-node speed multiplier on a heterogeneous topology — elementwise
+    the IEEE expression the object engine's default ``duration_fn``
+    evaluates per task.  What every run without custom durations charges,
+    and what the analyzers plan policies against."""
+    kernel = machine.kernel
+    durations = kernel.overhead + cg.flops / kernel.rate(cg.b)
+    topo = machine.topology
+    if topo is not None and topo.speed:
+        durations = durations / np.asarray(topo.speed, dtype=np.float64)[cg.node]
+    return durations
+
+
 def _prepare(cg, machine, synchronized=False, durations=None,
              auto_priorities=True, trace=False, broadcast="direct",
              aggregate=False, recorder=None, faults=None,
@@ -138,28 +159,12 @@ def _prepare(cg, machine, synchronized=False, durations=None,
     """The prelude of :func:`simulate_compiled` (same arguments): validate,
     derive durations, apply the scheduler policy, settle priorities and
     build the comm plan — everything up to the choice of loop."""
-    if broadcast not in ("direct", "tree"):
-        raise ValueError(f"unknown broadcast mode {broadcast!r}")
-    n_tasks = cg.n_tasks
-    if n_tasks == 0:
-        raise ValueError("cannot simulate an empty graph")
-    if cg.nodes_used() > machine.nodes:
-        raise ValueError(
-            f"graph uses {cg.nodes_used()} nodes but machine has {machine.nodes}"
-        )
+    check_inputs(broadcast, cg.n_tasks, cg.nodes_used(), machine)
     num_nodes = machine.nodes
     if durations is None:
-        mkern = machine.kernel
-        durations = mkern.overhead + cg.flops / mkern.rate(cg.b)
-        mtopo = machine.topology
-        if mtopo is not None and mtopo.speed:
-            # Heterogeneous nodes: elementwise division by the per-node
-            # speed multiplier — the identical IEEE expression the object
-            # engine's default duration_fn evaluates per task.  A caller-
-            # supplied ``durations`` array is used verbatim (like a custom
-            # ``duration_fn`` on the object engine).
-            speed = np.asarray(mtopo.speed, dtype=np.float64)
-            durations = durations / speed[cg.node]
+        # A caller-supplied array is used verbatim (like a custom
+        # ``duration_fn`` on the object engine).
+        durations = default_durations(cg, machine)
 
     # --- scheduler policy (repro.schedulers) --------------------------------
     # Applied before any lowering so node / priority columns and the comm
@@ -169,32 +174,16 @@ def _prepare(cg, machine, synchronized=False, durations=None,
     # its own auto-priority sweep.
     cqueue = None
     if scheduler is not None:
-        from ...schedulers import CompiledGraphView, get_policy
+        from ...schedulers import GraphView, check_plan, get_policy
 
         policy = get_policy(scheduler)
-        splan = policy.plan(CompiledGraphView(cg, machine, durations))
+        splan = policy.plan(GraphView(cg, machine, durations))
+        check_plan(policy, splan, cg.node, num_nodes)
         synchronized = synchronized or splan.synchronized
         if splan.assignment is not None:
-            asg = np.ascontiguousarray(splan.assignment, dtype=cg.node.dtype)
-            if asg.shape != (n_tasks,):
-                got = asg.shape[0] if asg.ndim == 1 else asg.shape
-                raise ValueError(
-                    f"policy {policy.name!r} returned {got} "
-                    f"assignments for {n_tasks} tasks"
-                )
-            if asg.size and (int(asg.min()) < 0 or int(asg.max()) >= num_nodes):
-                raise ValueError(
-                    f"policy {policy.name!r} assigned tasks outside "
-                    f"nodes [0, {num_nodes})"
-                )
-            cg = cg.reassigned(asg)
+            cg = cg.reassigned(splan.assignment)
         if splan.priorities is not None:
             prios = np.ascontiguousarray(splan.priorities, dtype=np.float64)
-            if prios.shape != (n_tasks,):
-                raise ValueError(
-                    f"policy {policy.name!r} returned {len(prios)} "
-                    f"priorities for {n_tasks} tasks"
-                )
             if splan.assignment is not None:
                 cg.priority[:] = prios  # the reassigned clone's private copy
             else:
@@ -219,9 +208,9 @@ def _prepare(cg, machine, synchronized=False, durations=None,
         pair_prio[order] = np.maximum.reduceat(
             cg.priority[plan.rn_ids], starts[order])
 
-    want_trace = trace or (recorder is not None and recorder.enabled)
+    rec = resolve_recorder(trace, recorder)
     kernel_ok = (
-        not want_trace
+        rec is None
         and not synchronized
         and faults is None
         and cqueue is None
@@ -229,15 +218,15 @@ def _prepare(cg, machine, synchronized=False, durations=None,
         and not aggregate
     )
     return _Run(cg, machine, durations, plan, pair_prio, ctopo, cqueue,
-                synchronized, trace, broadcast, aggregate, recorder, faults,
-                kernel_ok)
+                synchronized, broadcast, aggregate, rec, faults, kernel_ok)
 
 
 def _numpy_loop(run: _Run) -> SimReport:
     """The pure-Python/numpy event loop: every configuration, always
     available, and the reference for the kernel's equality tests."""
     (cg, machine, durations, plan, pair_prio_arr, ctopo, cqueue, synchronized,
-     trace, broadcast, aggregate, recorder, faults, _) = run
+     broadcast, aggregate, rec, faults, _) = run
+    trace = rec is not None
     n_tasks = cg.n_tasks
     num_nodes = machine.nodes
 
@@ -346,18 +335,8 @@ def _numpy_loop(run: _Run) -> SimReport:
     pheap: list[list] = [[] for _ in range(num_nodes)]
     qlen = [0] * num_nodes  # queue depth, only tracked for the trace gauge
 
-    # --- fault-plan state (mirrors engine.simulate) -------------------------
-    fault_slow = faults is not None and bool(faults.slowdowns)
-    crash_after = (
-        {c.node: c.after_tasks for c in faults.crashes}
-        if faults is not None and faults.crashes else None
-    )
-    dead = [False] * num_nodes if crash_after is not None else None
-    completed_on = [0] * num_nodes
-    loss = faults.loss_state() if faults is not None else None
-    wire_factor = (
-        faults.link_factor if faults is not None and faults.links else None
-    )
+    fstate = fault_state(faults, num_nodes, ctopo, rec)
+    fault_slow, dead, lost_fn = fstate.slow, fstate.dead, fstate.lost
     # Under a slowdown the per-task duration depends on start time, so the
     # end-of-run busy-time bincount is wrong; accumulate like the object
     # engine instead.
@@ -365,15 +344,7 @@ def _numpy_loop(run: _Run) -> SimReport:
     tbk_acc = [0.0] * len(cg.kind_names) if fault_slow else None
 
     net = NetworkSim(machine.network, num_nodes, aggregate=aggregate,
-                     wire_factor=wire_factor, topology=ctopo)
-    if loss is None:
-        lost_fn = None
-    elif ctopo is None:
-        lost_fn = loss.lost
-    else:
-        # Loss targets topology edges: roll every hop of the pair's
-        # deterministic route (single-hop cliques reduce to loss.lost).
-        lost_fn = lambda s, d: ctopo.roll_loss(loss, s, d)  # noqa: E731
+                     wire_factor=fstate.wire_factor, topology=ctopo)
     # The lean loop transcribes the per-quantum server inline (the single
     # hottest network path); bind its state once.
     net_queues = net._queues
@@ -394,12 +365,6 @@ def _numpy_loop(run: _Run) -> SimReport:
     seq = 0
     now = 0.0
 
-    if recorder is not None and recorder.enabled:
-        rec = recorder
-        trace = True
-    else:
-        rec = Recorder(source="simulator") if trace and recorder is None else None
-        trace = rec is not None
     ready_time = [0.0] * n_tasks if trace else None
     first_chunk_start: dict[tuple[int, int], float] = {}
     data_keys = cg.data_keys
@@ -407,15 +372,6 @@ def _numpy_loop(run: _Run) -> SimReport:
 
     def key_of(tr: Transfer):  # the traced name of a message's (first) tile
         return data_keys[tr.key] if data_keys is not None else tr.key
-
-    if trace and faults is not None:
-        # Same declaration order as the object engine.
-        for w in faults.slowdowns:
-            rec.record_fault("slowdown", time=w.start, node=w.node,
-                             detail=f"x{w.factor} until {w.end:g}")
-        for ln in faults.links:
-            rec.record_fault("degraded", time=ln.start, src=ln.src, dst=ln.dst,
-                             detail=f"x{ln.factor} until {ln.end:g}")
 
     def start_task(t: int, n: int, time: float) -> None:
         nonlocal seq
@@ -555,15 +511,8 @@ def _numpy_loop(run: _Run) -> SimReport:
                 if kind == 0:  # task completion
                     t = payload
                     n = node_l[t]
-                    if crash_after is not None and not dead[n]:
-                        completed_on[n] += 1
-                        point = crash_after.get(n)
-                        if point is not None and completed_on[n] >= point:
-                            dead[n] = True
-                            if trace:
-                                rec.record_fault(
-                                    "crash", time=now, node=n,
-                                    detail=f"after {completed_on[n]} tasks")
+                    if dead is not None:
+                        fstate.task_completed(n, now, rec)
                     if dead is not None and dead[n]:
                         pass  # no workers left on a fail-stopped node
                     else:
@@ -838,13 +787,8 @@ def _numpy_loop(run: _Run) -> SimReport:
         unready = int(np.count_nonzero(np.frombuffer(missing, dtype=np.uint8)))
     else:
         unready = sum(1 for m in missing if m)
-    done = n_tasks - queued - blocked - unready
-    crashed = () if dead is None else [
-        f"node {i} after {completed_on[i]} tasks"
-        for i in range(num_nodes) if dead[i]
-    ]
-    return _report(run, now, net.total_bytes, net.total_messages, done,
-                   blocked, crashed,
+    return _report(run, now, net.total_bytes, net.total_messages,
+                   n_tasks - queued - blocked - unready, blocked, fstate,
                    (busy_acc, tbk_acc) if fault_slow else None, rec)
 
 
@@ -951,12 +895,12 @@ def _kernel_loop(run: _Run, compiled: bool) -> SimReport:
 
 
 def _report(run: _Run, now: float, comm_bytes: int, comm_messages: int,
-            done: int, blocked: int = 0, crashed: Any = (), slowed: Any = None,
-            rec: Optional[Recorder] = None) -> SimReport:
+            done: int, blocked: int = 0, fstate: Optional[FaultState] = None,
+            slowed: Any = None, rec: Optional[Recorder] = None) -> SimReport:
     """The tail both loops share: diagnose a run that did not execute
     every task, then assemble the :class:`SimReport`.
 
-    ``crashed`` names the fail-stopped nodes, ``slowed`` carries the
+    ``fstate`` is the run's fault state, ``slowed`` carries the
     ``(busy_time, time_by_kind)`` accumulators of a slowdown run and
     ``rec`` the recorder of a traced one (numpy loop only).
     """
@@ -964,16 +908,7 @@ def _report(run: _Run, now: float, comm_bytes: int, comm_messages: int,
     n_tasks = cg.n_tasks
     num_nodes = machine.nodes
     kind_names = cg.kind_names
-    if done != n_tasks:
-        if crashed:
-            raise SimulatedFailure(
-                f"simulated worker crash ({', '.join(crashed)}): "
-                f"{n_tasks - done}/{n_tasks} tasks never ran"
-            )
-        raise RuntimeError(
-            f"simulation deadlock: executed {done}/{n_tasks} tasks "
-            f"({blocked} blocked on barriers)"
-        )
+    check_finished(done, n_tasks, blocked, fstate)
 
     if slowed is not None:
         # Slowed durations depend on each task's start time, so they were
@@ -1001,20 +936,5 @@ def _report(run: _Run, now: float, comm_bytes: int, comm_messages: int,
             for c in range(len(kind_names))
             if counts[c]
         }
-    if rec is not None:
-        rec.finalize_utilization(busy_time, now, machine.cores)
-        rec.metrics.gauge("makespan.seconds", "simulated makespan").set(now)
-    return SimReport(
-        makespan=now,
-        total_flops=cg.total_flops(),
-        num_nodes=machine.nodes,
-        comm_bytes=int(comm_bytes),
-        comm_messages=int(comm_messages),
-        busy_time=busy_time,
-        time_by_kind=time_by_kind,
-        num_tasks=n_tasks,
-        cores_per_node=machine.cores,
-        trace=rec.task_events if rec is not None else None,
-        transfers=rec.transfer_events if rec is not None else None,
-        obs=rec,
-    )
+    return finish(machine, now, cg.total_flops(), comm_bytes, comm_messages,
+                  busy_time, time_by_kind, n_tasks, rec)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .base import GraphView, ReadyQueue, SchedulePlan, SchedulerInterface
+from .base import PlanError, ReadyQueue, SchedulePlan, SchedulerInterface, check_plan
 from .policies import (
     BytesWeightedCriticalPath,
     CommAvoidingReorder,
@@ -25,15 +25,15 @@ from .policies import (
     SynchronizedForkJoin,
     WorkStealing,
 )
-from .queues import WorkStealingQueues
-from .views import CompiledGraphView, ObjectGraphView
+from .queues import PriorityQueues, WorkStealingQueues
+from .views import GraphView
 
 __all__ = [
     "DEFAULT_POLICY",
     "POLICIES",
     "GraphView",
-    "ObjectGraphView",
-    "CompiledGraphView",
+    "PlanError",
+    "PriorityQueues",
     "ReadyQueue",
     "SchedulePlan",
     "SchedulerInterface",
@@ -44,6 +44,7 @@ __all__ = [
     "LookaheadHEFT",
     "CommAvoidingReorder",
     "SynchronizedForkJoin",
+    "check_plan",
     "get_policy",
 ]
 

@@ -3,109 +3,50 @@
 Scheduling used to be baked into both engines as fixed critical-path
 priorities + owner-computes placement.  This module extracts the policy
 surface, estee-style: the scheduler observes the task graph and the
-machine (through an engine-neutral :class:`GraphView`) and returns its
-decisions as a :class:`SchedulePlan` — priorities, placement overrides,
+machine (through a :class:`~repro.schedulers.views.GraphView`) and
+returns its decisions as a :class:`SchedulePlan` — priorities, placement overrides,
 barrier mode, and optionally a dynamic ready-queue discipline that then
 receives the runtime's task-ready / worker-free updates.
 
 The contract both engines honour (see ``docs/schedulers.md``):
 
 * ``plan()`` is called once per simulation, before any event runs, with
-  a view whose numbers are **bit-identical** across the object and the
-  compiled plane (same floats, same orderings) — so one policy
-  implementation yields the same plan on both engines and the two-engine
+  a view of the *compiled* graph — the object engine lowers its
+  ``TaskGraph`` first — so one policy implementation sees the same
+  numbers, and yields the same plan, on both engines and the two-engine
   equality suite extends to every policy;
 * every field of the returned plan defaults to "keep the engine's
   native behaviour", so the default policy
   (:class:`repro.schedulers.policies.CriticalPathOwnerComputes`) returns
   an empty plan and the engines run their pre-existing code paths
   unchanged, bit-exactly;
-* a policy that returns a placement ``assignment`` must declare
-  ``migrates = True`` — ``repro.analyze`` enforces that non-migrating
-  policies respect the graph's owner-computes placement (rule
-  SCHED-PLACE).
+* the returned plan must pass :func:`check_plan` — full-length
+  columns, nodes the machine has, and ``migrates = True`` declared by
+  any policy whose ``assignment`` leaves the graph's owner-computes
+  placement.  The engines raise what it raises; ``repro.analyze``
+  reports it as SCHED-PLACE / MC-PLACE.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
-from typing import ClassVar, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, ClassVar, Optional, Union
+
+import numpy as np
+import numpy.typing as npt
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .views import GraphView
 
 __all__ = [
-    "GraphView",
+    "PlanError",
     "ReadyQueue",
     "SchedulePlan",
     "SchedulerInterface",
+    "check_plan",
 ]
-
-
-class GraphView(abc.ABC):
-    """Engine-neutral, read-only view of one task graph on one machine.
-
-    Concrete adapters (:mod:`repro.schedulers.views`) lower either a
-    :class:`repro.graph.task.TaskGraph` or a
-    :class:`repro.graph.compiled.CompiledGraph` to the same plain-Python
-    columns.  Every column is **lazy** (built on first access), so a
-    policy that ignores the view — the default policy, the fork-join
-    policy — costs nothing beyond constructing the adapter object.
-
-    Column contract (all per-task lists are indexed by task id; task ids
-    are a topological order, a builder invariant the engines already
-    rely on):
-
-    * ``durations[t]`` — simulated seconds of task ``t``, bit-identical
-      to what the engine will charge;
-    * ``node[t]`` — the graph's owner-computes placement;
-    * ``kinds[t]`` / ``iterations[t]`` — kernel name and iteration;
-    * ``out_bytes[t]`` — bytes of the version ``t`` writes (0 if none);
-    * ``consumers[t]`` — ids of tasks reading ``t``'s output, in edge
-      order (ascending consumer id, duplicates kept);
-    * ``inputs[t]`` — ``(producer_id, nbytes, source_node)`` per read,
-      in the task's read order; ``producer_id`` is -1 for initial data.
-    """
-
-    num_nodes: int
-    cores: int
-    bandwidth: float
-    latency: float
-
-    @property
-    @abc.abstractmethod
-    def n_tasks(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def durations(self) -> Sequence[float]: ...
-
-    @property
-    @abc.abstractmethod
-    def node(self) -> Sequence[int]: ...
-
-    @property
-    @abc.abstractmethod
-    def kinds(self) -> Sequence[str]: ...
-
-    @property
-    @abc.abstractmethod
-    def iterations(self) -> Sequence[int]: ...
-
-    @property
-    @abc.abstractmethod
-    def out_bytes(self) -> Sequence[int]: ...
-
-    @property
-    @abc.abstractmethod
-    def consumers(self) -> list[list[int]]: ...
-
-    @property
-    @abc.abstractmethod
-    def inputs(self) -> list[list[tuple[int, int, int]]]: ...
-
-    def comm_cost(self, nbytes: int) -> float:
-        """Seconds to move ``nbytes`` over one link (latency + wire)."""
-        return self.latency + nbytes / self.bandwidth
 
 
 class ReadyQueue(abc.ABC):
@@ -183,7 +124,7 @@ class SchedulerInterface(abc.ABC):
     description: ClassVar[str] = ""
     #: True when plan() may return a placement ``assignment`` that
     #: deviates from the graph's owner-computes placement
-    #: (``repro.analyze`` rule SCHED-PLACE enforces this declaration).
+    #: (:func:`check_plan` enforces this declaration).
     migrates: ClassVar[bool] = False
 
     @abc.abstractmethod
@@ -192,3 +133,56 @@ class SchedulerInterface(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class PlanError(ValueError):
+    """A :class:`SchedulePlan` no engine will run.
+
+    ``tasks`` holds the offending task ids (empty when a whole column is
+    mis-sized) and ``hint`` the fix; the analyzers turn them into
+    per-task findings, the engines just let the error propagate.
+    """
+
+    def __init__(self, message: str, hint: str,
+                 tasks: Sequence[int] = ()) -> None:
+        super().__init__(message)
+        self.hint = hint
+        self.tasks = tasks
+
+
+def check_plan(policy: SchedulerInterface, plan: SchedulePlan,
+               placement: Union[Sequence[int], npt.NDArray[Any]],
+               num_nodes: int) -> None:
+    """Raise :class:`PlanError` unless ``plan`` can run on ``num_nodes``
+    nodes over a graph whose owner-computes placement is ``placement``.
+
+    The one statement of the plan contract: both engines, SCHED-PLACE
+    and MC-PLACE call it and differ only in how they report the error.
+    """
+    n_tasks = len(placement)
+    who = f"policy {policy.name!r}"
+    for what, column in (("priorities", plan.priorities),
+                         ("assignments", plan.assignment)):
+        if column is not None and len(column) != n_tasks:
+            raise PlanError(
+                f"{who} returned {len(column)} {what} for {n_tasks} tasks",
+                "a plan column must cover every task exactly once")
+    if plan.assignment is None:
+        return
+    assignment = np.asarray(plan.assignment)
+    outside = np.flatnonzero((assignment < 0) | (assignment >= num_nodes))
+    if outside.size:
+        raise PlanError(
+            f"{who} assigned {outside.size} task(s) outside nodes "
+            f"[0, {num_nodes})",
+            "an assignment must name a node the machine has",
+            outside.tolist())
+    if not policy.migrates:
+        moved = np.flatnonzero(assignment != np.asarray(placement))
+        if moved.size:
+            raise PlanError(
+                f"{who} moves {moved.size} task(s) off their data's node "
+                "without declaring migrates = True",
+                "declare migrates = True (and accept the extra input "
+                "transfers) or return assignment=None",
+                moved.tolist())

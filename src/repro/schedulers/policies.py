@@ -1,17 +1,16 @@
 """The scheduler zoo (see ``docs/schedulers.md`` for the catalogue).
 
 Every policy is a pure, deterministic function of the
-:class:`~repro.schedulers.base.GraphView`; the float arithmetic below is
-careful to evaluate in the same order on both simulation planes (the
-view columns are bit-identical, and sequential ``max``/``+`` over the
-same lists reproduces the same doubles), so each policy passes the
-object-vs-compiled equality suite.
+:class:`~repro.schedulers.views.GraphView`.  Both engines hand it a view
+of the same compiled columns, so each policy yields one plan per graph
+and passes the object-vs-compiled equality suite.
 """
 
 from __future__ import annotations
 
-from .base import GraphView, SchedulePlan, SchedulerInterface
+from .base import SchedulePlan, SchedulerInterface
 from .queues import WorkStealingQueues
+from .views import GraphView
 
 __all__ = [
     "CriticalPathOwnerComputes",
@@ -31,8 +30,7 @@ def _bottom_levels(view: GraphView, comm_weighted: bool) -> list[float]:
     upward rank with actual (not averaged) placement.
 
     Task ids are a topological order (builder invariant), so one reverse
-    sweep suffices; ``max`` runs over each consumer list sequentially,
-    which is the same float reduction on both planes.
+    sweep suffices.
     """
     dur = view.durations
     cons = view.consumers

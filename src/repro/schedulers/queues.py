@@ -8,11 +8,42 @@ keeps the two-engine equality contract for free.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Optional
 
 from .base import ReadyQueue
 
-__all__ = ["WorkStealingQueues"]
+__all__ = ["PriorityQueues", "WorkStealingQueues"]
+
+
+class PriorityQueues(ReadyQueue):
+    """The native discipline: per node, highest priority first, FIFO
+    among equals (StarPU's dynamic local scheduling).
+
+    What a plan without a ``queue_factory`` gets.  The object engine and
+    the model checker run this class; the compiled engine keeps its own
+    bucket-queue implementation of the same order, which the equality
+    suite checks against this one.
+    """
+
+    def __init__(self, num_nodes: int, cores: int) -> None:
+        self._heaps: list[list[tuple[float, int, int]]] = [
+            [] for _ in range(num_nodes)]
+        self._seq = 0  # push order, the tie-break among equal priorities
+
+    def push(self, node: int, task: int, priority: float) -> None:
+        self._seq += 1
+        heappush(self._heaps[node], (-priority, self._seq, task))
+
+    def pop(self, node: int) -> Optional[int]:
+        heap = self._heaps[node]
+        return heappop(heap)[2] if heap else None
+
+    def depth(self, node: int) -> int:
+        return len(self._heaps[node])
+
+    def total(self) -> int:
+        return sum(len(h) for h in self._heaps)
 
 
 class WorkStealingQueues(ReadyQueue):

@@ -1,140 +1,68 @@
-"""Graph-view adapters: one per simulation plane.
+"""The policy's view of a graph: one class, over the compiled plane.
 
-Both adapters expose the identical :class:`~repro.schedulers.base
-.GraphView` columns, with the identical floats and orderings, so a
-policy computes the identical plan whichever engine invokes it:
+A policy reads plain-Python columns lowered from a
+:class:`~repro.graph.compiled.CompiledGraph`.  The compiled engine
+passes its graph; the object engine passes a thunk that runs
+``compile_graph`` on its ``TaskGraph``, so both engines plan from the
+same numbers by construction (``compile_graph`` keeps task ids, read
+order and data homes; ``tests/test_schedulers.py`` checks every column
+against the ``TaskGraph`` it came from).
 
-* durations — the object plane calls ``kernel.duration(flops, b)`` per
-  task, the compiled plane evaluates ``overhead + flops / rate(b)``
-  vectorized; both are the same IEEE expression on the same doubles;
-* consumers — the object plane appends per read while scanning tasks in
-  id order; the compiled plane's ``consumers_csr()`` stably sorts the
-  (consumer, read) edge list by producer.  Both yield each producer's
-  consumers in ascending consumer id with duplicates kept;
-* inputs — task read order is preserved by ``compile_graph`` and the
-  direct compilers, so the per-read tuples line up slot for slot.
-
-Every column is built lazily on first access (a per-column backing
-field, the plain-property spelling of ``cached_property`` that
-``mypy --strict`` can check against the abstract base): the default
-policy never touches the view, so the hot service path pays only the
-adapter construction (a few attribute stores).
+Every column is a ``cached_property``: the default policy never touches
+the view, so the hot service path pays only a few attribute stores, and
+the object engine lowers nothing unless the policy reads a column.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Sequence
-from typing import Optional
+from functools import cached_property
+from typing import Any, Union
 
 import numpy as np
+import numpy.typing as npt
 
 from ..config import MachineSpec
 from ..graph.compiled import CompiledGraph
-from ..graph.task import Task, TaskGraph
-from .base import GraphView
 
-__all__ = ["ObjectGraphView", "CompiledGraphView"]
+__all__ = ["GraphView"]
 
-
-class ObjectGraphView(GraphView):
-    """View over a :class:`TaskGraph` (the object engine's plane)."""
-
-    def __init__(self, graph: TaskGraph, machine: MachineSpec,
-                 duration_fn: Callable[[Task], float]) -> None:
-        self._graph = graph
-        self._duration_fn = duration_fn
-        self.num_nodes = machine.nodes
-        self.cores = machine.cores
-        self.bandwidth = machine.network.bandwidth
-        self.latency = machine.network.latency
-        #: Optional repro.topology.Topology — policies may inspect the
-        #: routed interconnect / heterogeneity (None = uniform clique).
-        self.topology = machine.topology
-        self._durations: Optional[list[float]] = None
-        self._node: Optional[list[int]] = None
-        self._kinds: Optional[list[str]] = None
-        self._iterations: Optional[list[int]] = None
-        self._out_bytes: Optional[list[int]] = None
-        self._consumers: Optional[list[list[int]]] = None
-        self._inputs: Optional[list[list[tuple[int, int, int]]]] = None
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self._graph.tasks)
-
-    @property
-    def durations(self) -> Sequence[float]:
-        if self._durations is None:
-            fn = self._duration_fn
-            self._durations = [fn(t) for t in self._graph.tasks]
-        return self._durations
-
-    @property
-    def node(self) -> Sequence[int]:
-        if self._node is None:
-            self._node = [t.node for t in self._graph.tasks]
-        return self._node
-
-    @property
-    def kinds(self) -> Sequence[str]:
-        if self._kinds is None:
-            self._kinds = [t.kind for t in self._graph.tasks]
-        return self._kinds
-
-    @property
-    def iterations(self) -> Sequence[int]:
-        if self._iterations is None:
-            self._iterations = [t.iteration for t in self._graph.tasks]
-        return self._iterations
-
-    @property
-    def out_bytes(self) -> Sequence[int]:
-        if self._out_bytes is None:
-            g = self._graph
-            self._out_bytes = [
-                g.data_bytes(t.write) if t.write is not None else 0
-                for t in g.tasks]
-        return self._out_bytes
-
-    @property
-    def consumers(self) -> list[list[int]]:
-        if self._consumers is None:
-            g = self._graph
-            cons: list[list[int]] = [[] for _ in range(len(g.tasks))]
-            for t in g.tasks:
-                for k in t.reads:
-                    pid = g.producer.get(k)
-                    if pid is not None:
-                        cons[pid].append(t.id)
-            self._consumers = cons
-        return self._consumers
-
-    @property
-    def inputs(self) -> list[list[tuple[int, int, int]]]:
-        if self._inputs is None:
-            g = self._graph
-            out: list[list[tuple[int, int, int]]] = []
-            for t in g.tasks:
-                rows: list[tuple[int, int, int]] = []
-                for k in t.reads:
-                    pid = g.producer.get(k)
-                    if pid is not None:
-                        rows.append((pid, g.data_bytes(k),
-                                     g.tasks[pid].node))
-                    else:
-                        rows.append((-1, g.data_bytes(k), g.initial[k][0]))
-                out.append(rows)
-            self._inputs = out
-        return self._inputs
+Durations = Union[npt.NDArray[np.float64], Sequence[float]]
 
 
-class CompiledGraphView(GraphView):
-    """View over a :class:`CompiledGraph` (the compiled engine's plane)."""
+def _buffer(values: npt.ArrayLike, dtype: npt.DTypeLike, code: str) -> array[Any]:
+    # ``array.array`` rather than a list of boxed numbers: indexing and
+    # iteration yield the same ints/floats in the same order, at 8 bytes
+    # per entry instead of ~32 — policy sweeps at N = 400 keep ~1 GB of
+    # boxed numbers off the worker heap.
+    return array(code, np.ascontiguousarray(values, dtype=dtype).tobytes())
 
-    def __init__(self, cg: CompiledGraph, machine: MachineSpec,
-                 durations: np.ndarray) -> None:
-        self._cg = cg
+
+class GraphView:
+    """Read-only view of one compiled task graph on one machine.
+
+    ``cg`` and ``durations`` may each be given as a zero-argument
+    callable producing the value; it is called on the first column read.
+
+    All per-task columns are indexed by task id; task ids are a
+    topological order (a builder invariant the engines already rely on):
+
+    * ``durations[t]`` — simulated seconds of task ``t``, bit-identical
+      to what the engine will charge;
+    * ``node[t]`` — the graph's owner-computes placement;
+    * ``kinds[t]`` / ``iterations[t]`` — kernel name and iteration;
+    * ``out_bytes[t]`` — bytes of the version ``t`` writes (0 if none);
+    * ``consumers[t]`` — ids of tasks reading ``t``'s output, in edge
+      order (ascending consumer id, duplicates kept);
+    * ``inputs[t]`` — ``(producer_id, nbytes, source_node)`` per read,
+      in the task's read order; ``producer_id`` is -1 for initial data.
+    """
+
+    def __init__(self, cg: Union[CompiledGraph, Callable[[], CompiledGraph]],
+                 machine: MachineSpec,
+                 durations: Union[Durations, Callable[[], Durations]]) -> None:
+        self._lower = cg
         self._raw_durations = durations
         self.num_nodes = machine.nodes
         self.cores = machine.cores
@@ -143,85 +71,59 @@ class CompiledGraphView(GraphView):
         #: Optional repro.topology.Topology — policies may inspect the
         #: routed interconnect / heterogeneity (None = uniform clique).
         self.topology = machine.topology
-        self._durations: Optional[Sequence[float]] = None
-        self._node: Optional[Sequence[int]] = None
-        self._kinds: Optional[list[str]] = None
-        self._iterations: Optional[Sequence[int]] = None
-        self._out_bytes: Optional[Sequence[int]] = None
-        self._consumers: Optional[list[list[int]]] = None
-        self._inputs: Optional[list[list[tuple[int, int, int]]]] = None
+
+    @cached_property
+    def _cg(self) -> CompiledGraph:
+        return self._lower() if callable(self._lower) else self._lower
 
     @property
     def n_tasks(self) -> int:
         return self._cg.n_tasks
 
-    # The scalar columns are ``array.array`` buffers rather than lists of
-    # boxed numbers: indexing and iteration behave identically (policies
-    # see the same ints/floats in the same order as the object plane's
-    # lists), but a paper-scale graph's view costs 8 bytes per entry
-    # instead of ~32 — policy sweeps at N = 400 keep ~1 GB of boxed
-    # numbers off the worker heap.
-
-    @property
+    @cached_property
     def durations(self) -> Sequence[float]:
-        if self._durations is None:
-            self._durations = array("d", np.ascontiguousarray(
-                self._raw_durations, dtype=np.float64).tobytes())
-        return self._durations
+        raw = self._raw_durations
+        return _buffer(raw() if callable(raw) else raw, np.float64, "d")
 
-    @property
+    @cached_property
     def node(self) -> Sequence[int]:
-        if self._node is None:
-            self._node = array("i", np.ascontiguousarray(
-                self._cg.node, dtype=np.int32).tobytes())
-        return self._node
+        return _buffer(self._cg.node, np.int32, "i")
 
-    @property
+    @cached_property
     def kinds(self) -> Sequence[str]:
-        if self._kinds is None:
-            names = self._cg.kind_names
-            self._kinds = [names[c] for c in self._cg.kind_codes.tolist()]
-        return self._kinds
+        names = self._cg.kind_names
+        return [names[c] for c in self._cg.kind_codes.tolist()]
 
-    @property
+    @cached_property
     def iterations(self) -> Sequence[int]:
-        if self._iterations is None:
-            self._iterations = array("i", np.ascontiguousarray(
-                self._cg.iteration, dtype=np.int32).tobytes())
-        return self._iterations
+        return _buffer(self._cg.iteration, np.int32, "i")
 
-    @property
+    @cached_property
     def out_bytes(self) -> Sequence[int]:
-        if self._out_bytes is None:
-            cg = self._cg
-            out = np.zeros(cg.n_tasks, dtype=np.int64)
-            has = cg.write_id >= 0
-            out[has] = cg.data_nbytes[cg.write_id[has]]
-            self._out_bytes = array("q", out.tobytes())
-        return self._out_bytes
+        cg = self._cg
+        out = np.zeros(cg.n_tasks, dtype=np.int64)
+        has = cg.write_id >= 0
+        out[has] = cg.data_nbytes[cg.write_id[has]]
+        return _buffer(out, np.int64, "q")
 
-    @property
+    @cached_property
     def consumers(self) -> list[list[int]]:
-        if self._consumers is None:
-            ptr, ids = self._cg.consumers_csr()
-            ptr_l = ptr.tolist()
-            ids_l = ids.tolist()
-            self._consumers = [ids_l[ptr_l[t]:ptr_l[t + 1]]
-                               for t in range(self._cg.n_tasks)]
-        return self._consumers
+        ptr, ids = self._cg.consumers_csr()
+        ptr_l = ptr.tolist()
+        ids_l = ids.tolist()
+        return [ids_l[ptr_l[t]:ptr_l[t + 1]] for t in range(self._cg.n_tasks)]
 
-    @property
+    @cached_property
     def inputs(self) -> list[list[tuple[int, int, int]]]:
-        if self._inputs is None:
-            cg = self._cg
-            ptr = cg.read_ptr.tolist()
-            rids = cg.read_ids.tolist()
-            prod = cg.data_producer.tolist()
-            src = cg.data_source_node.tolist()
-            nbytes = cg.data_nbytes.tolist()
-            out: list[list[tuple[int, int, int]]] = []
-            for t in range(cg.n_tasks):
-                out.append([(prod[d], nbytes[d], src[d])
-                            for d in rids[ptr[t]:ptr[t + 1]]])
-            self._inputs = out
-        return self._inputs
+        cg = self._cg
+        ptr = cg.read_ptr.tolist()
+        rids = cg.read_ids.tolist()
+        prod = cg.data_producer.tolist()
+        src = cg.data_source_node.tolist()
+        nbytes = cg.data_nbytes.tolist()
+        return [[(prod[d], nbytes[d], src[d]) for d in rids[ptr[t]:ptr[t + 1]]]
+                for t in range(cg.n_tasks)]
+
+    def comm_cost(self, nbytes: int) -> float:
+        """Seconds to move ``nbytes`` over one link (latency + wire)."""
+        return self.latency + nbytes / self.bandwidth

@@ -166,6 +166,11 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
 
     graph_reused = False
     checkin: Optional[Callable[[], None]] = None
+    # The run options, said once for whichever engine the spec names.
+    options: dict[str, Any] = {
+        "synchronized": spec.synchronized, "broadcast": spec.broadcast,
+        "aggregate": spec.aggregate, "recorder": recorder, "faults": faults,
+        "scheduler": spec.policy}
 
     t0 = time.perf_counter()
     if spec.engine == "compiled":
@@ -182,29 +187,13 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
         cg.comm_plan()
         t2 = time.perf_counter()
         checkin = lambda: _checkin_graph(skey, cg)  # noqa: E731
-        runner = lambda: simulate_compiled(  # noqa: E731
-            cg, machine,
-            synchronized=spec.synchronized,
-            broadcast=spec.broadcast,
-            aggregate=spec.aggregate,
-            recorder=recorder,
-            faults=faults,
-            scheduler=spec.policy,
-        )
+        runner = lambda: simulate_compiled(cg, machine, **options)  # noqa: E731
     else:
         graph = _build_object_graph(spec)
         struct = structure_hash(compile_graph(graph))
         t1 = time.perf_counter()
         t2 = t1
-        runner = lambda: simulate(  # noqa: E731
-            graph, machine,
-            synchronized=spec.synchronized,
-            broadcast=spec.broadcast,
-            aggregate=spec.aggregate,
-            recorder=recorder,
-            faults=faults,
-            scheduler=spec.policy,
-        )
+        runner = lambda: simulate(graph, machine, **options)  # noqa: E731
 
     status = "ok"
     error: Optional[str] = None

@@ -242,15 +242,11 @@ def test_report_v2_roundtrip_with_new_rule_ids():
     assert back.to_dict() == doc
 
 
-def test_report_v1_documents_still_parse():
-    rep = _sample_report()
-    doc = rep.to_dict()
-    v1 = {k: v for k, v in doc.items() if k != "rules"}
-    v1["version"] = 1
-    back = Report.from_dict(v1)
-    assert [f.location for f in back] == [f.location for f in rep]
-    with pytest.raises(ValueError):
-        Report.from_dict(dict(doc, version=3))
+def test_report_other_versions_are_rejected():
+    doc = _sample_report().to_dict()
+    for version in (1, 3, None):
+        with pytest.raises(ValueError, match="unsupported report version"):
+            Report.from_dict(dict(doc, version=version))
 
 
 def test_severity_ordering_is_stable():

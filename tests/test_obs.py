@@ -21,7 +21,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.export import _assign_lanes
+from repro.obs.export import assign_lanes
 from repro.ooc import TileCache, execute_block_left_looking
 from repro.runtime.distributed import execute_distributed
 from repro.runtime.execution import InitialDataSpec
@@ -261,7 +261,7 @@ class TestExport:
                 assert s1 >= e0 - 1e-6
 
     def test_assign_lanes(self):
-        lanes = _assign_lanes([(0, 2), (1, 3), (2, 4)])
+        lanes = assign_lanes([(0, 2), (1, 3), (2, 4)])
         assert lanes[0] == 0 and lanes[1] == 1 and lanes[2] == 0
 
     def test_trace_path_perfetto_bytes_equal_counter(self, tmp_path):

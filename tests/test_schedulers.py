@@ -2,84 +2,142 @@
 
 The cross-engine equality of every policy is pinned in
 ``tests/test_compiled_engine.py`` (TestPolicyConformance); this file
-covers the framework pieces in isolation: the graph views feeding
-policies identical columns on both planes, the plan contract, queue
-determinism, and the SCHED-PLACE analyzer rule.
+covers the framework pieces in isolation: the one graph view against the
+``TaskGraph`` it was lowered from, the plan contract and its four
+callers, queue determinism, and the SCHED-PLACE analyzer rule.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.analyze.mc import model_check
 from repro.analyze.schedule import verify_policy_placement
 from repro.config import laptop
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
 from repro.graph import build_cholesky_graph
-from repro.graph.compiled import compile_graph
-from repro.runtime.simulator import simulate, simulate_compiled
+from repro.graph.compiled import compile_cholesky, compile_graph
+from repro.runtime.faults import FaultPlan, SimulatedFailure, WorkerCrash
+from repro.runtime.simulator import engine, simulate, simulate_compiled
+from repro.runtime.simulator.fast_engine import _prepare, default_durations
 from repro.schedulers import (
     DEFAULT_POLICY,
     POLICIES,
-    CompiledGraphView,
-    ObjectGraphView,
+    GraphView,
+    LookaheadHEFT,
+    PlanError,
     SchedulePlan,
     SchedulerInterface,
     WorkStealingQueues,
     get_policy,
 )
+from repro.topology import Heterogeneity, clique
 
 DIST = SymmetricBlockCyclic(4)
 N, B = 10, 32
 
 
-def _views():
+def _case():
+    """(object graph, machine, its default duration_fn, the view)."""
     g = build_cholesky_graph(N, B, DIST)
-    cg = compile_graph(g)
     m = laptop(nodes=DIST.num_nodes, cores=2)
     kernel = m.kernel
     duration_fn = lambda t: kernel.duration(t.flops, g.b)  # noqa: E731
-    durations = kernel.overhead + cg.flops / kernel.rate(cg.b)
-    return ObjectGraphView(g, m, duration_fn), CompiledGraphView(cg, m, durations)
+    cg = compile_graph(g)
+    return g, m, duration_fn, GraphView(cg, m, default_durations(cg, m))
 
 
 # --------------------------------------------------------------------------
-# the views: both planes expose bit-identical columns
+# the view: every column against the TaskGraph it was lowered from
 # --------------------------------------------------------------------------
 
 class TestGraphViews:
     def test_scalar_columns_match(self):
-        ov, cv = _views()
-        assert ov.n_tasks == cv.n_tasks
-        assert ov.num_nodes == cv.num_nodes
-        assert ov.cores == cv.cores
-        assert ov.bandwidth == cv.bandwidth
-        assert ov.latency == cv.latency
+        g, m, _, view = _case()
+        assert view.n_tasks == len(g.tasks)
+        assert view.num_nodes == m.nodes
+        assert view.cores == m.cores
+        assert view.bandwidth == m.network.bandwidth
+        assert view.latency == m.network.latency
+        assert view.topology is m.topology
 
     def test_array_columns_bit_identical(self):
-        ov, cv = _views()
-        assert list(ov.node) == list(cv.node)
-        assert list(ov.kinds) == list(cv.kinds)
-        assert list(ov.iterations) == list(cv.iterations)
-        assert list(ov.out_bytes) == list(cv.out_bytes)
-        # Durations must be IEEE-identical, not merely close: policies
-        # fold them into priorities that break scheduling ties.
-        assert list(ov.durations) == list(cv.durations)
+        g, _, duration_fn, view = _case()
+        assert list(view.node) == [t.node for t in g.tasks]
+        assert list(view.kinds) == [t.kind for t in g.tasks]
+        assert list(view.iterations) == [t.iteration for t in g.tasks]
+        assert list(view.out_bytes) == [
+            g.data_bytes(t.write) if t.write is not None else 0
+            for t in g.tasks]
+        # Durations must be IEEE-identical to what the object engine
+        # charges per task, not merely close: policies fold them into
+        # priorities that break scheduling ties.
+        assert list(view.durations) == [duration_fn(t) for t in g.tasks]
 
     def test_consumers_and_inputs_identical(self):
-        ov, cv = _views()
-        assert [list(c) for c in ov.consumers] == [list(c) for c in cv.consumers]
-        assert [list(i) for i in ov.inputs] == [list(i) for i in cv.inputs]
+        g, _, _, view = _case()
+        consumers = [[] for _ in g.tasks]
+        inputs = []
+        for t in g.tasks:
+            rows = []
+            for k in t.reads:
+                pid = g.producer.get(k)
+                if pid is not None:
+                    consumers[pid].append(t.id)
+                    rows.append((pid, g.data_bytes(k), g.tasks[pid].node))
+                else:
+                    rows.append((-1, g.data_bytes(k), g.initial[k][0]))
+            inputs.append(rows)
+        assert [list(c) for c in view.consumers] == consumers
+        assert [list(i) for i in view.inputs] == inputs
 
     def test_consumers_are_sorted_with_duplicates_kept(self):
         """A consumer reading two outputs of the same task appears once
-        per read, ascending — both planes agree on the convention."""
-        _, cv = _views()
-        for cons in cv.consumers:
+        per read, ascending."""
+        view = _case()[3]
+        for cons in view.consumers:
             assert list(cons) == sorted(cons)
 
     def test_comm_cost_is_latency_plus_wire_time(self):
-        ov, _ = _views()
+        view = _case()[3]
         nbytes = 8192
-        assert ov.comm_cost(nbytes) == ov.latency + nbytes / ov.bandwidth
+        assert view.comm_cost(nbytes) == view.latency + nbytes / view.bandwidth
+
+    def test_thunks_run_on_first_column_read_only(self):
+        g, m, duration_fn, _ = _case()
+        calls = []
+
+        def lower():
+            calls.append("cg")
+            return compile_graph(g)
+
+        def durations():
+            calls.append("durations")
+            return [duration_fn(t) for t in g.tasks]
+
+        view = GraphView(lower, m, durations)
+        assert view.num_nodes == m.nodes and calls == []
+        assert view.n_tasks == len(g.tasks) and calls == ["cg"]
+        assert len(view.durations) == len(view.node) == len(g.tasks)
+        assert calls == ["cg", "durations"]
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_object_engine_lowers_only_for_policies_that_read(
+            self, name, monkeypatch):
+        """``scheduler=None`` and the policies that ignore the view never
+        pay for ``compile_graph`` on the object engine."""
+        g, m, _, _ = _case()
+        lowered = []
+        monkeypatch.setattr(
+            engine, "compile_graph",
+            lambda graph: lowered.append(graph) or compile_graph(graph))
+        simulate(g, m)
+        assert lowered == []
+        simulate(g, m, scheduler=name)
+        reads = name in ("bytes-critical-path", "heft-lookahead",
+                         "comm-avoiding")
+        assert lowered == ([g] if reads else [])
 
 
 # --------------------------------------------------------------------------
@@ -103,16 +161,19 @@ class TestRegistry:
             get_policy("does-not-exist")
 
     def test_default_policy_plan_is_native(self):
-        _, cv = _views()
-        plan = get_policy(None).plan(cv)
+        plan = get_policy(None).plan(_case()[3])
         assert plan.is_native()
         assert not plan.synchronized
 
     def test_plans_are_deterministic(self):
-        ov, cv = _views()
+        """The same plan from the generic lowering (the object engine's
+        route to the view) and from the direct compiler."""
+        _, m, _, view = _case()
+        cg = compile_cholesky(N, B, DIST)
+        direct = GraphView(cg, m, default_durations(cg, m))
         for name in POLICIES:
-            p1 = get_policy(name).plan(cv)
-            p2 = get_policy(name).plan(ov)
+            p1 = get_policy(name).plan(view)
+            p2 = get_policy(name).plan(direct)
             if p1.priorities is None:
                 assert p2.priorities is None
             else:
@@ -164,6 +225,140 @@ class TestRegistry:
             simulate(g, m, scheduler=Offworld())
         with pytest.raises(ValueError, match="outside"):
             simulate_compiled(cg, m, scheduler=Offworld())
+
+
+# --------------------------------------------------------------------------
+# one plan check, four callers, each with its own way of reporting
+# --------------------------------------------------------------------------
+
+def _bad_policy(defect):
+    class Bad(SchedulerInterface):
+        name = f"bad-{defect}"
+        description = "returns a plan check_plan must refuse"
+        # ``migrates`` stays False, so the third plan is undeclared.
+
+        def plan(self, view):
+            if defect == "mis-sized":
+                return SchedulePlan(assignment=list(view.node)[:-1])
+            if defect == "out-of-range":
+                return SchedulePlan(assignment=[view.num_nodes] * view.n_tasks)
+            return SchedulePlan(
+                assignment=[(n + 1) % view.num_nodes for n in view.node])
+
+    return Bad()
+
+
+class TestPlanCheck:
+    MESSAGE = {"mis-sized": "assignments for", "out-of-range": "outside nodes",
+               "undeclared": "without declaring migrates"}
+
+    @pytest.mark.parametrize("caller", ["simulate", "simulate_compiled",
+                                        "SCHED-PLACE", "MC-PLACE"])
+    @pytest.mark.parametrize("defect", sorted(MESSAGE))
+    def test_every_caller_reports_every_defect(self, defect, caller):
+        g = build_cholesky_graph(4, B, BlockCyclic2D(2, 2))
+        cg = compile_graph(g)
+        m = laptop(nodes=4, cores=1)
+        policy = _bad_policy(defect)
+        match = self.MESSAGE[defect]
+        if caller == "simulate":
+            with pytest.raises(PlanError, match=match):
+                simulate(g, m, scheduler=policy)
+        elif caller == "simulate_compiled":
+            with pytest.raises(PlanError, match=match):
+                simulate_compiled(cg, m, scheduler=policy)
+        elif caller == "SCHED-PLACE":
+            rep = verify_policy_placement(cg, m, policy, name="g")
+            found = rep.by_rule("SCHED-PLACE")
+            assert found and all(match in f.message for f in found)
+            # Per-task locations, except when a whole column is wrong.
+            assert (found[0].location == "g[bad-mis-sized]:plan") == \
+                (defect == "mis-sized")
+        else:
+            result, rep = model_check(cg, m, policy, label="g")
+            assert not result.properties["placement_safe"]
+            [finding] = rep.by_rule("MC-PLACE")
+            assert match in finding.message
+            assert finding.location == f"mc:g[{policy.name}]"
+
+    def test_plan_error_is_a_value_error_naming_the_tasks(self):
+        cg = compile_graph(build_cholesky_graph(4, B, BlockCyclic2D(2, 2)))
+        with pytest.raises(ValueError) as err:
+            simulate_compiled(cg, laptop(nodes=4, cores=1),
+                              scheduler=_bad_policy("out-of-range"))
+        assert list(err.value.tasks) == list(range(cg.n_tasks))
+        assert err.value.hint
+
+
+# --------------------------------------------------------------------------
+# both engines run the plan the analyzers checked
+# --------------------------------------------------------------------------
+
+class _RecordingHEFT(LookaheadHEFT):
+    def __init__(self):
+        self.assignments = []
+
+    def plan(self, view):
+        plan = super().plan(view)
+        self.assignments.append(list(plan.assignment))
+        return plan
+
+
+def test_analyzers_plan_with_the_engine_durations_on_heterogeneous_nodes():
+    """SCHED-PLACE and MC-PLACE must check the assignment the engine runs:
+    on a topology with per-node speeds that means planning against
+    durations divided by the speed, as ``_prepare`` does."""
+    dist = BlockCyclic2D(2, 2)
+    g = build_cholesky_graph(6, B, dist)
+    cg = compile_graph(g)
+    base = laptop(nodes=4, cores=1)
+    m = replace(base, topology=clique(
+        4, base.network.bandwidth, base.network.latency,
+        hetero=Heterogeneity.alternating(4, slow_speed=0.25)))
+    policy = _RecordingHEFT()
+    applied = _prepare(cg, m, scheduler=policy).cg.node.tolist()
+    verify_policy_placement(cg, m, policy)
+    model_check(cg, m, policy, max_states=1)
+    simulate(g, m, scheduler=policy)
+    assert policy.assignments == [applied] * 4
+    # The speeds matter to this plan: the homogeneous machine gets another.
+    assert _prepare(cg, base, scheduler=policy).cg.node.tolist() != applied
+
+
+def _custom_duration(task):
+    return 1e-4 * (1 + task.id % 7) + 1e-9 * task.flops
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_custom_durations_agree_across_engines(name):
+    """Object engine + ``duration_fn`` == compiled engine + the same
+    numbers as an array, under every policy: the object engine plans on
+    the lowered view with *its caller's* durations."""
+    g = build_cholesky_graph(N, B, DIST)
+    m = laptop(nodes=DIST.num_nodes, cores=2)
+    durations = np.asarray([_custom_duration(t) for t in g.tasks])
+    obj = simulate(g, m, duration_fn=_custom_duration, scheduler=name)
+    arr = simulate_compiled(compile_graph(g), m, durations=durations,
+                            scheduler=name)
+    assert (obj.makespan, obj.comm_bytes, obj.comm_messages) == \
+        (arr.makespan, arr.comm_bytes, arr.comm_messages)
+
+
+@pytest.mark.parametrize("crash", [False, True])
+def test_object_graph_is_restored_after_a_migrating_run(crash):
+    """The object engine applies a plan by writing ``Task.node`` /
+    ``Task.priority``; both come back, also when the run raises after
+    the plan was applied."""
+    g = build_cholesky_graph(N, B, DIST)
+    m = laptop(nodes=DIST.num_nodes, cores=2)
+    before = [(t.node, t.priority) for t in g.tasks]
+    if crash:
+        faults = FaultPlan(crashes=[WorkerCrash(node=0, after_tasks=1)])
+        with pytest.raises(SimulatedFailure):
+            simulate(g, m, scheduler="heft-lookahead", faults=faults)
+    else:
+        simulate(g, m, scheduler="heft-lookahead")
+    assert [(t.node, t.priority) for t in g.tasks] == before
 
 
 # --------------------------------------------------------------------------
