@@ -92,37 +92,36 @@ def sweep(client: SweepClient):
     return rows
 
 
-#: Cached model-checking certificates (one small-scope sweep per process).
-_CERTS = None
+#: Policies proved so far (one small-scope sweep per process).
+_CHECKED = None
 
 
-def _certified():
-    """Deadlock/starvation-freedom certificates for the whole zoo.
+def _model_checked():
+    """Names of the zoo's policies, all model-checked.
 
     The tournament refuses to rank policies the small-scope model
-    checker (``repro.analyze.mc``) has not certified: a policy that can
-    deadlock or starve a ready task would win rankings vacuously.
-    Raises RuntimeError when any certificate fails verification.
+    checker (``repro.analyze.mc``) has not proved deadlock- and
+    starvation-free: a policy that can deadlock or starve a ready task
+    would win rankings vacuously.  Raises RuntimeError naming the
+    policy, case and unproved property otherwise.
     """
-    global _CERTS
-    if _CERTS is None:
-        from repro.analyze import require_certificates
+    global _CHECKED
+    if _CHECKED is None:
+        from repro.analyze import require_model_checked
 
-        _CERTS = require_certificates(sorted(POLICIES))
-    return _CERTS
+        _CHECKED = set(require_model_checked(sorted(POLICIES)))
+    return _CHECKED
 
 
 def _rankings(rows):
     """Per (dist, faults) group: policies ordered by makespan and volume.
 
-    Ranking is gated on :func:`_certified` — every participating policy
-    must hold a valid model-checking certificate first.
+    Ranking is gated on :func:`_model_checked` — every participating
+    policy must have passed model checking first.
     """
-    certs = _certified()
-    missing = sorted({r["policy"] for r in rows} - set(certs))
+    missing = sorted({r["policy"] for r in rows} - _model_checked())
     if missing:
-        raise RuntimeError(
-            f"policies without model-check certificates: {missing}")
+        raise RuntimeError(f"policies not model-checked: {missing}")
     groups = {}
     for r in rows:
         groups.setdefault((r["dist"], r["faults"]), []).append(r)

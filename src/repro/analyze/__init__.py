@@ -12,21 +12,18 @@ Five passes, one findings model, one CLI (``python -m repro.analyze``):
 * :mod:`repro.analyze.lint` — AST rules over the repository itself
   (no unseeded randomness, no wall-clock in the simulator, TaskEvent
   coverage of every runtime, engine-equality test coverage);
-* :mod:`repro.analyze.flow` — a CFG + intraprocedural dataflow engine
-  over the repository source: blocking calls reachable on the event
-  loop, coroutines never awaited, unlocked loop/worker shared state,
-  set-iteration order feeding schedule decisions, and int32 index
-  overflow in the compiled-graph hot paths (FLOW-* rules);
+* :mod:`repro.analyze.flow` — one more rule over the repository
+  source, run with the lint pass: blocking calls reachable on the event
+  loop, directly or through same-module helpers (FLOW-BLOCK);
 * :mod:`repro.analyze.mc` — a small-scope explicit-state model checker
   that exhaustively explores every scheduler policy on small compiled
-  graphs and emits per-policy deadlock/starvation-freedom certificates
-  (MC-* rules) that the policy tournament requires before ranking.
+  graphs and proves deadlock/starvation freedom (MC-* rules), which the
+  policy tournament requires before ranking.
 
 :mod:`repro.analyze.mutate` keeps all of the above honest: a seeded
 harness injects known-bad schedules, traces, source snippets, and
 scheduler disciplines, and fails loudly unless every injected defect
-class is detected.  :mod:`repro.analyze.sarif` renders any findings
-report as SARIF 2.1.0 for GitHub code scanning.
+class is detected.
 
 The rule catalogue and severity contract live in ``docs/analyze.md``.
 """
@@ -38,19 +35,16 @@ from .findings import (
     Severity,
     severity_rank,
 )
-from .flow import flow_module, flow_sources
+from .flow import flow_module
 from .lint import lint_repo, lint_sources
 from .mc import (
     ModelCheckResult,
-    certify_policies,
     model_check,
-    require_certificates,
+    require_model_checked,
     small_scope_cases,
-    verify_certificate,
 )
 from .mutate import build_baseline, run_mutation_harness, self_test
 from .races import compare_traces, detect_races
-from .sarif import to_sarif, write_sarif
 from .schedule import (
     kahn_order,
     verify_all,
@@ -77,15 +71,10 @@ __all__ = [
     "lint_repo",
     "lint_sources",
     "flow_module",
-    "flow_sources",
     "model_check",
     "ModelCheckResult",
     "small_scope_cases",
-    "certify_policies",
-    "verify_certificate",
-    "require_certificates",
-    "to_sarif",
-    "write_sarif",
+    "require_model_checked",
     "build_baseline",
     "run_mutation_harness",
     "self_test",

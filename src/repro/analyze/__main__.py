@@ -6,13 +6,11 @@ Modes (combinable; ``--all`` turns everything on):
   POSV, POTRI × SBC / 2DBC / 2.5D / remap variants) and run the full
   schedule verifier on each, including SBC symmetry and the Theorem 1
   volume bound where the distribution is an SBC;
-* ``--lint`` — AST invariant rules over ``src/`` + ``tests/``;
-* ``--flow`` — CFG + dataflow concurrency/determinism rules (FLOW-*)
-  over ``src/repro`` (event-loop blocking, lost coroutines, unlocked
-  shared state, set-order hazards, int32 index overflow);
+* ``--lint`` — AST invariant rules over ``src/`` + ``tests/``, plus
+  FLOW-BLOCK (blocking calls on the event loop) over ``src/``;
 * ``--mc`` — small-scope explicit-state model checker: every scheduler
   policy is exhaustively explored on the small-scope graph matrix and
-  certified deadlock-free / starvation-free (MC-*);
+  proved deadlock-free / starvation-free (MC-*);
 * ``--races [TRACE [TRACE2]]`` — with no path, run a seeded traced
   simulation and race-check it (plus a replay determinism check); with
   one JSONL trace, race-check it against the graph named by
@@ -21,11 +19,8 @@ Modes (combinable; ``--all`` turns everything on):
   class must be detected (the no-false-negative gate).
 
 ``--report PATH`` writes the machine-readable findings document that CI
-publishes as an artifact; ``--sarif PATH`` writes the same findings as
-SARIF 2.1.0 for GitHub code scanning; ``--certificates DIR`` stores the
-per-policy model-checking certificates ``--mc`` proves.  Exit status is
-0 iff no error-severity finding was produced (``--strict`` also fails
-on warnings).
+publishes as an artifact.  Exit status is 0 iff no error-severity
+finding was produced (``--strict`` also fails on warnings).
 """
 
 from __future__ import annotations
@@ -56,12 +51,11 @@ from ..obs.events import Recorder
 from ..obs.export import read_jsonl
 from ..runtime.simulator.engine import simulate
 from .findings import Report, Severity
-from .flow import flow_sources
+from .flow import flow_module
 from .lint import lint_sources
-from .mc import certify_policies
+from .mc import check_policies
 from .mutate import Baseline, build_baseline, self_test
 from .races import compare_traces, detect_races
-from .sarif import write_sarif
 from .schedule import verify_all, verify_policy_placement
 
 #: One row of the builder verification matrix:
@@ -244,58 +238,49 @@ def run_races(paths: list[str], spec: str, quiet: bool = False,
 
 
 def run_lint(root: Path, quiet: bool = False) -> Report:
-    rep = lint_sources(root / "src", tests_root=root / "tests")
+    """The ANA-* invariants, then FLOW-BLOCK on every file under src/."""
+    src = root / "src"
+    rep = lint_sources(src, tests_root=root / "tests")
+    files = sorted(src.rglob("*.py"))
+    for path in files:
+        flow_module(path.read_text(encoding="utf-8"),
+                    path.relative_to(src).as_posix(), rep)
+    rep.note_pass("flow", len(files))
     if not quiet:
         state = "ok" if rep.ok() else "FAIL"
         print(f"  {state:4s} lint ({rep.passes.get('lint', 0)} files)")
     return rep
 
 
-def run_flow(root: Path, quiet: bool = False) -> Report:
-    rep = flow_sources(src_root=root / "src")
+def run_mc(quiet: bool = False) -> Report:
+    """Model-check every registered policy on the small-scope matrix."""
+    results, rep = check_policies()
     if not quiet:
-        state = "ok" if rep.ok() else "FAIL"
-        print(f"  {state:4s} flow ({rep.passes.get('flow', 0)} files)")
-    return rep
-
-
-def run_mc(quiet: bool = False,
-           out_dir: Optional[str] = None) -> Report:
-    """Certify every registered policy on the small-scope matrix."""
-    certs, rep = certify_policies(out_dir=out_dir)
-    if not quiet:
-        for name in sorted(certs):
-            cert = certs[name]
-            state = "ok" if cert["all_ok"] else "FAIL"
-            states = sum(c["states"] for c in cert["cases"])
+        for name in sorted(results):
+            cases = results[name]
+            state = "ok" if all(r.ok() for r in cases) else "FAIL"
+            states = sum(r.states for r in cases)
             print(f"  {state:4s} {name:26s} "
-                  f"({len(cert['cases'])} cases, {states} states)")
-        if out_dir is not None:
-            print(f"  certificates written to {out_dir}/")
+                  f"({len(cases)} cases, {states} states)")
     return rep
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.analyze",
-        description="Schedule verifier, trace race detector, dataflow "
-                    "concurrency linter, scheduler model checker, and "
-                    "codebase invariant linter.",
+        description="Schedule verifier, trace race detector, scheduler "
+                    "model checker, and codebase invariant linter.",
     )
     ap.add_argument("--all", action="store_true",
-                    help="run every pass (graphs, lint, flow, mc, races, "
+                    help="run every pass (graphs, lint, mc, races, "
                          "self-test)")
     ap.add_argument("--graphs", action="store_true",
                     help="verify every shipped graph builder")
     ap.add_argument("--lint", action="store_true",
-                    help="AST invariant rules over src/ and tests/")
-    ap.add_argument("--flow", action="store_true",
-                    help="dataflow concurrency rules (FLOW-*) over src/")
+                    help="AST invariant rules over src/ and tests/, plus "
+                         "FLOW-BLOCK over src/")
     ap.add_argument("--mc", action="store_true",
                     help="model-check every scheduler policy (MC-*)")
-    ap.add_argument("--certificates", metavar="DIR", default=None,
-                    help="write per-policy model-check certificates here "
-                         "(implies --mc)")
     ap.add_argument("--races", nargs="*", metavar="TRACE", default=None,
                     help="race-check a trace (none: simulate one; one: "
                          "JSONL vs --trace-graph; two: determinism diff)")
@@ -309,10 +294,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="mutation-harness seed (default %(default)s)")
     ap.add_argument("--report", metavar="PATH",
                     help="write the JSON findings document here")
-    ap.add_argument("--sarif", metavar="PATH",
-                    help="write the findings as SARIF 2.1.0 here")
     ap.add_argument("--root", default=".",
-                    help="repository root for --lint/--flow (default: cwd)")
+                    help="repository root for --lint (default: cwd)")
     ap.add_argument("--strict", action="store_true",
                     help="exit nonzero on warnings too")
     ap.add_argument("-q", "--quiet", action="store_true",
@@ -321,12 +304,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     do_graphs = args.all or args.graphs
     do_lint = args.all or args.lint
-    do_flow = args.all or args.flow
-    do_mc = args.all or args.mc or args.certificates is not None
+    do_mc = args.all or args.mc
     do_races = args.all or args.races is not None
     do_selftest = args.all or args.self_test
-    if not (do_graphs or do_lint or do_flow or do_mc or do_races
-            or do_selftest):
+    if not (do_graphs or do_lint or do_mc or do_races or do_selftest):
         ap.print_help()
         return 2
 
@@ -343,14 +324,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.quiet:
             print("[schedule] verifying scheduler-policy placement")
         rep.extend(run_policies(quiet=args.quiet))
-    if do_flow:
-        if not args.quiet:
-            print("[flow] dataflow concurrency rules")
-        rep.extend(run_flow(Path(args.root), quiet=args.quiet))
     if do_mc:
         if not args.quiet:
             print("[mc] model-checking scheduler policies")
-        rep.extend(run_mc(quiet=args.quiet, out_dir=args.certificates))
+        rep.extend(run_mc(quiet=args.quiet))
     if do_races:
         if not args.quiet:
             print("[races] happens-before analysis")
@@ -370,10 +347,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         rep.write(args.report)
         if not args.quiet:
             print(f"findings report written to {args.report}")
-    if args.sarif:
-        write_sarif(rep, args.sarif)
-        if not args.quiet:
-            print(f"SARIF report written to {args.sarif}")
     interesting = [f for f in rep
                    if f.severity != Severity.INFO or not rep.ok()]
     if interesting or not args.quiet:

@@ -29,7 +29,7 @@ Properties proved per policy, for all interleavings:
   plan's assignment stays on the data's node unless the policy declares
   ``migrates = True``, and always inside the machine;
 * ``MC-SCOPE``    — the state cap was hit before the space was
-  exhausted (the certificate is then *not* issued).
+  exhausted (the properties then count as *not* proved).
 
 The exploration memoizes canonical state fingerprints and applies a
 partial-order reduction for native-queue policies: when a running
@@ -41,10 +41,9 @@ set.  Foreign ``ReadyQueue`` disciplines (work stealing, seeded
 mutants) get no reduction: their internal state may couple nodes, so
 every interleaving is explored.
 
-Each policy's run is summarised in a machine-checkable **certificate**
-(JSON, sha256 content digest; :func:`verify_certificate` re-checks it)
-that ``benchmarks/bench_scheduler_tournament.py`` requires before a
-policy may be ranked, via :func:`require_certificates`.
+``benchmarks/bench_scheduler_tournament.py`` requires every property
+proved on every case before a policy may be ranked, via
+:func:`require_model_checked`.
 
 Run via ``python -m repro.analyze --mc`` (or ``--all``); wired into CI
 as a blocking step.
@@ -53,11 +52,8 @@ as a blocking step.
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 import pickle
 from dataclasses import replace
-from pathlib import Path
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, Optional, Union
 
@@ -70,20 +66,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..schedulers import GraphView, SchedulerInterface
 
 __all__ = [
-    "CERT_SCHEMA",
     "ModelCheckResult",
-    "certify_policies",
+    "check_policies",
     "model_check",
-    "require_certificates",
+    "require_model_checked",
     "small_scope_cases",
-    "verify_certificate",
 ]
 
-#: Certificate document schema version.
-CERT_SCHEMA = 1
-
 #: Default per-case explored-state budget; exceeding it raises
-#: ``MC-SCOPE`` and withholds the certificate.
+#: ``MC-SCOPE`` and leaves the case unproved.
 DEFAULT_MAX_STATES = 200_000
 
 
@@ -371,16 +362,6 @@ class ModelCheckResult:
     def ok(self) -> bool:
         return all(self.properties.values())
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "case": self.label,
-            "n_tasks": self.n_tasks,
-            "states": self.states,
-            "transitions": self.transitions,
-            "por_reductions": self.reduced,
-            "properties": dict(self.properties),
-        }
-
 
 _RULE_PROPERTY = {
     "MC-DEADLOCK": "deadlock_free",
@@ -484,8 +465,8 @@ def model_check(
                             "MC-SCOPE",
                             f"state budget of {max_states} exhausted "
                             f"after {result.transitions} transitions",
-                            "shrink the case or raise max_states; no "
-                            "certificate without exhaustion",
+                            "shrink the case or raise max_states; nothing "
+                            "is proved without exhaustion",
                         )
                     stack.append(succ)
     except _CaseError as exc:
@@ -544,108 +525,59 @@ def small_scope_cases() -> list[tuple[str, "CompiledGraph", "MachineSpec"]]:
 
 
 # ---------------------------------------------------------------------------
-# Certificates
+# The whole zoo
 # ---------------------------------------------------------------------------
 
-def _canonical(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _certificate(policy_name: str, migrates: bool,
-                 results: Sequence[ModelCheckResult]) -> dict[str, Any]:
-    body: dict[str, Any] = {
-        "schema": CERT_SCHEMA,
-        "generator": "repro.analyze.mc",
-        "policy": policy_name,
-        "migrates": migrates,
-        "cases": [r.to_dict() for r in results],
-        "all_ok": bool(results) and all(r.ok() for r in results),
-    }
-    body["digest"] = hashlib.sha256(_canonical(body).encode()).hexdigest()
-    return body
-
-
-def verify_certificate(doc: dict[str, Any]) -> bool:
-    """Machine-check a certificate: schema, content digest, and every
-    property of every case proved."""
-    if not isinstance(doc, dict) or doc.get("schema") != CERT_SCHEMA:
-        return False
-    if doc.get("generator") != "repro.analyze.mc":
-        return False
-    body = {k: v for k, v in doc.items() if k != "digest"}
-    if hashlib.sha256(_canonical(body).encode()).hexdigest() != \
-            doc.get("digest"):
-        return False
-    cases = doc.get("cases")
-    if not isinstance(cases, list) or not cases:
-        return False
-    if not all(isinstance(c, dict) and c.get("properties") and
-               all(c["properties"].values()) for c in cases):
-        return False
-    return bool(doc.get("all_ok"))
-
-
-def certify_policies(
+def check_policies(
     policies: Optional[Sequence[str]] = None,
-    out_dir: Optional[Union[str, Path]] = None,
     max_states: int = DEFAULT_MAX_STATES,
     cases: Optional[Sequence[tuple[str, "CompiledGraph", "MachineSpec"]]]
         = None,
-    rep: Optional[Report] = None,
-) -> tuple[dict[str, dict[str, Any]], Report]:
-    """Model-check every policy on the small-scope matrix and emit one
-    certificate per policy (optionally written to ``out_dir``)."""
+) -> tuple[dict[str, list[ModelCheckResult]], Report]:
+    """Model-check every policy (default: the whole zoo) on the
+    small-scope matrix; one result per (policy, case)."""
     from ..schedulers import POLICIES, get_policy
 
-    rep = rep if rep is not None else Report()
+    rep = Report()
     names = list(policies) if policies is not None else sorted(POLICIES)
     matrix = list(cases) if cases is not None else small_scope_cases()
-    certs: dict[str, dict[str, Any]] = {}
+    results: dict[str, list[ModelCheckResult]] = {}
     for name in names:
         pol = get_policy(name)
-        results = []
-        for label, cg, machine in matrix:
-            result, _ = model_check(cg, machine, pol, label,
-                                    max_states=max_states, rep=rep)
-            results.append(result)
-        cert = _certificate(pol.name, bool(pol.migrates), results)
-        certs[pol.name] = cert
-        states = sum(r.states for r in results)
+        rs = [model_check(cg, machine, pol, label, max_states=max_states,
+                          rep=rep)[0]
+              for label, cg, machine in matrix]
+        results[pol.name] = rs
         rep.add(
             "MC-CERT", "info",
-            f"policy {pol.name!r}: {len(results)} case(s), {states} "
-            f"states, all properties "
-            f"{'proved' if cert['all_ok'] else 'NOT proved'}",
+            f"policy {pol.name!r}: {len(rs)} case(s), "
+            f"{sum(r.states for r in rs)} states, all properties "
+            f"{'proved' if all(r.ok() for r in rs) else 'NOT proved'}",
             f"mc:{pol.name}",
         )
     rep.note_pass("model-check", len(names) * len(matrix))
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, cert in certs.items():
-            path = out / f"{name}.cert.json"
-            path.write_text(json.dumps(cert, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    return certs, rep
+    return results, rep
 
 
-def require_certificates(
+def require_model_checked(
     policies: Optional[Sequence[str]] = None,
     max_states: int = DEFAULT_MAX_STATES,
     cases: Optional[Sequence[tuple[str, "CompiledGraph", "MachineSpec"]]]
         = None,
-) -> dict[str, dict[str, Any]]:
-    """Certify the given policies (default: the whole zoo) and raise if
-    any certificate fails verification — the tournament's pre-ranking
-    gate."""
-    certs, rep = certify_policies(policies, max_states=max_states,
+) -> dict[str, list[ModelCheckResult]]:
+    """Model-check the given policies (default: the whole zoo) and raise
+    naming each (policy, case, property) left unproved — the
+    tournament's pre-ranking gate."""
+    results, rep = check_policies(policies, max_states=max_states,
                                   cases=cases)
-    bad = sorted(name for name, cert in certs.items()
-                 if not verify_certificate(cert))
-    if bad:
+    unproved = [
+        f"{name} on {r.label}: {prop}"
+        for name, rs in results.items() for r in rs
+        for prop, ok in r.properties.items() if not ok]
+    if unproved:
         detail = "; ".join(str(f) for f in rep.findings
                            if f.severity == "error")
         raise RuntimeError(
-            f"scheduler policies failed model checking: {', '.join(bad)}"
-            f" — {detail or 'certificate verification failed'}")
-    return certs
+            f"scheduler policies failed model checking: "
+            f"{', '.join(unproved)} — {detail}")
+    return results

@@ -22,6 +22,7 @@ from __future__ import annotations
 from ..distributions.base import Distribution
 from ..distributions.twod5 import TwoDotFiveD
 from ..kernels.flops import kernel_flops, lu_total_flops
+from .cholesky import _ensure_partial, _reduce_partials
 from .task import GraphBuilder, TaskGraph
 
 __all__ = ["build_lu_graph", "build_lu_graph_25d", "lu_total_flops"]
@@ -61,27 +62,6 @@ def build_lu_graph(N: int, b: int, dist: Distribution) -> TaskGraph:
                 bld.task("GEMM_LU", dist.owner(j, k), (j, k, i),
                          (prevt, a_ji, a_ik), out, kernel_flops("GEMM_LU", b), i)
     return graph
-
-
-def _ensure_partial(bld: GraphBuilder, d25: TwoDotFiveD, i: int, j: int, s: int) -> None:
-    if not bld.exists("A", i, j, part=s):
-        bld.declare("A", i, j, d25.owner(s, i, j), "zero", part=s)
-
-
-def _reduce_partials(
-    bld: GraphBuilder, d25: TwoDotFiveD, i: int, j: int, target: int, iteration: int
-):
-    reads = [bld.current("A", i, j, part=target)]
-    for s in range(d25.c):
-        if s != target and bld.exists("A", i, j, part=s):
-            reads.append(bld.current("A", i, j, part=s))
-    if len(reads) == 1:
-        return reads[0]
-    out = bld.bump("A", i, j, part=target)
-    flops = (len(reads) - 1) * kernel_flops("REDUCE", bld.graph.b)
-    bld.task("REDUCE", d25.owner(target, i, j), (i, j), tuple(reads), out,
-             flops, iteration)
-    return out
 
 
 def build_lu_graph_25d(N: int, b: int, d25: TwoDotFiveD) -> TaskGraph:

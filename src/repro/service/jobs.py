@@ -320,10 +320,15 @@ class JobSpec:
     def from_dict(cls, d: Mapping[str, Any]) -> JobSpec:
         """Rebuild a spec from :meth:`to_dict` output (JSON data).
 
-        Keys that are not fields are ignored — in particular the
-        ``"kernel"`` key of schema <= 4 dicts (the serve loop is no longer
-        selectable; every loop is bit-identical by contract).
+        A key that is not a field raises ``ValueError``: a misspelt
+        option would otherwise run — and cache — the default point.
         """
+        known = cls.__dataclass_fields__.keys()
+        if not d.keys() <= known:
+            raise ValueError(
+                f"unknown JobSpec field(s) {sorted(d.keys() - known)}; "
+                f"use one of {sorted(known)}"
+            )
         return cls.make(
             algorithm=d["algorithm"],
             ntiles=d["ntiles"],

@@ -196,8 +196,14 @@ class ResultStore:
     # -- maintenance ---------------------------------------------------------
 
     def _append(self, name: str, line: str) -> None:
-        with open(self.root / name, "a") as fh:
-            fh.write(line + "\n")
+        with open(self.root / name, "ab+") as fh:
+            # A crash mid-append leaves a partial last line; appending to
+            # it would fuse this record into the torn one and lose both.
+            if fh.tell():
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
+            fh.write(line.encode() + b"\n")
             fh.flush()
             if self.fsync == "always":
                 os.fsync(fh.fileno())

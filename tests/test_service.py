@@ -118,6 +118,42 @@ def test_truncated_store_line_is_skipped(tmp_path):
     assert reopened.get("abc") is None
 
 
+@pytest.mark.parametrize("tear", ["json", "sha", "newline"])
+@pytest.mark.parametrize("log", [ResultStore.RESULTS, ResultStore.STRUCTURES])
+def test_append_after_torn_tail_starts_a_fresh_line(tmp_path, log, tear):
+    """A crash leaves the log ending mid-line; a record appended to that
+    line would fail its checksum with it, so the append starts a new one."""
+    def put(store, k):
+        if log == ResultStore.RESULTS:
+            store.put({"hash": k, "status": "ok"})
+        else:
+            store.put_structure(k, "s-" + k)
+
+    def has(store, k):
+        if log == ResultStore.RESULTS:
+            return store.get(k) is not None
+        return store.get_structure(k) == "s-" + k
+
+    store = ResultStore(tmp_path / "store")
+    put(store, "a")
+    put(store, "b")
+    path = store.root / log
+    text = path.read_text()
+    last = text.index("\n") + 1  # where b's line starts
+    cut = {"json": last + 10,
+           "sha": text.index('"sha":"', last) + 20,
+           "newline": len(text) - 1}[tear]
+    path.write_text(text[:cut])
+
+    put(ResultStore(tmp_path / "store"), "c")
+    reopened = ResultStore(tmp_path / "store")
+    assert has(reopened, "a") and has(reopened, "c")
+    # Only the torn line is lost — and not even that when the tear took
+    # just its newline.
+    assert has(reopened, "b") == (tear == "newline")
+    assert reopened.corrupt_entries == (0 if tear == "newline" else 1)
+
+
 def test_store_last_wins_and_compact(tmp_path):
     store = ResultStore(tmp_path / "store")
     store.put({"hash": "h", "status": "failed"})
@@ -220,17 +256,43 @@ def test_structure_hash_ignores_kind_registration_order():
     assert structure_hash(flipped) != structure_hash(cg)
 
 
-def test_legacy_kernel_key_is_ignored():
-    """Schema <= 4 dicts carried a ``"kernel"`` selector; the loops are
-    bit-identical, so it is dropped on parse instead of splitting one
-    result over several cache keys."""
+def test_unknown_spec_keys_are_rejected(tmp_path):
+    """A key that is no field raises: dropped silently, a misspelt option
+    runs the *default* point and caches it under the default's hash."""
+    from repro.service.http import HttpSweepService
+
     base = spec()
-    legacy = dict(base.to_dict(), kernel="interp")
-    parsed = JobSpec.from_dict(legacy)
-    assert parsed == base
-    assert "kernel" not in parsed.to_dict()
-    assert config_digest(parsed) == config_digest(base)
-    assert structure_key(parsed) == structure_key(base)
+    typo = dict(base.to_dict(), synchronised=True, brodcast="tree")
+    with pytest.raises(ValueError, match=r"\['brodcast', 'synchronised'\]"):
+        JobSpec.from_dict(typo)
+    # The schema <= 4 serve-loop selector is no field any more either.
+    with pytest.raises(ValueError, match="kernel"):
+        JobSpec.from_dict(dict(base.to_dict(), kernel="interp"))
+    with pytest.raises(ValueError, match="polcy"):
+        base.with_(polcy="work-stealing")
+    assert base.with_(policy="work-stealing").policy == "work-stealing"
+
+    server = SweepServer(ResultStore(tmp_path / "store"))
+    svc = HttpSweepService(server, "127.0.0.1", 0)
+
+    async def post(path):
+        body = json.dumps(typo).encode()
+        reader = asyncio.StreamReader()
+        reader.feed_data(f"POST {path} HTTP/1.1\r\nContent-Length: "
+                         f"{len(body)}\r\n\r\n".encode() + body)
+        reader.feed_eof()
+        return await svc._dispatch(reader)
+
+    async def drive():
+        try:
+            return [await post(path) for path in ("/submit", "/status")]
+        finally:
+            await server.close()
+
+    for out in asyncio.run(drive()):
+        assert out.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"brodcast" in out and b"synchronised" in out
+    assert len(server.store) == 0
 
 
 # --------------------------------------------------------------------------
