@@ -33,7 +33,7 @@ from ...obs import Recorder
 from ...schedulers import GraphView, PriorityQueues, ReadyQueue, check_plan, get_policy
 from ..faults import FaultPlan
 from .harness import SimReport, check_finished, check_inputs, fault_state, finish, resolve_recorder
-from .network import NetworkSim, Transfer
+from .network import NetworkSim, Transfer, binomial_tree
 
 __all__ = ["SimReport", "simulate"]
 
@@ -278,8 +278,9 @@ def _simulate(
         if chunk.final:
             push_event(chunk.delivery, "xfer", tr)
 
-    # Forwarding plans for tree broadcasts: (key, node) -> child nodes.
-    tree_children: dict[tuple[DataKey, int], list[int]] = {}
+    # Forwarding plans for tree broadcasts: (key, node) -> the
+    # (child node, priority) edges the node relays on delivery.
+    tree_children: dict[tuple[DataKey, int], list[tuple[int, float]]] = {}
 
     def _send(key: DataKey, src: int, dst: int, prio: float, time: float) -> None:
         started = net.submit(Transfer(key, src, dst, graph.data_bytes(key), prio), time)
@@ -291,40 +292,18 @@ def _simulate(
         dsts = key_dsts.pop(key, None)
         if not dsts:
             return
-        prios = {
-            dst: max(tasks[tid].priority for tid in remote_needers[(key, dst)])
+        prios = [
+            max(tasks[tid].priority for tid in remote_needers[(key, dst)])
             for dst in dsts
-        }
+        ]
         if broadcast == "direct" or len(dsts) == 1:
-            for dst in dsts:
-                _send(key, src, dst, prios[dst], time)
-            return
-        # Binomial tree: urgent destinations closest to the root; node at
-        # index i is served by the node at index i - 2^floor(log2 i).
-        order = sorted(dsts, key=lambda d: -prios[d])
-        ring = [src] + order
-        children: dict[int, list[int]] = defaultdict(list)
-        for i in range(1, len(ring)):
-            parent = i - (1 << (i.bit_length() - 1))
-            children[parent].append(i)
-        # Each edge carries the max priority of the subtree it serves.
-        subtree_prio = [0.0] * len(ring)
-        for i in range(len(ring) - 1, 0, -1):
-            subtree_prio[i] = max(
-                [prios[ring[i]]] + [subtree_prio[c] for c in children.get(i, ())]
-            )
-        for i in range(1, len(ring)):
-            kids = children.get(i)
-            if kids:
-                tree_children[(key, ring[i])] = [ring[c] for c in kids]
-        for c in children[0]:
-            _send(key, src, ring[c], subtree_prio[c], time)
-        # Stash subtree priorities for the forwarding hops.
-        for i in range(1, len(ring)):
-            for c in children.get(i, ()):
-                _forward_prios[(key, ring[c])] = subtree_prio[c]
-
-    _forward_prios: dict[tuple[DataKey, int], float] = {}
+            sends = zip(dsts, prios)
+        else:
+            sends, forwards = binomial_tree(dsts, prios)
+            for node, edges in forwards.items():
+                tree_children[(key, node)] = edges
+        for dst, prio in sends:
+            _send(key, src, dst, prio, time)
 
     def release_iterations(time: float) -> None:
         nonlocal released_idx
@@ -372,12 +351,10 @@ def _simulate(
                 launch(nxt)
         elif kind == "retry":  # retransmission of a lost message
             old = payload
-            nt = Transfer(old.key, old.src, old.dst, old.nbytes, old.priority)
-            nt.keys = list(old.keys)  # preserve aggregated payloads
             if trace:
                 rec.record_fault("retry", time=now, src=old.src, dst=old.dst,
                                  key=old.key)
-            started = net.submit(nt, now)
+            started = net.submit(old.retransmission(), now)
             if started is not None:
                 launch(started)
         else:  # transfer delivered at the destination
@@ -406,14 +383,8 @@ def _simulate(
                 )
             for key in tr.keys:
                 data_arrived_remote(key, tr.dst, tr.end)
-                for child in tree_children.pop((key, tr.dst), ()):
-                    _send(
-                        key,
-                        tr.dst,
-                        child,
-                        _forward_prios.pop((key, child), tr.priority),
-                        tr.end,
-                    )
+                for child, prio in tree_children.pop((key, tr.dst), ()):
+                    _send(key, tr.dst, child, prio, tr.end)
 
     check_finished(done, n_tasks,
                    sum(len(v) for v in iter_blocked.values()), fstate)

@@ -19,24 +19,23 @@ the loop:
   arrays — boxed-number-free storage (8 bytes per entry instead of a
   pointer to a boxed number each) without duplicating the buffers.
 
-For the lean configuration (direct broadcast, untraced, unsynchronized,
-fault-free, default queue) the serve loop also exists as a flat-array
-kernel in :mod:`._kernel`.  Which loop runs is decided from what can be
-observed, not asked for: :func:`simulate_compiled` takes the kernel when
-numba is importable *and* the run is kernel-eligible, the numpy loop in
-this module otherwise.  :func:`_prepare` is the shared prelude,
-:func:`_numpy_loop` / :func:`_kernel_loop` the two loops and
-:func:`_report` the shared tail; the equality suite drives both loops
-from one prepared run through these private entry points.
+This is the simulator's *core*, the one timed implementation:
+:func:`simulate_compiled` is :func:`_prepare` (validate, plan, settle
+priorities) -> :func:`_numpy_loop` (the event loop) -> :func:`_report`.
+The loop has a lean variant for scalar-network runs without trace,
+barriers, faults or a custom ready queue, and a general one for
+everything else; which runs is read off the prepared run, never asked
+for.
 
 The transcription is deliberately statement-by-statement faithful to the
 object engine, including the order in which events are pushed (the heap
-tie-breaker is the push sequence number): the property suite asserts
-*exact* equality of makespan, bytes and messages between the two engines
-across distributions, broadcast modes and aggregation settings.  The
-object engine remains the reference implementation — prefer it for small
-graphs, custom ``duration_fn`` callables and exploratory changes; see
-``docs/network-model.md`` ("Scaling limits").
+tie-breaker is the push sequence number): the equality suite asserts
+*exact* equality of makespan, bytes and messages between the two across
+distributions, broadcast modes and aggregation settings.  The object
+engine is the *oracle* — prefer it for small graphs, custom
+``duration_fn`` callables and exploratory changes; see
+``docs/network-model.md`` ("Scaling limits") and ``docs/architecture.md``
+("The oracle/core contract").
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from ...config import MachineSpec
 from ...graph.compiled import CompiledGraph, compiled_critical_path_priorities
 from ...obs import Recorder
 from ..faults import FaultPlan
-from . import _kernel
 from .harness import (
     FaultState,
     SimReport,
@@ -63,13 +61,13 @@ from .harness import (
     finish,
     resolve_recorder,
 )
-from .network import DEFAULT_QUANTUM, NetworkSim, Transfer
+from .network import NetworkSim, Transfer, binomial_tree
 
 __all__ = ["default_durations", "simulate_compiled"]
 
 
 class _Run(NamedTuple):
-    """What :func:`_prepare` hands either loop: the graph with its final
+    """What :func:`_prepare` hands the loop: the graph with its final
     placement/priority columns and every option resolved."""
 
     cg: CompiledGraph
@@ -84,10 +82,6 @@ class _Run(NamedTuple):
     aggregate: bool
     rec: Optional[Recorder]  # where a traced run records; None = untraced
     faults: Optional[FaultPlan]
-    #: The flat-array kernel covers this run (it serves routed
-    #: topologies, but not trace, barriers, faults, custom queues, tree
-    #: broadcast or aggregation).
-    kernel_ok: bool
 
 
 def simulate_compiled(
@@ -110,13 +104,8 @@ def simulate_compiled(
     (``durations``) rather than a callable.  Returns the same
     :class:`SimReport`.
 
-    The serve loop is the numba-compiled flat-array kernel
-    (:mod:`repro.runtime.simulator._kernel`) when numba is importable and
-    the run is kernel-eligible (direct broadcast, no trace, barriers,
-    faults, aggregation or custom ready queue), else the numpy loop of
-    this module.  Both produce bit-identical makespan/bytes/messages
-    (asserted against the object engine in
-    ``tests/test_compiled_engine.py``), so there is nothing to select.
+    Makespan, bytes and messages are bit-identical to the object
+    engine's (asserted in ``tests/test_compiled_engine.py``).
 
     ``scheduler`` names a policy from :data:`repro.schedulers.POLICIES`
     (or passes a ``SchedulerInterface`` instance).  Plans are applied to
@@ -131,11 +120,9 @@ def simulate_compiled(
     through the shared :class:`NetworkSim` code so the injected wire
     factors agree exactly).
     """
-    run = _prepare(cg, machine, synchronized, durations, auto_priorities,
-                   trace, broadcast, aggregate, recorder, faults, scheduler)
-    if run.kernel_ok and _kernel.numba_available():
-        return _kernel_loop(run, compiled=True)
-    return _numpy_loop(run)
+    return _numpy_loop(_prepare(
+        cg, machine, synchronized, durations, auto_priorities, trace,
+        broadcast, aggregate, recorder, faults, scheduler))
 
 
 def default_durations(cg: CompiledGraph, machine: MachineSpec) -> np.ndarray:
@@ -158,7 +145,7 @@ def _prepare(cg, machine, synchronized=False, durations=None,
              scheduler=None) -> _Run:
     """The prelude of :func:`simulate_compiled` (same arguments): validate,
     derive durations, apply the scheduler policy, settle priorities and
-    build the comm plan — everything up to the choice of loop."""
+    build the comm plan — everything up to the event loop."""
     check_inputs(broadcast, cg.n_tasks, cg.nodes_used(), machine)
     num_nodes = machine.nodes
     if durations is None:
@@ -208,24 +195,15 @@ def _prepare(cg, machine, synchronized=False, durations=None,
         pair_prio[order] = np.maximum.reduceat(
             cg.priority[plan.rn_ids], starts[order])
 
-    rec = resolve_recorder(trace, recorder)
-    kernel_ok = (
-        rec is None
-        and not synchronized
-        and faults is None
-        and cqueue is None
-        and broadcast == "direct"
-        and not aggregate
-    )
     return _Run(cg, machine, durations, plan, pair_prio, ctopo, cqueue,
-                synchronized, broadcast, aggregate, rec, faults, kernel_ok)
+                synchronized, broadcast, aggregate,
+                resolve_recorder(trace, recorder), faults)
 
 
 def _numpy_loop(run: _Run) -> SimReport:
-    """The pure-Python/numpy event loop: every configuration, always
-    available, and the reference for the kernel's equality tests."""
+    """The event loop, for every configuration."""
     (cg, machine, durations, plan, pair_prio_arr, ctopo, cqueue, synchronized,
-     broadcast, aggregate, rec, faults, _) = run
+     broadcast, aggregate, rec, faults) = run
     trace = rec is not None
     n_tasks = cg.n_tasks
     num_nodes = machine.nodes
@@ -435,9 +413,9 @@ def _numpy_loop(run: _Run) -> SimReport:
         if started is not None:
             launch(started)
 
-    # Forwarding plans for tree broadcasts: (data id, node) -> child nodes.
-    tree_children: dict[tuple[int, int], list[int]] = {}
-    _forward_prios: dict[tuple[int, int], float] = {}
+    # Forwarding plans for tree broadcasts: (data id, node) -> the
+    # (child node, priority) edges the node relays on delivery.
+    tree_children: dict[tuple[int, int], list[tuple[int, float]]] = {}
 
     def request_transfers(d: int, src: int, time: float) -> None:
         p0 = int(kd_ptr[d])
@@ -448,30 +426,11 @@ def _numpy_loop(run: _Run) -> SimReport:
             for p in range(p0, p1):
                 _send(d, src, pair_dst[p], pair_prio[p], time)
             return
-        # Binomial tree: urgent destinations closest to the root; node at
-        # index i is served by the node at index i - 2^floor(log2 i).
-        dsts = pair_dst[p0:p1]
-        prios = {dsts[k]: pair_prio[p0 + k] for k in range(p1 - p0)}
-        order = sorted(dsts, key=lambda x: -prios[x])
-        ring = [src] + order
-        children: dict[int, list[int]] = defaultdict(list)
-        for i in range(1, len(ring)):
-            parent = i - (1 << (i.bit_length() - 1))
-            children[parent].append(i)
-        subtree_prio = [0.0] * len(ring)
-        for i in range(len(ring) - 1, 0, -1):
-            subtree_prio[i] = max(
-                [prios[ring[i]]] + [subtree_prio[c] for c in children.get(i, ())]
-            )
-        for i in range(1, len(ring)):
-            kids = children.get(i)
-            if kids:
-                tree_children[(d, ring[i])] = [ring[c] for c in kids]
-        for c in children[0]:
-            _send(d, src, ring[c], subtree_prio[c], time)
-        for i in range(1, len(ring)):
-            for c in children.get(i, ()):
-                _forward_prios[(d, ring[c])] = subtree_prio[c]
+        sends, forwards = binomial_tree(pair_dst[p0:p1], pair_prio[p0:p1])
+        for node, edges in forwards.items():
+            tree_children[(d, node)] = edges
+        for dst, prio in sends:
+            _send(d, src, dst, prio, time)
 
     def release_iterations(time: float) -> None:
         nonlocal released_idx
@@ -559,13 +518,10 @@ def _numpy_loop(run: _Run) -> SimReport:
                         launch(nxt)
                 elif kind == 3:  # retransmission of a lost message
                     old = payload
-                    nt = Transfer(old.key, old.src, old.dst, old.nbytes,
-                                  old.priority)
-                    nt.keys = list(old.keys)  # preserve aggregated payloads
                     if trace:
                         rec.record_fault("retry", time=now, src=old.src,
                                          dst=old.dst, key=key_of(old))
-                    started = net.submit(nt, now)
+                    started = net.submit(old.retransmission(), now)
                     if started is not None:
                         launch(started)
                 else:  # transfer delivered at the destination
@@ -626,14 +582,8 @@ def _numpy_loop(run: _Run) -> SimReport:
                             # of the newly-ready tasks is the slice order.
                             for tid in ready_iter:
                                 enqueue_ready(tid, end)
-                        for child in tree_children.pop((d, dst), ()):
-                            _send(
-                                d,
-                                dst,
-                                child,
-                                _forward_prios.pop((d, child), tr.priority),
-                                end,
-                            )
+                        for child, prio in tree_children.pop((d, dst), ()):
+                            _send(d, dst, child, prio, end)
         else:
             # Lean variant of the loop above for the common untraced,
             # unsynchronized case: identical statements minus the trace
@@ -766,14 +716,9 @@ def _numpy_loop(run: _Run) -> SimReport:
                                     else:
                                         b3.append(tid)
                         if is_tree:
-                            for child in tree_children.pop((d, dst), ()):
-                                _send(
-                                    d,
-                                    dst,
-                                    child,
-                                    _forward_prios.pop((d, child), tr.priority),
-                                    end,
-                                )
+                            for child, prio in tree_children.pop((d, dst),
+                                                                 ()):
+                                _send(d, dst, child, prio, end)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -789,120 +734,18 @@ def _numpy_loop(run: _Run) -> SimReport:
         unready = sum(1 for m in missing if m)
     return _report(run, now, net.total_bytes, net.total_messages,
                    n_tasks - queued - blocked - unready, blocked, fstate,
-                   (busy_acc, tbk_acc) if fault_slow else None, rec)
-
-
-def _kernel_loop(run: _Run, compiled: bool) -> SimReport:
-    """Lower a kernel-eligible run to flat arrays and drive
-    :func:`_kernel.serve_loop` — numba-compiled, or interpreted from the
-    same source (slow; it is how the suite pins the kernel's event order
-    on machines without numba)."""
-    cg, machine, durations, plan, pair_prio, ctopo = run[:6]
-    num_nodes = machine.nodes
-    n_pairs = len(plan.pair_dst)
-
-    # ``data_source_node`` (the producer's node, or the declared home of
-    # initial data) is the ``src`` the numpy loop hands
-    # ``request_transfers`` — it follows scheduler reassignment.
-    pair_src = cg.data_source_node[plan.pair_data]
-    pair_nbytes = cg.data_nbytes[plan.pair_data].astype(np.int64, copy=False)
-
-    # Misplaced initial data kicks off its transfers at t = 0, pairs in
-    # CSR order per data — the numpy path's kick-off sequence.
-    init: list[int] = []
-    kd_ptr = plan.kd_ptr
-    for d, _home in plan.initial_sources:
-        init.extend(range(int(kd_ptr[d]), int(kd_ptr[d + 1])))
-    init_pairs = np.asarray(init, dtype=np.int64)
-
-    dur = np.ascontiguousarray(durations, dtype=np.float64)
-    negprio = np.negative(cg.priority)
-    missing = plan.missing.astype(np.int32)  # private copy, mutated
-
-    cores_arr = np.asarray(
-        [machine.cores_for(i) for i in range(num_nodes)], dtype=np.int64
-    )
-
-    # --- topology lowering --------------------------------------------------
-    # The compiled routing tables are indexed (src, dst); the kernel works
-    # per transfer pair, so gather each pair's route into its own CSR slice
-    # (and its route latency) once, here, instead of per quantum.
-    if ctopo is None:
-        topo_on = 0
-        tp_lat = np.zeros(0, dtype=np.float64)
-        tp_ptr = np.zeros(1, dtype=np.int64)
-        tp_eid = np.zeros(0, dtype=np.int64)
-        edge_bw = np.zeros(0, dtype=np.float64)
-        edge_sw = np.zeros(0, dtype=np.int64)
-        sw_bw = np.zeros(0, dtype=np.float64)
-    else:
-        topo_on = 1
-        ta = ctopo.as_arrays()
-        edge_bw = ta["edge_bw"]
-        edge_sw = ta["edge_sw"]
-        sw_bw = ta["switch_bw"]
-        pidx = pair_src.astype(np.int64) * num_nodes \
-            + plan.pair_dst.astype(np.int64)
-        tp_lat = ta["pair_lat"][pidx]
-        starts64 = ta["path_ptr"][pidx]
-        counts = ta["path_ptr"][pidx + 1] - starts64
-        tp_ptr = np.zeros(n_pairs + 1, dtype=np.int64)
-        np.cumsum(counts, out=tp_ptr[1:])
-        total = int(tp_ptr[-1])
-        if total:
-            # tp_eid[j] for j in [tp_ptr[i], tp_ptr[i+1]) maps to
-            # path_eid[starts64[i] + (j - tp_ptr[i])].
-            off = np.repeat(starts64 - tp_ptr[:-1], counts)
-            tp_eid = ta["path_eid"][np.arange(total, dtype=np.int64) + off]
-        else:
-            tp_eid = np.zeros(0, dtype=np.int64)
-
-    fn = _kernel.jit_serve_loop() if compiled else _kernel.serve_loop
-
-    now, total_bytes, total_messages, queued = fn(
-        np.ascontiguousarray(cg.node, dtype=np.int32),
-        dur,
-        negprio,
-        np.ascontiguousarray(cg.write_id, dtype=np.int64),
-        missing,
-        plan.lc_ptr,
-        plan.lc_ids,
-        kd_ptr,
-        plan.pair_dst,
-        pair_prio,
-        pair_nbytes,
-        np.ascontiguousarray(pair_src, dtype=np.int64),
-        plan.pair_rn_start,
-        plan.pair_rn_count,
-        plan.rn_ids,
-        init_pairs,
-        num_nodes,
-        cores_arr,
-        DEFAULT_QUANTUM,
-        float(machine.network.bandwidth),
-        float(machine.network.latency),
-        topo_on,
-        tp_lat,
-        tp_ptr,
-        tp_eid,
-        edge_bw,
-        edge_sw,
-        sw_bw,
-    )
-
-    return _report(run, float(now), total_bytes, total_messages,
-                   cg.n_tasks - int(queued) - int(np.count_nonzero(missing)))
+                   (busy_acc, tbk_acc) if fault_slow else None)
 
 
 def _report(run: _Run, now: float, comm_bytes: int, comm_messages: int,
-            done: int, blocked: int = 0, fstate: Optional[FaultState] = None,
-            slowed: Any = None, rec: Optional[Recorder] = None) -> SimReport:
-    """The tail both loops share: diagnose a run that did not execute
-    every task, then assemble the :class:`SimReport`.
+            done: int, blocked: int, fstate: FaultState,
+            slowed: Any) -> SimReport:
+    """The tail of the run: diagnose one that did not execute every
+    task, then assemble the :class:`SimReport`.
 
-    ``fstate`` is the run's fault state, ``slowed`` carries the
-    ``(busy_time, time_by_kind)`` accumulators of a slowdown run and
-    ``rec`` the recorder of a traced one (numpy loop only).
+    ``fstate`` is the run's fault state and ``slowed`` carries the
+    ``(busy_time, time_by_kind)`` accumulators of a slowdown run (else
+    ``None``).
     """
     cg, machine, durations = run[:3]
     n_tasks = cg.n_tasks
@@ -937,4 +780,4 @@ def _report(run: _Run, now: float, comm_bytes: int, comm_messages: int,
             if counts[c]
         }
     return finish(machine, now, cg.total_flops(), comm_bytes, comm_messages,
-                  busy_time, time_by_kind, n_tasks, rec)
+                  busy_time, time_by_kind, n_tasks, run.rec)

@@ -169,13 +169,13 @@ def fault_state(faults: Optional[FaultPlan], num_nodes: int, ctopo: Any,
 
 
 def check_finished(done: int, n_tasks: int, blocked: int,
-                   state: Optional[FaultState] = None) -> None:
+                   state: FaultState) -> None:
     """Raise the diagnosis of a run whose loop drained with tasks left:
     a :class:`SimulatedFailure` naming the crashed nodes, else a deadlock
     ``RuntimeError`` (``blocked`` tasks were held by iteration barriers)."""
     if done == n_tasks:
         return
-    if state is not None and state.dead is not None and any(state.dead):
+    if state.dead is not None and any(state.dead):
         crashed = ", ".join(
             f"node {i} after {state.completed_on[i]} tasks"
             for i, dead in enumerate(state.dead) if dead)

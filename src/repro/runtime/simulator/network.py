@@ -28,6 +28,10 @@ backplane serializes its contention group, and the final hop serializes
 on the destination ingress as before.  On a uniform single-hop topology
 the walk degenerates to exactly the arithmetic above — the engines'
 bit-equality pin for default (clique) runs.
+
+Oracle and core share everything here: the server (:class:`NetworkSim`),
+the binomial-tree broadcast plan (:func:`binomial_tree`) and the copy a
+lost message is retransmitted as (:meth:`Transfer.retransmission`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import NamedTuple, Optional
 
 from ...config import NetworkSpec
 
-__all__ = ["NetworkSim", "Transfer", "Chunk"]
+__all__ = ["NetworkSim", "Transfer", "Chunk", "binomial_tree"]
 
 #: Default service quantum: a quarter of the paper's 2 MB tiles.
 DEFAULT_QUANTUM = 512 * 1024
@@ -65,6 +69,15 @@ class Transfer:
         self.started = False  # first quantum served (latency charged)
         self.end = -1.0  # delivery time of the final quantum
 
+    def retransmission(self) -> Transfer:
+        """A fresh, unsent copy of this (lost) message carrying every
+        aggregated payload — dropping ``keys`` would strand the tiles
+        that piggy-backed on it."""
+        fresh = Transfer(self.key, self.src, self.dst, self.nbytes,
+                         self.priority)
+        fresh.keys = list(self.keys)
+        return fresh
+
 
 class Chunk(NamedTuple):
     """One served quantum of a transfer."""
@@ -73,6 +86,36 @@ class Chunk(NamedTuple):
     egress_done: float  # when the source's egress channel frees
     delivery: float  # when this quantum lands at the destination
     final: bool  # True when this quantum completes the message
+
+
+def binomial_tree(dsts, prios):
+    """Plan one binomial-tree broadcast to ``dsts`` (``prios[k]`` is the
+    urgency of ``dsts[k]``).
+
+    Urgent destinations sit closest to the root: with the root at index 0
+    and the destinations behind it in decreasing priority, the node at
+    index ``i`` is served by the one at ``i - 2^floor(log2 i)``, and each
+    edge carries the highest priority in the subtree it serves.  Returns
+    ``(sends, forwards)``: the root's own ``(dst, priority)`` edges, and
+    ``{node: [(child, priority), ...]}`` for every destination that
+    relays.  Both engines execute this plan, so it is stated once.
+    """
+    n = len(dsts)
+    order = sorted(range(n), key=lambda k: -prios[k])
+    ring = [None] + [dsts[k] for k in order]
+    subtree_prio = [0.0] + [prios[k] for k in order]
+    children: list[list[int]] = [[] for _ in ring]
+    for i in range(1, n + 1):
+        children[i - (1 << (i.bit_length() - 1))].append(i)
+    for i in range(n, 0, -1):  # a node's children all sit behind it
+        subtree_prio[i] = max([subtree_prio[i]]
+                              + [subtree_prio[c] for c in children[i]])
+
+    def edges(i: int) -> list:
+        return [(ring[c], subtree_prio[c]) for c in children[i]]
+
+    return edges(0), {ring[i]: edges(i) for i in range(1, n + 1)
+                      if children[i]}
 
 
 class NetworkSim:
@@ -109,8 +152,8 @@ class NetworkSim:
             self._switch_free = None
         #: Fault-injection hook (repro.runtime.faults): multiplies the wire
         #: time of each quantum served on (src, dst) at a given time.  The
-        #: fast engine's lean loop transcribes _serve inline and does NOT
-        #: apply it — fault runs take its general loop, which serves every
+        #: core's lean loop transcribes _serve inline and does NOT apply
+        #: it — fault runs take its general loop, which serves every
         #: quantum through this class.
         self._wire_factor = wire_factor
         #: Coalesce queued messages sharing (source, destination) into one
@@ -214,10 +257,7 @@ class NetworkSim:
         else:
             # Store-and-forward walk over the pair's static route.  On a
             # uniform single-hop topology every statement reduces to the
-            # scalar branch above (the bit-equality pin for cliques); the
-            # serve-loop kernel transcribes this walk statement for
-            # statement (minus the fault hook, which keeps such runs off
-            # the kernel entirely).
+            # scalar branch above (the bit-equality pin for cliques).
             pi = src * topo.num_nodes + dst
             path_eid = topo.path_eid
             edge_bw = topo.edge_bw

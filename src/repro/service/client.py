@@ -30,8 +30,7 @@ from typing import Any, Optional, Union, cast
 from urllib.parse import urlsplit
 
 from .jobs import JobSpec
-from .runner import report_from_dict
-from .server import JobResult, SweepServer
+from .server import JobResult, SweepServer, _result_from_record
 from .store import ResultStore
 
 __all__ = ["SweepClient", "default_store_path"]
@@ -151,14 +150,4 @@ class SweepClient:
     def _http_submit(self, spec: JobSpec) -> JobResult:
         doc = self._http_json("POST", "/submit",
                               json.dumps(spec.to_dict()).encode())
-        report = doc.get("report")
-        return JobResult(
-            hash=doc["hash"],
-            spec=spec,
-            status=doc["status"],
-            cached=bool(doc.get("cached")),
-            report=None if report is None else report_from_dict(report),
-            timings=dict(doc.get("timings", {})),
-            metrics=doc.get("metrics"),
-            error=doc.get("error"),
-        )
+        return _result_from_record(spec, doc, cached=bool(doc.get("cached")))

@@ -242,11 +242,11 @@ class CompiledTopology:
     """Flat routing and occupancy tables derived from a :class:`Topology`.
 
     Static, shareable across runs (per-run occupancy state — link and
-    switch free times — lives on the consumer: :class:`NetworkSim`
-    allocates python lists, the serve-loop kernel numpy arrays).  The
-    columns are plain python lists — the hot consumers index scalars,
-    and the compute-node count is small — with :meth:`as_arrays`
-    providing the numpy form the jit kernel lowers.
+    switch free times — lives on the consumer, :class:`NetworkSim`).
+    The columns are plain python lists — the hot consumer indexes
+    scalars, and the compute-node count is small — with
+    :meth:`as_arrays` providing the numpy form the schedule verifier's
+    capacity check vectorizes over.
 
     * ``edge_u/edge_v/edge_bw`` — one entry per *directed* edge (two per
       link, ids interleaved ``2*i``/``2*i+1``);
@@ -359,7 +359,7 @@ class CompiledTopology:
         return lost
 
     def as_arrays(self) -> dict[str, Any]:
-        """Numpy form of the static tables (cached), for kernel lowering."""
+        """Numpy form of the static routing tables (cached)."""
         if self._arrays is None:
             import numpy as np
 
@@ -369,7 +369,6 @@ class CompiledTopology:
                 "switch_bw": np.asarray(self.switch_bw, dtype=np.float64),
                 "path_ptr": np.asarray(self.path_ptr, dtype=np.int64),
                 "path_eid": np.asarray(self.path_eid, dtype=np.int64),
-                "pair_lat": np.asarray(self.pair_lat, dtype=np.float64),
             }
         return self._arrays
 

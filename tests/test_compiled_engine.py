@@ -13,6 +13,7 @@ from math import isclose
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.comm import count_communications
 from repro.config import laptop
@@ -28,15 +29,10 @@ from repro.graph import (
     compile_lu,
     compiled_critical_path_priorities,
 )
-from repro.distributions import RowCyclic1D
-from repro.runtime.simulator import fast_engine, simulate, simulate_compiled
-from repro.runtime.simulator._kernel import numba_available
-
-#: ``compiled`` flags of the flat-array kernel to pin against the numpy
-#: loop: interpreted always, numba-compiled when numba imports.  No public
-#: option selects a loop, so the suite reaches each through the engine's
-#: private entry points (``_prepare`` -> ``_numpy_loop`` / ``_kernel_loop``).
-KERNEL_MODES = [False] + ([True] if numba_available() else [])
+from repro.distributions import Distribution, RowCyclic1D
+from repro.runtime.faults import FaultPlan, LinkDegradation, SlowdownWindow
+from repro.runtime.simulator import simulate, simulate_compiled
+from repro.schedulers import POLICIES, SchedulePlan, SchedulerInterface
 
 
 def assert_reports_equal(ref, fast):
@@ -159,11 +155,27 @@ class TestEngineEquality:
         assert_reports_equal(simulate(g, m), simulate_compiled(cg, m))
 
     def test_graph_with_initial_transfers(self):
-        """POSV reads misplaced RHS tiles: the initial-sources path."""
+        """POSV reads misplaced RHS tiles: the initial-sources path.  A
+        plan that moves every task one node on makes *every* initial tile
+        remote, all of them requested at t = 0."""
         g = build_posv_graph(8, 32, SymmetricBlockCyclic(4), RowCyclic1D(6))
         cg = compile_graph(g)
         m = laptop(nodes=6, cores=2)
         assert_reports_equal(simulate(g, m), simulate_compiled(cg, m))
+
+        class Rotate(SchedulerInterface):
+            name = "rotate"
+            migrates = True
+
+            def plan(self, view):
+                return SchedulePlan(
+                    assignment=[(n + 1) % m.nodes for n in view.node])
+
+        g = build_cholesky_graph(8, 32, SymmetricBlockCyclic(4))
+        cg = compile_graph(g)
+        fast = simulate_compiled(cg, m, scheduler=Rotate())
+        assert_reports_equal(simulate(g, m, scheduler=Rotate()), fast)
+        assert fast.comm_bytes > simulate_compiled(cg, m).comm_bytes
 
     def test_single_tile_graph(self):
         g = build_cholesky_graph(1, 32, BlockCyclic2D(1, 1))
@@ -264,11 +276,17 @@ class TestFastEngineApi:
         assert rep.obs is not None
 
     def test_custom_durations_array(self):
-        cg = compile_cholesky(6, 32, BlockCyclic2D(2, 2))
+        """A ``durations`` array is charged verbatim — the same run as the
+        oracle's ``duration_fn`` over the same numbers."""
+        dist = BlockCyclic2D(2, 2)
+        cg = compile_cholesky(8, 32, dist)
         m = laptop(nodes=4, cores=2)
-        unit = np.ones(cg.n_tasks)
-        rep = simulate_compiled(cg, m, durations=unit)
-        assert rep.makespan >= unit.sum() / (4 * 2)
+        dur = np.random.default_rng(3).uniform(0.5, 2.0, size=cg.n_tasks)
+        rep = simulate_compiled(cg, m, durations=dur)
+        assert rep.makespan >= dur.sum() / (4 * 2)
+        ref = simulate(build_cholesky_graph(8, 32, dist), m,
+                       duration_fn=lambda t: dur[t.id])
+        assert_reports_equal(ref, rep)
 
     def test_rejects_unknown_broadcast(self):
         cg = compile_cholesky(4, 32, BlockCyclic2D(2, 2))
@@ -318,8 +336,8 @@ def _topology_matrix():
 
 
 class TestTopologyEquality:
-    """Routed interconnects and heterogeneity keep the two-engine (and
-    every-kernel) bit-equality contract; a uniform clique topology is
+    """Routed interconnects and heterogeneity keep the oracle/core
+    bit-equality contract; a uniform clique topology is
     indistinguishable from no topology at all."""
 
     TOPOLOGIES = _topology_matrix()
@@ -335,14 +353,6 @@ class TestTopologyEquality:
         ref = simulate(g, m)
         fast = simulate_compiled(cg, m)
         assert_reports_equal(ref, fast)
-        run = fast_engine._prepare(cg, m)
-        assert run.kernel_ok  # routed topologies are kernel-eligible
-        assert_reports_equal(ref, fast_engine._numpy_loop(run))
-        for compiled in KERNEL_MODES:
-            rep = fast_engine._kernel_loop(run, compiled)
-            assert rep.makespan == ref.makespan, (topo.kind, compiled)
-            assert rep.comm_bytes == ref.comm_bytes, (topo.kind, compiled)
-            assert rep.comm_messages == ref.comm_messages, (topo.kind, compiled)
 
     def test_uniform_clique_topology_is_bit_identical_to_none(self):
         """topology=clique(P, network.bw, network.lat) must reproduce the
@@ -426,8 +436,8 @@ class TestTopologyEquality:
         assert_reports_equal(ref, fast)
 
     def test_topology_run_with_trace_and_sync(self):
-        """The general (non-kernel) fast-engine loop carries topologies
-        through trace/synchronized modes too."""
+        """The core's general loop carries topologies through
+        trace/synchronized modes too."""
         from repro.topology import ring
 
         dist = BlockCyclic2D(2, 3)
@@ -590,81 +600,100 @@ class TestStreamedBuild:
 
 
 class TestKernelEquality:
-    """Every serve-loop implementation must agree bit-for-bit on the
-    headline numbers: object engine == numpy loop == flat-array kernel
-    (interpreted always; jit when numba is installed — same source either
-    way), each driven from one prepared run."""
+    """The core's lean loop against the oracle on every layout family the
+    direct compilers stream (the class and test keep the names they had
+    when a third serve loop, the flat-array kernel, was pinned here too;
+    what else that matrix held is accounted for in ``docs/ledger.md``)."""
 
     @pytest.mark.parametrize("dist", STREAM_DISTS, ids=lambda d: d.name)
     def test_kernels_match_object_engine(self, dist):
-        g = build_cholesky_graph(12, 32, dist)
         m = laptop(nodes=dist.num_nodes, cores=2)
-        ref = simulate(g, m)
-        run = fast_engine._prepare(compile_cholesky(12, 32, dist), m)
-        base = fast_engine._numpy_loop(run)
-        assert_reports_equal(ref, base)
-        for compiled in KERNEL_MODES:
-            rep = fast_engine._kernel_loop(run, compiled)
-            assert rep.makespan == base.makespan, compiled
-            assert rep.comm_bytes == base.comm_bytes, compiled
-            assert rep.comm_messages == base.comm_messages, compiled
-            assert rep.busy_time == base.busy_time, compiled
-            assert rep.time_by_kind == base.time_by_kind, compiled
+        ref = simulate(build_cholesky_graph(12, 32, dist), m)
+        assert_reports_equal(
+            ref, simulate_compiled(compile_cholesky(12, 32, dist), m))
 
-    def test_kernel_handles_initial_transfers(self):
-        """Reassignment makes initial tiles remote — the kernel's t = 0
-        kick-off path must match the numpy loop's event order exactly."""
-        dist = SymmetricBlockCyclic(4)
-        g = build_cholesky_graph(8, 32, dist)
-        m = laptop(nodes=dist.num_nodes, cores=2)
-        base = compile_graph(g)
-        asg = ((base.node.astype(np.int64) + 1) % m.nodes).astype(
-            base.node.dtype)
-        run = fast_engine._prepare(base.reassigned(asg), m)
-        assert len(run.plan.initial_sources) > 0
-        ref = fast_engine._numpy_loop(run)
-        for compiled in KERNEL_MODES:
-            rep = fast_engine._kernel_loop(run, compiled)
-            assert rep.makespan == ref.makespan, compiled
-            assert rep.comm_bytes == ref.comm_bytes, compiled
-            assert rep.comm_messages == ref.comm_messages, compiled
 
-    def test_kernel_with_custom_durations(self):
-        cg = compile_cholesky(8, 32, BlockCyclic2D(2, 2))
-        m = laptop(nodes=4, cores=2)
-        rng = np.random.default_rng(3)
-        dur = rng.uniform(0.5, 2.0, size=cg.n_tasks)
-        run = fast_engine._prepare(cg, m, durations=dur)
-        ref = fast_engine._numpy_loop(run)
-        rep = fast_engine._kernel_loop(run, compiled=False)
-        assert rep.makespan == ref.makespan
-        assert rep.comm_messages == ref.comm_messages
+class OwnerTable(Distribution):
+    """An arbitrary tile -> node map: none of the structure (cyclic,
+    symmetric, balanced) the paper's distributions have."""
 
-    def test_auto_matches_numpy(self):
-        """The public entry picks its loop per machine (jit with numba,
-        numpy without) but never changes results."""
-        dist = SymmetricBlockCyclic(4)
-        m = laptop(nodes=dist.num_nodes, cores=2)
-        ref = fast_engine._numpy_loop(
-            fast_engine._prepare(compile_cholesky(10, 32, dist), m))
-        rep = simulate_compiled(compile_cholesky(10, 32, dist), m)
-        assert rep.makespan == ref.makespan
-        assert rep.comm_bytes == ref.comm_bytes
-        assert rep.comm_messages == ref.comm_messages
+    def __init__(self, table, num_nodes):
+        self._table = np.asarray(table, dtype=np.int64)
+        self._num_nodes = num_nodes
 
-    @pytest.mark.parametrize("opts", [
-        {"trace": True},
-        {"synchronized": True},
-        {"broadcast": "tree"},
-        {"aggregate": True},
-    ], ids=lambda o: next(iter(o)))
-    def test_kernel_rejects_unsupported_options(self, opts):
-        """Options the flat-array kernel does not cover make the run
-        ineligible, so it takes the numpy loop whether or not numba is
-        installed."""
-        cg = compile_cholesky(6, 32, BlockCyclic2D(2, 2))
-        m = laptop(nodes=4, cores=2)
-        run = fast_engine._prepare(cg, m, **opts)
-        assert not run.kernel_ok
-        rep = simulate_compiled(cg, m, **opts)
-        assert rep.makespan == fast_engine._numpy_loop(run).makespan > 0
+    num_nodes = property(lambda self: self._num_nodes)
+    name = property(lambda self: f"table(P={self._num_nodes})")
+
+    def owner(self, i, j):
+        return int(self._table[i, j])
+
+    def owner_map(self, N):
+        return self._table[:N, :N]
+
+
+@st.composite
+def owner_tables(draw, N):
+    """Uniform, unbalanced (two tiles in three on node 0), one-node, and
+    P > 256 (the core indexes a list where it otherwise lowers the node
+    column to ``bytes``)."""
+    shape = draw(st.sampled_from(["uniform", "unbalanced", "one-node", "wide"]))
+    if shape == "one-node":
+        P = 1
+    else:
+        P = draw(st.integers(257, 300) if shape == "wide"
+                 else st.integers(2, 9))
+    spread = 3 * P if shape == "unbalanced" else P
+    cells = draw(st.lists(st.integers(0, spread - 1),
+                          min_size=N * N, max_size=N * N))
+    table = [v if v < P else 0 for v in cells]
+    return OwnerTable(np.reshape(table, (N, N)), P)
+
+
+@st.composite
+def fault_plans(draw, P):
+    """Stragglers, a degraded link and seeded loss; no crash (a crashed
+    run raises on both engines instead of reporting)."""
+    window = draw(st.sampled_from([(0.0, float("inf")), (1e-4, 4e-4)]))
+    return FaultPlan(
+        seed=draw(st.integers(0, 2**16)),
+        slowdowns=tuple(
+            SlowdownWindow(node, draw(st.sampled_from([1.5, 4.0])), *window)
+            for node in draw(st.sets(st.integers(0, P - 1), max_size=2))),
+        links=draw(st.sampled_from([
+            (), (LinkDegradation(3.0, src=0),),
+            (LinkDegradation(2.0, dst=P - 1, start=window[0],
+                             end=window[1]),)])),
+        loss_rate=draw(st.sampled_from([0.0, 0.05, 0.3])),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(),
+       lu=st.booleans(),
+       N=st.integers(1, 7),
+       b=st.sampled_from([32, 512]),  # 512: 2 MB tiles, several quanta each
+       cores=st.sampled_from([1, 2, 4]),
+       broadcast=st.sampled_from(["direct", "tree"]),
+       aggregate=st.booleans(),
+       synchronized=st.booleans(),
+       trace=st.booleans(),
+       scheduler=st.sampled_from([None, *POLICIES]),
+       faulty=st.booleans())
+def test_oracle_equals_core_on_generated_inputs(
+        data, lu, N, b, cores, broadcast, aggregate, synchronized, trace,
+        scheduler, faulty):
+    """ROADMAP item 3(a): ``simulate`` == ``simulate_compiled`` on inputs
+    nobody hand-picked, through the direct compiler and ``compile_graph``."""
+    dist = data.draw(owner_tables(N))
+    build, compile_direct = ((build_lu_graph, compile_lu) if lu
+                             else (build_cholesky_graph, compile_cholesky))
+    g = build(N, b, dist)
+    compiled = [compile_graph(g), compile_direct(N, b, dist)]
+    opts = dict(
+        broadcast=broadcast, aggregate=aggregate, synchronized=synchronized,
+        trace=trace, scheduler=scheduler,
+        faults=data.draw(fault_plans(dist.num_nodes)) if faulty else None)
+    m = laptop(nodes=dist.num_nodes, cores=cores)
+    ref = simulate(g, m, **opts)
+    for cg in compiled:
+        assert_reports_equal(ref, simulate_compiled(cg, m, **opts))

@@ -17,6 +17,7 @@ The load-bearing guarantees of ``repro.service`` (see ``docs/service.md``):
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import threading
 
@@ -234,8 +235,6 @@ def test_structure_hash_ignores_kind_registration_order():
     order, so the raw code table depends on what was lowered earlier in
     the process.  The structure hash must be invariant under any
     permutation of the table (and must ignore unused entries)."""
-    import dataclasses
-
     import numpy as np
 
     cg = compile_cholesky(NT, B, DIST)
@@ -350,8 +349,6 @@ def test_worker_reuses_graph_across_structure_matched_points(tmp_path):
     bit-identical to a from-scratch simulation."""
     # A tile count no other test uses, so this process's worker cache
     # cannot already hold the structure.
-    import dataclasses
-
     nt = 9
     fast = bora(nodes=DIST.num_nodes)
     slow = dataclasses.replace(fast, network=dataclasses.replace(
@@ -571,6 +568,16 @@ def test_http_round_trip(tmp_path):
             record = client.result_by_hash(cold.hash)
             assert record["status"] == "ok"
             assert client.result_by_hash("deadbeef") is None
+            # url= mode hands back what the record holds, like in-process
+            # mode: a cold point, then one that reuses its structure (a
+            # tile count no other test uses, so the first really is cold).
+            slow = dataclasses.replace(MACHINE, cores=MACHINE.cores // 2)
+            for point, reused in ((spec(ntiles=11), False),
+                                  (spec(ntiles=11, machine=slow), True)):
+                res = client.submit(point).raise_for_status()
+                record = client.result_by_hash(res.hash)
+                assert res.peak_rss_mb == record["peak_rss_mb"] > 0.0
+                assert res.graph_reused == record["graph_reused"] == reused
     finally:
         asyncio.run_coroutine_threadsafe(svc.close(), loop).result(10)
         asyncio.run_coroutine_threadsafe(server.close(), loop).result(10)
