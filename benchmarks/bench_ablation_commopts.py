@@ -14,36 +14,32 @@ Byte counts are invariant by construction (asserted); only schedules move.
 
 from conftest import print_header
 
-from repro.comm import count_communications
-from repro.config import bora
+from repro.comm import cholesky_volume_exact
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph
-from repro.runtime import simulate
+from repro.experiments import potrf, run
 
 B, N = 500, 48
+MODES = {
+    "point-to-point": {},
+    "broadcast tree": {"broadcast": "tree"},
+    "aggregation": {"aggregate": True},
+}
 
 
-def sweep():
+def sweep(client):
     out = {}
     for dist in (SymmetricBlockCyclic(8), BlockCyclic2D(7, 4)):
-        g = build_cholesky_graph(N, B, dist)
-        machine = bora(dist.num_nodes)
-        expected = count_communications(g)
-        rows = {}
-        for label, kwargs in (
-            ("point-to-point", {}),
-            ("broadcast tree", {"broadcast": "tree"}),
-            ("aggregation", {"aggregate": True}),
-        ):
-            rep = simulate(g, machine, **kwargs)
-            assert rep.comm_bytes == expected.total_bytes
-            rows[label] = (rep.makespan, rep.comm_messages)
-        out[dist.name] = rows
+        reports = run(client, {label: [potrf(dist, N, B, **options)]
+                               for label, options in MODES.items()})
+        expected = cholesky_volume_exact(dist, N, B)
+        assert all(rep.comm_bytes == expected for (rep,) in reports.values())
+        out[dist.name] = {label: (rep.makespan, rep.comm_messages)
+                          for label, (rep,) in reports.items()}
     return out
 
 
-def test_ablation_comm_optimizations(run_once):
-    results = run_once(sweep)
+def test_ablation_comm_optimizations(run_once, sweep_client):
+    results = run_once(sweep, sweep_client)
     print_header(
         f"Ablation: communication optimizations (POTRF, n={N * B}, P=28)",
         f"{'distribution':>20} {'mode':>16} {'makespan':>10} {'messages':>9}",

@@ -14,7 +14,8 @@ benchmarks/bench_engine_scale.py``).
 Since the sweep-service PR each point is submitted through
 :class:`repro.service.SweepClient` (in-process mode): the build / plan /
 sim timings are measured inside :func:`repro.service.run_point` and
-memoized alongside the :class:`SimReport`.  With ``REPRO_SWEEP_STORE``
+memoized alongside the :class:`SimReport`.  The client is the suite's
+shared ``sweep_client`` (``conftest.py``): with ``REPRO_SWEEP_STORE``
 pointing at a warm store a re-run simulates nothing and replays the
 stored timings (the ``cached`` column says which rows were replayed);
 regenerate the reference trajectory against a *cold* store.
@@ -94,13 +95,8 @@ def trajectory(ns, client: SweepClient):
     return rows, metrics
 
 
-def test_engine_scale(run_once, tmp_path):
-    store = os.environ.get("REPRO_SWEEP_STORE") or str(tmp_path / "sweep-store")
-    client = SweepClient(store=store)
-    try:
-        rows, metrics = run_once(trajectory, NS, client)
-    finally:
-        client.close()
+def test_engine_scale(run_once, sweep_client):
+    rows, metrics = run_once(trajectory, NS, sweep_client)
     print_header(
         f"Compiled-engine scaling, POTRF on SBC-extended(r={R}), b={B}",
         f"{'N':>5} {'tasks':>10} {'build(s)':>9} {'plan(s)':>9} "
@@ -111,13 +107,11 @@ def test_engine_scale(run_once, tmp_path):
               f"{r['plan_seconds']:>9.2f} {r['sim_seconds']:>9.2f} "
               f"{r['peak_rss_mb']:>12.1f} {str(r['cached']):>7}")
 
-    # Structural sanity: work grows ~N^3, so per-task sim cost must stay
-    # roughly flat (the array engine's whole point).  Allow generous
-    # headroom for noisy shared boxes.
+    # Structural sanity only at scaled sizes: a per-task wall-clock bound
+    # on a 68 ms run measures the host, not the loop, whose speed gate is
+    # the `potrf_lean` workload of benchmarks/perf.
     for r in rows:
         assert r["n_tasks"] > 0 and r["sim_seconds"] >= 0.0
-        per_task_us = 1e6 * r["sim_seconds"] / r["n_tasks"]
-        assert per_task_us < 60.0, f"sim cost {per_task_us:.1f}us/task at N={r['N']}"
     # The acceptance bound of the array-engine PR, checked in full mode.
     if NS[-1] == 400:
         assert rows[-1]["sim_seconds"] < 60.0

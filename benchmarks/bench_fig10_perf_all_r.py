@@ -2,51 +2,25 @@
 
 The paper shows that the SBC improvement observed for r = 8 holds across
 node counts: for each r in 6..9 it plots per-node GFlop/s of SBC against
-the two fairest 2DBC configurations of Table I.  We reproduce each panel
+the two fairest 2DBC configurations of Table I
+(``repro.experiments.FIG10``).  We reproduce each panel
 at simulation scale and assert SBC's curve sits on top in the
 communication-sensitive range.
 """
 
-from conftest import FULL, print_header, sizes
+from conftest import print_header, sizes
 
-from repro.config import bora
-from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph
-from repro.runtime import simulate
+from repro.experiments import FIG10, run_panels
 
 B = 500
 NS = sizes([40, 80], [40, 80, 120, 160])
 
-#: Table I pairings: r -> 2DBC options.
-PANELS = {
-    6: [(5, 3), (4, 4)],
-    7: [(5, 4), (7, 3)],
-    8: [(7, 4), (6, 5)],
-    9: [(7, 5), (6, 6)],
-}
 
-
-def sweep():
-    out = {}
-    for r, bc_opts in PANELS.items():
-        dists = [SymmetricBlockCyclic(r)] + [BlockCyclic2D(p, q) for p, q in bc_opts]
-        panel = {}
-        for dist in dists:
-            machine = bora(dist.num_nodes)
-            panel[dist.name] = (
-                dist.num_nodes,
-                [
-                    simulate(build_cholesky_graph(N, B, dist), machine).gflops_per_node
-                    for N in NS
-                ],
-            )
-        out[r] = panel
-    return out
-
-
-def test_fig10_all_r(run_once):
-    results = run_once(sweep)
-    for r, panel in results.items():
+def test_fig10_all_r(run_once, sweep_client):
+    results = run_once(run_panels, sweep_client, FIG10, NS, B)
+    for r, reports in results.items():
+        panel = {name: (reps[0].num_nodes, [rep.gflops_per_node for rep in reps])
+                 for name, reps in reports.items()}
         names = list(panel)
         print_header(
             f"Figure 10 panel r={r}",

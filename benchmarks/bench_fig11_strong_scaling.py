@@ -5,38 +5,21 @@ r = 6..9): SBC holds its per-node throughput much better — at n = 200000
 SBC with P = 36 matches 2DBC with P = 16 per node.  We reproduce the
 strong-scaling sweep at a fixed simulated size and assert both that SBC
 degrades more slowly and that the headline crossover (SBC at the largest
-P at least matching 2DBC at a much smaller P) appears.
+P at least matching 2DBC at a much smaller P) appears.  The eight layouts
+are ``repro.experiments.FIG11``.
 """
 
 from conftest import FULL, print_header
 
-from repro.config import bora
-from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph
-from repro.runtime import simulate
+from repro.experiments import FIG11, run, table
 
 B = 500
 N = 120 if FULL else 72  # fixed matrix: n = 36000 (60000 with REPRO_FULL)
 
-SBC_RS = [6, 7, 8, 9]
-BC_GRIDS = [(4, 4), (5, 4), (7, 4), (6, 6)]  # P = 16, 20, 28, 36
 
-
-def sweep():
-    rows = []
-    for r in SBC_RS:
-        d = SymmetricBlockCyclic(r)
-        rep = simulate(build_cholesky_graph(N, B, d), bora(d.num_nodes))
-        rows.append((d.name, d.num_nodes, rep.gflops_per_node))
-    for p, q in BC_GRIDS:
-        d = BlockCyclic2D(p, q)
-        rep = simulate(build_cholesky_graph(N, B, d), bora(d.num_nodes))
-        rows.append((d.name, d.num_nodes, rep.gflops_per_node))
-    return rows
-
-
-def test_fig11_strong_scaling(run_once):
-    rows = run_once(sweep)
+def test_fig11_strong_scaling(run_once, sweep_client):
+    reports = run_once(run, sweep_client, table(FIG11, [N], B))
+    rows = [(name, rep.num_nodes, rep.gflops_per_node) for name, (rep,) in reports.items()]
     print_header(
         f"Figure 11: strong scaling at n={N * B}",
         f"{'config':>18} {'P':>4} {'GF/s/node':>10} {'total GF/s':>11}",

@@ -1,57 +1,48 @@
 """Figure 12 — total running time of Cholesky vs matrix size.
 
 Same data as Figure 10 but in absolute seconds (the paper truncates at
-n <= 200000 where the differences are visible).  We print the simulated
+n <= 200000 where the differences are visible): ``repro.experiments.FIG12``
+is the SBC and equal-P 2DBC rows of ``FIG10``, so after Figure 10 on the
+same store this bench simulates nothing.  We print the simulated
 makespans for each r of Table I and assert SBC's total time is below the
 matched 2DBC's for every size.  The largest SBC run is traced through
 ``repro.obs`` and its metrics summary is attached to the output.
 """
 
-from conftest import FULL, print_header, sizes
+from conftest import print_header, sizes
 
-from repro.comm import count_communications
-from repro.config import bora
-from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph
-from repro.runtime import simulate
+from repro import simulate_cholesky
+from repro.comm import cholesky_volume_exact
+from repro.experiments import FIG12, run_panels
 
 B = 500
 NS = sizes([40, 80], [40, 80, 120, 160])
-PAIRS = [(6, (5, 3)), (7, (7, 3)), (8, (7, 4)), (9, (6, 6))]
 
 
-def sweep():
+def sweep(client):
     out = {}
-    for r, (p, q) in PAIRS:
-        sbc = SymmetricBlockCyclic(r)
-        bc = BlockCyclic2D(p, q)
+    for r, reports in run_panels(client, FIG12, NS, B).items():
+        (sbc_name, sbc), (bc_name, bc) = reports.items()
         out[r] = {
-            "sbc": [
-                simulate(build_cholesky_graph(N, B, sbc), bora(sbc.num_nodes)).makespan
-                for N in NS
-            ],
-            "bc": [
-                simulate(build_cholesky_graph(N, B, bc), bora(bc.num_nodes)).makespan
-                for N in NS
-            ],
-            "names": (sbc.name, bc.name),
+            "sbc": [rep.makespan for rep in sbc],
+            "bc": [rep.makespan for rep in bc],
+            "names": (sbc_name, bc_name),
         }
     # Trace the largest SBC configuration to attach the observability
     # metrics (wire bytes per pair, utilization, queue depths) to the
     # benchmark's output.
-    r, _pq = PAIRS[-1]
-    sbc = SymmetricBlockCyclic(r)
-    g = build_cholesky_graph(NS[-1], B, sbc)
-    rep = simulate(g, bora(sbc.num_nodes), trace=True)
+    r = max(FIG12)
+    sbc, _options = next(iter(FIG12[r].values()))
+    rep = simulate_cholesky(NS[-1], B, sbc, trace=True)
     assert rep.obs.metrics.counter("net.bytes").total() == (
-        count_communications(g).total_bytes
+        cholesky_volume_exact(sbc, NS[-1], B)
     )
     out["metrics"] = {"r": r, "N": NS[-1], "summary": rep.obs.metrics.summary()}
     return out
 
 
-def test_fig12_runtime(run_once):
-    results = run_once(sweep)
+def test_fig12_runtime(run_once, sweep_client):
+    results = run_once(sweep, sweep_client)
     for r, data in results.items():
         if r == "metrics":
             continue

@@ -4,39 +4,40 @@ POSV chains POTRF with forward and backward triangular solves against a
 one-tile-wide right-hand side held 1D row-cyclically (the paper's setup).
 The solve phases communicate the same volume under both layouts, so SBC's
 relative improvement is smaller than for POTRF alone — both the gain and
-its dilution are asserted.
+its dilution are asserted.  The POTRF side is two rows of Figure 9, read
+from the sweep store; no ``JobSpec`` describes a POSV graph, so the POSV
+side calls the simulator directly.
 """
 
-from conftest import FULL, print_header, sizes
+from conftest import print_header, sizes
 
 from repro.config import bora
-from repro.distributions import BlockCyclic2D, RowCyclic1D, SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph, build_posv_graph
-from repro.kernels.flops import posv_flops
+from repro.distributions import RowCyclic1D
+from repro.experiments import FIG9, run, table
+from repro.graph import build_posv_graph
 from repro.runtime import simulate
 
 B = 500
 NS = sizes([30, 60, 100], [30, 60, 100, 140])
+LAYOUTS = {label: FIG9[label] for label in ("2D SBC r=8", "2DBC 7x4")}  # P = 28
 
 
-def sweep():
+def sweep(client):
+    potrf = run(client, table(LAYOUTS, NS, B))
     out = {"posv": {}, "potrf": {}}
-    for dist in (SymmetricBlockCyclic(8), BlockCyclic2D(7, 4)):
+    for label, (dist, _options) in LAYOUTS.items():
         machine = bora(dist.num_nodes)
         rhs = RowCyclic1D(dist.num_nodes)
         out["posv"][dist.name] = [
             simulate(build_posv_graph(N, B, dist, rhs), machine).gflops_per_node
             for N in NS
         ]
-        out["potrf"][dist.name] = [
-            simulate(build_cholesky_graph(N, B, dist), machine).gflops_per_node
-            for N in NS
-        ]
+        out["potrf"][dist.name] = [rep.gflops_per_node for rep in potrf[label]]
     return out
 
 
-def test_fig13_posv(run_once):
-    series = run_once(sweep)
+def test_fig13_posv(run_once, sweep_client):
+    series = run_once(sweep, sweep_client)
     sbc, bc = "SBC-extended(r=8)", "2DBC(7x4)"
     print_header(
         "Figure 13: POSV GFlop/s per node, P=28 (b=500, RHS one tile wide)",

@@ -9,30 +9,20 @@ the 34 workers of parallelism.  The default matrix is scaled to n = 10000
 n = 25000.
 """
 
-from conftest import FULL, print_header, sizes
+from conftest import FULL, print_header
 
 from repro.config import bora
 from repro.distributions import BlockCyclic2D
-from repro.graph import build_cholesky_graph
-from repro.runtime import simulate
+from repro.experiments import potrf, run
 
 N_ELEMENTS = 25000 if FULL else 10000
 TILE_SIZES = [100, 125, 200, 250, 500, 1000]
 
 
-def sweep():
-    machine = bora(1)
-    out = []
-    for b in TILE_SIZES:
-        ntiles = N_ELEMENTS // b
-        graph = build_cholesky_graph(ntiles, b, BlockCyclic2D(1, 1))
-        rep = simulate(graph, machine)
-        out.append((b, rep.gflops_per_node, rep.avg_utilization))
-    return out
-
-
-def test_fig7_tile_size(run_once):
-    rows = run_once(sweep)
+def test_fig7_tile_size(run_once, sweep_client):
+    reports = run_once(run, sweep_client, {
+        b: [potrf(BlockCyclic2D(1, 1), N_ELEMENTS // b, b)] for b in TILE_SIZES})
+    rows = [(b, rep.gflops_per_node, rep.avg_utilization) for b, (rep,) in reports.items()]
     print_header(
         f"Figure 7: single-node POTRF vs tile size (n={N_ELEMENTS})",
         f"{'b':>6} {'GFlop/s':>10} {'utilization':>12}",

@@ -8,41 +8,29 @@ bytes; see tests/test_distributed.py), so this bench regenerates the
 figure at the paper's true scale, up to n = 300000 (N = 600 tiles).
 """
 
-from conftest import FULL, print_header, sizes
+from conftest import print_header, sizes
 
-from repro.comm import cholesky_volume_exact
-from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
+from repro.experiments import FIG8, fig8_volumes
 
 B = 500
-SERIES = [
-    ("SBC r=7 (P=21)", SymmetricBlockCyclic(7)),
-    ("2DBC 5x4 (P=20)", BlockCyclic2D(5, 4)),
-    ("2DBC 7x3 (P=21)", BlockCyclic2D(7, 3)),
-]
 #: Tile counts: the paper sweeps n = 12500..300000, i.e. N = 25..600.
 NS = sizes([25, 50, 100, 200, 400, 600], [25, 50, 100, 150, 200, 300, 400, 500, 600])
 
 
-def compute_series():
-    out = {}
-    for name, dist in SERIES:
-        out[name] = [cholesky_volume_exact(dist, N, B) / 1e9 for N in NS]
-    return out
-
-
 def test_fig8_comm_volume(run_once):
-    series = run_once(compute_series)
+    series = run_once(fig8_volumes, NS, B)
     print_header(
         "Figure 8: POTRF communication volume (GB), b=500",
-        f"{'n':>8} " + " ".join(f"{name:>16}" for name, _ in SERIES),
+        f"{'n':>8} " + " ".join(
+            f"{f'{name} (P={dist.num_nodes})':>16}" for name, dist in FIG8.items()),
     )
     for i, N in enumerate(NS):
-        row = " ".join(f"{series[name][i]:>16.1f}" for name, _ in SERIES)
+        row = " ".join(f"{series[name][i]:>16.1f}" for name in FIG8)
         print(f"{N * B:>8} {row}")
 
-    sbc = series["SBC r=7 (P=21)"]
-    bc54 = series["2DBC 5x4 (P=20)"]
-    bc73 = series["2DBC 7x3 (P=21)"]
+    sbc = series["SBC r=7"]
+    bc54 = series["2DBC 5x4"]
+    bc73 = series["2DBC 7x3"]
     for i in range(len(NS)):
         # The paper's Figure 8 ordering: SBC below both 2DBC curves, and
         # the squarer 5x4 below the elongated 7x3.

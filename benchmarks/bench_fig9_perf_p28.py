@@ -4,7 +4,8 @@ The paper's central performance figure: per-node GFlop/s versus matrix
 size for the r = 8 case (P = 28), comparing 2DBC (7x4 and 6x5), 2D SBC,
 the 2.5D variants (c = 3 slices), and the COnfCHOX baseline (P = 32,
 which we model as a synchronized block-cyclic execution — its static
-fork-join schedule is what the paper identifies as its handicap).
+fork-join schedule is what the paper identifies as its handicap).  The
+six configurations are ``repro.experiments.FIG9``.
 
 Matrix sizes are scaled to keep the Python DES tractable (the paper goes
 to n = 300000 = 36M tasks); REPRO_FULL extends the sweep.  The figure's
@@ -13,43 +14,18 @@ with COnfCHOX far below, and everyone climbing towards the StarPU peak
 as n grows.
 """
 
-from conftest import FULL, print_header, sizes
+from conftest import print_header, sizes
 
-from repro.config import bora
-from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
-from repro.graph import build_cholesky_graph, build_cholesky_graph_25d
-from repro.runtime import simulate
+from repro.experiments import FIG9, run, table
 
 B = 500
 NS = sizes([30, 60, 100], [30, 60, 100, 140, 180])
 
 
-def configs():
-    return [
-        ("2D SBC r=8", 28, lambda N: build_cholesky_graph(N, B, SymmetricBlockCyclic(8)), {}),
-        ("2DBC 7x4", 28, lambda N: build_cholesky_graph(N, B, BlockCyclic2D(7, 4)), {}),
-        ("2DBC 6x5", 30, lambda N: build_cholesky_graph(N, B, BlockCyclic2D(6, 5)), {}),
-        ("2.5D SBC c=3", 24,
-         lambda N: build_cholesky_graph_25d(
-             N, B, TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 3)), {}),
-        ("2.5D BC c=3", 27,
-         lambda N: build_cholesky_graph_25d(N, B, TwoDotFiveD(BlockCyclic2D(3, 3), 3)), {}),
-        ("COnfCHOX 8x4", 32, lambda N: build_cholesky_graph(N, B, BlockCyclic2D(8, 4)),
-         {"synchronized": True}),
-    ]
-
-
-def sweep():
-    out = {}
-    for name, P, builder, kw in configs():
-        machine = bora(P)
-        out[name] = [simulate(builder(N), machine, **kw).gflops_per_node for N in NS]
-    return out
-
-
-def test_fig9_perf(run_once):
-    series = run_once(sweep)
-    names = [c[0] for c in configs()]
+def test_fig9_perf(run_once, sweep_client):
+    reports = run_once(run, sweep_client, table(FIG9, NS, B))
+    series = {name: [rep.gflops_per_node for rep in reps] for name, reps in reports.items()}
+    names = list(FIG9)
     print_header(
         "Figure 9: POTRF GFlop/s per node, P ~ 28 (b=500)",
         f"{'n':>8} " + " ".join(f"{n:>13}" for n in names),
@@ -64,7 +40,7 @@ def test_fig9_perf(run_once):
         assert series["2.5D SBC c=3"][i] > series["2D SBC r=8"][i]
         assert series["2.5D SBC c=3"][i] > series["2.5D BC c=3"][i]
         # The static synchronized baseline trails everything.
-        assert series["COnfCHOX 8x4"][i] < series["2DBC 7x4"][i]
+        assert series["COnfCHOX-like"][i] < series["2DBC 7x4"][i]
     # Per-node performance grows with n towards the peak (right side of
     # the paper's figure).
     for name in names:

@@ -115,44 +115,40 @@ def sweep(client: SweepClient):
     return rows
 
 
-def test_resilience_sweep(run_once, tmp_path):
-    store = os.environ.get("REPRO_SWEEP_STORE") or str(tmp_path / "sweep-store")
-    client = SweepClient(store=store)
-    try:
-        rows = run_once(sweep, client)
-        sims_first = client.simulations_run()
-        print_header(
-            f"Makespan inflation under faults, POTRF N={N}, b={B}, "
-            f"P={SymmetricBlockCyclic(SBC_R).num_nodes}",
-            f"{'dist':>22} {'slow':>5} {'loss':>5} {'inflation':>10} "
-            f"{'retransmits':>12}",
-        )
-        for r in rows:
-            print(f"{r['dist']:>22} {r['slowdown']:>5.1f} {r['loss_rate']:>5.2f} "
-                  f"{r['inflation']:>10.3f} {r['retransmit_messages']:>12}")
-        print(f"(sweep service: {sims_first} simulations, store {store})")
+def test_resilience_sweep(run_once, sweep_client):
+    sims_before = sweep_client.simulations_run()
+    rows = run_once(sweep, sweep_client)
+    sims_first = sweep_client.simulations_run()
+    print_header(
+        f"Makespan inflation under faults, POTRF N={N}, b={B}, "
+        f"P={SymmetricBlockCyclic(SBC_R).num_nodes}",
+        f"{'dist':>22} {'slow':>5} {'loss':>5} {'inflation':>10} "
+        f"{'retransmits':>12}",
+    )
+    for r in rows:
+        print(f"{r['dist']:>22} {r['slowdown']:>5.1f} {r['loss_rate']:>5.2f} "
+              f"{r['inflation']:>10.3f} {r['retransmit_messages']:>12}")
+    print(f"(sweep service: {sims_first - sims_before} new simulations)")
 
-        by_cell = {(r["dist"], r["slowdown"], r["loss_rate"]): r for r in rows}
-        for r in rows:
-            # Faults can only hurt: inflation is 1 exactly on the clean cell,
-            # and every added fault keeps the same first-transmission volume.
-            assert r["inflation"] >= 1.0 - 1e-12
-            assert r["retransmit_messages"] >= 0
-            clean = by_cell[(r["dist"], 1.0, 0.0)]
-            assert r["comm_bytes"] >= clean["comm_bytes"]
-        # Loss produces retransmissions once the rate is non-zero.
-        assert all(
-            by_cell[(d, 1.0, LOSS_RATES[-1])]["retransmit_messages"] > 0
-            for d in {r["dist"] for r in rows}
-        )
-        # The determinism + memoization contract: a warm-cache re-run
-        # reproduces every row exactly and simulates NOTHING new.
-        again = sweep(client)
-        assert again == rows
-        assert client.simulations_run() == sims_first, \
-            "warm-cache re-run must perform zero new simulations"
-    finally:
-        client.close()
+    by_cell = {(r["dist"], r["slowdown"], r["loss_rate"]): r for r in rows}
+    for r in rows:
+        # Faults can only hurt: inflation is 1 exactly on the clean cell,
+        # and every added fault keeps the same first-transmission volume.
+        assert r["inflation"] >= 1.0 - 1e-12
+        assert r["retransmit_messages"] >= 0
+        clean = by_cell[(r["dist"], 1.0, 0.0)]
+        assert r["comm_bytes"] >= clean["comm_bytes"]
+    # Loss produces retransmissions once the rate is non-zero.
+    assert all(
+        by_cell[(d, 1.0, LOSS_RATES[-1])]["retransmit_messages"] > 0
+        for d in {r["dist"] for r in rows}
+    )
+    # The determinism + memoization contract: a warm-cache re-run
+    # reproduces every row exactly and simulates NOTHING new.
+    again = sweep(sweep_client)
+    assert again == rows
+    assert sweep_client.simulations_run() == sims_first, \
+        "warm-cache re-run must perform zero new simulations"
 
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:
@@ -245,50 +241,46 @@ def topo_sweep(client: SweepClient):
     return rows
 
 
-def test_topology_heterogeneity_sweep(run_once, tmp_path):
-    store = os.environ.get("REPRO_SWEEP_STORE") or str(tmp_path / "sweep-store")
-    client = SweepClient(store=store)
-    try:
-        rows = run_once(topo_sweep, client)
-        sims_first = client.simulations_run()
-        print_header(
-            f"Makespan inflation across interconnects, POTRF N={N}, b={B}, "
-            f"P={SymmetricBlockCyclic(SBC_R).num_nodes}",
-            f"{'dist':>22} {'topology':>14} {'hetero':>7} {'inflation':>10}",
-        )
-        for r in rows:
-            print(f"{r['dist']:>22} {r['topology']:>14} {r['hetero']:>7} "
-                  f"{r['inflation']:>10.3f}")
-        print(f"(sweep service: {sims_first} simulations, store {store})")
+def test_topology_heterogeneity_sweep(run_once, sweep_client):
+    sims_before = sweep_client.simulations_run()
+    rows = run_once(topo_sweep, sweep_client)
+    sims_first = sweep_client.simulations_run()
+    print_header(
+        f"Makespan inflation across interconnects, POTRF N={N}, b={B}, "
+        f"P={SymmetricBlockCyclic(SBC_R).num_nodes}",
+        f"{'dist':>22} {'topology':>14} {'hetero':>7} {'inflation':>10}",
+    )
+    for r in rows:
+        print(f"{r['dist']:>22} {r['topology']:>14} {r['hetero']:>7} "
+              f"{r['inflation']:>10.3f}")
+    print(f"(sweep service: {sims_first - sims_before} new simulations)")
 
-        by_cell = {(r["dist"], r["topology"], r["hetero"]): r for r in rows}
-        dists = sorted({r["dist"] for r in rows})
-        sbc_name = SymmetricBlockCyclic(SBC_R).name
-        bc_name = BlockCyclic2D(*BC_GRID).name
-        for r in rows:
-            # Routing and slow nodes can only add time over the clique
-            # baseline; owner-computes traffic is topology-independent.
-            assert r["inflation"] >= 1.0 - 1e-12
-            clean = by_cell[(r["dist"], "clique", "homog")]
-            assert r["comm_bytes"] == clean["comm_bytes"]
-            assert r["comm_messages"] == clean["comm_messages"]
-        for d in dists:
-            # Multi-hop fabrics and stragglers must actually bite.
-            assert by_cell[(d, "mesh-4x7", "homog")]["inflation"] > 1.0
-            assert by_cell[(d, "clique", "mixed")]["inflation"] > 1.0
-        # The paper's volume advantage is preserved verbatim: SBC moves
-        # fewer bytes than 2DBC in every cell of the matrix.
-        for (_, tname, hname), r in by_cell.items():
-            if r["dist"] == sbc_name:
-                assert r["comm_bytes"] < by_cell[(bc_name, tname,
-                                                  hname)]["comm_bytes"]
-        # Warm-cache re-run: identical rows, zero new simulations.
-        again = topo_sweep(client)
-        assert again == rows
-        assert client.simulations_run() == sims_first, \
-            "warm-cache re-run must perform zero new simulations"
-    finally:
-        client.close()
+    by_cell = {(r["dist"], r["topology"], r["hetero"]): r for r in rows}
+    dists = sorted({r["dist"] for r in rows})
+    sbc_name = SymmetricBlockCyclic(SBC_R).name
+    bc_name = BlockCyclic2D(*BC_GRID).name
+    for r in rows:
+        # Routing and slow nodes can only add time over the clique
+        # baseline; owner-computes traffic is topology-independent.
+        assert r["inflation"] >= 1.0 - 1e-12
+        clean = by_cell[(r["dist"], "clique", "homog")]
+        assert r["comm_bytes"] == clean["comm_bytes"]
+        assert r["comm_messages"] == clean["comm_messages"]
+    for d in dists:
+        # Multi-hop fabrics and stragglers must actually bite.
+        assert by_cell[(d, "mesh-4x7", "homog")]["inflation"] > 1.0
+        assert by_cell[(d, "clique", "mixed")]["inflation"] > 1.0
+    # The paper's volume advantage is preserved verbatim: SBC moves
+    # fewer bytes than 2DBC in every cell of the matrix.
+    for (_, tname, hname), r in by_cell.items():
+        if r["dist"] == sbc_name:
+            assert r["comm_bytes"] < by_cell[(bc_name, tname,
+                                              hname)]["comm_bytes"]
+    # Warm-cache re-run: identical rows, zero new simulations.
+    again = topo_sweep(sweep_client)
+    assert again == rows
+    assert sweep_client.simulations_run() == sims_first, \
+        "warm-cache re-run must perform zero new simulations"
 
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:

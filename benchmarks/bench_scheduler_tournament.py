@@ -137,71 +137,67 @@ def _rankings(rows):
     return out
 
 
-def test_scheduler_tournament(run_once, tmp_path):
-    store = os.environ.get("REPRO_SWEEP_STORE") or str(tmp_path / "sweep-store")
-    client = SweepClient(store=store)
-    try:
-        rows = run_once(sweep, client)
-        sims_first = client.simulations_run()
-        print_header(
-            f"Scheduler tournament, POTRF N={N}, b={B}, "
-            f"P={DISTS[0].num_nodes}, {len(POLICIES)} policies",
-            f"{'dist':>22} {'faults':>13} {'policy':>20} "
-            f"{'makespan':>11} {'MB':>8} {'msgs':>6}",
-        )
-        for r in rows:
-            print(f"{r['dist']:>22} {r['faults']:>13} {r['policy']:>20} "
-                  f"{r['makespan_seconds']:>11.6f} "
-                  f"{r['comm_bytes'] / 1e6:>8.2f} {r['comm_messages']:>6}")
-        ranks = _rankings(rows)
-        print_header(
-            "Rankings (best first)",
-            f"{'dist':>22} {'faults':>13}  makespan order | volume order",
-        )
-        for (dist, flabel), rk in sorted(ranks.items()):
-            print(f"{dist:>22} {flabel:>13}  "
-                  f"{' > '.join(rk['makespan'])} | "
-                  f"{' > '.join(rk['volume'])}")
-        print(f"(sweep service: {sims_first} simulations, store {store})")
+def test_scheduler_tournament(run_once, sweep_client):
+    sims_before = sweep_client.simulations_run()
+    rows = run_once(sweep, sweep_client)
+    sims_first = sweep_client.simulations_run()
+    print_header(
+        f"Scheduler tournament, POTRF N={N}, b={B}, "
+        f"P={DISTS[0].num_nodes}, {len(POLICIES)} policies",
+        f"{'dist':>22} {'faults':>13} {'policy':>20} "
+        f"{'makespan':>11} {'MB':>8} {'msgs':>6}",
+    )
+    for r in rows:
+        print(f"{r['dist']:>22} {r['faults']:>13} {r['policy']:>20} "
+              f"{r['makespan_seconds']:>11.6f} "
+              f"{r['comm_bytes'] / 1e6:>8.2f} {r['comm_messages']:>6}")
+    ranks = _rankings(rows)
+    print_header(
+        "Rankings (best first)",
+        f"{'dist':>22} {'faults':>13}  makespan order | volume order",
+    )
+    for (dist, flabel), rk in sorted(ranks.items()):
+        print(f"{dist:>22} {flabel:>13}  "
+              f"{' > '.join(rk['makespan'])} | "
+              f"{' > '.join(rk['volume'])}")
+    print(f"(sweep service: {sims_first - sims_before} new simulations)")
 
-        # The tournament must actually cover the advertised matrix.
-        assert len({r["policy"] for r in rows}) >= 5
-        assert len({r["dist"] for r in rows}) >= 3
-        by_cell = {(r["dist"], r["faults"], r["policy"]): r for r in rows}
-        for dist in DISTS:
-            for flabel, _ in FAULT_PLANS:
-                # Fork-join barriers can never beat the asynchronous
-                # default — the per-policy restatement of the paper's
-                # synchronized-vs-asynchronous claim.
-                cp = by_cell[(dist.name, flabel, "critical-path")]
-                fj = by_cell[(dist.name, flabel, "fork-join")]
-                assert fj["makespan_seconds"] >= cp["makespan_seconds"]
-                # Volume is placement-determined: every non-migrating
-                # policy moves exactly the owner-computes bytes.
-                volumes = {
-                    r["comm_bytes"] for r in rows
-                    if r["dist"] == dist.name and r["faults"] == flabel
-                    and not POLICIES[r["policy"]].migrates
-                }
-                assert len(volumes) == 1, (dist.name, flabel, volumes)
-        # The paper's headline survives the policy sweep: SBC-extended
-        # moves less than 2DBC under every policy that keeps placement.
+    # The tournament must actually cover the advertised matrix.
+    assert len({r["policy"] for r in rows}) >= 5
+    assert len({r["dist"] for r in rows}) >= 3
+    by_cell = {(r["dist"], r["faults"], r["policy"]): r for r in rows}
+    for dist in DISTS:
         for flabel, _ in FAULT_PLANS:
-            for policy in sorted(POLICIES):
-                if POLICIES[policy].migrates:
-                    continue
-                sbc = by_cell[(DISTS[0].name, flabel, policy)]
-                bc = by_cell[(DISTS[2].name, flabel, policy)]
-                assert sbc["comm_bytes"] < bc["comm_bytes"], policy
+            # Fork-join barriers can never beat the asynchronous
+            # default — the per-policy restatement of the paper's
+            # synchronized-vs-asynchronous claim.
+            cp = by_cell[(dist.name, flabel, "critical-path")]
+            fj = by_cell[(dist.name, flabel, "fork-join")]
+            assert fj["makespan_seconds"] >= cp["makespan_seconds"]
+            # Volume is placement-determined: every non-migrating
+            # policy moves exactly the owner-computes bytes.
+            volumes = {
+                r["comm_bytes"] for r in rows
+                if r["dist"] == dist.name and r["faults"] == flabel
+                and not POLICIES[r["policy"]].migrates
+            }
+            assert len(volumes) == 1, (dist.name, flabel, volumes)
+    # The paper's headline survives the policy sweep: SBC-extended
+    # moves less than 2DBC under every policy that keeps placement.
+    for flabel, _ in FAULT_PLANS:
+        for policy in sorted(POLICIES):
+            if POLICIES[policy].migrates:
+                continue
+            sbc = by_cell[(DISTS[0].name, flabel, policy)]
+            bc = by_cell[(DISTS[2].name, flabel, policy)]
+            assert sbc["comm_bytes"] < bc["comm_bytes"], policy
 
-        # The determinism + memoization contract: a warm-cache re-run
-        # reproduces every row exactly and simulates NOTHING new.
-        again = sweep(client)
-        assert again == rows
-        assert client.simulations_run() == sims_first, \
-            "warm-cache re-run must perform zero new simulations"
-    finally:
-        client.close()
+    # The determinism + memoization contract: a warm-cache re-run
+    # reproduces every row exactly and simulates NOTHING new.
+    again = sweep(sweep_client)
+    assert again == rows
+    assert sweep_client.simulations_run() == sims_first, \
+        "warm-cache re-run must perform zero new simulations"
 
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:

@@ -9,14 +9,7 @@ volumes (r-2 for extended SBC vs p+q-2 for 2DBC).
 from conftest import print_header
 
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, best_rectangle
-
-#: The paper's Table I: SBC r -> [(p, q) options for 2DBC].
-TABLE1 = {
-    6: [(5, 3), (4, 4)],
-    7: [(5, 4), (7, 3)],
-    8: [(7, 4), (6, 5)],
-    9: [(7, 5), (6, 6)],
-}
+from repro.experiments import TABLE1
 
 
 def build_table():

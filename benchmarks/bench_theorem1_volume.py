@@ -10,45 +10,21 @@ import math
 
 from conftest import print_header
 
-from repro.comm import (
-    bc2d_cholesky_volume,
-    cholesky_message_count,
-    sbc_cholesky_volume,
-    storage_tiles,
-)
+from repro.comm import cholesky_message_count
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
+from repro.experiments import THEOREM1, theorem1_table
 
 N = 240
 
 
-def compute():
-    rows = []
-    for r in (6, 7, 8, 9):
-        ext = SymmetricBlockCyclic(r)
-        counted = cholesky_message_count(ext, N)
-        predicted = sbc_cholesky_volume(N, r)
-        rows.append((ext.name, ext.num_nodes, counted, int(predicted)))
-    for r in (6, 8):
-        bas = SymmetricBlockCyclic(r, variant="basic")
-        counted = cholesky_message_count(bas, N)
-        predicted = sbc_cholesky_volume(N, r, variant="basic")
-        rows.append((bas.name, bas.num_nodes, counted, int(predicted)))
-    for p, q in ((5, 4), (7, 4), (6, 6)):
-        bc = BlockCyclic2D(p, q)
-        counted = cholesky_message_count(bc, N)
-        predicted = bc2d_cholesky_volume(N, p, q)
-        rows.append((bc.name, bc.num_nodes, counted, int(predicted)))
-    return rows
-
-
 def test_theorem1(run_once):
-    rows = run_once(compute)
+    rows = run_once(theorem1_table, N)
     print_header(
         f"Theorem 1: counted vs predicted POTRF volume (tiles, N={N})",
         f"{'distribution':>20} {'P':>4} {'counted':>9} {'formula':>9} {'ratio':>6}",
     )
-    for name, P, counted, predicted in rows:
-        print(f"{name:>20} {P:>4} {counted:>9} {predicted:>9} {counted / predicted:>6.3f}")
+    for dist, (name, counted, predicted, ratio) in zip(THEOREM1, rows):
+        print(f"{name:>20} {dist.num_nodes:>4} {counted:>9} {predicted:>9} {ratio:>6.3f}")
         assert counted <= predicted
         assert counted > 0.88 * predicted  # converged to within boundary terms
 

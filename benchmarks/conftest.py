@@ -8,6 +8,11 @@ pytest-benchmark.
 The simulated platform is the paper's *bora* cluster; see
 ``repro.config.bora`` for the constants and DESIGN.md for the calibration
 discussion (effective per-node MPI bandwidth below wire speed).
+
+Every simulated POTRF point of the suite is a ``JobSpec`` submitted
+through the one ``sweep_client`` below, so a cell that two figures share
+is simulated once per session — and never again on a store that
+``REPRO_SWEEP_STORE`` keeps between sessions.
 """
 
 from __future__ import annotations
@@ -37,6 +42,18 @@ def run_once(benchmark):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return _run
+
+
+@pytest.fixture(scope="session")
+def sweep_client():
+    """The session's one sweep client, on ``$REPRO_SWEEP_STORE`` when that
+    is set and otherwise on a temp store it removes when the session ends."""
+    # Imported here: `pytest benchmarks/perf` loads this file before src/ is on the path.
+    from repro.service import SweepClient
+
+    with SweepClient() as client:
+        yield client
+        print(f"\n(sweep client: {client.simulations_run()} simulations this session)")
 
 
 def print_header(title: str, columns: str) -> None:

@@ -16,12 +16,14 @@ Usage:  python examples/runtime_anatomy.py
 from repro.comm import communication_profile
 from repro.config import bora
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
+from repro.experiments import potrf, run
 from repro.graph import build_cholesky_graph
 from repro.runtime import (
     critical_path_breakdown,
     simulate,
     utilization_timeline,
 )
+from repro.service import SweepClient
 
 N, B = 48, 500
 
@@ -64,10 +66,10 @@ def main() -> None:
           "\nfactor of §III-E.\n")
 
     print("=== What-if: the optimizations the paper says Chameleon lacks ===")
-    g = build_cholesky_graph(N, B, sbc)
-    base = simulate(g, bora(28))
-    tree = simulate(g, bora(28), broadcast="tree")
-    aggr = simulate(g, bora(28), aggregate=True)
+    with SweepClient() as client:
+        base, tree, aggr = run(client, {"what-if": [
+            potrf(sbc, N, B, **options)
+            for options in ({}, {"broadcast": "tree"}, {"aggregate": True})]})["what-if"]
     print(f"  point-to-point (paper's setup): {base.makespan:.3f}s "
           f"({base.comm_messages} messages)")
     print(f"  + binomial broadcast trees    : {tree.makespan:.3f}s "

@@ -3,65 +3,53 @@
 
 Reproduces the shape of the paper's Figures 10 and 11 with the runtime
 simulator: per-node GFlop/s as the matrix grows (for each r in 6..9) and a
-strong-scaling comparison at fixed matrix size.  Matrix sizes are scaled
-down from the paper's (which reach n = 300000) to keep the simulated task
-graphs tractable in pure Python; the qualitative picture — SBC above 2DBC
-everywhere, with the gap widest in the communication-bound regime — is
-scale-independent.
+strong-scaling comparison at fixed matrix size, both over the SBC / equal-P
+2DBC pairs of ``repro.experiments.FIG12`` and submitted through the sweep
+service (set ``REPRO_SWEEP_STORE`` to keep the results between runs;
+``python -m repro.experiments fig10|fig12|scaling`` prints the paper's own
+tables).  Matrix sizes are scaled down from the paper's (which reach
+n = 300000) to keep the simulated task graphs tractable in pure Python;
+the qualitative picture — SBC above 2DBC everywhere, with the gap widest
+in the communication-bound regime — is scale-independent.
 
 Usage:  python examples/scaling_study.py [--full]
 """
 
 import sys
 
-from repro.config import bora
-from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph
-from repro.runtime import simulate
-
-# (r, 2DBC option) pairs from Table I.
-CONFIGS = [
-    (6, (5, 3)),
-    (7, (7, 3)),
-    (8, (7, 4)),
-    (9, (6, 6)),
-]
+from repro.experiments import FIG12, run_panels
+from repro.service import SweepClient
 
 
-def perf(dist, N, b=500):
-    graph = build_cholesky_graph(N, b, dist)
-    return simulate(graph, bora(dist.num_nodes)).gflops_per_node
-
-
-def growth_curves(sizes) -> None:
+def growth_curves(client, sizes) -> None:
     print("=== Per-node performance vs matrix size (cf. Figure 10) ===")
-    for r, (p, q) in CONFIGS:
-        sbc = SymmetricBlockCyclic(r)
-        bc = BlockCyclic2D(p, q)
-        print(f"\nP = {sbc.num_nodes} ({sbc.name}) vs P = {bc.num_nodes} ({bc.name})")
+    for panel in run_panels(client, FIG12, sizes).values():
+        (sbc_name, sbc), (bc_name, bc) = panel.items()
+        print(f"\nP = {sbc[0].num_nodes} ({sbc_name}) vs P = {bc[0].num_nodes} ({bc_name})")
         print(f"{'n':>10} {'SBC GF/s/node':>15} {'2DBC GF/s/node':>15} {'gain':>7}")
-        for N in sizes:
-            g_sbc = perf(sbc, N)
-            g_bc = perf(bc, N)
+        for N, s, b in zip(sizes, sbc, bc):
+            g_sbc, g_bc = s.gflops_per_node, b.gflops_per_node
             print(f"{N * 500:>10} {g_sbc:>15.1f} {g_bc:>15.1f} "
                   f"{(g_sbc / g_bc - 1) * 100:>6.1f}%")
 
 
-def strong_scaling(N) -> None:
+def strong_scaling(client, N) -> None:
     print(f"\n=== Strong scaling at n = {N * 500} (cf. Figure 11) ===")
     print(f"{'config':>14} {'P':>4} {'GF/s/node':>11} {'total GF/s':>11}")
-    for r, (p, q) in CONFIGS:
-        for dist in (SymmetricBlockCyclic(r), BlockCyclic2D(p, q)):
-            g = perf(dist, N)
-            print(f"{dist.name:>14} {dist.num_nodes:>4} {g:>11.1f} "
-                  f"{g * dist.num_nodes:>11.0f}")
+    for panel in run_panels(client, FIG12, [N]).values():
+        for name, (rep,) in panel.items():
+            print(f"{name:>14} {rep.num_nodes:>4} {rep.gflops_per_node:>11.1f} "
+                  f"{rep.gflops_per_node * rep.num_nodes:>11.0f}")
 
 
 def main() -> None:
     full = "--full" in sys.argv
     sizes = (20, 40, 60, 90) if not full else (25, 50, 100, 150, 200)
-    growth_curves(sizes)
-    strong_scaling(60 if not full else 120)
+    # One client for both sections: at the default sizes N = 60 is one of
+    # the growth-curve points, so the second table simulates nothing new.
+    with SweepClient() as client:
+        growth_curves(client, sizes)
+        strong_scaling(client, 60 if not full else 120)
     print("\nSBC keeps more of the per-node throughput as P grows: its "
           "broadcasts hit r-2 ~ sqrt(2P) nodes instead of p+q-2 ~ 2 sqrt(P).")
 

@@ -25,6 +25,7 @@ from .obs import Recorder, write_chrome_trace
 from .distributions.row_cyclic import RowCyclic1D
 from .distributions.twod5 import TwoDotFiveD
 from .graph.cholesky import build_cholesky_graph, build_cholesky_graph_25d
+from .graph.compiled import compile_graph
 from .graph.lu import build_lu_graph
 from .graph.inversion import build_potri_graph
 from .graph.solve import build_posv_graph
@@ -36,7 +37,7 @@ from .runtime.local import (
     execute_graph,
 )
 from .runtime.distributed import execute_distributed
-from .runtime.simulator import SimReport, simulate
+from .runtime.simulator import SimReport, simulate_compiled
 from .tiles.generation import random_rhs_dense, random_spd_dense
 from .tiles.layout import TileGrid
 
@@ -227,8 +228,10 @@ def simulate_cholesky(
 ) -> SimReport:
     """Simulated POTRF run; pass either a 2D ``dist`` or a ``dist25``.
 
-    ``broadcast`` / ``aggregate`` select the simulator's communication
-    optimizations (see :func:`repro.runtime.simulator.simulate`).
+    Runs the array core on the lowered graph, which keeps its data keys,
+    so the result — a trace included — is the oracle's
+    (:func:`repro.runtime.simulator.simulate`), whose ``broadcast`` /
+    ``aggregate`` communication optimizations these are.
 
     Observability (see ``docs/observability.md``): ``trace=True`` records
     per-task and per-message events, returned on ``SimReport.obs``
@@ -241,15 +244,11 @@ def simulate_cholesky(
         raise ValueError("pass exactly one of dist / dist25")
     if dist25 is not None:
         graph = build_cholesky_graph_25d(ntiles, b, dist25)
-        P = dist25.num_nodes
     else:
         graph = build_cholesky_graph(ntiles, b, dist)
-        P = dist.num_nodes
-    if machine is None:
-        machine = bora(P)
-    report = simulate(
-        graph,
-        machine,
+    report = simulate_compiled(
+        compile_graph(graph),
+        machine or bora((dist if dist25 is None else dist25).num_nodes),
         synchronized=synchronized,
         broadcast=broadcast,
         aggregate=aggregate,

@@ -1,15 +1,17 @@
-"""Programmatic and command-line access to the paper's experiment sweeps.
+"""The paper's figures, each defined once, and a small CLI over them.
 
-The bench suite (``benchmarks/``) asserts the paper's claims; this module
-exposes the same sweeps as plain functions returning data (for notebooks
-and downstream studies) and as a small CLI:
+A figure is a table: labelled layouts (a distribution plus the run
+options that set it apart) crossed with matrix sizes, i.e. ``label ->
+JobSpecs`` (:func:`table`).  :func:`run` submits a table through a
+:class:`repro.service.SweepClient` and regroups the reports under the
+same labels, so a point is simulated once per store however many figures
+show it (Figure 12 is Figure 10 read in seconds).  The bench suite
+(``benchmarks/``) imports these tables and asserts the paper's claims on
+them; this module returns the same data as plain functions and prints it:
 
     python -m repro.experiments list
-    python -m repro.experiments fig8 --sizes 50 100 200
-    python -m repro.experiments fig9 --sizes 30 60
+    python -m repro.experiments fig9 --sizes 30 60 --store ~/.cache/repro
     python -m repro.experiments theorem1 --ntiles 240
-    python -m repro.experiments scaling --ntiles 72
-    python -m repro.experiments breakdown --r 8 --ntiles 60
     python -m repro.experiments trace --r 8 --ntiles 40 --trace-path run.json
 """
 
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
+from .api import simulate_cholesky
 from .comm import (
     bc2d_cholesky_volume,
     cholesky_message_count,
@@ -26,130 +29,121 @@ from .comm import (
     sbc_cholesky_volume,
 )
 from .config import bora
-from .distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
+from .distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD, best_rectangle
 from .graph import build_cholesky_graph
 from .runtime import critical_path_breakdown, simulate
+from .service import JobSpec, SweepClient
 
 __all__ = [
-    "fig8_volumes",
-    "fig9_performance",
-    "theorem1_table",
-    "strong_scaling",
-    "spine_breakdown",
-    "trace_run",
-    "main",
+    "TABLE1", "FIG8", "FIG9", "FIG10", "FIG11", "FIG12", "THEOREM1",
+    "potrf", "table", "run", "run_panels",
+    "fig8_volumes", "fig9_performance", "theorem1_table", "strong_scaling",
+    "spine_breakdown", "main",
 ]
 
 B_DEFAULT = 500
+
+#: Table I: SBC parameter r -> the two fairest 2DBC grids for P = r(r-1)/2.
+TABLE1 = {6: ((5, 3), (4, 4)), 7: ((5, 4), (7, 3)),
+          8: ((7, 4), (6, 5)), 9: ((7, 5), (6, 6))}
+#: Figure 8: the P = 20 / 21 layouts whose POTRF volume the paper measures.
+FIG8 = {"SBC r=7": SymmetricBlockCyclic(7),
+        "2DBC 5x4": BlockCyclic2D(5, 4), "2DBC 7x3": BlockCyclic2D(7, 3)}
+#: Figure 9: label -> (layout, run options) at P ~ 28.  The COnfCHOX
+#: baseline is modelled: a synchronized block-cyclic run on its P = 32.
+FIG9 = {
+    "2D SBC r=8": (SymmetricBlockCyclic(8), {}),
+    "2DBC 7x4": (BlockCyclic2D(7, 4), {}),
+    "2DBC 6x5": (BlockCyclic2D(6, 5), {}),
+    "2.5D SBC c=3": (TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 3), {}),
+    "2.5D BC c=3": (TwoDotFiveD(BlockCyclic2D(3, 3), 3), {}),
+    "COnfCHOX-like": (BlockCyclic2D(8, 4), {"synchronized": True}),
+}
+#: Figure 10 panels: r -> SBC(r), then Table I's two 2DBC competitors.
+FIG10 = {r: {d.name: (d, {}) for d in (
+    SymmetricBlockCyclic(r), *(BlockCyclic2D(p, q) for p, q in grids))}
+    for r, grids in TABLE1.items()}
+#: Figure 12 is Figure 10 read in seconds: SBC and the 2DBC grid on the same P.
+FIG12 = {r: {name: (d, o) for name, (d, o) in panel.items()
+             if d.num_nodes == SymmetricBlockCyclic(r).num_nodes}
+         for r, panel in FIG10.items()}
+#: Figure 11: the eight layouts of the strong-scaling sweep, P = 15..36.
+FIG11 = {d.name: (d, {}) for d in [SymmetricBlockCyclic(r) for r in TABLE1] + [
+    BlockCyclic2D(p, q) for p, q in ((4, 4), (5, 4), (7, 4), (6, 6))]}
+#: Theorem 1: extended and basic SBC against the 2DBC closed form.
+THEOREM1 = ([SymmetricBlockCyclic(r) for r in TABLE1]
+            + [SymmetricBlockCyclic(r, variant="basic") for r in (6, 8)]
+            + [BlockCyclic2D(p, q) for p, q in ((5, 4), (7, 4), (6, 6))])
+
+
+def potrf(dist, ntiles: int, b: int = B_DEFAULT, machine=None, **options) -> JobSpec:
+    """One POTRF point: ``dist`` on ``bora(P)`` unless a machine is given."""
+    return JobSpec.make("cholesky", ntiles, b, dist,
+                        machine or bora(dist.num_nodes), **options)
+
+
+def table(layouts: Mapping, sizes: Sequence[int], b: int = B_DEFAULT) -> dict:
+    """``label -> (dist, options)`` x tile counts: ``label -> [JobSpec]``."""
+    return {label: [potrf(dist, N, b, **options) for N in sizes]
+            for label, (dist, options) in layouts.items()}
+
+
+def run(client: SweepClient, specs: Mapping) -> dict:
+    """Submit a ``label -> [JobSpec]`` table as one sweep; ``label -> [SimReport]``."""
+    results = iter(client.sweep([s for row in specs.values() for s in row]))
+    return {label: [next(results).raise_for_status().report for _ in row]
+            for label, row in specs.items()}
+
+
+def run_panels(client: SweepClient, panels: Mapping, sizes: Sequence[int],
+               b: int = B_DEFAULT) -> dict:
+    """:data:`FIG10` / :data:`FIG12`: ``r -> {layout name: [SimReport per size]}``."""
+    return {r: run(client, table(panel, sizes, b)) for r, panel in panels.items()}
 
 
 def fig8_volumes(
     sizes: Sequence[int] = (25, 50, 100, 200, 400, 600), b: int = B_DEFAULT
 ) -> dict[str, list[float]]:
     """Figure 8 series: exact POTRF volume (GB) per tile count."""
-    dists = {
-        "SBC r=7": SymmetricBlockCyclic(7),
-        "2DBC 5x4": BlockCyclic2D(5, 4),
-        "2DBC 7x3": BlockCyclic2D(7, 3),
-    }
-    return {
-        name: [cholesky_volume_exact(d, N, b) / 1e9 for N in sizes]
-        for name, d in dists.items()
-    }
+    return {name: [cholesky_volume_exact(d, N, b) / 1e9 for N in sizes]
+            for name, d in FIG8.items()}
 
 
-def fig9_performance(
-    sizes: Sequence[int] = (30, 60, 100), b: int = B_DEFAULT,
-    store=None,
-) -> dict[str, list[float]]:
+def fig9_performance(sizes: Sequence[int] = (30, 60, 100), b: int = B_DEFAULT,
+                     store=None) -> dict[str, list[float]]:
     """Figure 9 series: simulated GFlop/s per node for the P~28 configs.
 
-    Runs as a thin client of the sweep service
-    (:class:`repro.service.SweepClient`): every point is a content-
-    addressed :class:`~repro.service.JobSpec`, so re-runs against the
-    same ``store`` (a path, a ``ResultStore``, or None for
-    ``$REPRO_SWEEP_STORE`` / a temp directory) are pure cache hits — 0
-    simulations.  Results are bit-identical to the direct ``simulate``
-    calls this replaced (the engines are equality-pinned).
+    Re-runs against the same ``store`` (a path, a ``ResultStore``, or
+    None for ``$REPRO_SWEEP_STORE`` / a temp directory that lives for
+    this call) are pure cache hits — 0 simulations.
     """
-    from .service import JobSpec, SweepClient
-
-    configs = [
-        ("2D SBC r=8", 28, SymmetricBlockCyclic(8), {}),
-        ("2DBC 7x4", 28, BlockCyclic2D(7, 4), {}),
-        ("2.5D SBC c=3", 24,
-         TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 3), {}),
-        ("2.5D BC c=3", 27, TwoDotFiveD(BlockCyclic2D(3, 3), 3), {}),
-        ("COnfCHOX-like", 32, BlockCyclic2D(8, 4), {"synchronized": True}),
-    ]
-    specs = [
-        JobSpec.make(algorithm="cholesky", ntiles=N, b=b, dist=dist,
-                     machine=bora(P), **kw)
-        for _name, P, dist, kw in configs
-        for N in sizes
-    ]
-    client = SweepClient(store=store)
-    try:
-        results = client.sweep(specs)
-    finally:
-        client.close()
-    out: dict[str, list[float]] = {}
-    it = iter(results)
-    for name, _P, _dist, _kw in configs:
-        out[name] = [
-            next(it).raise_for_status().report.gflops_per_node for _ in sizes
-        ]
-    return out
+    with SweepClient(store=store) as client:
+        reports = run(client, table(FIG9, sizes, b))
+    return {name: [rep.gflops_per_node for rep in reps] for name, reps in reports.items()}
 
 
 def theorem1_table(ntiles: int = 240) -> list[tuple[str, int, int, float]]:
-    """(name, counted, formula, ratio) rows for the Theorem 1 comparison."""
+    """(name, counted, formula, ratio) rows, one per :data:`THEOREM1` layout."""
     rows = []
-    for r in (6, 7, 8, 9):
-        d = SymmetricBlockCyclic(r)
+    for d in THEOREM1:
         counted = cholesky_message_count(d, ntiles)
-        formula = sbc_cholesky_volume(ntiles, r)
-        rows.append((d.name, counted, int(formula), counted / formula))
-    for p, q in ((5, 4), (7, 4), (6, 6)):
-        d = BlockCyclic2D(p, q)
-        counted = cholesky_message_count(d, ntiles)
-        formula = bc2d_cholesky_volume(ntiles, p, q)
+        formula = (bc2d_cholesky_volume(ntiles, d.p, d.q) if isinstance(d, BlockCyclic2D)
+                   else sbc_cholesky_volume(ntiles, d.r, variant=d.variant))
         rows.append((d.name, counted, int(formula), counted / formula))
     return rows
 
 
 def strong_scaling(ntiles: int = 72, b: int = B_DEFAULT,
                    store=None) -> list[tuple[str, int, float]]:
-    """Figure 11 rows: (config, P, GFlop/s per node) at fixed matrix size.
-
-    A sweep-service thin client like :func:`fig9_performance`: pass
-    ``store=`` (or set ``$REPRO_SWEEP_STORE``) to make repeat runs pure
-    cache hits.
-    """
-    from .service import JobSpec, SweepClient
-
-    dists = [SymmetricBlockCyclic(r) for r in (6, 7, 8, 9)]
-    dists += [BlockCyclic2D(p, q) for p, q in ((4, 4), (5, 4), (7, 4), (6, 6))]
-    specs = [
-        JobSpec.make(algorithm="cholesky", ntiles=ntiles, b=b, dist=d,
-                     machine=bora(d.num_nodes))
-        for d in dists
-    ]
-    client = SweepClient(store=store)
-    try:
-        results = client.sweep(specs)
-    finally:
-        client.close()
-    return [
-        (d.name, d.num_nodes, res.raise_for_status().report.gflops_per_node)
-        for d, res in zip(dists, results)
-    ]
+    """Figure 11 rows: (config, P, GFlop/s per node) at fixed matrix size;
+    ``store`` as for :func:`fig9_performance`."""
+    with SweepClient(store=store) as client:
+        reports = run(client, table(FIG11, [ntiles], b))
+    return [(name, rep.num_nodes, rep.gflops_per_node) for name, (rep,) in reports.items()]
 
 
 def spine_breakdown(r: int = 8, ntiles: int = 60, b: int = B_DEFAULT):
     """Realized-critical-path breakdown for SBC vs the matched 2DBC."""
-    from .distributions import best_rectangle
-
     sbc = SymmetricBlockCyclic(r)
     bc = best_rectangle(sbc.num_nodes)
     out = {}
@@ -160,31 +154,73 @@ def spine_breakdown(r: int = 8, ntiles: int = 60, b: int = B_DEFAULT):
     return out
 
 
-def trace_run(r: int = 8, ntiles: int = 40, b: int = B_DEFAULT,
-              trace_path: str = None):
-    """One traced SBC simulation; optionally export a Perfetto JSON.
-
-    Returns the :class:`~repro.runtime.simulator.SimReport` whose ``obs``
-    attribute carries the event trace and metrics registry (see
-    ``docs/observability.md``).
-    """
-    from .obs import write_chrome_trace
-
-    d = SymmetricBlockCyclic(r)
-    rep = simulate(build_cholesky_graph(ntiles, b, d), bora(d.num_nodes),
-                   trace=True)
-    if trace_path:
-        write_chrome_trace(rep.obs, trace_path)
-    return rep
-
-
-def _print_series(series: dict[str, list[float]], sizes: Sequence[int], b: int,
-                  unit: str) -> None:
+def _print_series(series: Mapping[str, Sequence[float]], sizes: Sequence[int],
+                  b: int, unit: str, digits: int = 1) -> None:
     names = list(series)
     print(f"{'n':>8} " + " ".join(f"{n:>14}" for n in names))
     for i, N in enumerate(sizes):
-        print(f"{N * b:>8} " + " ".join(f"{series[n][i]:>14.1f}" for n in names))
+        print(f"{N * b:>8} "
+              + " ".join(f"{series[n][i]:>14.{digits}f}" for n in names))
     print(f"({unit})")
+
+
+def _series(series, default: Sequence[int], unit: str):
+    def runner(args) -> None:
+        sizes = args.sizes or default
+        _print_series(series(sizes, args), sizes, args.b, unit)
+    return runner
+
+
+def _panels(panels: Mapping, field: str, unit: str, digits: int):
+    def runner(args) -> None:
+        sizes = args.sizes or [40, 80]
+        with SweepClient(store=args.store) as client:
+            out = run_panels(client, panels, sizes, args.b)
+        for r, panel in out.items():
+            print(f"--- r = {r} ---")
+            _print_series({name: [getattr(rep, field) for rep in reps]
+                           for name, reps in panel.items()},
+                          sizes, args.b, unit, digits)
+    return runner
+
+
+def _print_rows(fmt: str, rows: Iterable) -> None:
+    for row in rows:
+        print(fmt.format(*row))
+
+
+def _trace(args) -> None:
+    rep = simulate_cholesky(args.ntiles or 40, args.b, SymmetricBlockCyclic(args.r),
+                            trace=True, trace_path=args.trace_path)
+    print(rep)
+    print(rep.obs.metrics.summary())
+    if args.trace_path:
+        print(f"wrote {args.trace_path} — open it at https://ui.perfetto.dev "
+              "or chrome://tracing")
+
+
+#: The CLI: experiment name -> (what ``list`` says, what runs).
+EXPERIMENTS = {
+    "fig8": ("exact communication volumes (SBC r=7 vs 2DBC)",
+             _series(lambda sizes, a: fig8_volumes(sizes, a.b),
+                     [25, 50, 100, 200, 400, 600], "GB")),
+    "fig9": ("simulated performance at P ~ 28 (2D/2.5D, baseline)",
+             _series(lambda sizes, a: fig9_performance(sizes, a.b, a.store),
+                     [30, 60], "GFlop/s per node")),
+    "fig10": ("SBC vs Table I's 2DBC grids, GFlop/s per node, r = 6..9",
+              _panels(FIG10, "gflops_per_node", "GFlop/s per node", 1)),
+    "fig12": ("the same runs in seconds, SBC vs the equal-P 2DBC",
+              _panels(FIG12, "makespan", "s", 3)),
+    "theorem1": ("counted volumes vs the closed forms", lambda a: _print_rows(
+        "{:>20} counted {:>9} formula {:>9} ratio {:.3f}",
+        theorem1_table(a.ntiles or 240))),
+    "scaling": ("strong scaling across P = 15..36", lambda a: _print_rows(
+        "{:>18} P={:<3} {:>8.1f} GFlop/s/node",
+        strong_scaling(a.ntiles or 72, a.b, a.store))),
+    "breakdown": ("realized-critical-path analysis, SBC vs 2DBC", lambda a: _print_rows(
+        "{}: {}", spine_breakdown(a.r, a.ntiles or 60, a.b).items())),
+    "trace": ("traced run: metrics summary, --trace-path exports a Perfetto JSON", _trace),
+}
 
 
 def main(argv: Sequence[str] = None) -> int:
@@ -192,9 +228,7 @@ def main(argv: Sequence[str] = None) -> int:
         prog="python -m repro.experiments",
         description="Run the paper's experiment sweeps from the command line.",
     )
-    parser.add_argument("experiment",
-                        choices=["list", "fig8", "fig9", "theorem1", "scaling",
-                                 "breakdown", "trace"])
+    parser.add_argument("experiment", choices=["list", *EXPERIMENTS])
     parser.add_argument("--sizes", type=int, nargs="+", default=None,
                         help="tile counts N to sweep")
     parser.add_argument("--ntiles", type=int, default=None, help="tile count N")
@@ -204,51 +238,15 @@ def main(argv: Sequence[str] = None) -> int:
                         help="write a Perfetto/chrome://tracing JSON of the "
                              "traced run (trace experiment)")
     parser.add_argument("--store", default=None, metavar="DIR",
-                        help="sweep-service result store for fig9/scaling "
+                        help="result store of the simulated figures "
                              "(default: $REPRO_SWEEP_STORE or a temp dir)")
     args = parser.parse_args(argv)
-
     if args.experiment == "list":
-        print("fig8      exact communication volumes (SBC r=7 vs 2DBC)")
-        print("fig9      simulated performance at P ~ 28 (2D/2.5D, baseline)")
-        print("theorem1  counted volumes vs the closed forms")
-        print("scaling   strong scaling across P = 15..36")
-        print("breakdown realized-critical-path analysis, SBC vs 2DBC")
-        print("trace     traced simulation: metrics summary + optional "
-              "--trace-path Perfetto export")
-        return 0
-    if args.experiment == "fig8":
-        sizes = args.sizes or [25, 50, 100, 200, 400, 600]
-        _print_series(fig8_volumes(sizes, args.b), sizes, args.b, "GB")
-        return 0
-    if args.experiment == "fig9":
-        sizes = args.sizes or [30, 60]
-        _print_series(fig9_performance(sizes, args.b, store=args.store),
-                      sizes, args.b, "GFlop/s per node")
-        return 0
-    if args.experiment == "theorem1":
-        for name, counted, formula, ratio in theorem1_table(args.ntiles or 240):
-            print(f"{name:>20} counted {counted:>9} formula {formula:>9} "
-                  f"ratio {ratio:.3f}")
-        return 0
-    if args.experiment == "scaling":
-        for name, P, gf in strong_scaling(args.ntiles or 72, args.b,
-                                          store=args.store):
-            print(f"{name:>18} P={P:<3} {gf:>8.1f} GFlop/s/node")
-        return 0
-    if args.experiment == "breakdown":
-        for name, bd in spine_breakdown(args.r, args.ntiles or 60, args.b).items():
-            print(f"{name}: {bd}")
-        return 0
-    if args.experiment == "trace":
-        rep = trace_run(args.r, args.ntiles or 40, args.b, args.trace_path)
-        print(rep)
-        print(rep.obs.metrics.summary())
-        if args.trace_path:
-            print(f"wrote {args.trace_path} — open it at https://ui.perfetto.dev "
-                  "or chrome://tracing")
-        return 0
-    return 1  # pragma: no cover - argparse guards choices
+        for name, (text, _runner) in EXPERIMENTS.items():
+            print(f"{name:<9} {text}")
+    else:
+        EXPERIMENTS[args.experiment][1](args)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

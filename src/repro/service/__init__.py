@@ -27,7 +27,7 @@ See ``docs/service.md`` (job schema, hash semantics, store layout) and
 ``docs/architecture.md`` (where the service sits in the stack).
 """
 
-from .client import SweepClient, default_store_path
+from .client import SweepClient
 from .hashing import (
     SCHEMA_VERSION,
     config_digest,
@@ -58,7 +58,6 @@ __all__ = [
     "run_point",
     "report_to_dict",
     "report_from_dict",
-    "default_store_path",
     "SCHEMA_VERSION",
     "config_digest",
     "structure_key",

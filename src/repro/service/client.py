@@ -6,8 +6,8 @@
   :class:`~repro.service.store.ResultStore` and a
   :class:`~repro.service.server.SweepServer` — submitting is a plain
   function call, no sockets, and a warm store makes re-runs
-  near-instant.  ``benchmarks/bench_resilience.py`` and
-  ``bench_engine_scale.py`` are thin clients in this mode.
+  near-instant.  :mod:`repro.experiments` and every bench that
+  simulates a POTRF point (``docs/benchmarks.md``) run in this mode.
 * **remote**: pass ``url="http://host:port"`` to talk to a running
   ``python -m repro.service serve`` over the stdlib ``http.client``.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import shutil
 import tempfile
 from collections.abc import Sequence
 from typing import Any, Optional, Union, cast
@@ -33,19 +34,12 @@ from .jobs import JobSpec
 from .server import JobResult, SweepServer, _result_from_record
 from .store import ResultStore
 
-__all__ = ["SweepClient", "default_store_path"]
+__all__ = ["SweepClient"]
 
-#: Environment variable naming a persistent store directory for the
-#: thin-client benchmarks (unset -> a fresh per-process temp store).
+#: Environment variable naming a persistent store directory for clients
+#: built without one (unset -> a temp store that lives as long as the
+#: client).
 STORE_ENV = "REPRO_SWEEP_STORE"
-
-
-def default_store_path() -> str:
-    """``$REPRO_SWEEP_STORE`` or a fresh temp directory (cold cache)."""
-    path = os.environ.get(STORE_ENV)
-    if path:
-        return path
-    return tempfile.mkdtemp(prefix="repro-sweep-")
 
 
 class SweepClient:
@@ -60,10 +54,15 @@ class SweepClient:
         self.url = url
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.server: Optional[SweepServer] = None
+        #: The temp store this client made for itself; :meth:`close` removes it.
+        self._own_store: Optional[str] = None
         if url is None:
             if not isinstance(store, ResultStore):
-                store = ResultStore(store if store is not None
-                                    else default_store_path())
+                if store is None:
+                    store = os.environ.get(STORE_ENV) or None
+                if store is None:
+                    store = self._own_store = tempfile.mkdtemp(prefix="repro-sweep-")
+                store = ResultStore(store)
             self.server = SweepServer(store, workers=workers)
             self._loop = asyncio.new_event_loop()
 
@@ -115,6 +114,9 @@ class SweepClient:
                 self._loop.run_until_complete(self.server.close())
             self._loop.close()
             self._loop = None
+        if self._own_store is not None:
+            shutil.rmtree(self._own_store, ignore_errors=True)
+            self._own_store = None
 
     def __enter__(self) -> SweepClient:
         return self

@@ -52,7 +52,7 @@ __all__ = [
 #: the task graph.
 #: v5: JobSpec lost the ``kernel`` field (every serve loop is bit-identical
 #: by contract, so it could only split one result over four cache keys);
-#: a ``"kernel"`` key in a submitted dict is ignored.
+#: a ``"kernel"`` key in a submitted dict raises like any unknown field.
 SCHEMA_VERSION = 5
 
 

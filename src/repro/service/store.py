@@ -8,7 +8,7 @@ Layout of a store directory::
 
 Both files are append-only logs of single-line JSON envelopes::
 
-    {"schema": 1, "sha": "<sha256 of payload>", ...payload...}
+    {"schema": SCHEMA_VERSION, "sha": "<sha256 of payload>", ...payload...}
 
 ``sha`` is the SHA-256 of the canonical JSON of the envelope minus the
 ``sha`` field itself, so any torn write, truncation or bit-rot is

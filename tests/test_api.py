@@ -75,6 +75,38 @@ class TestAnalysisApi:
         rep = repro.simulate_cholesky(ntiles=12, b=500, dist25=d)
         assert rep.makespan > 0
 
+    @pytest.mark.parametrize("layout", ["dist", "dist25"])
+    @pytest.mark.parametrize("broadcast", ["direct", "tree"])
+    @pytest.mark.parametrize("aggregate", [False, True])
+    @pytest.mark.parametrize("synchronized", [False, True])
+    def test_simulate_cholesky_runs_the_core_and_equals_the_oracle(
+            self, monkeypatch, layout, broadcast, aggregate, synchronized):
+        """The front door never enters the oracle, and answers what it would."""
+        from repro.graph import build_cholesky_graph, build_cholesky_graph_25d
+        from repro.runtime.simulator import engine
+
+        oracle = engine.simulate
+        if layout == "dist":
+            d = repro.SymmetricBlockCyclic(4)
+            graph = build_cholesky_graph(8, 500, d)
+        else:
+            d = repro.TwoDotFiveD(repro.BlockCyclic2D(2, 2), 2)
+            graph = build_cholesky_graph_25d(8, 500, d)
+        options = dict(broadcast=broadcast, aggregate=aggregate,
+                       synchronized=synchronized, trace=True)
+        want = oracle(graph, repro.bora(d.num_nodes), **options)
+
+        def entered(*_args, **_kwargs):
+            raise AssertionError("simulate_cholesky entered the oracle")
+
+        for module in (engine, repro.runtime.simulator, repro.runtime, repro.api):
+            monkeypatch.setattr(module, "simulate", entered, raising=False)
+        got = repro.simulate_cholesky(8, 500, **{layout: d}, **options)
+        assert (got.makespan, got.comm_bytes, got.comm_messages) == (
+            want.makespan, want.comm_bytes, want.comm_messages)
+        assert got.trace == want.trace
+        assert got.transfers == want.transfers
+
     def test_simulate_requires_exactly_one_dist(self):
         with pytest.raises(ValueError):
             repro.simulate_cholesky(ntiles=8, b=500)

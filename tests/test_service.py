@@ -70,6 +70,32 @@ def test_same_config_simulates_exactly_once(tmp_path):
         assert report_to_dict(second.report) == report_to_dict(first.report)
 
 
+def test_client_removes_only_the_store_it_made(tmp_path, monkeypatch):
+    """A client built without a store makes a temp one and takes it away
+    again; a store the caller or ``$REPRO_SWEEP_STORE`` named survives."""
+    import tempfile
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.delenv("REPRO_SWEEP_STORE", raising=False)
+    with SweepClient() as client:
+        client.submit(spec()).raise_for_status()
+        (made,) = tmp.iterdir()
+        assert (made / "results.jsonl").exists()
+    assert list(tmp.iterdir()) == []
+
+    for store in (tmp_path / "given", ResultStore(tmp_path / "instance")):
+        with SweepClient(store=store) as client:
+            client.submit(spec()).raise_for_status()
+    monkeypatch.setenv("REPRO_SWEEP_STORE", str(tmp_path / "env"))
+    with SweepClient() as client:
+        client.submit(spec()).raise_for_status()
+    for name in ("given", "instance", "env"):
+        assert (tmp_path / name / "results.jsonl").exists(), name
+    assert list(tmp.iterdir()) == []
+
+
 def test_store_survives_restart(tmp_path):
     store = tmp_path / "store"
     with SweepClient(store=store) as client:
