@@ -82,7 +82,7 @@ def _matrix() -> list[Case]:
     def cholesky_direct(
         dist: Distribution, n: int = N
     ) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        # The direct compiler has no DataKey table; cross-check its plan
+        # The column sink keeps no DataKey table; cross-check its plan
         # against the object graph built with identical parameters.
         g = build_cholesky_graph(n, b, dist)
         return compile_cholesky(n, b, dist), dist, g, n

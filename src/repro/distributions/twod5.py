@@ -14,6 +14,10 @@ inserted by the graph builders (:mod:`repro.graph.cholesky`).
 
 from __future__ import annotations
 
+from typing import Any, Union
+
+import numpy as np
+
 from .base import Distribution
 
 __all__ = ["TwoDotFiveD"]
@@ -28,6 +32,11 @@ class TwoDotFiveD:
         self.base = base
         self.c = c
 
+    @classmethod
+    def of(cls, dist: Union[Distribution, "TwoDotFiveD"]) -> "TwoDotFiveD":
+        """``dist`` as slices: a plain 2D distribution is the one-slice case."""
+        return dist if isinstance(dist, cls) else cls(dist, 1)
+
     @property
     def num_nodes(self) -> int:
         return self.c * self.base.num_nodes
@@ -40,9 +49,10 @@ class TwoDotFiveD:
     def name(self) -> str:
         return f"2.5D[{self.base.name}, c={self.c}]"
 
-    def slice_of_iteration(self, i: int) -> int:
-        """Slice performing iteration ``i`` (round-robin, §IV)."""
-        if i < 0:
+    def slice_of_iteration(self, i: Any) -> Any:
+        """Slice performing iteration ``i`` (round-robin, §IV); ``i`` may be
+        an array of iterations."""
+        if np.any(np.less(i, 0)):
             raise IndexError(f"iteration must be non-negative, got {i}")
         return i % self.c
 
@@ -51,6 +61,11 @@ class TwoDotFiveD:
         if not 0 <= s < self.c:
             raise IndexError(f"slice {s} out of range [0, {self.c})")
         return s * self.base.num_nodes + self.base.owner(i, j)
+
+    def owner_map(self, N: int) -> np.ndarray:
+        """``(c, N, N)`` int32 array of :meth:`owner` over slices and tiles."""
+        first = np.arange(self.c, dtype=np.int32) * self.base.num_nodes
+        return first[:, None, None] + self.base.owner_map(N).astype(np.int32)
 
     def node_slice(self, node: int) -> int:
         """Slice a global node id belongs to."""

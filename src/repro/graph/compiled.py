@@ -13,23 +13,26 @@ first-need order) that the fast engine
 (:func:`repro.runtime.simulator.fast_engine.simulate_compiled`) walks with
 integer ids only.
 
-Two entry points:
+Two ways in, one numbering:
 
 * :func:`compile_graph` lowers any existing :class:`TaskGraph` — the
   reference path, property-tested to drive the fast engine to *exactly*
   the object engine's makespan/bytes/messages;
-* :func:`compile_cholesky` / :func:`compile_lu` generate the arrays of
-  the 2D Cholesky/LU graphs directly from the distribution, never
-  materializing a ``Task`` — O(N) vectorized batches instead of O(N^3)
-  Python object constructions, which is what makes paper-scale N
-  tractable.  They produce bit-identical arrays to lowering the
-  object-built graph (also property-tested).
+* :class:`ColumnSink` takes the batches a factorisation's phase describes
+  (:func:`repro.graph.cholesky.cholesky_phase`,
+  :func:`repro.graph.lu.lu_phase` — the same functions that fill a
+  ``GraphBuilder``) and writes the columns directly, never materializing
+  a ``Task`` — O(N) vectorized batches instead of O(N^3) Python object
+  constructions, which is what makes paper-scale N tractable.
+  :func:`compile_cholesky` / :func:`compile_lu` are that phase on that
+  sink, 2D or 2.5D, bit-identical to lowering the object-built graph
+  (pinned in ``tests/test_graph_pins.py`` and property-tested).
 
 Priorities use the same bottom-level recurrence as
-:func:`repro.graph.priorities.set_critical_path_priorities`; the direct
-compilers carry ``level_ranges`` (contiguous batches of mutually
-independent tasks) so the reverse sweep runs as ~3N vectorized
-segment-max reductions instead of an O(tasks) Python loop.
+:func:`repro.graph.priorities.set_critical_path_priorities`; the column
+sink keeps ``level_ranges`` (contiguous batches of mutually independent
+tasks) while the description allows, so the reverse sweep runs as ~3N
+vectorized segment-max reductions instead of an O(tasks) Python loop.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from typing import Any, Optional
 import numpy as np
 import numpy.typing as npt
 
-from ..distributions.base import Distribution
-from ..kernels.flops import kernel_flops
-from .task import DataKey, TaskGraph
+from .cholesky import factorise_cholesky
+from .lu import factorise_lu
+from .task import Batch, DataKey, TaskGraph, Tiles, check_sizes
 
 __all__ = [
     "CompiledGraph",
@@ -55,7 +58,7 @@ __all__ = [
 ]
 
 #: Canonical kind -> code table shared by the generic lowering and the
-#: direct compilers, so both produce identical ``kind_codes`` arrays.
+#: column sink, so both produce identical ``kind_codes`` arrays.
 #: Unknown kinds are appended dynamically by :func:`compile_graph`.
 CANONICAL_KINDS = (
     "POTRF", "TRSM", "SYRK", "GEMM",
@@ -120,7 +123,7 @@ class CompiledGraph:
     data_source_node: npt.NDArray[np.int32]  # producer's node / initial home
     data_nbytes: npt.NDArray[np.int64]  # per data id
     #: DataKey per data id — kept by :func:`compile_graph` for tracing;
-    #: the direct compilers skip it (keys are synthesized on demand).
+    #: the column sink skips it (keys are synthesized on demand).
     data_keys: Optional[list[DataKey]] = None
     #: contiguous [lo, hi) task-id batches, in forward topological order,
     #: whose tasks are mutually independent (enables the vectorized
@@ -372,8 +375,8 @@ def compile_graph(graph: TaskGraph) -> CompiledGraph:
     """Lower an object :class:`TaskGraph` into a :class:`CompiledGraph`.
 
     Data ids number the initial versions first (declaration order), then
-    one id per writing task in task order — the same numbering the direct
-    compilers use, so ``compile_graph(build_cholesky_graph(...))`` equals
+    one id per writing task in task order — the same numbering the column
+    sink uses, so ``compile_graph(build_cholesky_graph(...))`` equals
     ``compile_cholesky(...)`` array for array.
     """
     kind_names = list(CANONICAL_KINDS)
@@ -450,7 +453,7 @@ def compile_graph(graph: TaskGraph) -> CompiledGraph:
 
 
 # ---------------------------------------------------------------------------
-# Direct compilers: Cholesky and LU without object materialization
+# The column sink: a batch phase written straight into arrays
 # ---------------------------------------------------------------------------
 
 
@@ -462,26 +465,40 @@ def _concat(
     return np.concatenate([np.asarray(p, dtype=dtype) for p in parts])
 
 
-class _StreamedPlanState:
-    """Per-iteration accumulator producing the same :class:`CommPlan` as
-    :func:`_build_comm_plan`, without the global edge list.
+def _ascending(a: npt.NDArray[Any]) -> bool:
+    return bool(np.all(a[1:] > a[:-1]))
 
-    The direct compilers know the consumer structure of every version in
-    closed form: each version's readers all live in a single iteration,
-    versions are created in ascending-id order, and within one iteration
-    readers are enumerated in task order.  Feeding those per-iteration
-    groups here (in ascending data-id order) therefore reproduces the
-    generic builder's output bit for bit — grouped-by-data local
-    consumers, ``rn_ids`` laid out by (data, destination-ascending) with
-    pair rows re-ordered to first-need — while every temporary stays
-    O(iteration) and the only sorts are radix-friendly ``int16`` keys.
-    The equality is pinned by the comm-plan property tests in
+
+class _StreamedPlanState:
+    """The :class:`CommPlan` of :func:`_build_comm_plan`, accumulated one
+    window of tasks (an iteration or a few) at a time, without the global
+    edge list.
+
+    Every plan array is grouped by data id, so per-window groups can simply
+    be appended as long as each window consumes ids above everything
+    consumed before it.  :meth:`add_window` checks exactly that on the
+    window's read edges, in two classes.  Versions from *before* the window
+    must each be read once, on the node that holds them, in an id range
+    above all earlier reads (a factorisation's "previous version of my
+    tile" reads: one local consumer per version, no grouping needed).
+    Versions produced *inside* the window (the panel fanning out to the
+    trailing update) are grouped by :meth:`_group`, which assumes nothing
+    and sorts on keys that span one window.  The 2D factorisations
+    satisfy this at every iteration, which keeps every temporary
+    O(iteration) at paper scale.  A window that does not (2.5D: partial
+    sums are read ``c`` iterations later, on another slice) makes
+    ``add_window`` return False; the sink then drops the stream and the
+    plan comes from :func:`_build_comm_plan` on demand.  The equality with
+    that function is pinned array for array, at several window sizes, in
     ``tests/test_compiled_engine.py``.
     """
 
-    def __init__(self, n_tasks: int, n_data: int, num_nodes: int,
-                 n_reads: int = 0) -> None:
-        self.num_nodes = num_nodes
+    #: Tasks a window gathers before it is closed at the next iteration
+    #: boundary: under this, the fixed cost of a window's ~70 numpy calls
+    #: outweighs sorting the reads that merging moves inside the window.
+    MIN_WINDOW = 4096
+
+    def __init__(self, n_tasks: int, n_data: int, n_reads: int) -> None:
         self.missing = np.zeros(n_tasks, dtype=np.int32)
         # Per-version consumer counts are O(iteration width), far below
         # 2**31: int32 halves the first-touch cost of these two n_data
@@ -489,550 +506,298 @@ class _StreamedPlanState:
         self._lc_counts = np.zeros(n_data, dtype=np.int32)
         self._kd_counts = np.zeros(n_data, dtype=np.int32)
         # Local-consumer and remote-needer ids partition the produced
-        # read edges, so ``n_reads`` bounds both: writing into
-        # preallocated buffers and slicing views at the end replaces the
-        # per-column concatenation copies of a chunk-list design (the
-        # finish()-time copies were a measurable slice of paper-scale
-        # build time).  Pair rows stay chunked — there are few of them.
+        # read edges, so ``n_reads`` bounds both: preallocated buffers
+        # sliced at the end, no per-column concatenation copies.  Pair
+        # rows stay chunked — there are few of them.
         self._lc = np.empty(n_reads, dtype=np.int32)
         self._rn = np.empty(n_reads, dtype=np.int32)
-        self._pd_chunks: list[np.ndarray] = []
-        self._pdst_chunks: list[np.ndarray] = []
-        self._pstart_chunks: list[np.ndarray] = []
-        self._pcount_chunks: list[np.ndarray] = []
-        self._lc_len = 0
-        self._rn_len = 0
+        self._lc_len = self._rn_len = 0
+        self._pairs: list[tuple[np.ndarray, ...]] = []
+        self._newest_read = -1
 
-    def _lc_append(self, ids: npt.NDArray[np.int32]) -> None:
-        n = len(ids)
-        if self._lc_len + n > len(self._lc):  # pragma: no cover - resize
-            grow = max(len(self._lc) * 2, self._lc_len + n, 1024)
-            nbuf = np.empty(grow, dtype=np.int32)
-            nbuf[: self._lc_len] = self._lc[: self._lc_len]
-            self._lc = nbuf
-        self._lc[self._lc_len : self._lc_len + n] = ids
-        self._lc_len += n
+    def _lc_append(self, ids: npt.NDArray[np.intp]) -> None:
+        self._lc[self._lc_len : self._lc_len + len(ids)] = ids
+        self._lc_len += len(ids)
 
-    def add_single_local(
-        self, d0: int, readers: npt.NDArray[np.int32]
-    ) -> None:
-        """Versions ``d0 .. d0+len(readers)`` each read once, locally.
+    def add_window(self, sink: "ColumnSink", lo: int, hi: int) -> bool:
+        """Account for tasks ``lo .. hi`` of ``sink``; False when they do
+        not stream."""
+        ptr = sink.read_ptr[lo : hi + 1]
+        ids = sink.read_ids[ptr[0] : ptr[-1]]
+        arity = ptr[1:] - ptr[:-1]
+        cons = np.repeat(np.arange(lo, hi), arity)
+        first_inside = sink.n_init + lo  # task ``lo``'s output
+        before = ids < first_inside
+        old = np.flatnonzero(before)
+        # (index arrays are kept in intp: numpy converts any other dtype
+        # on every gather, which costs more than the gather)
+        va, ca = ids[old].astype(np.intp), cons[old]
+        if len(va) and not _ascending(va):
+            order = np.argsort(va)
+            va, ca = va[order], ca[order]
+        if len(va) and (
+                va[0] <= self._newest_read or not _ascending(va)
+                or not np.array_equal(sink.node[ca], sink.data_source_node[va])):
+            return False
+        self._newest_read = int(ids.max(initial=-1))
+        made = int(np.searchsorted(va, sink.n_init))  # initial ones list nobody
+        self._lc_counts[va[made:]] = 1
+        self._lc_append(ca[made:])
+        # Every read is waited for, except of initial versions (at home).
+        self.missing[lo:hi] = arity
+        if made:
+            self.missing[lo:hi] -= np.bincount(
+                ca[:made] - lo, minlength=hi - lo).astype(np.int32)
+        inside = np.flatnonzero(~before)
+        if len(inside):
+            self._group(sink, first_inside,
+                        ids[inside].astype(np.intp) - first_inside, inside, cons)
+        return True
 
-        (The "previous version" reads of the direct algorithms: the next
-        op on a tile runs on the tile's owner, so the edge never crosses
-        nodes and each version has exactly one consumer.)
-        """
-        n = len(readers)
-        self._lc_counts[d0 : d0 + n] = 1
-        self._lc_append(readers)
-
-    def add_fanout(
+    def _group(
         self,
+        sink: "ColumnSink",
         d0: int,
-        src_of_rel: npt.NDArray[np.int32],
-        rel: npt.NDArray[np.int64],
-        readers: npt.NDArray[np.int32],
-        nodes: npt.NDArray[np.int32],
+        rel: npt.NDArray[np.intp],
+        edge: npt.NDArray[np.intp],
+        cons: npt.NDArray[np.intp],
     ) -> None:
-        """Produced versions ``d0 + rel`` read by ``readers`` at ``nodes``.
+        """Group the window's ``edge``s (read by ``cons[edge]``) of versions
+        ``d0 + rel``: local consumers by version, remote ones by (version,
+        destination).
 
-        Edges must arrive grouped by ``rel`` ascending with readers in
-        task order within each group — the global edge order restricted
-        to this iteration, which is what makes first-need positions
-        comparable without global indices.
+        One sort of unique keys does it — remote or not, version,
+        destination and edge packed into one integer — and a sort of plain
+        values is several times faster than a stable ``argsort``.  Pairs of
+        one version are then put in first-need order, the order of their
+        first edges.
         """
-        nd = len(src_of_rel)
-        local = nodes == src_of_rel[rel]
-        self._lc_counts[d0 : d0 + nd] = np.bincount(rel[local], minlength=nd)
-        self._lc_append(readers[local])
-        remote = ~local
-        n_remote = int(remote.sum())
+        dst = sink.node[cons[edge]]
+        remote = dst != sink.data_source_node[d0 + rel]
+        nd, nn, width = int(rel.max()) + 1, int(dst.max()) + 1, len(cons)
+        key = remote.astype(np.int32 if 2 * nd * nn * width < 2**31 else np.int64)
+        n_remote = int(key.sum())
+        n_local = len(key) - n_remote
+        for scale, field in ((nd, rel), (nn, dst), (width, edge)):
+            key *= scale
+            key += field
+        key.sort()
+        group = key // width
+        edge = key - group * width
+        reader = cons[edge]
+        self._lc_counts[d0 : d0 + nd] = np.bincount(
+            (group[:n_local] // nn).astype(np.intp), minlength=nd)
+        self._lc_append(reader[:n_local])
         if n_remote == 0:
             return
-        rrel = rel[remote]
-        rdst = nodes[remote]
-        rrd = readers[remote]
-        pos = np.flatnonzero(remote)
-        nn = self.num_nodes
-        key64 = rrel * nn + rdst
-        max_key = nd * nn
-        key = key64.astype(np.int16) if max_key <= 32767 else key64
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        head = np.empty(n_remote, dtype=bool)
-        head[0] = True
-        np.not_equal(skey[1:], skey[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        counts = np.diff(np.append(starts, n_remote))
-        if self._rn_len + n_remote > len(self._rn):  # pragma: no cover
-            grow = max(len(self._rn) * 2, self._rn_len + n_remote, 1024)
-            nbuf = np.empty(grow, dtype=np.int32)
-            nbuf[: self._rn_len] = self._rn[: self._rn_len]
-            self._rn = nbuf
-        self._rn[self._rn_len : self._rn_len + n_remote] = rrd[order]
-        firsts = order[starts]
-        prel = rrel[firsts]
-        pdst = rdst[firsts]
-        first_pos = pos[firsts]
-        kd = np.lexsort((first_pos, prel))
-        self._pd_chunks.append(d0 + prel[kd])
-        self._pdst_chunks.append(pdst[kd].astype(np.int32))
-        self._pstart_chunks.append(self._rn_len + starts[kd].astype(np.int64))
-        self._pcount_chunks.append(counts[kd].astype(np.int64))
+        group, edge = group[n_local:] - nd * nn, edge[n_local:]
+        starts = np.flatnonzero(group[1:] != group[:-1]) + 1
+        starts = np.concatenate([[0], starts])
+        counts = np.diff(starts, append=n_remote)
+        self._rn[self._rn_len : self._rn_len + n_remote] = reader[n_local:]
+        prel, pdst = np.divmod(group[starts], nn)
+        kd = np.lexsort((edge[starts], prel))
+        self._pairs.append((d0 + prel[kd], pdst[kd],
+                            self._rn_len + starts[kd], counts[kd]))
         self._kd_counts[d0 : d0 + nd] = np.bincount(prel, minlength=nd)
         self._rn_len += n_remote
 
-    def finish(self) -> CommPlan:
-        n_data = len(self._lc_counts)
+    def finish(self, n_tasks: int, n_data: int) -> CommPlan:
         lc_ptr = np.zeros(n_data + 1, dtype=np.int64)
-        np.cumsum(self._lc_counts, out=lc_ptr[1:])
+        np.cumsum(self._lc_counts[:n_data], out=lc_ptr[1:])
         kd_ptr = np.zeros(n_data + 1, dtype=np.int64)
-        np.cumsum(self._kd_counts, out=kd_ptr[1:])
+        np.cumsum(self._kd_counts[:n_data], out=kd_ptr[1:])
+        data, dst, start, count = (
+            zip(*self._pairs) if self._pairs else ((), (), (), ()))
         return CommPlan(
-            missing=self.missing,
+            missing=self.missing[:n_tasks],
             lc_ptr=lc_ptr,
             lc_ids=self._lc[: self._lc_len],
-            pair_data=_concat(self._pd_chunks, np.int64),
-            pair_dst=_concat(self._pdst_chunks, np.int32),
-            pair_rn_start=_concat(self._pstart_chunks, np.int64),
-            pair_rn_count=_concat(self._pcount_chunks, np.int64),
+            pair_data=_concat(data, np.int64),
+            pair_dst=_concat(dst, np.int32),
+            pair_rn_start=_concat(start, np.int64),
+            pair_rn_count=_concat(count, np.int64),
             rn_ids=self._rn[: self._rn_len],
             kd_ptr=kd_ptr,
-            # The direct algorithms never read an initial version off its
-            # home node (iteration-0 readers run on the tile's owner).
+            # A streamed window reads initial versions at home only.
             initial_sources=(),
         )
 
 
-def compile_cholesky(N: int, b: int, dist: Distribution) -> CompiledGraph:
-    """Arrays of ``build_cholesky_graph(N, b, dist)``, built streamed.
+#: "No version": above every id a sink can hand out, so reading an
+#: undeclared tile trips the same comparison that detects dependent rows.
+_UNDECLARED = np.iinfo(np.int32).max
 
-    Emits the exact task/version numbering of
-    :func:`repro.graph.cholesky.cholesky_phase` — POTRF, the TRSM panel,
-    then per-column SYRK + GEMMs, iteration by iteration — writing each
-    iteration's batch straight into preallocated output buffers (the
-    totals are closed-form), so no per-iteration Python lists or CSR
-    intermediates are ever materialized.  Version bookkeeping exploits
-    the closed form of Algorithm 1: the update of iteration ``i`` reads
-    version ``i`` of every trailing tile and writes version ``i + 1``.
-    The communication plan is accumulated in the same pass (see
-    :class:`_StreamedPlanState`): every version's consumers are known
-    analytically, which removes the global edge sorts entirely.
+
+class ColumnSink:
+    """Array twin of :class:`repro.graph.task.GraphBuilder`: the same
+    protocol (``declare_tiles``, ``reserve``, ``emit``), but rows land in
+    the :class:`CompiledGraph` columns and never become ``Task`` objects —
+    O(N) vectorised batches instead of O(N^3) constructions, which is what
+    makes paper-scale N tractable.
+
+    Versions are tracked in one ``(part, i, j)`` array of current data ids
+    per matrix name, kept flat.  Ids follow :func:`compile_graph`'s numbering —
+    initial versions in declaration order, then one per task — so every
+    tile must be declared before the first ``reserve``.  Two by-products
+    are kept while the description allows them: ``level_ranges`` as long as
+    no ``emit`` block reads a version written inside itself (its rows are
+    then mutually independent: the vectorised priority sweep), and the
+    streamed comm plan as long as iterations consume ascending id ranges
+    (:class:`_StreamedPlanState`).  Both hold for 2D graphs.
     """
-    if N < 1:
-        raise ValueError(f"need at least one tile, got N={N}")
-    owners = dist.owner_map(N).astype(np.int32)
 
-    # Initial versions: declare order is column-major over the lower
-    # triangle (j outer, i from j to N-1): id(i, j) = off[j] + i - j.
-    n_init = N * (N + 1) // 2
-    jj = np.arange(N, dtype=np.int64)
-    col_off = jj * N - jj * (jj - 1) // 2
+    def __init__(self, N: int, b: int, element_size: int = 8) -> None:
+        check_sizes(N, b)
+        self.N, self.b, self.element_size = N, b, element_size
+        self.n_init = 0
+        self._homes: list[npt.NDArray[np.int32]] = []
+        self._cur: dict[str, npt.NDArray[np.int32]] = {}
+        self._n = self._r = 0  # tasks / read edges written so far
+        self._levels: Optional[list[tuple[int, int]]] = []
+        self._stream: Optional[_StreamedPlanState] = None  # the plan, while it streams
+        self._iteration = -1  # of the last emit: windows end between two
+        self._window = 0  # first task of the stream's open window
 
-    def tri_id(
-        i: npt.NDArray[np.int64], j: npt.NDArray[np.int64]
-    ) -> npt.NDArray[np.int64]:
-        return col_off[j] + i - j
+    def _slots(self, tiles: Tiles) -> Any:
+        """Where the tiles' current ids sit in the tracker of their name:
+        one flat index per row (flat gathers cost half of (part, i, j)
+        ones), or a scalar for a tile every row shares."""
+        return (tiles.part * self.N + tiles.i) * self.N + tiles.j
 
-    # Current version id of every lower-triangle tile (packed tri index).
-    cur = np.arange(n_init, dtype=np.int64)
+    def declare_tiles(self, tiles: Tiles, homes: Any, descriptor: str) -> None:
+        """Initial versions of ``tiles``, resident at ``homes``."""
+        size = (int(np.max(tiles.part)) + 1) * self.N * self.N
+        cur = self._cur.get(tiles.name, np.empty(0, dtype=np.int32))
+        if len(cur) < size:
+            grown = np.full(size, _UNDECLARED, dtype=np.int32)
+            grown[: len(cur)] = cur
+            cur = self._cur[tiles.name] = grown
+        cur[self._slots(tiles)] = np.arange(
+            self.n_init, self.n_init + len(homes))
+        self._homes.append(homes)
+        self.n_init += len(homes)
 
-    POTRF, TRSM, SYRK, GEMM = (
-        CANONICAL_KINDS.index("POTRF"),
-        CANONICAL_KINDS.index("TRSM"),
-        CANONICAL_KINDS.index("SYRK"),
-        CANONICAL_KINDS.index("GEMM"),
-    )
-    f_potrf = kernel_flops("POTRF", b)
-    f_trsm = kernel_flops("TRSM", b)
-    f_syrk = kernel_flops("SYRK", b)
-    f_gemm = kernel_flops("GEMM", b)
+    def reserve(self, tasks: int, reads: int) -> None:
+        """Allocate the columns (upper bounds; untouched pages cost nothing).
 
-    # Exact output sizes: iteration i has m(m+1)/2 tasks (m = N - i) and
-    # 1 + 2(m-1) + [2 + 3(m-2)](m-1)/2 reads... summed in exact ints.
-    n_tasks = N * (N + 1) * (N + 2) // 6
-    n_reads = sum(
-        1 + 2 * (m - 1) + 2 * (m - 1) + 3 * ((m - 1) * (m - 2) // 2)
-        for m in range(1, N + 1)
-    )
-    kinds = np.empty(n_tasks, dtype=np.int16)
-    node = np.empty(n_tasks, dtype=np.int32)
-    flops = np.empty(n_tasks, dtype=np.float64)
-    iteration = np.empty(n_tasks, dtype=np.int32)
-    read_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-    read_ids = np.empty(n_reads, dtype=np.int32)
-    levels: list[tuple[int, int]] = []
-    plan = _StreamedPlanState(
-        n_tasks, n_init + n_tasks, int(owners.max()) + 1, n_reads
-    )
+        Called once, by the one phase a sink takes today: produced ids
+        start above ``n_init``, so the declarations end here.
+        """
+        self.kinds = np.empty(tasks, dtype=np.int16)
+        self.flops = np.empty(tasks, dtype=np.float64)
+        self.iteration = np.empty(tasks, dtype=np.int32)
+        self.read_ptr = np.zeros(tasks + 1, dtype=np.int64)
+        self.read_ids = np.empty(reads, dtype=np.int32)
+        # One column serves as ``data_source_node`` and, past the initial
+        # homes, as ``node``: a produced version lives where its task ran.
+        self.data_source_node = np.empty(self.n_init + tasks, dtype=np.int32)
+        self.data_source_node[: self.n_init] = _concat(self._homes, np.int32)
+        self.node = self.data_source_node[self.n_init :]
+        self._stream = _StreamedPlanState(tasks, self.n_init + tasks, reads)
 
-    tid = 0
-    rpos = 0
-    prev_up_d0 = -1  # data id of the previous iteration's first update out
-    tril_owner = owners  # owner(i, j) for i >= j is owners[i, j] directly
-    for i in range(N):
-        m = N - i  # trailing block size including the pivot column
-        base = tid
-        ntasks_i = m * (m + 1) // 2
-        rows = np.arange(i + 1, N, dtype=np.int64)
+    def _close_window(self) -> None:
+        lo, hi = self._window, self._n
+        if (self._stream is not None and hi > lo
+                and not self._stream.add_window(self, lo, hi)):
+            self._stream = None  # the plan is built in one piece, on demand
+        self._window = hi
 
-        if i > 0:
-            # Every iteration-i task reads its tile's previous version
-            # (written last iteration, on the same node): one local
-            # consumer per version, in matching ascending order.  These
-            # are the lowest data ids consumed this iteration, so they
-            # must be accumulated before the fan-out groups below.
-            plan.add_single_local(
-                prev_up_d0,
-                np.arange(base, base + ntasks_i, dtype=np.int32),
-            )
-
-        # POTRF(i, i): reads the current diagonal version.
-        diag_tile = tri_id(np.int64(i), np.int64(i))
-        kinds[tid] = POTRF
-        node[tid] = owners[i, i]
-        flops[tid] = f_potrf
-        iteration[tid] = i
-        read_ptr[tid + 1] = rpos + 1
-        read_ids[rpos] = cur[diag_tile]
-        rpos += 1
-        diag_ver = n_init + tid
-        cur[diag_tile] = diag_ver
-        levels.append((tid, tid + 1))
-        tid += 1
-
-        if m > 1:
-            # TRSM panel: tiles (j, i), j = i+1..N-1, reads (prev, diag).
-            panel_tiles = tri_id(rows, np.int64(i))
-            trsm_nodes = tril_owner[rows, i]
-            sl = slice(tid, tid + m - 1)
-            kinds[sl] = TRSM
-            node[sl] = trsm_nodes
-            flops[sl] = f_trsm
-            iteration[sl] = i
-            read_ptr[tid + 1 : tid + m] = rpos + 2 * np.arange(
-                1, m, dtype=np.int64
-            )
-            rv = read_ids[rpos : rpos + 2 * (m - 1)]
-            rv[0::2] = cur[panel_tiles]
-            rv[1::2] = diag_ver
-            rpos += 2 * (m - 1)
-            trsm_out0 = n_init + tid  # output id of TRSM(i+1, i)
-            cur[panel_tiles] = trsm_out0 + np.arange(m - 1)
-            levels.append((tid, tid + m - 1))
-            tid += m - 1
-
-            # Trailing update: per column k (ascending), SYRK(k, k) then
-            # GEMM(j, k) for j = k+1..N-1 — column-major enumeration of
-            # the trailing lower triangle.
-            lens = (N - rows).astype(np.int64)
-            kk = np.repeat(rows, lens)
-            n_up = len(kk)
-            seg0 = np.zeros(m - 1, dtype=np.int64)
-            np.cumsum(lens[:-1], out=seg0[1:])
-            up_j = np.arange(n_up, dtype=np.int64) - np.repeat(
-                seg0, lens
-            ) + kk
-            is_syrk = up_j == kk
-            up_tiles = tri_id(up_j, kk)
-            a_ki = trsm_out0 + (kk - i - 1)  # TRSM out of col tile (k, i)
-            a_ji = trsm_out0 + (up_j - i - 1)
-            up_base = tid
-            sl = slice(tid, tid + n_up)
-            kinds[sl] = np.where(is_syrk, SYRK, GEMM)
-            up_nodes = tril_owner[up_j, kk]
-            node[sl] = up_nodes
-            flops[sl] = np.where(is_syrk, f_syrk, f_gemm)
-            iteration[sl] = i
-            nread = np.where(is_syrk, 2, 3)
-            starts = np.zeros(n_up, dtype=np.int64)
-            np.cumsum(nread[:-1], out=starts[1:])
-            nr_up = int(starts[-1]) + int(nread[-1])
-            read_ptr[tid + 1 : tid + 1 + n_up] = (
-                rpos + starts + nread
-            )
-            rv = read_ids[rpos : rpos + nr_up]
-            # SYRK reads (prev, a_ki); GEMM reads (prev, a_ji, a_ki).
-            rv[starts] = cur[up_tiles]
-            rv[starts + 1] = np.where(is_syrk, a_ki, a_ji)
-            rv[starts[~is_syrk] + 2] = a_ki[~is_syrk]
-            rpos += nr_up
-            cur[up_tiles] = n_init + tid + np.arange(n_up)
-            levels.append((tid, tid + n_up))
-            tid += n_up
-
-            # Comm plan: the POTRF output fans out to the panel, each
-            # TRSM output to its row/column of the trailing update.
-            q = np.arange(m - 1, dtype=np.int64)
-            off_up = q * (m - 1) - q * (q - 1) // 2  # first task of col k
-            T, Q = q[None, :], q[:, None]
-            # Readers of TRSM output q (column c = i+1+q): GEMM(c, k) for
-            # k < c — position off[t] + (q - t) in column t — then
-            # SYRK(c, c) and GEMM(j, c) at off[q] + (t - q).
-            R = up_base + np.where(T < Q, off_up[T] - T + Q,
-                                   off_up[Q] - Q + T)
-            rel = np.concatenate(
-                [np.zeros(m - 1, dtype=np.int64),
-                 np.repeat(q + 1, m - 1)]
-            )
-            trsm_ids = np.arange(base + 1, base + m, dtype=np.int32)
-            readers = np.concatenate(
-                [trsm_ids, R.astype(np.int32).ravel()]
-            )
-            nodes = np.concatenate(
-                [trsm_nodes, up_nodes[R - up_base].ravel()]
-            )
-            src_of_rel = np.concatenate(
-                [owners[i, i][None], trsm_nodes]
-            )
-            plan.add_fanout(diag_ver, src_of_rel, rel, readers, nodes)
-            miss = np.bincount(
-                readers.astype(np.int64) - base, minlength=ntasks_i
-            ).astype(np.int32)
+    def emit(self, iteration: int, *batches: Batch) -> None:
+        """Write the batches' rows into one block of task ids."""
+        batches = tuple(bt for bt in batches if len(bt.node))
+        sizes = [len(bt.node) for bt in batches]
+        n = sum(sizes)
+        if n == 0:
+            return
+        if iteration != self._iteration:
+            self._iteration = iteration
+            if self._n - self._window >= _StreamedPlanState.MIN_WINDOW:
+                self._close_window()
+        lo = self._n
+        if lo + n > len(self.kinds):
+            raise ValueError(f"{lo + n} tasks emitted, {len(self.kinds)} reserved")
+        # Where each row of the block is placed, and where its reads end.
+        places: list[Any] = []
+        filled = 0
+        for bt, size in zip(batches, sizes):
+            places.append(slice(filled, filled + size) if bt.at is None else bt.at)
+            filled += size
+        arity: Any = 1 + len(batches[0].reads)
+        if any(1 + len(bt.reads) != arity for bt in batches):
+            arity = np.empty(n, dtype=np.int64)
+            for bt, at in zip(batches, places):
+                arity[at] = 1 + len(bt.reads)
+            ends = self._r + np.cumsum(arity)
         else:
-            miss = np.zeros(1, dtype=np.int32)
+            ends = self._r + arity * np.arange(1, n + 1)
+        starts = ends - arity
+        self.read_ptr[lo + 1 : lo + n + 1] = ends
+        self.iteration[lo : lo + n] = iteration
+        first_id = self.n_init + lo
+        block_ids = np.arange(first_id, first_id + n, dtype=np.int32)
+        newest = -1
+        for bt, at in zip(batches, places):
+            rows = (slice(lo + at.start, lo + at.stop) if isinstance(at, slice)
+                    else lo + at)
+            self.kinds[rows] = CANONICAL_KINDS.index(bt.kind)
+            self.node[rows] = bt.node
+            self.flops[rows] = bt.flops
+            slot = starts[at]
+            for k, t in enumerate((bt.write, *bt.reads)):
+                version = self._cur[t.name][self._slots(t)]
+                self.read_ids[slot + k] = version
+                newest = max(newest, int(version.max()))
+            self._cur[bt.write.name][self._slots(bt.write)] = block_ids[at]
+        if newest >= first_id + n:
+            raise KeyError("a batch reads a tile that was never declared")
+        if self._levels is not None:
+            if newest < first_id:
+                self._levels.append((lo, lo + n))
+            else:  # rows depend on each other: no contiguous levels
+                self._levels = None
+        self._n += n
+        self._r = int(ends[-1])
 
-        if i > 0:
-            miss += 1  # the (local, produced) previous-version read
-        plan.missing[base : base + ntasks_i] = miss
-        prev_up_d0 = n_init + base + (m if m > 1 else 1)
-
-    data_producer = np.concatenate(
-        [np.full(n_init, -1, dtype=np.int32),
-         np.arange(n_tasks, dtype=np.int32)]
-    )
-    # Initial homes: owner of tile (i, j) in declare order.
-    init_i = np.concatenate([np.arange(j, N) for j in range(N)])
-    init_j = np.repeat(np.arange(N), N - np.arange(N))
-    init_home = owners[init_i, init_j].astype(np.int32)
-    data_source_node = np.concatenate([init_home, node])
-
-    return CompiledGraph(
-        b=b,
-        width=0,
-        element_size=8,
-        kind_names=list(CANONICAL_KINDS),
-        kind_codes=kinds,
-        node=node,
-        flops=flops,
-        iteration=iteration,
-        priority=np.zeros(n_tasks, dtype=np.float64),
-        write_id=(n_init + np.arange(n_tasks)).astype(np.int32),
-        read_ptr=read_ptr,
-        read_ids=read_ids,
-        n_init=n_init,
-        data_producer=data_producer,
-        data_source_node=data_source_node,
-        data_nbytes=np.full(n_init + n_tasks, b * b * 8, dtype=np.int64),
-        data_keys=None,
-        level_ranges=levels,
-        _plan=plan.finish(),
-    )
+    def finish(self) -> CompiledGraph:
+        self._close_window()
+        n, n_data = self._n, self.n_init + self._n
+        return CompiledGraph(
+            b=self.b,
+            width=0,
+            element_size=self.element_size,
+            kind_names=list(CANONICAL_KINDS),
+            kind_codes=self.kinds[:n],
+            node=self.node[:n],
+            flops=self.flops[:n],
+            iteration=self.iteration[:n],
+            priority=np.zeros(n, dtype=np.float64),
+            write_id=np.arange(self.n_init, n_data, dtype=np.int32),
+            read_ptr=self.read_ptr[: n + 1],
+            read_ids=self.read_ids[: self._r],
+            n_init=self.n_init,
+            data_producer=np.concatenate(
+                [np.full(self.n_init, -1, dtype=np.int32),
+                 np.arange(n, dtype=np.int32)]),
+            data_source_node=self.data_source_node[:n_data],
+            data_nbytes=np.full(
+                n_data, self.b * self.b * self.element_size, dtype=np.int64),
+            data_keys=None,
+            level_ranges=self._levels,
+            _plan=self._stream.finish(n, n_data) if self._stream else None,
+        )
 
 
-def compile_lu(N: int, b: int, dist: Distribution) -> CompiledGraph:
-    """Arrays of ``build_lu_graph(N, b, dist)``, built streamed.
+def compile_cholesky(N: int, b: int, dist: Any, element_size: int = 8) -> CompiledGraph:
+    """Arrays of ``build_cholesky_graph(N, b, dist)`` — a 2D distribution
+    or a :class:`TwoDotFiveD` — from the same phase, on the column sink."""
+    sink = ColumnSink(N, b, element_size)
+    factorise_cholesky(sink, N, dist)
+    return sink.finish()
 
-    Same scheme as :func:`compile_cholesky` on the full (nonsymmetric)
-    tile grid: GETRF, the L panel (column), the U panel (row), then the
-    trailing GEMM_LU block in row-major order, iteration by iteration —
-    each batch written straight into preallocated buffers with the
-    communication plan accumulated analytically in the same pass.
-    """
-    if N < 1:
-        raise ValueError(f"need at least one tile, got N={N}")
-    owners = dist.owner_map(N).astype(np.int32)
 
-    n_init = N * N  # declare order: i outer, j inner -> id = i * N + j
-    cur = np.arange(n_init, dtype=np.int64)
-
-    GETRF = CANONICAL_KINDS.index("GETRF")
-    TRSM_L = CANONICAL_KINDS.index("TRSM_L")
-    TRSM_U = CANONICAL_KINDS.index("TRSM_U")
-    GEMM_LU = CANONICAL_KINDS.index("GEMM_LU")
-    f_getrf = kernel_flops("GETRF", b)
-    f_trsm = kernel_flops("TRSM_L", b)
-    f_gemm = kernel_flops("GEMM_LU", b)
-
-    # Iteration i has m^2 tasks (m = N - i): 1 + 2(m-1) + (m-1)^2.
-    n_tasks = sum(m * m for m in range(1, N + 1))
-    n_reads = sum(
-        1 + 4 * (m - 1) + 3 * (m - 1) * (m - 1) for m in range(1, N + 1)
-    )
-    kinds = np.empty(n_tasks, dtype=np.int16)
-    node = np.empty(n_tasks, dtype=np.int32)
-    flops = np.empty(n_tasks, dtype=np.float64)
-    iteration = np.empty(n_tasks, dtype=np.int32)
-    read_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-    read_ids = np.empty(n_reads, dtype=np.int32)
-    levels: list[tuple[int, int]] = []
-    plan = _StreamedPlanState(
-        n_tasks, n_init + n_tasks, int(owners.max()) + 1, n_reads
-    )
-
-    tid = 0
-    rpos = 0
-    prev_up_d0 = -1
-    for i in range(N):
-        m = N - i
-        base = tid
-        ntasks_i = m * m
-        rows = np.arange(i + 1, N, dtype=np.int64)
-
-        if i > 0:
-            # Previous versions of the m x m active block, written last
-            # iteration by its GEMM_LU grid in the same row-major order;
-            # all local, one reader each: GETRF / TRSM_U row, then per
-            # trailing row TRSM_L followed by the GEMM_LU row.
-            a_readers = np.empty((m, m), dtype=np.int32)
-            a_readers[0, 0] = base
-            a_readers[0, 1:] = base + m + np.arange(m - 1)
-            a_readers[1:, 0] = base + 1 + np.arange(m - 1)
-            a_readers[1:, 1:] = (
-                base + 2 * m - 1
-                + np.arange((m - 1) * (m - 1)).reshape(m - 1, m - 1)
-            )
-            plan.add_single_local(prev_up_d0, a_readers.ravel())
-
-        diag_tile = i * N + i
-        kinds[tid] = GETRF
-        node[tid] = owners[i, i]
-        flops[tid] = f_getrf
-        iteration[tid] = i
-        read_ptr[tid + 1] = rpos + 1
-        read_ids[rpos] = cur[diag_tile]
-        rpos += 1
-        diag_ver = n_init + tid
-        cur[diag_tile] = diag_ver
-        levels.append((tid, tid + 1))
-        tid += 1
-
-        if m > 1:
-            # L panel: tiles (j, i), reads (prev, diag).
-            l_tiles = rows * N + i
-            l_nodes = owners[rows, i]
-            sl = slice(tid, tid + m - 1)
-            kinds[sl] = TRSM_L
-            node[sl] = l_nodes
-            flops[sl] = f_trsm
-            iteration[sl] = i
-            read_ptr[tid + 1 : tid + m] = rpos + 2 * np.arange(
-                1, m, dtype=np.int64
-            )
-            rv = read_ids[rpos : rpos + 2 * (m - 1)]
-            rv[0::2] = cur[l_tiles]
-            rv[1::2] = diag_ver
-            rpos += 2 * (m - 1)
-            l_out0 = n_init + tid
-            cur[l_tiles] = l_out0 + np.arange(m - 1)
-            levels.append((tid, tid + m - 1))
-            tid += m - 1
-
-            # U panel: tiles (i, k), reads (prev, diag).
-            u_tiles = i * N + rows
-            u_nodes = owners[i, rows]
-            sl = slice(tid, tid + m - 1)
-            kinds[sl] = TRSM_U
-            node[sl] = u_nodes
-            flops[sl] = f_trsm
-            iteration[sl] = i
-            read_ptr[tid + 1 : tid + m] = rpos + 2 * np.arange(
-                1, m, dtype=np.int64
-            )
-            rv = read_ids[rpos : rpos + 2 * (m - 1)]
-            rv[0::2] = cur[u_tiles]
-            rv[1::2] = diag_ver
-            rpos += 2 * (m - 1)
-            u_out0 = n_init + tid
-            cur[u_tiles] = u_out0 + np.arange(m - 1)
-            levels.append((tid, tid + m - 1))
-            tid += m - 1
-
-            # Trailing block, row-major: (j, k) for j then k ascending;
-            # reads (prev, a_ji, a_ik).
-            up_j = np.repeat(rows, m - 1)
-            up_k = np.tile(rows, m - 1)
-            n_up = (m - 1) * (m - 1)
-            up_tiles = up_j * N + up_k
-            up_base = tid
-            up_nodes = owners[up_j, up_k]
-            sl = slice(tid, tid + n_up)
-            kinds[sl] = GEMM_LU
-            node[sl] = up_nodes
-            flops[sl] = f_gemm
-            iteration[sl] = i
-            read_ptr[tid + 1 : tid + 1 + n_up] = rpos + 3 * np.arange(
-                1, n_up + 1, dtype=np.int64
-            )
-            rv = read_ids[rpos : rpos + 3 * n_up]
-            rv[0::3] = cur[up_tiles]
-            rv[1::3] = l_out0 + (up_j - i - 1)
-            rv[2::3] = u_out0 + (up_k - i - 1)
-            rpos += 3 * n_up
-            cur[up_tiles] = n_init + tid + np.arange(n_up)
-            levels.append((tid, tid + n_up))
-            tid += n_up
-
-            # Comm plan: GETRF output fans out to both panels; L output
-            # j to GEMM_LU row j (consecutive ids); U output k to
-            # GEMM_LU column k (stride m-1).
-            q = np.arange(m - 1, dtype=np.int64)
-            T, Q = q[None, :], q[:, None]
-            grid = up_base + Q * (m - 1) + T  # GEMM_LU id of (row, col)
-            l_ids = np.arange(base + 1, base + m, dtype=np.int32)
-            u_ids = np.arange(base + m, base + 2 * m - 1, dtype=np.int32)
-            grid_nodes = up_nodes.reshape(m - 1, m - 1)
-            rel = np.concatenate(
-                [np.zeros(2 * (m - 1), dtype=np.int64),
-                 np.repeat(q + 1, m - 1),
-                 np.repeat(q + m, m - 1)]
-            )
-            readers = np.concatenate(
-                [l_ids, u_ids,
-                 grid.astype(np.int32).ravel(),
-                 grid.astype(np.int32).T.ravel()]
-            )
-            nodes = np.concatenate(
-                [l_nodes, u_nodes,
-                 grid_nodes.ravel(), grid_nodes.T.ravel()]
-            )
-            src_of_rel = np.concatenate(
-                [owners[i, i][None], l_nodes, u_nodes]
-            )
-            plan.add_fanout(diag_ver, src_of_rel, rel, readers, nodes)
-            miss = np.bincount(
-                readers.astype(np.int64) - base, minlength=ntasks_i
-            ).astype(np.int32)
-        else:
-            miss = np.zeros(1, dtype=np.int32)
-
-        if i > 0:
-            miss += 1  # the (local, produced) previous-version read
-        plan.missing[base : base + ntasks_i] = miss
-        prev_up_d0 = n_init + base + (2 * m - 1 if m > 1 else 1)
-
-    init_home = owners.reshape(-1).astype(np.int32)
-    return CompiledGraph(
-        b=b,
-        width=0,
-        element_size=8,
-        kind_names=list(CANONICAL_KINDS),
-        kind_codes=kinds,
-        node=node,
-        flops=flops,
-        iteration=iteration,
-        priority=np.zeros(n_tasks, dtype=np.float64),
-        write_id=(n_init + np.arange(n_tasks)).astype(np.int32),
-        read_ptr=read_ptr,
-        read_ids=read_ids,
-        n_init=n_init,
-        data_producer=np.concatenate(
-            [np.full(n_init, -1, dtype=np.int32),
-             np.arange(n_tasks, dtype=np.int32)]
-        ),
-        data_source_node=np.concatenate([init_home, node]),
-        data_nbytes=np.full(n_init + n_tasks, b * b * 8, dtype=np.int64),
-        data_keys=None,
-        level_ranges=levels,
-        _plan=plan.finish(),
-    )
+def compile_lu(N: int, b: int, dist: Any, element_size: int = 8) -> CompiledGraph:
+    """Arrays of ``build_lu_graph(N, b, dist)``, likewise."""
+    sink = ColumnSink(N, b, element_size)
+    factorise_lu(sink, N, dist)
+    return sink.finish()

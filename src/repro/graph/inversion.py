@@ -110,24 +110,18 @@ def lauum_phase(
 
 def build_trtri_graph(N: int, b: int, dist: Distribution) -> TaskGraph:
     """Standalone TRTRI graph; initial tiles hold a lower-triangular matrix."""
-    graph = TaskGraph(b)
-    bld = GraphBuilder(graph)
-    for j in range(N):
-        for i in range(j, N):
-            bld.declare("A", i, j, dist.owner(i, j), "tri")
+    bld = GraphBuilder.sized(N, b)
+    declare_spd_tiles(bld, N, dist, descriptor="tri")
     trtri_phase(bld, N, dist, 0)
-    return graph
+    return bld.graph
 
 
 def build_lauum_graph(N: int, b: int, dist: Distribution) -> TaskGraph:
     """Standalone LAUUM graph; initial tiles hold a lower-triangular matrix."""
-    graph = TaskGraph(b)
-    bld = GraphBuilder(graph)
-    for j in range(N):
-        for i in range(j, N):
-            bld.declare("A", i, j, dist.owner(i, j), "tri")
+    bld = GraphBuilder.sized(N, b)
+    declare_spd_tiles(bld, N, dist, descriptor="tri")
     lauum_phase(bld, N, dist, 0)
-    return graph
+    return bld.graph
 
 
 def build_potri_graph(
@@ -141,10 +135,7 @@ def build_potri_graph(
     When ``trtri_dist`` is given, the matrix is remapped to it before TRTRI
     and back to ``dist`` afterwards — the paper's "SBC remap 2DBC" strategy.
     """
-    if N < 1:
-        raise ValueError(f"need at least one tile, got N={N}")
-    graph = TaskGraph(b)
-    bld = GraphBuilder(graph)
+    bld = GraphBuilder.sized(N, b)
     declare_spd_tiles(bld, N, dist)
     cholesky_phase(bld, N, dist)
     offset = N
@@ -159,4 +150,4 @@ def build_potri_graph(
         trtri_phase(bld, N, dist, iteration_offset=offset)
         offset += N
     lauum_phase(bld, N, dist, iteration_offset=offset)
-    return graph
+    return bld.graph

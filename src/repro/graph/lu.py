@@ -14,98 +14,94 @@ measured rather than asserted:
             A[j,k] <- A[j,k] - A[j,i] A[i,k]      (GEMM_LU)
 
 Every tile of the square matrix is stored (no symmetry), distributed by
-``dist.owner`` without canonicalization.
+``dist.owner`` without canonicalization.  Like Cholesky
+(:mod:`repro.graph.cholesky`), the loop nest is one batch phase for both
+sinks, and the COnfLUX-style 2.5D organisation the paper compares against
+[9] is the same phase under a :class:`TwoDotFiveD`: iteration ``i`` on
+slice ``i mod c``, partial trailing updates per slice, REDUCE before a
+tile's final panel operation.
 """
 
 from __future__ import annotations
 
-from ..distributions.base import Distribution
+from typing import Any
+
+import numpy as np
+
 from ..distributions.twod5 import TwoDotFiveD
 from ..kernels.flops import kernel_flops, lu_total_flops
-from .cholesky import _ensure_partial, _reduce_partials
-from .task import GraphBuilder, TaskGraph
+from .cholesky import Layout, emit_final, slice_owners
+from .task import Batch, GraphBuilder, TaskGraph, Tiles
 
 __all__ = ["build_lu_graph", "build_lu_graph_25d", "lu_total_flops"]
 
 
-def build_lu_graph(N: int, b: int, dist: Distribution) -> TaskGraph:
-    """Tiled LU (no pivoting) task graph on the full N x N tile grid."""
-    if N < 1:
-        raise ValueError(f"need at least one tile, got N={N}")
-    graph = TaskGraph(b)
-    bld = GraphBuilder(graph)
+def lu_phase(sink: Any, N: int, dist: TwoDotFiveD) -> None:
+    """Describe GETRF on the declared full tile grid to ``sink``."""
+    slices = dist.c
+    node = slice_owners(dist, N)
+    flops = {k: kernel_flops(k, sink.b)
+             for k in ("GETRF", "TRSM_L", "TRSM_U", "GEMM_LU")}
+
+    def trailing(i: int) -> tuple[Any, Any]:
+        """Tiles (j, k), j, k > i, row by row."""
+        rows = np.arange(i + 1, N)
+        return np.repeat(rows, len(rows)), np.tile(rows, len(rows))
+
+    # Slice s first accumulates at iteration s, from zero, on every
+    # trailing tile whose final slice it is not.
+    for s in range(min(slices, N) if slices > 1 else 0):
+        j, k = trailing(s)
+        mine = dist.slice_of_iteration(np.minimum(j, k)) != s
+        sink.declare_tiles(Tiles("A", j[mine], k[mine], s),
+                           node(s, j[mine], k[mine]), "zero")
+    m = np.arange(N, 0, -1)  # active block of each iteration
+    sink.reserve(
+        tasks=int((m * m).sum()) + (slices > 1) * N * N,
+        reads=int((1 + 4 * (m - 1) + 3 * (m - 1) ** 2).sum())
+        + (slices > 1) * min(slices, N) * N * N)
     for i in range(N):
-        for j in range(N):
-            bld.declare("A", i, j, dist.owner(i, j), "lu")
-
-    for i in range(N):
-        prev = bld.current("A", i, i)
-        diag = bld.bump("A", i, i)
-        bld.task("GETRF", dist.owner(i, i), (i,), (prev,), diag,
-                 kernel_flops("GETRF", b), i)
-        for j in range(i + 1, N):
-            prevc = bld.current("A", j, i)
-            out = bld.bump("A", j, i)
-            bld.task("TRSM_L", dist.owner(j, i), (j, i), (prevc, diag), out,
-                     kernel_flops("TRSM_L", b), i)
-        for k in range(i + 1, N):
-            prevr = bld.current("A", i, k)
-            out = bld.bump("A", i, k)
-            bld.task("TRSM_U", dist.owner(i, k), (i, k), (prevr, diag), out,
-                     kernel_flops("TRSM_U", b), i)
-        for j in range(i + 1, N):
-            a_ji = bld.current("A", j, i)
-            for k in range(i + 1, N):
-                a_ik = bld.current("A", i, k)
-                prevt = bld.current("A", j, k)
-                out = bld.bump("A", j, k)
-                bld.task("GEMM_LU", dist.owner(j, k), (j, k, i),
-                         (prevt, a_ji, a_ik), out, kernel_flops("GEMM_LU", b), i)
-    return graph
+        s = dist.slice_of_iteration(i)
+        partials = tuple(t for t in range(min(slices, i)) if t != s)
+        d = np.array([i])
+        rows = np.arange(i + 1, N)
+        pivot = (Tiles("A", i, i, s),)
+        emit_final(sink, i, Batch(
+            "GETRF", node(s, d, d), (i,), Tiles("A", d, d, s), (),
+            flops["GETRF"]), partials)
+        emit_final(sink, i, Batch(
+            "TRSM_L", node(s, rows, i), (rows, i), Tiles("A", rows, i, s),
+            pivot, flops["TRSM_L"]), partials)
+        emit_final(sink, i, Batch(
+            "TRSM_U", node(s, i, rows), (i, rows), Tiles("A", i, rows, s),
+            pivot, flops["TRSM_U"]), partials)
+        j, k = trailing(i)
+        sink.emit(i, Batch(
+            "GEMM_LU", node(s, j, k), (j, k, i), Tiles("A", j, k, s),
+            (Tiles("A", j, i, s), Tiles("A", i, k, s)), flops["GEMM_LU"]))
 
 
-def build_lu_graph_25d(N: int, b: int, d25: TwoDotFiveD) -> TaskGraph:
-    """2.5D tiled LU without pivoting: replication over ``c`` slices.
+def factorise_lu(sink: Any, N: int, dist: Layout) -> None:
+    """Declare A under ``dist`` (2D or 2.5D) and factorise it on ``sink``.
 
-    The COnfLUX-style organisation the paper compares against [9]:
-    iteration ``i`` runs on slice ``i mod c``, each slice accumulates its
-    share of the trailing updates in its own copy of the matrix, and
-    REDUCE tasks aggregate the partials right before a tile's final panel
-    operation.  Same data-streaming scheme as
-    :func:`repro.graph.cholesky.build_cholesky_graph_25d`.
+    With several slices, tile (i, j) starts on the slice of its final
+    iteration ``min(i, j)``.
     """
-    if N < 1:
-        raise ValueError(f"need at least one tile, got N={N}")
-    graph = TaskGraph(b)
-    bld = GraphBuilder(graph)
-    for i in range(N):
-        for j in range(N):
-            t = d25.slice_of_iteration(min(i, j))
-            bld.declare("A", i, j, d25.owner(t, i, j), "lu", part=t)
+    dist = TwoDotFiveD.of(dist)
+    i, j = np.divmod(np.arange(N * N), N)  # row by row
+    part = dist.slice_of_iteration(np.minimum(i, j))
+    sink.declare_tiles(
+        Tiles("A", i, j, part), slice_owners(dist, N)(part, i, j), "lu")
+    lu_phase(sink, N, dist)
 
-    for i in range(N):
-        s = d25.slice_of_iteration(i)
-        acc = _reduce_partials(bld, d25, i, i, s, i)
-        diag = bld.bump("A", i, i, part=s)
-        bld.task("GETRF", d25.owner(s, i, i), (i,), (acc,), diag,
-                 kernel_flops("GETRF", b), i)
-        for j in range(i + 1, N):
-            accc = _reduce_partials(bld, d25, j, i, s, i)
-            out = bld.bump("A", j, i, part=s)
-            bld.task("TRSM_L", d25.owner(s, j, i), (j, i), (accc, diag), out,
-                     kernel_flops("TRSM_L", b), i)
-        for k in range(i + 1, N):
-            accr = _reduce_partials(bld, d25, i, k, s, i)
-            out = bld.bump("A", i, k, part=s)
-            bld.task("TRSM_U", d25.owner(s, i, k), (i, k), (accr, diag), out,
-                     kernel_flops("TRSM_U", b), i)
-        for j in range(i + 1, N):
-            a_ji = bld.current("A", j, i, part=s)
-            for k in range(i + 1, N):
-                a_ik = bld.current("A", i, k, part=s)
-                _ensure_partial(bld, d25, j, k, s)
-                prev = bld.current("A", j, k, part=s)
-                out = bld.bump("A", j, k, part=s)
-                bld.task("GEMM_LU", d25.owner(s, j, k), (j, k, i),
-                         (prev, a_ji, a_ik), out, kernel_flops("GEMM_LU", b), i)
-    return graph
+
+def build_lu_graph(N: int, b: int, dist: Layout, element_size: int = 8) -> TaskGraph:
+    """Tiled LU (no pivoting) task graph on the full N x N tile grid; a
+    :class:`TwoDotFiveD` replicates it over its slices."""
+    bld = GraphBuilder.sized(N, b, element_size=element_size)
+    factorise_lu(bld, N, dist)
+    return bld.graph
+
+
+#: The 2.5D graph is the same call with a :class:`TwoDotFiveD`.
+build_lu_graph_25d = build_lu_graph

@@ -71,15 +71,12 @@ def build_posv_graph(
     ``width`` is the number of right-hand-side columns (defaults to ``b``,
     i.e. a one-tile-wide B like in the paper's experiments).
     """
-    if N < 1:
-        raise ValueError(f"need at least one tile, got N={N}")
     width = width if width > 0 else b
-    graph = TaskGraph(b, width=width)
-    bld = GraphBuilder(graph)
+    bld = GraphBuilder.sized(N, b, width=width)
     declare_spd_tiles(bld, N, dist)
     for i in range(N):
         bld.declare("B", i, 0, rhs_dist.owner(i, 0), "rhs")
     cholesky_phase(bld, N, dist)
     forward_solve_phase(bld, N, rhs_dist, iteration_offset=N)
     backward_solve_phase(bld, N, rhs_dist, iteration_offset=2 * N)
-    return graph
+    return bld.graph

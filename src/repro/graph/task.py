@@ -14,10 +14,15 @@ and the validators check it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from typing import NamedTuple, Optional
+from collections.abc import Iterator
+from itertools import repeat, starmap
+from operator import itemgetter
+from typing import Any, NamedTuple, Optional
 
-__all__ = ["DataKey", "Task", "TaskGraph", "GraphBuilder"]
+import numpy as np
+
+__all__ = ["DataKey", "Tiles", "Batch", "Task", "TaskGraph", "GraphBuilder",
+           "check_sizes"]
 
 
 class DataKey(NamedTuple):
@@ -33,6 +38,47 @@ class DataKey(NamedTuple):
     j: int
     ver: int
     part: int = 0
+
+
+class Tiles(NamedTuple):
+    """Tiles of one stream, by coordinates: a :class:`DataKey` per row with
+    the version left open.  ``i``, ``j`` and ``part`` are index arrays, or
+    scalars standing for every row of the batch."""
+
+    name: str
+    i: Any
+    j: Any
+    part: Any = 0
+
+
+class Batch(NamedTuple):
+    """One kernel applied to many tiles: what a phase hands a sink.
+
+    Every tile kernel here updates its output in place (StarPU's RW access
+    mode), so row ``r`` reads the current version of ``write`` at ``r``,
+    then of each of ``reads`` at ``r``, and produces the next version of
+    ``write``.  Versions are never named: the sink resolves them, batch by
+    batch in the order one ``emit`` call lists them.  ``at`` places the
+    rows inside that call's block of task ids (default: right after the
+    batch before), which is how REDUCE / TRSM pairs and the SYRK / GEMM
+    columns stay interleaved the way Algorithm 1 writes them.
+    """
+
+    kind: str
+    node: Any  #: per-row node ids (1-D array)
+    coords: tuple[Any, ...]  #: ``Task.coords``, arrays or scalars
+    write: Tiles
+    reads: tuple[Tiles, ...]
+    flops: float
+    at: Optional[Any] = None
+
+
+def check_sizes(N: int, b: int) -> None:
+    """What every builder requires of a problem, said once for both sinks."""
+    if N < 1:
+        raise ValueError(f"need at least one tile, got N={N}")
+    if b < 1:
+        raise ValueError(f"tile size must be positive, got b={b}")
 
 
 class Task:
@@ -178,6 +224,15 @@ class GraphBuilder:
         # (name, i, j, part) -> current version number
         self._ver: dict[tuple[str, int, int, int], int] = {}
 
+    @classmethod
+    def sized(cls, N: int, b: int, width: int = 0,
+              element_size: int = 8) -> "GraphBuilder":
+        """A builder on an empty graph of ``N x N`` tiles of size ``b``:
+        where every ``build_*`` starts, as ``compile_*`` start from
+        ``ColumnSink(N, b)`` — the two places sizes are checked."""
+        check_sizes(N, b)
+        return cls(TaskGraph(b, width, element_size))
+
     def declare(
         self, name: str, i: int, j: int, home: int, descriptor: str, part: int = 0
     ) -> DataKey:
@@ -212,3 +267,54 @@ class GraphBuilder:
         iteration: int,
     ) -> Task:
         return self.graph.add_task(kind, node, coords, reads, write, flops, iteration)
+
+    # -- the sink protocol of the batch phases ------------------------------
+    # (its array twin is :class:`repro.graph.compiled.ColumnSink`)
+
+    @property
+    def b(self) -> int:
+        return self.graph.b
+
+    def reserve(self, tasks: int, reads: int) -> None:
+        """Capacity hint of a phase; lists grow on their own."""
+
+    def declare_tiles(self, tiles: Tiles, homes: Any, descriptor: str) -> None:
+        """Declare the initial version of each tile, resident at ``homes``."""
+        n = len(homes)
+        for i, j, part, home in zip(_column(tiles.i, n), _column(tiles.j, n),
+                                    _column(tiles.part, n), homes.tolist()):
+            self.declare(tiles.name, i, j, home, descriptor, part)
+
+    def emit(self, iteration: int, *batches: Batch) -> None:
+        """Append the batches' rows as tasks, in block-position order.
+
+        A batch is resolved as a whole — all its reads, then its writes —
+        which is what "rows are independent" means, and what the column
+        sink does with arrays.
+        """
+        rows: list[tuple[Any, ...]] = []
+        for bt in batches:
+            n = len(bt.node)
+            reads = []
+            for t in (bt.write, *bt.reads):
+                i, j, part = (_column(x, n) for x in (t.i, t.j, t.part))
+                ver = map(self._ver.__getitem__, zip(repeat(t.name), i, j, part))
+                reads.append(list(starmap(
+                    DataKey, zip(repeat(t.name), i, j, ver, part))))
+            writes = [DataKey(k[0], k[1], k[2], k[3] + 1, k[4]) for k in reads[0]]
+            self._ver.update(((k[0], k[1], k[2], k[4]), k[3]) for k in writes)
+            at = (range(len(rows), len(rows) + n) if bt.at is None
+                  else bt.at.tolist())
+            coords = zip(*(_column(c, n) for c in bt.coords))
+            rows.extend(zip(at, repeat(bt.kind), bt.node.tolist(), coords,
+                            zip(*reads), writes, repeat(bt.flops)))
+        if any(bt.at is not None for bt in batches):
+            rows.sort(key=itemgetter(0))
+        add_task = self.graph.add_task
+        for _, kind, node, xy, keys, out, flops in rows:
+            add_task(kind, node, xy, keys, out, flops, iteration)
+
+
+def _column(x: Any, n: int) -> list[int]:
+    """``x`` as ``n`` Python ints: an index array's, or a scalar repeated."""
+    return x.tolist() if np.ndim(x) else [int(x)] * n

@@ -12,7 +12,7 @@ the loop:
 * per-task node / kind columns become ``bytes`` (values are small, so
   indexing yields interned ints and the working set stays cache-sized);
 * the missing-input counters live in one ``bytearray``;
-* the common ``write_id[t] == n_init + t`` layout of the direct compilers
+* the common ``write_id[t] == n_init + t`` layout of the column sink
   is detected and replaced by arithmetic, skipping a 10M-entry table;
 * CSR adjacency and the numeric per-task/per-pair columns are indexed
   through zero-copy ``memoryview``s of the plan's contiguous numpy
@@ -222,7 +222,7 @@ def _numpy_loop(run: _Run) -> SimReport:
     else:
         kind_l = cg.kind_codes.tolist()
     n_init = cg.n_init
-    # The direct compilers emit write_id[t] == n_init + t; detect it and
+    # The column sink emits write_id[t] == n_init + t; detect it and
     # use arithmetic instead of a 10M-entry table.
     write_dense = bool(
         np.array_equal(

@@ -32,9 +32,7 @@ from typing import Any, Optional
 
 from ..graph import (
     build_cholesky_graph,
-    build_cholesky_graph_25d,
     build_lu_graph,
-    build_lu_graph_25d,
     compile_cholesky,
     compile_graph,
     compile_lu,
@@ -88,29 +86,24 @@ def report_from_dict(d: Mapping[str, Any]) -> SimReport:
     )
 
 
-def _build_object_graph(spec: JobSpec) -> TaskGraph:
-    dist = spec.distribution()
-    from ..distributions import TwoDotFiveD
+#: (oracle's sink, core's sink) of each algorithm's one phase; 2.5D is the
+#: phase's ``slices`` > 1 case, so the distribution needs no fork here.
+_BUILDERS = {
+    "cholesky": (build_cholesky_graph, compile_cholesky),
+    "lu": (build_lu_graph, compile_lu),
+}
 
-    if isinstance(dist, TwoDotFiveD):
-        builder = (build_cholesky_graph_25d if spec.algorithm == "cholesky"
-                   else build_lu_graph_25d)
-        return builder(spec.ntiles, spec.b, dist)
-    builder = (build_cholesky_graph if spec.algorithm == "cholesky"
-               else build_lu_graph)
-    return builder(spec.ntiles, spec.b, dist)
+
+def _build_object_graph(spec: JobSpec) -> TaskGraph:
+    return _BUILDERS[spec.algorithm][0](
+        spec.ntiles, spec.b, spec.distribution(),
+        spec.machine_spec().element_size)
 
 
 def _compile(spec: JobSpec) -> CompiledGraph:
-    """Compiled graph for the spec (direct compiler when one exists)."""
-    dist = spec.distribution()
-    from ..distributions import TwoDotFiveD
-
-    if not isinstance(dist, TwoDotFiveD):
-        direct = compile_cholesky if spec.algorithm == "cholesky" else compile_lu
-        return direct(spec.ntiles, spec.b, dist)
-    # 2.5D graphs have no direct compiler yet: lower the object graph.
-    return compile_graph(_build_object_graph(spec))
+    return _BUILDERS[spec.algorithm][1](
+        spec.ntiles, spec.b, spec.distribution(),
+        spec.machine_spec().element_size)
 
 
 # --------------------------------------------------------------------------

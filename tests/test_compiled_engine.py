@@ -19,6 +19,7 @@ from repro.comm import count_communications
 from repro.config import laptop
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
 from repro.graph import (
+    GraphBuilder,
     build_cholesky_graph,
     build_cholesky_graph_25d,
     build_lu_graph,
@@ -30,6 +31,8 @@ from repro.graph import (
     compiled_critical_path_priorities,
 )
 from repro.distributions import Distribution, RowCyclic1D
+from repro.graph.compiled import ColumnSink, _StreamedPlanState
+from repro.graph.task import Batch, Tiles
 from repro.runtime.faults import FaultPlan, LinkDegradation, SlowdownWindow
 from repro.runtime.simulator import simulate, simulate_compiled
 from repro.schedulers import POLICIES, SchedulePlan, SchedulerInterface
@@ -184,12 +187,19 @@ class TestEngineEquality:
         assert_reports_equal(simulate(g, m), simulate_compiled(cg, m))
 
 
+SLICED = [TwoDotFiveD(BlockCyclic2D(2, 2), 2),
+          TwoDotFiveD(SymmetricBlockCyclic(3), 3),
+          TwoDotFiveD(BlockCyclic2D(2, 3), 11)]  # more slices than tiles
+
+
 class TestDirectCompilers:
-    """compile_cholesky/compile_lu skip Task objects but must produce the
-    same arrays as lowering the object graph."""
+    """compile_cholesky / compile_lu run the factorisation's one phase on
+    the column sink (array version tracker, no Task objects) and must
+    produce the arrays of lowering what the same phase leaves on
+    GraphBuilder (dict version tracker)."""
 
     @pytest.mark.parametrize("N", [1, 2, 9])
-    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+    @pytest.mark.parametrize("dist", DISTS + SLICED, ids=lambda d: d.name)
     def test_cholesky_identical_to_generic_lowering(self, N, dist):
         direct = compile_cholesky(N, 32, dist)
         generic = compile_graph(build_cholesky_graph(N, 32, dist))
@@ -202,6 +212,13 @@ class TestDirectCompilers:
         generic = compile_graph(build_lu_graph(N, 32, dist))
         self._assert_same_arrays(direct, generic)
 
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    @pytest.mark.parametrize("dist", SLICED, ids=lambda d: d.name)
+    def test_lu_25d_identical_to_generic_lowering(self, N, dist):
+        direct = compile_lu(N, 32, dist)
+        generic = compile_graph(build_lu_graph_25d(N, 32, dist))
+        self._assert_same_arrays(direct, generic)
+
     @staticmethod
     def _assert_same_arrays(direct, generic):
         assert direct.kind_names == generic.kind_names
@@ -209,9 +226,9 @@ class TestDirectCompilers:
         for field in ("kind_codes", "node", "flops", "iteration", "write_id",
                       "read_ptr", "read_ids", "data_producer",
                       "data_source_node", "data_nbytes"):
-            np.testing.assert_array_equal(
-                getattr(direct, field), getattr(generic, field), err_msg=field
-            )
+            a, b = getattr(direct, field), getattr(generic, field)
+            assert a.dtype == b.dtype, field
+            np.testing.assert_array_equal(a, b, err_msg=field)
 
     def test_direct_compiler_simulates_identically(self):
         dist = SymmetricBlockCyclic(4)
@@ -550,10 +567,14 @@ STREAM_DISTS = [
 
 
 class TestStreamedBuild:
-    """The chunk-wise/streamed direct compilers must be *bit*-identical —
-    columns, comm plan, dtypes — to lowering the object graph through the
-    monolithic ``compile_graph`` path, at every N (chunk boundaries move
-    with the iteration count, so small sizes are the adversarial ones)."""
+    """The column sink's by-products must be *bit*-identical — columns,
+    comm plan, dtypes — to lowering the object graph and planning it
+    globally (``_build_comm_plan``), at every N and however the tasks are
+    cut into plan windows (window boundaries move with the iteration
+    count, so small sizes and one-iteration windows are the adversarial
+    ones).  2D graphs must really stream and keep their levels; 2.5D ones
+    fall back to the generic sweep and, once a partial sum outlives its
+    window, to the global plan."""
 
     PLAN_FIELDS = ("missing", "lc_ptr", "lc_ids", "pair_data", "pair_dst",
                    "pair_rn_start", "pair_rn_count", "rn_ids", "kd_ptr")
@@ -566,42 +587,104 @@ class TestStreamedBuild:
             np.testing.assert_array_equal(a, b, err_msg=field)
         assert direct.initial_sources == generic.initial_sources
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 12])
-    @pytest.mark.parametrize("dist", STREAM_DISTS, ids=lambda d: d.name)
-    def test_cholesky_streamed_equals_monolithic(self, N, dist):
-        direct = compile_cholesky(N, 32, dist)
-        generic = compile_graph(build_cholesky_graph(N, 32, dist))
-        TestDirectCompilers._assert_same_arrays(direct, generic)
-        self._assert_same_plan(direct.comm_plan(), generic.comm_plan())
+    @classmethod
+    def _check(cls, monkeypatch, compile_direct, build, N, dist):
+        generic = compile_graph(build(N, 32, dist))
+        assert generic._plan is None  # planned globally, on demand
+        for min_window in (1, 40, _StreamedPlanState.MIN_WINDOW):
+            monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
+            direct = compile_direct(N, 32, dist)
+            flat = not isinstance(dist, TwoDotFiveD) or N == 1
+            assert direct._plan is not None or not flat
+            assert (direct.level_ranges is not None) == flat
+            TestDirectCompilers._assert_same_arrays(direct, generic)
+            cls._assert_same_plan(direct.comm_plan(), generic.comm_plan())
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 12])
-    @pytest.mark.parametrize("dist", STREAM_DISTS, ids=lambda d: d.name)
-    def test_lu_streamed_equals_monolithic(self, N, dist):
-        direct = compile_lu(N, 32, dist)
-        generic = compile_graph(build_lu_graph(N, 32, dist))
-        TestDirectCompilers._assert_same_arrays(direct, generic)
-        self._assert_same_plan(direct.comm_plan(), generic.comm_plan())
+    @pytest.mark.parametrize("dist", STREAM_DISTS + SLICED, ids=lambda d: d.name)
+    def test_cholesky_streamed_equals_monolithic(self, monkeypatch, N, dist):
+        self._check(monkeypatch, compile_cholesky, build_cholesky_graph, N, dist)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 12])
+    @pytest.mark.parametrize("dist", STREAM_DISTS + SLICED, ids=lambda d: d.name)
+    def test_lu_streamed_equals_monolithic(self, monkeypatch, N, dist):
+        self._check(monkeypatch, compile_lu, build_lu_graph, N, dist)
 
     def test_25d_lowering_plan_is_consistent(self):
-        """No direct 2.5D compiler exists; pin that the generic lowering's
-        plan still satisfies the CSR invariants the streamed builders
-        guarantee (so a future direct 2.5D compiler has a fixed target)."""
+        """The CSR invariants of a 2.5D plan, on the lowered object graph
+        and on the column sink's (both planned by ``_build_comm_plan``)."""
         d25 = TwoDotFiveD(BlockCyclic2D(2, 2), 2)
-        cg = compile_graph(build_cholesky_graph_25d(10, 32, d25))
-        plan = cg.comm_plan()
-        assert plan.lc_ptr[0] == 0 and plan.lc_ptr[-1] == len(plan.lc_ids)
-        assert plan.kd_ptr[0] == 0 and plan.kd_ptr[-1] == len(plan.pair_dst)
-        # Every pair's reader-notify slice stays inside rn_ids (slices may
-        # be shared between pairs, so they need not tile the array).
-        ends = plan.pair_rn_start + plan.pair_rn_count
-        assert np.all(plan.pair_rn_start >= 0)
-        assert np.all(ends <= len(plan.rn_ids))
-        assert np.all(plan.pair_rn_count >= 0)
+        for cg in (compile_graph(build_cholesky_graph_25d(10, 32, d25)),
+                   compile_cholesky(10, 32, d25)):
+            plan = cg.comm_plan()
+            assert plan.lc_ptr[0] == 0 and plan.lc_ptr[-1] == len(plan.lc_ids)
+            assert plan.kd_ptr[0] == 0 and plan.kd_ptr[-1] == len(plan.pair_dst)
+            # Every pair's reader-notify slice stays inside rn_ids (slices
+            # may be shared between pairs, so they need not tile the array).
+            ends = plan.pair_rn_start + plan.pair_rn_count
+            assert np.all(plan.pair_rn_start >= 0)
+            assert np.all(ends <= len(plan.rn_ids))
+            assert np.all(plan.pair_rn_count >= 0)
+
+
+class TestSinksAgree:
+    """One description, two version trackers: ``GraphBuilder`` (dict of
+    slots, ``Task`` objects) and ``ColumnSink`` (array of slots, columns)
+    must number it identically — also where no factorisation goes: rows
+    that depend on each other inside one block, versions read windows
+    later and off their node, an initial tile fetched remotely."""
+
+    @staticmethod
+    def _describe(sink, N=6, P=3):
+        rows = np.arange(N)
+        home = (rows % P).astype(np.int32)
+        X = lambda i, part=0: Tiles("A", i, 0, part)  # noqa: E731
+        sink.declare_tiles(X(rows), home, "spd")
+        sink.declare_tiles(X(rows, 1), (home + 1) % P, "zero")
+        sink.reserve(tasks=5 * N, reads=12 * N)
+        # 0: every tile in place, each row after the one that feeds it
+        sink.emit(0,
+                  Batch("POTRF", home, (rows,), X(rows), (), 1.0, at=2 * rows),
+                  Batch("TRSM", (home + 2) % P, (rows, 0), X(rows, 1),
+                        (X(rows),), 2.0, at=2 * rows + 1))  # off its home
+        # 1: a shifted read of iteration 0's output, on another node
+        sink.emit(1, Batch("GEMM", home, (rows, 0, 1), X(rows),
+                           (X((rows + 1) % N), X(rows, 1)), 3.0))
+        # 3: iteration 0's other stream again, two windows later; tile 0
+        # of it is what every row reads
+        sink.emit(3, Batch("SYRK", (home + 2) % P, (rows, 3), X(rows, 1),
+                           (X(0),), 4.0))
+
+    @pytest.mark.parametrize("min_window", [1, 4096])
+    def test_columns_plan_and_levels(self, monkeypatch, min_window):
+        monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
+        bld = GraphBuilder.sized(6, 16)
+        self._describe(bld)
+        sink = ColumnSink(6, 16)
+        self._describe(sink)
+        direct, generic = sink.finish(), compile_graph(bld.graph)
+        TestDirectCompilers._assert_same_arrays(direct, generic)
+        TestStreamedBuild._assert_same_plan(
+            direct.comm_plan(), generic.comm_plan())
+        assert generic.comm_plan().initial_sources  # the case is in there
+        assert direct.level_ranges is None  # block 0's rows are chained
+        m = laptop(nodes=3, cores=2)
+        assert_reports_equal(simulate(bld.graph, m), simulate_compiled(direct, m))
+
+    def test_undeclared_tile_is_refused_by_both(self):
+        for sink in (GraphBuilder.sized(2, 16), ColumnSink(2, 16)):
+            one = np.arange(1)
+            sink.declare_tiles(Tiles("A", one, 0), one.astype(np.int32), "spd")
+            sink.reserve(tasks=1, reads=2)
+            with pytest.raises(KeyError):
+                sink.emit(0, Batch("TRSM", one.astype(np.int32), (one,),
+                                   Tiles("A", one, 0), (Tiles("A", one + 1, 0),),
+                                   1.0))
 
 
 class TestKernelEquality:
     """The core's lean loop against the oracle on every layout family the
-    direct compilers stream (the class and test keep the names they had
+    column sink streams (the class and test keep the names they had
     when a third serve loop, the flat-array kernel, was pinned here too;
     what else that matrix held is accounted for in ``docs/ledger.md``)."""
 
@@ -670,6 +753,7 @@ def fault_plans(draw, P):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(),
        lu=st.booleans(),
+       c=st.sampled_from([1, 2, 3]),
        N=st.integers(1, 7),
        b=st.sampled_from([32, 512]),  # 512: 2 MB tiles, several quanta each
        cores=st.sampled_from([1, 2, 4]),
@@ -680,11 +764,14 @@ def fault_plans(draw, P):
        scheduler=st.sampled_from([None, *POLICIES]),
        faulty=st.booleans())
 def test_oracle_equals_core_on_generated_inputs(
-        data, lu, N, b, cores, broadcast, aggregate, synchronized, trace,
+        data, lu, c, N, b, cores, broadcast, aggregate, synchronized, trace,
         scheduler, faulty):
     """ROADMAP item 3(a): ``simulate`` == ``simulate_compiled`` on inputs
-    nobody hand-picked, through the direct compiler and ``compile_graph``."""
+    nobody hand-picked, 2D and replicated over ``c`` slices, through both
+    sinks of the factorisation's phase (column sink, lowered objects)."""
     dist = data.draw(owner_tables(N))
+    if c > 1:
+        dist = TwoDotFiveD(dist, c)
     build, compile_direct = ((build_lu_graph, compile_lu) if lu
                              else (build_cholesky_graph, compile_cholesky))
     g = build(N, b, dist)

@@ -91,6 +91,29 @@ class TestTwoDotFiveD:
         assert d.owner(0, 1, 1) == base.owner(1, 1)
         assert d.owner(1, 1, 1) == 4 + base.owner(1, 1)
 
+    def test_vectorised_geometry_is_the_scalar_one(self):
+        """What the graph phases gather from: ``owner_map`` and array
+        ``slice_of_iteration`` against the scalar methods."""
+        d = TwoDotFiveD(SymmetricBlockCyclic(3), c=3)
+        m = d.owner_map(5)
+        assert m.shape == (3, 5, 5)
+        for s in range(3):
+            for i in range(5):
+                for j in range(5):
+                    assert m[s, i, j] == d.owner(s, i, j)
+        its = np.arange(7)
+        assert d.slice_of_iteration(its).tolist() == [
+            d.slice_of_iteration(i) for i in range(7)]
+        with pytest.raises(IndexError):
+            d.slice_of_iteration(its - 1)
+
+    def test_plain_distribution_is_one_slice(self):
+        base = BlockCyclic2D(2, 3)
+        one = TwoDotFiveD.of(base)
+        assert (one.base, one.c, one.num_nodes) == (base, 1, 6)
+        d = TwoDotFiveD(base, c=2)
+        assert TwoDotFiveD.of(d) is d
+
     def test_node_slice_inverse(self):
         d = TwoDotFiveD(BlockCyclic2D(2, 3), c=4)
         for node in range(d.num_nodes):

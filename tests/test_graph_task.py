@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.graph
+from repro.distributions import BlockCyclic2D, RowCyclic1D, TwoDotFiveD
 from repro.graph import DataKey, GraphBuilder, TaskGraph
 
 
@@ -90,3 +92,30 @@ class TestGraphBuilder:
     def test_current_of_undeclared_raises(self, graph):
         with pytest.raises(KeyError):
             GraphBuilder(graph).current("A", 0, 0)
+
+
+# Every entry point that builds a graph, with the arguments after (N, b).
+ENTRY_POINTS = {
+    "build_cholesky_graph": (BlockCyclic2D(2, 2),),
+    "build_cholesky_graph_25d": (TwoDotFiveD(BlockCyclic2D(2, 2), 2),),
+    "build_lu_graph": (BlockCyclic2D(2, 2),),
+    "build_lu_graph_25d": (TwoDotFiveD(BlockCyclic2D(2, 2), 2),),
+    "build_posv_graph": (BlockCyclic2D(2, 2), RowCyclic1D(2)),
+    "build_trtri_graph": (BlockCyclic2D(2, 2),),
+    "build_lauum_graph": (BlockCyclic2D(2, 2),),
+    "build_potri_graph": (BlockCyclic2D(2, 2),),
+    "compile_cholesky": (BlockCyclic2D(2, 2),),
+    "compile_lu": (BlockCyclic2D(2, 2),),
+}
+
+
+@pytest.mark.parametrize("N, b", [(0, 8), (-1, 8), (3, 0), (3, -1)])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_builder_rejects_an_empty_problem(entry, N, b):
+    """Said once, in the sinks' constructors: no builder returns an empty
+    graph for N < 1 or zero-byte tiles for b < 1."""
+    build = getattr(repro.graph, entry)
+    with pytest.raises(ValueError):
+        build(N, b, *ENTRY_POINTS[entry])
+    smallest = build(1, 1, *ENTRY_POINTS[entry])  # the first size accepted
+    assert (smallest.n_tasks if entry.startswith("compile") else len(smallest))

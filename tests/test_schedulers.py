@@ -167,7 +167,7 @@ class TestRegistry:
 
     def test_plans_are_deterministic(self):
         """The same plan from the generic lowering (the object engine's
-        route to the view) and from the direct compiler."""
+        route to the view) and from the column sink."""
         _, m, _, view = _case()
         cg = compile_cholesky(N, B, DIST)
         direct = GraphView(cg, m, default_durations(cg, m))

@@ -26,6 +26,7 @@ import pytest
 from repro.config import bora
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
 from repro.graph import build_cholesky_graph, compile_cholesky
+from repro.runtime import cholesky_bounds
 from repro.runtime.faults import FaultPlan, SlowdownWindow, WorkerCrash
 from repro.runtime.simulator import simulate, simulate_compiled
 from repro.service import (
@@ -367,6 +368,26 @@ def test_run_point_is_a_pure_function_of_the_spec():
     assert a["hash"] == b["hash"]
     assert a["structure"] == b["structure"]
     assert a["report"] == b["report"]
+
+
+@pytest.mark.parametrize("engine", ["compiled", "object"])
+def test_element_size_reaches_the_builders(engine):
+    """``element_size`` is part of the structure key and of the digest, so
+    it must size the tiles: a 4-byte point moves half the bytes of the
+    8-byte one (it used to be stored as a second copy of it), and its
+    makespan still respects the bounds computed from the same spec."""
+    dist = BlockCyclic2D(2, 2)
+    double = bora(4)
+    single = dataclasses.replace(double, element_size=4)
+    rec8, rec4 = (
+        run_point(JobSpec.make("cholesky", 8, 64, dist, m, engine=engine).to_dict())
+        for m in (double, single))
+    assert rec8["structure"] != rec4["structure"]
+    assert rec8["report"]["comm_bytes"] == 2 * rec4["report"]["comm_bytes"] > 0
+    assert rec8["report"]["comm_messages"] == rec4["report"]["comm_messages"]
+    assert rec4["report"]["makespan"] < rec8["report"]["makespan"]
+    floor = cholesky_bounds(dist, 8, 64, single).makespan_lower_bound
+    assert rec4["report"]["makespan"] >= floor * (1 - 1e-9)
 
 
 def test_worker_reuses_graph_across_structure_matched_points(tmp_path):
