@@ -6,7 +6,7 @@ The solve phases communicate the same volume under both layouts, so SBC's
 relative improvement is smaller than for POTRF alone — both the gain and
 its dilution are asserted.  The POTRF side is two rows of Figure 9, read
 from the sweep store; no ``JobSpec`` describes a POSV graph, so the POSV
-side calls the simulator directly.
+side compiles its description directly and runs the core.
 """
 
 from conftest import print_header, sizes
@@ -14,8 +14,8 @@ from conftest import print_header, sizes
 from repro.config import bora
 from repro.distributions import RowCyclic1D
 from repro.experiments import FIG9, run, table
-from repro.graph import build_posv_graph
-from repro.runtime import simulate
+from repro.graph import compile_posv
+from repro.runtime.simulator import simulate_compiled
 
 B = 500
 NS = sizes([30, 60, 100], [30, 60, 100, 140])
@@ -29,7 +29,7 @@ def sweep(client):
         machine = bora(dist.num_nodes)
         rhs = RowCyclic1D(dist.num_nodes)
         out["posv"][dist.name] = [
-            simulate(build_posv_graph(N, B, dist, rhs), machine).gflops_per_node
+            simulate_compiled(compile_posv(N, B, dist, rhs), machine).gflops_per_node
             for N in NS
         ]
         out["potrf"][dist.name] = [rep.gflops_per_node for rep in potrf[label]]

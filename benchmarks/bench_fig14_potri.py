@@ -8,37 +8,26 @@ remapped strategy reducing communication without degrading performance —
 we assert exactly that, plus the underlying volume ordering.
 """
 
-from conftest import FULL, print_header, sizes
+from conftest import print_header, sizes
 
-from repro.comm import count_communications
 from repro.config import bora
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
-from repro.graph import build_potri_graph
-from repro.runtime import simulate
+from repro.graph import compile_potri
+from repro.runtime.simulator import simulate_compiled
 
 B = 500
 NS = sizes([24, 48], [24, 48, 72])
-
-
-def build(N, variant):
-    sbc, bc = SymmetricBlockCyclic(8), BlockCyclic2D(7, 4)
-    if variant == "2dbc":
-        return build_potri_graph(N, B, bc), 28
-    if variant == "sbc":
-        return build_potri_graph(N, B, sbc), 28
-    return build_potri_graph(N, B, sbc, trtri_dist=bc), 28
+SBC, BC = SymmetricBlockCyclic(8), BlockCyclic2D(7, 4)  # P = 28
+VARIANTS = {"2dbc": (BC,), "sbc": (SBC,), "remap": (SBC, BC)}
 
 
 def sweep():
     out = {}
-    for variant in ("2dbc", "sbc", "remap"):
-        perfs, vols = [], []
-        for N in NS:
-            g, P = build(N, variant)
-            rep = simulate(g, bora(P))
-            perfs.append(rep.gflops_per_node)
-            vols.append(count_communications(g).total_bytes / 1e9)
-        out[variant] = {"perf": perfs, "vol": vols}
+    for variant, layouts in VARIANTS.items():
+        reps = [simulate_compiled(compile_potri(N, B, *layouts), bora(28))
+                for N in NS]
+        out[variant] = {"perf": [rep.gflops_per_node for rep in reps],
+                        "vol": [rep.comm_bytes / 1e9 for rep in reps]}
     return out
 
 

@@ -27,25 +27,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
 from pathlib import Path
 from typing import Any, Optional
 
-from ..distributions.base import Distribution
 from ..distributions.block_cyclic import BlockCyclic2D
 from ..distributions.row_cyclic import RowCyclic1D
 from ..distributions.sbc import SymmetricBlockCyclic
 from ..distributions.twod5 import TwoDotFiveD
-from ..graph.cholesky import build_cholesky_graph, build_cholesky_graph_25d
-from ..graph.compiled import (
-    CompiledGraph,
-    compile_cholesky,
-    compile_graph,
-    compile_lu,
-)
-from ..graph.inversion import build_potri_graph
-from ..graph.lu import build_lu_graph, build_lu_graph_25d
-from ..graph.solve import build_posv_graph
+from ..graph import OPERATIONS
+from ..graph.cholesky import build_cholesky_graph
+from ..graph.compiled import CompiledGraph, compile_graph
 from ..graph.task import TaskGraph
 from ..obs.events import Recorder
 from ..obs.export import read_jsonl
@@ -58,101 +49,59 @@ from .mutate import Baseline, build_baseline, self_test
 from .races import compare_traces, detect_races
 from .schedule import verify_all, verify_policy_placement
 
-#: One row of the builder verification matrix:
-#: (name, thunk -> (compiled graph, distribution or None, object graph
-#: or None, tile count for the SBC rules)).
-Case = tuple[str, Callable[[], tuple[Any, ...]]]
 
-
-def _matrix() -> list[Case]:
-    """Every shipped graph builder × the distributions it supports.
+def _matrix() -> list[tuple[str, str, tuple[Any, ...], int]]:
+    """Every shipped operation × the layouts it supports, as rows of
+    ``(name, operation in repro.graph.OPERATIONS, layouts, N)``.
 
     Sizes are chosen so the whole matrix verifies in seconds while still
-    exercising multiple pattern periods (N > r) and every task kind.
+    exercising multiple pattern periods (N > r) and every task kind.  A
+    ``-direct`` row verifies the column sink's arrays (which keep no
+    DataKey table) and cross-checks their plan against the object graph
+    built with identical parameters.
     """
-    N, b = 8, 32
-    Ninv = 6
-
-    def cholesky(
-        dist: Distribution, n: int = N
-    ) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        g = build_cholesky_graph(n, b, dist)
-        return compile_graph(g), dist, g, n
-
-    def cholesky_direct(
-        dist: Distribution, n: int = N
-    ) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        # The column sink keeps no DataKey table; cross-check its plan
-        # against the object graph built with identical parameters.
-        g = build_cholesky_graph(n, b, dist)
-        return compile_cholesky(n, b, dist), dist, g, n
-
-    def cholesky_25d(c: int) -> tuple[CompiledGraph, None, TaskGraph, int]:
-        d25 = TwoDotFiveD(BlockCyclic2D(2, 2), c)
-        g = build_cholesky_graph_25d(N, b, d25)
-        # 2.5D runs tasks on slice copies: no single owner per tile, so
-        # the distribution-level rules do not apply (dist=None).
-        return compile_graph(g), None, g, N
-
-    def lu(dist: Distribution) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        g = build_lu_graph(N, b, dist)
-        return compile_graph(g), dist, g, N
-
-    def lu_direct(dist: Distribution) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        return compile_lu(N, b, dist), dist, build_lu_graph(N, b, dist), N
-
-    def lu_25d(c: int) -> tuple[CompiledGraph, None, TaskGraph, int]:
-        d25 = TwoDotFiveD(BlockCyclic2D(2, 2), c)
-        g = build_lu_graph_25d(N, b, d25)
-        return compile_graph(g), None, g, N
-
-    def posv(dist: Distribution) -> tuple[CompiledGraph, Distribution, TaskGraph, int]:
-        g = build_posv_graph(N, b, dist, RowCyclic1D(6))
-        return compile_graph(g), dist, g, N
-
-    def potri(
-        dist: Distribution, trtri_dist: Optional[Distribution] = None
-    ) -> tuple[CompiledGraph, Distribution, TaskGraph, int, Optional[Distribution]]:
-        g = build_potri_graph(Ninv, b, dist, trtri_dist=trtri_dist)
-        return compile_graph(g), dist, g, Ninv, trtri_dist
-
-    sbc = lambda: SymmetricBlockCyclic(4)  # noqa: E731 - fresh per case
-    sbc_basic = lambda: SymmetricBlockCyclic(4, "basic")  # noqa: E731
-    bc = lambda: BlockCyclic2D(2, 4)  # noqa: E731
-
+    N, Ninv = 8, 6
+    sbc, sbc_basic = SymmetricBlockCyclic(4), SymmetricBlockCyclic(4, "basic")
+    bc, rhs = BlockCyclic2D(2, 4), RowCyclic1D(6)
+    d25 = TwoDotFiveD(BlockCyclic2D(2, 2), 2)
     return [
-        ("cholesky/sbc4-ext", lambda: cholesky(sbc())),
-        ("cholesky/sbc4-basic", lambda: cholesky(sbc_basic())),
-        ("cholesky/2dbc-2x4", lambda: cholesky(bc())),
-        ("cholesky/sbc4-ext-direct", lambda: cholesky_direct(sbc())),
-        ("cholesky/2.5d-c2", lambda: cholesky_25d(2)),
-        ("lu/2dbc-2x4", lambda: lu(bc())),
-        ("lu/sbc4-ext", lambda: lu(sbc())),
-        ("lu/2dbc-2x4-direct", lambda: lu_direct(bc())),
-        ("lu/2.5d-c2", lambda: lu_25d(2)),
-        ("posv/sbc4-ext", lambda: posv(sbc())),
-        ("posv/2dbc-2x4", lambda: posv(bc())),
-        ("potri/sbc4-ext", lambda: potri(sbc())),
-        ("potri/2dbc-2x4", lambda: potri(bc())),
-        ("potri/sbc4-remap-2dbc", lambda: potri(sbc(), bc())),
+        ("cholesky/sbc4-ext", "cholesky", (sbc,), N),
+        ("cholesky/sbc4-basic", "cholesky", (sbc_basic,), N),
+        ("cholesky/2dbc-2x4", "cholesky", (bc,), N),
+        ("cholesky/sbc4-ext-direct", "cholesky", (sbc,), N),
+        ("cholesky/2.5d-c2", "cholesky", (d25,), N),
+        ("lu/2dbc-2x4", "lu", (bc,), N),
+        ("lu/sbc4-ext", "lu", (sbc,), N),
+        ("lu/2dbc-2x4-direct", "lu", (bc,), N),
+        ("lu/2.5d-c2", "lu", (d25,), N),
+        ("posv/sbc4-ext", "posv", (sbc, rhs), N),
+        ("posv/2dbc-2x4", "posv", (bc, rhs), N),
+        ("posv/sbc4-ext-direct", "posv", (sbc, rhs), N),
+        ("potri/sbc4-ext", "potri", (sbc,), Ninv),
+        ("potri/2dbc-2x4", "potri", (bc,), Ninv),
+        ("potri/sbc4-remap-2dbc", "potri", (sbc, bc), Ninv),
+        ("potri/sbc4-remap-2dbc-direct", "potri", (sbc, bc), Ninv),
     ]
 
 
 def run_graphs(quiet: bool = False) -> Report:
     """Verify the full builder matrix."""
+    b = 32
     rep = Report()
-    for name, thunk in _matrix():
-        cg, dist, graph, n, *extra = thunk()
-        # A remap graph spans two distributions; the valid node range is
-        # their union.
-        num_nodes = None
-        if extra and extra[0] is not None:
-            num_nodes = max(dist.num_nodes, extra[0].num_nodes)
+    for name, op, layouts, n in _matrix():
+        build, direct = OPERATIONS[op]
+        graph = build(n, b, *layouts)
+        cg = (direct(n, b, *layouts) if name.endswith("-direct")
+              else compile_graph(graph))
+        # 2.5D runs tasks on slice copies: no single owner per tile, so
+        # the distribution-level rules do not apply (dist=None).  A graph
+        # spanning several layouts may use the nodes of any of them.
+        dist = None if isinstance(layouts[0], TwoDotFiveD) else layouts[0]
         one = verify_all(cg, dist=dist, graph=graph, name=name, N=n,
-                         num_nodes=num_nodes)
+                         num_nodes=max(d.num_nodes for d in layouts))
         if not quiet:
             state = "ok" if one.ok() else "FAIL"
-            print(f"  {state:4s} {name:26s} "
+            print(f"  {state:4s} {name:28s} "
                   f"({cg.n_tasks} tasks, {cg.n_data} versions)")
         rep.extend(one)
     return rep
@@ -202,22 +151,22 @@ def run_traced_races(quiet: bool = False,
 def _trace_graph(spec: str) -> tuple[CompiledGraph, TaskGraph]:
     """Build the graph a standalone trace file is checked against.
 
-    ``spec`` is ``builder:N:b:r`` with builder in {cholesky, lu}; the
-    trace must come from a run of exactly that graph.
+    ``spec`` is ``builder:N:b:r`` with builder an operation of
+    ``repro.graph.OPERATIONS`` under SBC(r) (POSV's right-hand side
+    row-cyclic over the same nodes, the paper's setup); the trace must
+    come from a run of exactly that graph.
     """
     parts = spec.split(":")
     builder = parts[0]
     n = int(parts[1]) if len(parts) > 1 else 8
     b = int(parts[2]) if len(parts) > 2 else 32
     r = int(parts[3]) if len(parts) > 3 else 4
-    dist = SymmetricBlockCyclic(r)
-    if builder == "cholesky":
-        g = build_cholesky_graph(n, b, dist)
-    elif builder == "lu":
-        g = build_lu_graph(n, b, dist)
-    else:
+    if builder not in OPERATIONS:
         raise SystemExit(f"unknown --trace-graph builder {builder!r} "
-                         "(expected cholesky or lu)")
+                         f"(expected one of {', '.join(OPERATIONS)})")
+    dist = SymmetricBlockCyclic(r)
+    rhs = (RowCyclic1D(dist.num_nodes),) if builder == "posv" else ()
+    g = OPERATIONS[builder][0](n, b, dist, *rhs)
     return compile_graph(g), g
 
 

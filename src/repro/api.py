@@ -13,7 +13,7 @@ communication counters and runtimes:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .distributions.base import Distribution
 from .obs import Recorder, write_chrome_trace
 from .distributions.row_cyclic import RowCyclic1D
 from .distributions.twod5 import TwoDotFiveD
-from .graph.cholesky import build_cholesky_graph, build_cholesky_graph_25d
+from .graph.cholesky import build_cholesky_graph
 from .graph.compiled import compile_graph
 from .graph.lu import build_lu_graph
 from .graph.inversion import build_potri_graph
@@ -216,8 +216,7 @@ def communication_volume(dist: Distribution, ntiles: int, b: int) -> float:
 def simulate_cholesky(
     ntiles: int,
     b: int,
-    dist=None,
-    dist25: Optional[TwoDotFiveD] = None,
+    dist: Union[Distribution, TwoDotFiveD],
     machine: Optional[MachineSpec] = None,
     synchronized: bool = False,
     broadcast: str = "direct",
@@ -226,7 +225,7 @@ def simulate_cholesky(
     trace_path: Optional[str] = None,
     recorder: Optional[Recorder] = None,
 ) -> SimReport:
-    """Simulated POTRF run; pass either a 2D ``dist`` or a ``dist25``.
+    """Simulated POTRF run under a 2D ``dist`` or a :class:`TwoDotFiveD`.
 
     Runs the array core on the lowered graph, which keeps its data keys,
     so the result — a trace included — is the oracle's
@@ -240,15 +239,11 @@ def simulate_cholesky(
     ``trace``); ``recorder=`` supplies your own
     :class:`repro.obs.Recorder` to accumulate across runs.
     """
-    if (dist is None) == (dist25 is None):
-        raise ValueError("pass exactly one of dist / dist25")
-    if dist25 is not None:
-        graph = build_cholesky_graph_25d(ntiles, b, dist25)
-    else:
-        graph = build_cholesky_graph(ntiles, b, dist)
+    machine = machine or bora(dist.num_nodes)
+    graph = build_cholesky_graph(ntiles, b, dist, machine.element_size)
     report = simulate_compiled(
         compile_graph(graph),
-        machine or bora((dist if dist25 is None else dist25).num_nodes),
+        machine,
         synchronized=synchronized,
         broadcast=broadcast,
         aggregate=aggregate,

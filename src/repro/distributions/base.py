@@ -4,7 +4,7 @@ A distribution assigns each tile (i, j) of the tiled matrix to one of
 ``num_nodes`` computing nodes.  Following the paper, distributions are
 static: ownership never changes during an operation (redistribution between
 operations is expressed explicitly with remap tasks, see
-:mod:`repro.graph.redistribution`).
+:func:`repro.graph.inversion.remap_phase`).
 
 All tasks that *modify* a tile run on its owner (the *owner computes* rule),
 so the distribution fully determines task placement and, with it, the

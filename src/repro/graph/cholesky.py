@@ -140,7 +140,7 @@ def cholesky_phase(
                   flops["GEMM"], at=spot[gcol[i + 1]:] - col[i + 1]))
 
 
-def factorise_cholesky(sink: Any, N: int, dist: Layout) -> None:
+def describe_cholesky(sink: Any, N: int, dist: Layout) -> None:
     """Declare A under ``dist`` (2D or 2.5D) and factorise it on ``sink``."""
     declare_spd_tiles(sink, N, dist)
     cholesky_phase(sink, N, dist)
@@ -151,9 +151,8 @@ def build_cholesky_graph(
 ) -> TaskGraph:
     """Tiled Cholesky graph on ``N x N`` tiles of size ``b``; a
     :class:`TwoDotFiveD` replicates it over its slices (§IV)."""
-    bld = GraphBuilder.sized(N, b, element_size=element_size)
-    factorise_cholesky(bld, N, dist)
-    return bld.graph
+    return GraphBuilder.build(describe_cholesky, N, b, dist,
+                              element_size=element_size)
 
 
 #: The 2.5D graph (§IV) is the same call with a :class:`TwoDotFiveD`; the

@@ -18,15 +18,16 @@ Two ways in, one numbering:
 * :func:`compile_graph` lowers any existing :class:`TaskGraph` — the
   reference path, property-tested to drive the fast engine to *exactly*
   the object engine's makespan/bytes/messages;
-* :class:`ColumnSink` takes the batches a factorisation's phase describes
+* :class:`ColumnSink` takes the batches an operation's phases describe
   (:func:`repro.graph.cholesky.cholesky_phase`,
-  :func:`repro.graph.lu.lu_phase` — the same functions that fill a
-  ``GraphBuilder``) and writes the columns directly, never materializing
-  a ``Task`` — O(N) vectorized batches instead of O(N^3) Python object
-  constructions, which is what makes paper-scale N tractable.
-  :func:`compile_cholesky` / :func:`compile_lu` are that phase on that
-  sink, 2D or 2.5D, bit-identical to lowering the object-built graph
-  (pinned in ``tests/test_graph_pins.py`` and property-tested).
+  :func:`repro.graph.solve.forward_solve_phase`, … — the same functions
+  that fill a ``GraphBuilder``) and writes the columns directly, never
+  materializing a ``Task`` — O(N) vectorized batches instead of O(N^3)
+  Python object constructions, which is what makes paper-scale N
+  tractable.  Each ``compile_*`` is an operation's description on that
+  sink, bit-identical to lowering the object-built graph (pinned in
+  ``tests/test_graph_pins.py`` and property-tested); :data:`OPERATIONS`
+  lists them.
 
 Priorities use the same bottom-level recurrence as
 :func:`repro.graph.priorities.set_critical_path_priorities`; the column
@@ -39,14 +40,18 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Any, Optional
 
 import numpy as np
 import numpy.typing as npt
 
-from .cholesky import factorise_cholesky
-from .lu import factorise_lu
-from .task import Batch, DataKey, TaskGraph, Tiles, check_sizes
+from ..distributions.base import Distribution
+from .cholesky import describe_cholesky
+from .inversion import describe_lauum, describe_potri, describe_trtri
+from .lu import describe_lu
+from .solve import describe_posv
+from .task import Batch, DataKey, TaskGraph, Tiles, check_sizes, tile_bytes
 
 __all__ = [
     "CompiledGraph",
@@ -54,6 +59,10 @@ __all__ = [
     "compile_graph",
     "compile_cholesky",
     "compile_lu",
+    "compile_posv",
+    "compile_trtri",
+    "compile_lauum",
+    "compile_potri",
     "compiled_critical_path_priorities",
 ]
 
@@ -379,75 +388,42 @@ def compile_graph(graph: TaskGraph) -> CompiledGraph:
     sink uses, so ``compile_graph(build_cholesky_graph(...))`` equals
     ``compile_cholesky(...)`` array for array.
     """
-    kind_names = list(CANONICAL_KINDS)
-    kind_code: dict[str, int] = {k: i for i, k in enumerate(kind_names)}
+    tasks = graph.tasks
+    kind_code = {k: i for i, k in enumerate(CANONICAL_KINDS)}
+    for t in tasks:  # unknown kinds are appended
+        kind_code.setdefault(t.kind, len(kind_code))
+    writers = [t for t in tasks if t.write is not None]
+    data_keys = [*graph.initial, *(t.write for t in writers)]
+    data_id = {k: d for d, k in enumerate(data_keys)}
+    n_init = len(graph.initial)
+    write_id = np.full(len(tasks), -1, dtype=np.int32)
+    write_id[[t.id for t in writers]] = np.arange(n_init, len(data_keys))
+    read_ptr = np.zeros(len(tasks) + 1, dtype=np.int64)
+    np.cumsum([len(t.reads) for t in tasks], out=read_ptr[1:])
 
-    data_id: dict[DataKey, int] = {}
-    data_keys: list[DataKey] = []
-    homes: list[int] = []
-    for key, (home, _desc) in graph.initial.items():
-        data_id[key] = len(data_keys)
-        data_keys.append(key)
-        homes.append(home)
-    n_init = len(data_keys)
+    def column(values: Any, dtype: npt.DTypeLike) -> npt.NDArray[Any]:
+        return np.array(list(values), dtype=dtype)
 
-    n = len(graph.tasks)
-    kinds = np.empty(n, dtype=np.int16)
-    node = np.empty(n, dtype=np.int32)
-    flops = np.empty(n, dtype=np.float64)
-    iteration = np.empty(n, dtype=np.int32)
-    priority = np.empty(n, dtype=np.float64)
-    write_id = np.full(n, -1, dtype=np.int32)
-    read_counts = np.empty(n, dtype=np.int64)
-    reads_flat: list[int] = []
-
-    producer: list[int] = [-1] * n_init
-    source_node: list[int] = list(homes)
-
-    for t in graph.tasks:
-        code = kind_code.get(t.kind)
-        if code is None:
-            code = len(kind_names)
-            kind_code[t.kind] = code
-            kind_names.append(t.kind)
-        kinds[t.id] = code
-        node[t.id] = t.node
-        flops[t.id] = t.flops
-        iteration[t.id] = t.iteration
-        priority[t.id] = t.priority
-        read_counts[t.id] = len(t.reads)
-        for k in t.reads:
-            reads_flat.append(data_id[k])
-        if t.write is not None:
-            d = len(data_keys)
-            data_id[t.write] = d
-            data_keys.append(t.write)
-            producer.append(t.id)
-            source_node.append(t.node)
-            write_id[t.id] = d
-
-    read_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(read_counts, out=read_ptr[1:])
-    nbytes = np.asarray(
-        [graph.data_bytes(k) for k in data_keys], dtype=np.int64
-    )
     return CompiledGraph(
         b=graph.b,
         width=graph.width,
         element_size=graph.element_size,
-        kind_names=kind_names,
-        kind_codes=kinds,
-        node=node,
-        flops=flops,
-        iteration=iteration,
-        priority=priority,
+        kind_names=list(kind_code),
+        kind_codes=column((kind_code[t.kind] for t in tasks), np.int16),
+        node=column((t.node for t in tasks), np.int32),
+        flops=column((t.flops for t in tasks), np.float64),
+        iteration=column((t.iteration for t in tasks), np.int32),
+        priority=column((t.priority for t in tasks), np.float64),
         write_id=write_id,
         read_ptr=read_ptr,
-        read_ids=np.asarray(reads_flat, dtype=np.int32),
+        read_ids=column((data_id[k] for t in tasks for k in t.reads), np.int32),
         n_init=n_init,
-        data_producer=np.asarray(producer, dtype=np.int32),
-        data_source_node=np.asarray(source_node, dtype=np.int32),
-        data_nbytes=nbytes,
+        data_producer=column(
+            chain(repeat(-1, n_init), (t.id for t in writers)), np.int32),
+        data_source_node=column(
+            chain((home for home, _ in graph.initial.values()),
+                  (t.node for t in writers)), np.int32),
+        data_nbytes=column(map(graph.data_bytes, data_keys), np.int64),
         data_keys=data_keys,
     )
 
@@ -467,6 +443,19 @@ def _concat(
 
 def _ascending(a: npt.NDArray[Any]) -> bool:
     return bool(np.all(a[1:] > a[:-1]))
+
+
+def _grown(
+    old: npt.NDArray[Any], size: int, keep: Optional[int] = None
+) -> npt.NDArray[Any]:
+    """``old[:keep]`` (all of it by default) at the head of ``size`` zeroed
+    rows — pages nobody has touched yet, which cost nothing until used."""
+    if size <= len(old):
+        return old
+    new = np.zeros(size, dtype=old.dtype)
+    kept = old[:keep]
+    new[: len(kept)] = kept
+    return new
 
 
 class _StreamedPlanState:
@@ -498,22 +487,28 @@ class _StreamedPlanState:
     #: outweighs sorting the reads that merging moves inside the window.
     MIN_WINDOW = 4096
 
-    def __init__(self, n_tasks: int, n_data: int, n_reads: int) -> None:
-        self.missing = np.zeros(n_tasks, dtype=np.int32)
+    def __init__(self) -> None:
+        self.missing = np.zeros(0, dtype=np.int32)
         # Per-version consumer counts are O(iteration width), far below
         # 2**31: int32 halves the first-touch cost of these two n_data
         # arrays; cumsum below widens into the int64 ptr rows (safe cast).
-        self._lc_counts = np.zeros(n_data, dtype=np.int32)
-        self._kd_counts = np.zeros(n_data, dtype=np.int32)
+        self._lc_counts = self._kd_counts = self.missing
         # Local-consumer and remote-needer ids partition the produced
         # read edges, so ``n_reads`` bounds both: preallocated buffers
         # sliced at the end, no per-column concatenation copies.  Pair
         # rows stay chunked — there are few of them.
-        self._lc = np.empty(n_reads, dtype=np.int32)
-        self._rn = np.empty(n_reads, dtype=np.int32)
+        self._lc = self._rn = self.missing
         self._lc_len = self._rn_len = 0
         self._pairs: list[tuple[np.ndarray, ...]] = []
         self._newest_read = -1
+
+    def reserve(self, n_tasks: int, n_data: int, n_reads: int) -> None:
+        """Room for that many tasks, versions and reads in all."""
+        self.missing = _grown(self.missing, n_tasks)
+        self._lc_counts = _grown(self._lc_counts, n_data)
+        self._kd_counts = _grown(self._kd_counts, n_data)
+        self._lc = _grown(self._lc, n_reads, self._lc_len)
+        self._rn = _grown(self._rn, n_reads, self._rn_len)
 
     def _lc_append(self, ids: npt.NDArray[np.intp]) -> None:
         self._lc[self._lc_len : self._lc_len + len(ids)] = ids
@@ -631,33 +626,54 @@ _UNDECLARED = np.iinfo(np.int32).max
 
 class ColumnSink:
     """Array twin of :class:`repro.graph.task.GraphBuilder`: the same
-    protocol (``declare_tiles``, ``reserve``, ``emit``), but rows land in
-    the :class:`CompiledGraph` columns and never become ``Task`` objects —
-    O(N) vectorised batches instead of O(N^3) constructions, which is what
-    makes paper-scale N tractable.
+    protocol (``declare_tiles``, ``reserve``, ``source_of``, ``emit``), but
+    rows land in the :class:`CompiledGraph` columns and never become
+    ``Task`` objects — O(N) vectorised batches instead of O(N^3)
+    constructions, which is what makes paper-scale N tractable.
 
     Versions are tracked in one ``(part, i, j)`` array of current data ids
     per matrix name, kept flat.  Ids follow :func:`compile_graph`'s numbering —
     initial versions in declaration order, then one per task — so every
-    tile must be declared before the first ``reserve``.  Two by-products
-    are kept while the description allows them: ``level_ranges`` as long as
-    no ``emit`` block reads a version written inside itself (its rows are
-    then mutually independent: the vectorised priority sweep), and the
-    streamed comm plan as long as iterations consume ascending id ranges
-    (:class:`_StreamedPlanState`).  Both hold for 2D graphs.
+    tile must be declared before the first ``reserve``; after that, phases
+    follow one another freely, each reserving room for its own rows.  Two
+    by-products are kept while the description allows them: ``level_ranges``
+    as long as no ``emit`` block reads a version written inside itself (its
+    rows are then mutually independent: the vectorised priority sweep), and
+    the streamed comm plan as long as iterations consume ascending id ranges
+    (:class:`_StreamedPlanState`).  Both hold for the 2D factorisations;
+    what does not stream is planned by :func:`_build_comm_plan` on demand.
     """
 
-    def __init__(self, N: int, b: int, element_size: int = 8) -> None:
+    def __init__(self, N: int, b: int, element_size: int = 8,
+                 width: int = 0) -> None:
         check_sizes(N, b)
-        self.N, self.b, self.element_size = N, b, element_size
+        self.N, self.b, self.element_size, self.width = N, b, element_size, width
         self.n_init = 0
-        self._homes: list[npt.NDArray[np.int32]] = []
         self._cur: dict[str, npt.NDArray[np.int32]] = {}
+        #: (ids, bytes) of the versions that are not ``b x b``
+        self._odd_sized: list[tuple[Any, int]] = []
         self._n = self._r = 0  # tasks / read edges written so far
+        self.kinds = np.empty(0, dtype=np.int16)
+        self.flops = np.empty(0, dtype=np.float64)
+        self.iteration = np.empty(0, dtype=np.int32)
+        self.read_ptr = np.zeros(1, dtype=np.int64)
+        self.read_ids = np.empty(0, dtype=np.int32)
+        # One column serves as ``data_source_node`` and, past the initial
+        # homes, as ``node``: a produced version lives where its task ran.
+        self.data_source_node = np.empty(0, dtype=np.int32)
         self._levels: Optional[list[tuple[int, int]]] = []
-        self._stream: Optional[_StreamedPlanState] = None  # the plan, while it streams
+        self._stream: Optional[_StreamedPlanState] = _StreamedPlanState()
         self._iteration = -1  # of the last emit: windows end between two
         self._window = 0  # first task of the stream's open window
+
+    @classmethod
+    def build(cls, describe: Any, N: int, b: int, *layouts: Any,
+              **sized: int) -> CompiledGraph:
+        """The arrays ``describe(sink, N, *layouts)`` writes on a new sink:
+        every ``compile_*``, as every ``build_*`` is ``GraphBuilder.build``."""
+        sink = cls(N, b, **sized)
+        describe(sink, N, *layouts)
+        return sink.finish()
 
     def _slots(self, tiles: Tiles) -> Any:
         """Where the tiles' current ids sit in the tracker of their name:
@@ -665,36 +681,47 @@ class ColumnSink:
         ones), or a scalar for a tile every row shares."""
         return (tiles.part * self.N + tiles.i) * self.N + tiles.j
 
+    def _sized(self, name: str, ids: Any) -> None:
+        """Note the byte size of new versions ``ids`` of matrix ``name``."""
+        nbytes = tile_bytes(name, self.b, self.width, self.element_size)
+        if nbytes != self.b * self.b * self.element_size:
+            self._odd_sized.append((ids, nbytes))
+
     def declare_tiles(self, tiles: Tiles, homes: Any, descriptor: str) -> None:
         """Initial versions of ``tiles``, resident at ``homes``."""
+        if len(self.data_source_node) != self.n_init:
+            raise ValueError("tiles are declared before the first reserve")
         size = (int(np.max(tiles.part)) + 1) * self.N * self.N
         cur = self._cur.get(tiles.name, np.empty(0, dtype=np.int32))
         if len(cur) < size:
-            grown = np.full(size, _UNDECLARED, dtype=np.int32)
-            grown[: len(cur)] = cur
-            cur = self._cur[tiles.name] = grown
-        cur[self._slots(tiles)] = np.arange(
-            self.n_init, self.n_init + len(homes))
-        self._homes.append(homes)
+            cur = self._cur[tiles.name] = np.concatenate(
+                [cur, np.full(size - len(cur), _UNDECLARED, dtype=np.int32)])
+        ids = np.arange(self.n_init, self.n_init + len(homes))
+        cur[self._slots(tiles)] = ids
+        self._sized(tiles.name, ids)
+        self.data_source_node = np.concatenate(
+            [self.data_source_node, np.asarray(homes, dtype=np.int32)])
         self.n_init += len(homes)
 
     def reserve(self, tasks: int, reads: int) -> None:
-        """Allocate the columns (upper bounds; untouched pages cost nothing).
-
-        Called once, by the one phase a sink takes today: produced ids
-        start above ``n_init``, so the declarations end here.
-        """
-        self.kinds = np.empty(tasks, dtype=np.int16)
-        self.flops = np.empty(tasks, dtype=np.float64)
-        self.iteration = np.empty(tasks, dtype=np.int32)
-        self.read_ptr = np.zeros(tasks + 1, dtype=np.int64)
-        self.read_ids = np.empty(reads, dtype=np.int32)
-        # One column serves as ``data_source_node`` and, past the initial
-        # homes, as ``node``: a produced version lives where its task ran.
-        self.data_source_node = np.empty(self.n_init + tasks, dtype=np.int32)
-        self.data_source_node[: self.n_init] = _concat(self._homes, np.int32)
+        """Room for ``tasks`` more rows making ``reads`` reads (upper
+        bounds; untouched pages cost nothing).  Produced ids start above
+        ``n_init``, so the first call ends the declarations."""
+        n, r = self._n + tasks, self._r + reads
+        self.kinds = _grown(self.kinds, n, self._n)
+        self.flops = _grown(self.flops, n, self._n)
+        self.iteration = _grown(self.iteration, n, self._n)
+        self.read_ptr = _grown(self.read_ptr, n + 1, self._n + 1)
+        self.read_ids = _grown(self.read_ids, r, self._r)
+        self.data_source_node = _grown(
+            self.data_source_node, self.n_init + n, self.n_init + self._n)
         self.node = self.data_source_node[self.n_init :]
-        self._stream = _StreamedPlanState(tasks, self.n_init + tasks, reads)
+        if self._stream is not None:
+            self._stream.reserve(n, self.n_init + n, r)
+
+    def source_of(self, tiles: Tiles) -> npt.NDArray[np.int32]:
+        """Node holding the current version of each tile."""
+        return self.data_source_node[self._cur[tiles.name][self._slots(tiles)]]
 
     def _close_window(self) -> None:
         lo, hi = self._window, self._n
@@ -749,6 +776,7 @@ class ColumnSink:
                 self.read_ids[slot + k] = version
                 newest = max(newest, int(version.max()))
             self._cur[bt.write.name][self._slots(bt.write)] = block_ids[at]
+            self._sized(bt.write.name, block_ids[at])
         if newest >= first_id + n:
             raise KeyError("a batch reads a tile that was never declared")
         if self._levels is not None:
@@ -762,13 +790,17 @@ class ColumnSink:
     def finish(self) -> CompiledGraph:
         self._close_window()
         n, n_data = self._n, self.n_init + self._n
+        nbytes = np.full(
+            n_data, self.b * self.b * self.element_size, dtype=np.int64)
+        for ids, size in self._odd_sized:
+            nbytes[ids] = size
         return CompiledGraph(
             b=self.b,
-            width=0,
+            width=self.width,
             element_size=self.element_size,
             kind_names=list(CANONICAL_KINDS),
             kind_codes=self.kinds[:n],
-            node=self.node[:n],
+            node=self.data_source_node[self.n_init : n_data],
             flops=self.flops[:n],
             iteration=self.iteration[:n],
             priority=np.zeros(n, dtype=np.float64),
@@ -780,8 +812,7 @@ class ColumnSink:
                 [np.full(self.n_init, -1, dtype=np.int32),
                  np.arange(n, dtype=np.int32)]),
             data_source_node=self.data_source_node[:n_data],
-            data_nbytes=np.full(
-                n_data, self.b * self.b * self.element_size, dtype=np.int64),
+            data_nbytes=nbytes,
             data_keys=None,
             level_ranges=self._levels,
             _plan=self._stream.finish(n, n_data) if self._stream else None,
@@ -790,14 +821,31 @@ class ColumnSink:
 
 def compile_cholesky(N: int, b: int, dist: Any, element_size: int = 8) -> CompiledGraph:
     """Arrays of ``build_cholesky_graph(N, b, dist)`` — a 2D distribution
-    or a :class:`TwoDotFiveD` — from the same phase, on the column sink."""
-    sink = ColumnSink(N, b, element_size)
-    factorise_cholesky(sink, N, dist)
-    return sink.finish()
+    or a :class:`TwoDotFiveD` — from the same description, on the column
+    sink; every ``compile_*`` below is its ``build_*`` likewise."""
+    return ColumnSink.build(describe_cholesky, N, b, dist, element_size=element_size)
 
 
 def compile_lu(N: int, b: int, dist: Any, element_size: int = 8) -> CompiledGraph:
-    """Arrays of ``build_lu_graph(N, b, dist)``, likewise."""
-    sink = ColumnSink(N, b, element_size)
-    factorise_lu(sink, N, dist)
-    return sink.finish()
+    return ColumnSink.build(describe_lu, N, b, dist, element_size=element_size)
+
+
+def compile_posv(
+    N: int, b: int, dist: Distribution, rhs_dist: Distribution, width: int = 0
+) -> CompiledGraph:
+    return ColumnSink.build(describe_posv, N, b, dist, rhs_dist,
+                            width=width if width > 0 else b)
+
+
+def compile_trtri(N: int, b: int, dist: Distribution) -> CompiledGraph:
+    return ColumnSink.build(describe_trtri, N, b, dist)
+
+
+def compile_lauum(N: int, b: int, dist: Distribution) -> CompiledGraph:
+    return ColumnSink.build(describe_lauum, N, b, dist)
+
+
+def compile_potri(
+    N: int, b: int, dist: Distribution, trtri_dist: Optional[Distribution] = None
+) -> CompiledGraph:
+    return ColumnSink.build(describe_potri, N, b, dist, trtri_dist)

@@ -81,7 +81,7 @@ def lu_phase(sink: Any, N: int, dist: TwoDotFiveD) -> None:
             (Tiles("A", j, i, s), Tiles("A", i, k, s)), flops["GEMM_LU"]))
 
 
-def factorise_lu(sink: Any, N: int, dist: Layout) -> None:
+def describe_lu(sink: Any, N: int, dist: Layout) -> None:
     """Declare A under ``dist`` (2D or 2.5D) and factorise it on ``sink``.
 
     With several slices, tile (i, j) starts on the slice of its final
@@ -98,9 +98,7 @@ def factorise_lu(sink: Any, N: int, dist: Layout) -> None:
 def build_lu_graph(N: int, b: int, dist: Layout, element_size: int = 8) -> TaskGraph:
     """Tiled LU (no pivoting) task graph on the full N x N tile grid; a
     :class:`TwoDotFiveD` replicates it over its slices."""
-    bld = GraphBuilder.sized(N, b, element_size=element_size)
-    factorise_lu(bld, N, dist)
-    return bld.graph
+    return GraphBuilder.build(describe_lu, N, b, dist, element_size=element_size)
 
 
 #: The 2.5D graph is the same call with a :class:`TwoDotFiveD`.

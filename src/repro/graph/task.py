@@ -20,9 +20,10 @@ from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
+import numpy.typing as npt
 
 __all__ = ["DataKey", "Tiles", "Batch", "Task", "TaskGraph", "GraphBuilder",
-           "check_sizes"]
+           "check_sizes", "tile_bytes"]
 
 
 class DataKey(NamedTuple):
@@ -79,6 +80,12 @@ def check_sizes(N: int, b: int) -> None:
         raise ValueError(f"need at least one tile, got N={N}")
     if b < 1:
         raise ValueError(f"tile size must be positive, got b={b}")
+
+
+def tile_bytes(name: str, b: int, width: int, element_size: int) -> int:
+    """Bytes of one version of a tile of matrix ``name``: a right-hand side
+    ("B") is ``b x width`` when a width is set, anything else ``b x b``."""
+    return b * (width if name == "B" and width else b) * element_size
 
 
 class Task:
@@ -175,8 +182,7 @@ class TaskGraph:
 
     def data_bytes(self, key: DataKey) -> int:
         """Size in bytes of one version of this datum."""
-        cols = self.width if (key.name == "B" and self.width) else self.b
-        return self.b * cols * self.element_size
+        return tile_bytes(key.name, self.b, self.width, self.element_size)
 
     def source_of(self, key: DataKey) -> int:
         """Node where a version is produced (or initially resides)."""
@@ -233,6 +239,15 @@ class GraphBuilder:
         check_sizes(N, b)
         return cls(TaskGraph(b, width, element_size))
 
+    @classmethod
+    def build(cls, describe: Any, N: int, b: int, *layouts: Any,
+              **sized: int) -> TaskGraph:
+        """The graph ``describe(sink, N, *layouts)`` leaves on a new builder:
+        every ``build_*``, as every ``compile_*`` is ``ColumnSink.build``."""
+        bld = cls.sized(N, b, **sized)
+        describe(bld, N, *layouts)
+        return bld.graph
+
     def declare(
         self, name: str, i: int, j: int, home: int, descriptor: str, part: int = 0
     ) -> DataKey:
@@ -242,38 +257,16 @@ class GraphBuilder:
         self._ver[(name, i, j, part)] = 0
         return key
 
-    def exists(self, name: str, i: int, j: int, part: int = 0) -> bool:
-        return (name, i, j, part) in self._ver
-
-    def current(self, name: str, i: int, j: int, part: int = 0) -> DataKey:
-        """Latest version of a tile (raises if the tile was never declared)."""
-        ver = self._ver[(name, i, j, part)]
-        return DataKey(name, i, j, ver, part)
-
-    def bump(self, name: str, i: int, j: int, part: int = 0) -> DataKey:
-        """Next version of a tile — the key a mutating task will write."""
-        slot = (name, i, j, part)
-        self._ver[slot] = self._ver.get(slot, -1) + 1
-        return DataKey(name, i, j, self._ver[slot], part)
-
-    def task(
-        self,
-        kind: str,
-        node: int,
-        coords: tuple[int, ...],
-        reads: tuple[DataKey, ...],
-        write: Optional[DataKey],
-        flops: float,
-        iteration: int,
-    ) -> Task:
-        return self.graph.add_task(kind, node, coords, reads, write, flops, iteration)
-
     # -- the sink protocol of the batch phases ------------------------------
     # (its array twin is :class:`repro.graph.compiled.ColumnSink`)
 
     @property
     def b(self) -> int:
         return self.graph.b
+
+    @property
+    def width(self) -> int:
+        return self.graph.width
 
     def reserve(self, tasks: int, reads: int) -> None:
         """Capacity hint of a phase; lists grow on their own."""
@@ -285,6 +278,19 @@ class GraphBuilder:
                                     _column(tiles.part, n), homes.tolist()):
             self.declare(tiles.name, i, j, home, descriptor, part)
 
+    def _current(self, tiles: Tiles, n: int) -> list[DataKey]:
+        """Latest version of each of ``n`` tiles (KeyError: never declared)."""
+        i, j, part = (_column(x, n) for x in tiles[1:])
+        ver = map(self._ver.__getitem__, zip(repeat(tiles.name), i, j, part))
+        return list(starmap(DataKey, zip(repeat(tiles.name), i, j, ver, part)))
+
+    def source_of(self, tiles: Tiles) -> npt.NDArray[np.int64]:
+        """Node holding the current version of each tile: what a phase looks
+        at before it describes a move (REMAP skips tiles already at home)."""
+        n = max(np.size(x) for x in tiles[1:])
+        return np.array([self.graph.source_of(k) for k in self._current(tiles, n)],
+                        dtype=np.int64)
+
     def emit(self, iteration: int, *batches: Batch) -> None:
         """Append the batches' rows as tasks, in block-position order.
 
@@ -295,12 +301,7 @@ class GraphBuilder:
         rows: list[tuple[Any, ...]] = []
         for bt in batches:
             n = len(bt.node)
-            reads = []
-            for t in (bt.write, *bt.reads):
-                i, j, part = (_column(x, n) for x in (t.i, t.j, t.part))
-                ver = map(self._ver.__getitem__, zip(repeat(t.name), i, j, part))
-                reads.append(list(starmap(
-                    DataKey, zip(repeat(t.name), i, j, ver, part))))
+            reads = [self._current(t, n) for t in (bt.write, *bt.reads)]
             writes = [DataKey(k[0], k[1], k[2], k[3] + 1, k[4]) for k in reads[0]]
             self._ver.update(((k[0], k[1], k[2], k[4]), k[3]) for k in writes)
             at = (range(len(rows), len(rows) + n) if bt.at is None

@@ -22,7 +22,7 @@ import numpy as np
 from ..graph.task import DataKey, TaskGraph
 from ..obs import Recorder
 from ..tiles.layout import TileGrid
-from .execution import InitialDataSpec, apply_task
+from .execution import InitialDataSpec, apply_task, materialize_initial
 
 __all__ = [
     "execute_graph",
@@ -74,13 +74,6 @@ def execute_graph(
     return _execute_sequential(graph, spec, keep, rec)
 
 
-def _initial_store(graph: TaskGraph, spec: InitialDataSpec) -> dict[DataKey, np.ndarray]:
-    return {
-        key: spec.materialize(key, descriptor)
-        for key, (_home, descriptor) in graph.initial.items()
-    }
-
-
 def _refcounts(graph: TaskGraph) -> dict[DataKey, int]:
     counts: dict[DataKey, int] = {}
     for t in graph.tasks:
@@ -93,7 +86,7 @@ def _execute_sequential(
     graph: TaskGraph, spec: InitialDataSpec, keep: set,
     rec: Optional[Recorder] = None,
 ) -> dict[DataKey, np.ndarray]:
-    store = _initial_store(graph, spec)
+    store = materialize_initial(graph, spec)
     refs = _refcounts(graph)
     if rec is not None:
         t0 = time.perf_counter()
@@ -127,7 +120,7 @@ def _execute_threaded(
     graph: TaskGraph, spec: InitialDataSpec, num_threads: int, keep: set,
     rec: Optional[Recorder] = None,
 ) -> dict[DataKey, np.ndarray]:
-    store = _initial_store(graph, spec)
+    store = materialize_initial(graph, spec)
     refs = _refcounts(graph)
     lock = threading.Lock()
     t0 = time.perf_counter()

@@ -17,7 +17,7 @@ interpreter details.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -29,7 +29,7 @@ from ..distributions import (
     SymmetricBlockCyclic,
     TwoDotFiveD,
 )
-from ..topology import topology_from_spec, topology_to_spec
+from ..topology import check_topology_spec, topology_from_spec, topology_to_spec
 from ..runtime.faults import (
     FaultPlan,
     LinkDegradation,
@@ -87,22 +87,48 @@ def dist_to_spec(dist: Union[Distribution, TwoDotFiveD]) -> dict[str, Any]:
     )
 
 
+def _known_only(what: str, spec: Mapping[str, Any], known: Collection[str]) -> None:
+    """Refuse a key nobody reads: a misspelt option would otherwise run —
+    and cache — the default point (at the top level and below it)."""
+    unknown = spec.keys() - known
+    if unknown:
+        raise ValueError(f"unknown {what} field(s) {sorted(unknown)}; "
+                         f"use one of {sorted(known)}")
+
+
+#: The keys each distribution kind is spelt with.
+_DIST_FIELDS = {
+    "sbc": {"kind", "r", "variant"},
+    "bc2d": {"kind", "p", "q"},
+    "row1d": {"kind", "P"},
+    "2.5d": {"kind", "base", "c"},
+}
+
+
+def _check_dist(spec: Mapping[str, Any]) -> None:
+    kind = spec.get("kind")
+    if kind not in _DIST_FIELDS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    _known_only(f"{kind} distribution", spec, _DIST_FIELDS[kind])
+    if kind == "2.5d":
+        _check_dist(spec["base"])
+
+
 def dist_from_spec(spec: Mapping[str, Any]) -> Union[Distribution, TwoDotFiveD]:
     """Rebuild a distribution from its spec dict."""
-    kind = spec.get("kind")
+    _check_dist(spec)
+    kind = spec["kind"]
     if kind == "sbc":
         return SymmetricBlockCyclic(int(spec["r"]),
                                     variant=str(spec.get("variant", "extended")))
     if kind == "bc2d":
         return BlockCyclic2D(int(spec["p"]), int(spec["q"]))
-    if kind == "row1d":
-        return RowCyclic1D(int(spec["P"]))
     if kind == "2.5d":
         base = dist_from_spec(spec["base"])
         if isinstance(base, TwoDotFiveD):
             raise ValueError("2.5d base must be a 2D distribution")
         return TwoDotFiveD(base, int(spec["c"]))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    return RowCyclic1D(int(spec["P"]))
 
 
 # --------------------------------------------------------------------------
@@ -133,8 +159,20 @@ def machine_to_spec(machine: MachineSpec) -> dict[str, Any]:
     }
 
 
+_MACHINE_FIELDS = frozenset({
+    "nodes", "cores", "bandwidth", "latency", "peak_flops", "efficiency",
+    "b_half", "overhead", "element_size", "topology"})
+
+
+def _check_machine(spec: Mapping[str, Any]) -> None:
+    _known_only("machine", spec, _MACHINE_FIELDS)
+    if spec.get("topology") is not None:
+        check_topology_spec(spec["topology"])
+
+
 def machine_from_spec(spec: Mapping[str, Any]) -> MachineSpec:
     """Rebuild a :class:`MachineSpec` from its flattened dict."""
+    _check_machine(spec)
     tspec = spec.get("topology")
     return MachineSpec(
         nodes=int(spec["nodes"]),
@@ -177,10 +215,30 @@ def faults_to_spec(plan: Optional[FaultPlan]) -> Optional[dict[str, Any]]:
     }
 
 
+#: The keys of a fault plan, and of a row of each of its lists.
+_FAULT_FIELDS = {"seed", "loss_rate", "retransmit_timeout", "slowdowns",
+                 "links", "crashes"}
+_FAULT_ROW_FIELDS = {
+    "slowdowns": {"node", "factor", "start", "end"},
+    "links": {"factor", "src", "dst", "start", "end"},
+    "crashes": {"node", "after_tasks"},
+}
+
+
+def _check_faults(spec: Optional[Mapping[str, Any]]) -> None:
+    if spec is None:
+        return
+    _known_only("fault plan", spec, _FAULT_FIELDS)
+    for rows, fields in _FAULT_ROW_FIELDS.items():
+        for row in spec.get(rows, ()):
+            _known_only(f"fault plan {rows} row", row, fields)
+
+
 def faults_from_spec(spec: Optional[Mapping[str, Any]]) -> Optional[FaultPlan]:
     """Rebuild a :class:`FaultPlan` from its spec dict (None stays None)."""
     if spec is None:
         return None
+    _check_faults(spec)
     return FaultPlan(
         seed=int(spec.get("seed", 0)),
         loss_rate=float(spec.get("loss_rate", 0.0)),
@@ -320,15 +378,14 @@ class JobSpec:
     def from_dict(cls, d: Mapping[str, Any]) -> JobSpec:
         """Rebuild a spec from :meth:`to_dict` output (JSON data).
 
-        A key that is not a field raises ``ValueError``: a misspelt
+        A key that is not a field — of the spec, or of its distribution,
+        machine, topology or fault plan — raises ``ValueError``: a misspelt
         option would otherwise run — and cache — the default point.
         """
-        known = cls.__dataclass_fields__.keys()
-        if not d.keys() <= known:
-            raise ValueError(
-                f"unknown JobSpec field(s) {sorted(d.keys() - known)}; "
-                f"use one of {sorted(known)}"
-            )
+        _known_only("JobSpec", d, cls.__dataclass_fields__.keys())
+        _check_dist(d["dist"])
+        _check_machine(d["machine"])
+        _check_faults(d.get("faults"))
         return cls.make(
             algorithm=d["algorithm"],
             ntiles=d["ntiles"],

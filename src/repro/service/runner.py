@@ -30,13 +30,7 @@ import time
 from collections.abc import Callable, Mapping
 from typing import Any, Optional
 
-from ..graph import (
-    build_cholesky_graph,
-    build_lu_graph,
-    compile_cholesky,
-    compile_graph,
-    compile_lu,
-)
+from ..graph import OPERATIONS, compile_graph
 from ..graph.compiled import CompiledGraph
 from ..graph.task import TaskGraph
 from ..obs import Recorder
@@ -86,22 +80,17 @@ def report_from_dict(d: Mapping[str, Any]) -> SimReport:
     )
 
 
-#: (oracle's sink, core's sink) of each algorithm's one phase; 2.5D is the
-#: phase's ``slices`` > 1 case, so the distribution needs no fork here.
-_BUILDERS = {
-    "cholesky": (build_cholesky_graph, compile_cholesky),
-    "lu": (build_lu_graph, compile_lu),
-}
-
-
 def _build_object_graph(spec: JobSpec) -> TaskGraph:
-    return _BUILDERS[spec.algorithm][0](
+    """The oracle's sink of the algorithm's description; 2.5D is the
+    description's ``slices`` > 1 case, so the distribution needs no fork."""
+    return OPERATIONS[spec.algorithm][0](
         spec.ntiles, spec.b, spec.distribution(),
         spec.machine_spec().element_size)
 
 
 def _compile(spec: JobSpec) -> CompiledGraph:
-    return _BUILDERS[spec.algorithm][1](
+    """The core's sink of the same description."""
+    return OPERATIONS[spec.algorithm][1](
         spec.ntiles, spec.b, spec.distribution(),
         spec.machine_spec().element_size)
 

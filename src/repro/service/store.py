@@ -60,11 +60,11 @@ def _seal(payload: dict[str, Any]) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def _open_valid(line: str) -> Optional[dict[str, Any]]:
+def _open_valid(line: bytes) -> Optional[dict[str, Any]]:
     """Parse + verify one envelope line; None when corrupt/foreign."""
     try:
         body = json.loads(line)
-    except ValueError:
+    except ValueError:  # not JSON, or (UnicodeDecodeError) not even text
         return None
     if not isinstance(body, dict) or body.get("schema") != SCHEMA_VERSION:
         return None
@@ -120,11 +120,13 @@ class ResultStore:
 
     # -- loading ------------------------------------------------------------
 
-    def _lines(self, name: str) -> Iterator[str]:
+    def _lines(self, name: str) -> Iterator[bytes]:
+        """Non-empty lines, as bytes: a flipped bit may not even decode,
+        and that is one more way for a line to be corrupt."""
         path = self.root / name
         if not path.exists():
             return
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for line in fh:
                 line = line.strip()
                 if line:

@@ -17,6 +17,7 @@ from .model import (
     Heterogeneity,
     Link,
     Topology,
+    check_topology_spec,
     topology_from_spec,
     topology_to_spec,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "Heterogeneity",
     "topology_to_spec",
     "topology_from_spec",
+    "check_topology_spec",
     "clique",
     "chain",
     "ring",

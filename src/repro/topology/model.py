@@ -53,6 +53,7 @@ __all__ = [
     "CompiledTopology",
     "topology_to_spec",
     "topology_from_spec",
+    "check_topology_spec",
 ]
 
 #: Default link parameters, mirroring :class:`repro.config.NetworkSpec`
@@ -403,10 +404,21 @@ def topology_to_spec(topo: Optional[Topology]) -> Optional[dict[str, Any]]:
     }
 
 
+def check_topology_spec(spec: Mapping[str, Any]) -> None:
+    """Refuse a key :func:`topology_from_spec` would not read: a misspelt
+    one would otherwise build — and the service cache — the default."""
+    known = {"kind", "num_nodes", "num_switches", "links", "switch_bandwidth",
+             "speed", "cores"}
+    if not spec.keys() <= known:
+        raise ValueError(f"unknown topology field(s) {sorted(spec.keys() - known)}; "
+                         f"use one of {sorted(known)}")
+
+
 def topology_from_spec(spec: Optional[Mapping[str, Any]]) -> Optional[Topology]:
     """Rebuild a :class:`Topology` from :func:`topology_to_spec` output."""
     if spec is None:
         return None
+    check_topology_spec(spec)
     links = tuple(
         Link(int(u), int(v), float(bw), float(lat))
         for u, v, bw, lat in spec.get("links", ())

@@ -72,7 +72,7 @@ class TestAnalysisApi:
 
     def test_simulate_cholesky_25d(self):
         d = repro.TwoDotFiveD(repro.SymmetricBlockCyclic(4, variant="basic"), 2)
-        rep = repro.simulate_cholesky(ntiles=12, b=500, dist25=d)
+        rep = repro.simulate_cholesky(ntiles=12, b=500, dist=d)
         assert rep.makespan > 0
 
     @pytest.mark.parametrize("layout", ["dist", "dist25"])
@@ -101,20 +101,32 @@ class TestAnalysisApi:
 
         for module in (engine, repro.runtime.simulator, repro.runtime, repro.api):
             monkeypatch.setattr(module, "simulate", entered, raising=False)
-        got = repro.simulate_cholesky(8, 500, **{layout: d}, **options)
+        got = repro.simulate_cholesky(8, 500, dist=d, **options)
         assert (got.makespan, got.comm_bytes, got.comm_messages) == (
             want.makespan, want.comm_bytes, want.comm_messages)
         assert got.trace == want.trace
         assert got.transfers == want.transfers
 
     def test_simulate_requires_exactly_one_dist(self):
-        with pytest.raises(ValueError):
+        """One ``dist`` parameter takes either layout; there is no second."""
+        with pytest.raises(TypeError):
             repro.simulate_cholesky(ntiles=8, b=500)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             d = repro.TwoDotFiveD(repro.BlockCyclic2D(2, 2), 2)
             repro.simulate_cholesky(
                 ntiles=8, b=500, dist=repro.BlockCyclic2D(2, 2), dist25=d
             )
+
+    def test_simulate_cholesky_honours_the_element_size(self):
+        """4-byte elements move half the bytes of 8-byte ones."""
+        import dataclasses
+
+        d = repro.BlockCyclic2D(2, 2)
+        double = repro.bora(d.num_nodes)
+        single = dataclasses.replace(double, element_size=4)
+        wide, narrow = (repro.simulate_cholesky(8, 64, d, machine=m)
+                        for m in (double, single))
+        assert wide.comm_bytes == 1835008 == 2 * narrow.comm_bytes
 
     def test_version(self):
         assert repro.__version__

@@ -19,6 +19,7 @@ from repro.comm import count_communications
 from repro.config import laptop
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
 from repro.graph import (
+    OPERATIONS,
     GraphBuilder,
     build_cholesky_graph,
     build_cholesky_graph_25d,
@@ -193,10 +194,10 @@ SLICED = [TwoDotFiveD(BlockCyclic2D(2, 2), 2),
 
 
 class TestDirectCompilers:
-    """compile_cholesky / compile_lu run the factorisation's one phase on
-    the column sink (array version tracker, no Task objects) and must
-    produce the arrays of lowering what the same phase leaves on
-    GraphBuilder (dict version tracker)."""
+    """Every compile_* runs its operation's description on the column sink
+    (array version tracker, no Task objects) and must produce the arrays
+    of lowering what the same description leaves on GraphBuilder (dict
+    version tracker)."""
 
     @pytest.mark.parametrize("N", [1, 2, 9])
     @pytest.mark.parametrize("dist", DISTS + SLICED, ids=lambda d: d.name)
@@ -219,10 +220,34 @@ class TestDirectCompilers:
         generic = compile_graph(build_lu_graph_25d(N, 32, dist))
         self._assert_same_arrays(direct, generic)
 
+    @pytest.mark.parametrize("N", [1, 2, 9])
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+    @pytest.mark.parametrize("op, more", [
+        ("posv", (RowCyclic1D(4),)), ("trtri", ()), ("lauum", ()),
+        ("potri", ()), ("potri", (BlockCyclic2D(2, 2),))],
+        ids=["posv", "trtri", "lauum", "potri", "potri-remap"])
+    def test_merged_operations_identical_to_generic_lowering(
+            self, monkeypatch, op, more, N, dist):
+        """Several phases, a second matrix (``b x width`` tiles), a REMAP
+        that looks before it moves: still the lowered object graph, plan
+        included, wherever the plan windows fall."""
+        build, direct = OPERATIONS[op]
+        sized = {"width": 8} if op == "posv" else {}
+        generic = compile_graph(build(N, 32, dist, *more, **sized))
+        for min_window in (1, 40, _StreamedPlanState.MIN_WINDOW):
+            monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
+            cg = direct(N, 32, dist, *more, **sized)
+            self._assert_same_arrays(cg, generic)
+            TestStreamedBuild._assert_same_plan(cg.comm_plan(), generic.comm_plan())
+        if op == "posv":
+            assert cg.width == 8 and set(cg.data_nbytes) == {32 * 32 * 8, 32 * 8 * 8}
+
     @staticmethod
     def _assert_same_arrays(direct, generic):
         assert direct.kind_names == generic.kind_names
         assert direct.n_init == generic.n_init
+        assert (direct.b, direct.width, direct.element_size) == (
+            generic.b, generic.width, generic.element_size)
         for field in ("kind_codes", "node", "flops", "iteration", "write_id",
                       "read_ptr", "read_ids", "data_producer",
                       "data_source_node", "data_nbytes"):
@@ -671,6 +696,55 @@ class TestSinksAgree:
         m = laptop(nodes=3, cores=2)
         assert_reports_equal(simulate(bld.graph, m), simulate_compiled(direct, m))
 
+    @staticmethod
+    def _describe_two_matrices(sink, N=6, P=3):
+        """Two matrices (B's tiles ``b x width``), two phases each with its
+        own ``reserve``, and a REMAP of the tiles ``source_of`` finds away
+        from home — the odd ones, once phase one has moved the even."""
+        rows = np.arange(N)
+        home = (rows % P).astype(np.int32)
+        target = (home + 1) % P
+        A, B = Tiles("A", rows, rows), Tiles("B", rows, 0)
+        sink.declare_tiles(A, home, "spd")
+        sink.declare_tiles(B, target, "rhs")
+        even = rows[::2]
+        sink.reserve(tasks=len(even), reads=len(even))
+        sink.emit(0, Batch("POTRF", target[::2], (even,),
+                           Tiles("A", even, even), (), 1.0))
+        away = sink.source_of(A) != target
+        odd = rows[away]
+        sink.reserve(tasks=len(odd) + N, reads=len(odd) + 2 * N)
+        sink.emit(1, Batch("REMAP", target[away], (odd, odd),
+                           Tiles("A", odd, odd), (), 0.0))
+        sink.emit(2, Batch("TRSM_SOLVE", target, (rows,), B, (A,), 2.0))
+        return odd
+
+    @pytest.mark.parametrize("min_window", [1, 4096])
+    def test_two_matrices_two_phases_conditional_remap(
+            self, monkeypatch, min_window):
+        monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
+        bld = GraphBuilder.sized(6, 16, width=4)
+        sink = ColumnSink(6, 16, width=4)
+        assert (self._describe_two_matrices(bld).tolist()
+                == self._describe_two_matrices(sink).tolist() == [1, 3, 5])
+        direct, generic = sink.finish(), compile_graph(bld.graph)
+        TestDirectCompilers._assert_same_arrays(direct, generic)
+        TestStreamedBuild._assert_same_plan(
+            direct.comm_plan(), generic.comm_plan())
+        assert direct.width == 4
+        assert sorted(set(direct.data_nbytes)) == [16 * 4 * 8, 16 * 16 * 8]
+        assert direct.level_ranges == [(0, 3), (3, 6), (6, 12)]
+        m = laptop(nodes=3, cores=2)
+        assert_reports_equal(simulate(bld.graph, m), simulate_compiled(direct, m))
+
+    def test_declaring_after_the_first_reserve_is_refused(self):
+        sink = ColumnSink(2, 16)
+        one = np.arange(1)
+        sink.declare_tiles(Tiles("A", one, 0), one.astype(np.int32), "spd")
+        sink.reserve(tasks=1, reads=1)
+        with pytest.raises(ValueError, match="before the first reserve"):
+            sink.declare_tiles(Tiles("A", one + 1, 0), one.astype(np.int32), "spd")
+
     def test_undeclared_tile_is_refused_by_both(self):
         for sink in (GraphBuilder.sized(2, 16), ColumnSink(2, 16)):
             one = np.arange(1)
@@ -752,7 +826,8 @@ def fault_plans(draw, P):
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(),
-       lu=st.booleans(),
+       op=st.sampled_from(["cholesky", "lu", "posv", "trtri", "lauum",
+                           "potri", "potri-remap"]),
        c=st.sampled_from([1, 2, 3]),
        N=st.integers(1, 7),
        b=st.sampled_from([32, 512]),  # 512: 2 MB tiles, several quanta each
@@ -764,23 +839,31 @@ def fault_plans(draw, P):
        scheduler=st.sampled_from([None, *POLICIES]),
        faulty=st.booleans())
 def test_oracle_equals_core_on_generated_inputs(
-        data, lu, c, N, b, cores, broadcast, aggregate, synchronized, trace,
+        data, op, c, N, b, cores, broadcast, aggregate, synchronized, trace,
         scheduler, faulty):
     """ROADMAP item 3(a): ``simulate`` == ``simulate_compiled`` on inputs
-    nobody hand-picked, 2D and replicated over ``c`` slices, through both
-    sinks of the factorisation's phase (column sink, lowered objects)."""
-    dist = data.draw(owner_tables(N))
-    if c > 1:
-        dist = TwoDotFiveD(dist, c)
-    build, compile_direct = ((build_lu_graph, compile_lu) if lu
-                             else (build_cholesky_graph, compile_cholesky))
-    g = build(N, b, dist)
-    compiled = [compile_graph(g), compile_direct(N, b, dist)]
+    nobody hand-picked — every operation of ``repro.graph.OPERATIONS``, the
+    factorisations also replicated over ``c`` slices, POSV with a
+    right-hand side narrower than a tile on a layout of its own, POTRI also
+    remapped to a second layout — through both sinks of the description
+    (column sink, lowered objects)."""
+    layouts = [data.draw(owner_tables(N))]
+    sized = {}
+    if op in ("cholesky", "lu") and c > 1:
+        layouts = [TwoDotFiveD(layouts[0], c)]
+    elif op in ("posv", "potri-remap"):
+        layouts.append(data.draw(owner_tables(N)))
+    if op == "posv":
+        sized["width"] = data.draw(st.sampled_from([1, 24]))
+    build, compile_direct = OPERATIONS[op.split("-")[0]]
+    g = build(N, b, *layouts, **sized)
+    compiled = [compile_graph(g), compile_direct(N, b, *layouts, **sized)]
+    P = max(d.num_nodes for d in layouts)
     opts = dict(
         broadcast=broadcast, aggregate=aggregate, synchronized=synchronized,
         trace=trace, scheduler=scheduler,
-        faults=data.draw(fault_plans(dist.num_nodes)) if faulty else None)
-    m = laptop(nodes=dist.num_nodes, cores=cores)
+        faults=data.draw(fault_plans(P)) if faulty else None)
+    m = laptop(nodes=P, cores=cores)
     ref = simulate(g, m, **opts)
     for cg in compiled:
         assert_reports_equal(ref, simulate_compiled(cg, m, **opts))

@@ -39,8 +39,8 @@ def poisoned_graph(b=16):
     g = TaskGraph(b=b)
     bld = GraphBuilder(g)
     bld.declare("A", 0, 0, 0, "spd")
-    out = bld.bump("A", 0, 0)
-    g.add_task("EXPLODE", 0, (0,), (DataKey("A", 0, 0, 0),), out, 1.0, 0)
+    g.add_task("EXPLODE", 0, (0,), (DataKey("A", 0, 0, 0),),
+               DataKey("A", 0, 0, 1), 1.0, 0)
     return g
 
 

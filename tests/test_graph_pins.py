@@ -1,9 +1,11 @@
 """Task order and version numbering, frozen.
 
 ``graph_pins.json`` holds ``structure_hash`` / ``n_tasks`` / ``n_init`` of
-every case below as the scalar builders of PR 20 produced them (the
-loop nests this file was recorded from are gone: each factorisation is
-now one batch phase).  A stored sweep result is addressed by its
+every case below as the scalar builders produced them (the loop nests
+this file was recorded from are gone — the factorisations' in PR 21, the
+solves', inversions' and remap's in PR 22, whose standalone TRTRI / LAUUM
+/ POTRI entries were recorded at its parent: every operation is now
+batch phases, checked here on both sinks).  A stored sweep result is addressed by its
 structure hash, so a hash that moves here is a cache that silently
 empties.  ``python tests/test_graph_pins.py`` rewrites the file; do that
 only together with a ``SCHEMA_VERSION`` bump.
@@ -20,17 +22,7 @@ from repro.distributions import (
     SymmetricBlockCyclic,
     TwoDotFiveD,
 )
-from repro.graph import (
-    build_cholesky_graph,
-    build_cholesky_graph_25d,
-    build_lu_graph,
-    build_lu_graph_25d,
-    build_posv_graph,
-    build_potri_graph,
-    compile_cholesky,
-    compile_graph,
-    compile_lu,
-)
+from repro.graph import OPERATIONS, compile_graph
 from repro.service.hashing import structure_hash
 
 PINS = Path(__file__).with_name("graph_pins.json")
@@ -42,34 +34,28 @@ LAYOUTS = {
     "row5": RowCyclic1D(5),
 }
 SIZES = (1, 2, 7, 24)
-FACTORISATIONS = {
-    "cholesky": (build_cholesky_graph, build_cholesky_graph_25d, compile_cholesky),
-    "lu": (build_lu_graph, build_lu_graph_25d, compile_lu),
+#: case prefix -> (operation, layouts after the matrix's own)
+MERGED = {
+    "posv": ("posv", (RowCyclic1D(3),)),
+    "potri-remap": ("potri", (BlockCyclic2D(2, 2),)),
+    "potri": ("potri", ()),
+    "trtri": ("trtri", ()),
+    "lauum": ("lauum", ()),
 }
 
 
 def cases():
-    """id -> (object-graph thunk, column-sink thunk or None)."""
+    """id -> (operation, its arguments): each is checked on both sinks."""
     out = {}
-    for alg, (build, build_25d, direct) in FACTORISATIONS.items():
-        for lname, dist in LAYOUTS.items():
-            for N in SIZES:
-                out[f"{alg}/{lname}/N{N}/2d"] = (
-                    lambda build=build, N=N, dist=dist: build(N, B, dist),
-                    lambda direct=direct, N=N, dist=dist: direct(N, B, dist))
-                for cname, c in (("c2", 2), ("c3", 3), ("c>N", N + 1)):
-                    d25 = TwoDotFiveD(dist, c)
-                    out[f"{alg}/{lname}/N{N}/{cname}"] = (
-                        lambda build=build_25d, N=N, d25=d25: build(N, B, d25),
-                        lambda direct=direct, N=N, d25=d25: direct(N, B, d25))
     for lname, dist in LAYOUTS.items():
         for N in SIZES:
-            out[f"posv/{lname}/N{N}"] = (
-                lambda N=N, dist=dist: build_posv_graph(
-                    N, B, dist, RowCyclic1D(3)), None)
-            out[f"potri-remap/{lname}/N{N}"] = (
-                lambda N=N, dist=dist: build_potri_graph(
-                    N, B, dist, trtri_dist=BlockCyclic2D(2, 2)), None)
+            for alg in ("cholesky", "lu"):
+                out[f"{alg}/{lname}/N{N}/2d"] = (alg, (N, B, dist))
+                for cname, c in (("c2", 2), ("c3", 3), ("c>N", N + 1)):
+                    out[f"{alg}/{lname}/N{N}/{cname}"] = (
+                        alg, (N, B, TwoDotFiveD(dist, c)))
+            for prefix, (op, more) in MERGED.items():
+                out[f"{prefix}/{lname}/N{N}"] = (op, (N, B, dist, *more))
     return out
 
 
@@ -84,10 +70,10 @@ CASES = cases()
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_numbering_is_the_recorded_one(case):
     want = json.loads(PINS.read_text())[case]
-    build, direct = CASES[case]
-    assert fingerprint(compile_graph(build())) == want
-    if direct is not None:
-        assert fingerprint(direct()) == want
+    op, args = CASES[case]
+    build, direct = OPERATIONS[op]
+    assert fingerprint(compile_graph(build(*args))) == want
+    assert fingerprint(direct(*args)) == want
 
 
 def test_every_recorded_case_is_still_checked():
@@ -96,6 +82,6 @@ def test_every_recorded_case_is_still_checked():
 
 if __name__ == "__main__":
     PINS.write_text(json.dumps(
-        {case: fingerprint(compile_graph(build()))
-         for case, (build, _) in sorted(CASES.items())},
+        {case: fingerprint(compile_graph(OPERATIONS[op][0](*args)))
+         for case, (op, args) in sorted(CASES.items())},
         indent=0, sort_keys=True) + "\n")

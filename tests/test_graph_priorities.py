@@ -75,9 +75,9 @@ class TestProperties:
     def test_validate_detects_broken_order(self):
         g = TaskGraph(b=8)
         bld = GraphBuilder(g)
-        bld.declare("A", 0, 0, 0, "spd")
+        k0 = bld.declare("A", 0, 0, 0, "spd")
         k1 = DataKey("A", 0, 0, 1)
-        g.add_task("POTRF", 0, (0,), (bld.current("A", 0, 0),), k1, 1.0, 0)
+        g.add_task("POTRF", 0, (0,), (k0,), k1, 1.0, 0)
         # Forge an out-of-order read by mutating the task list.
         g.tasks[0], fake = g.tasks[0], None
         g.tasks.insert(0, g.tasks[0])

@@ -1,10 +1,12 @@
 """Tests for the task/data-version core."""
 
+import numpy as np
 import pytest
 
 import repro.graph
 from repro.distributions import BlockCyclic2D, RowCyclic1D, TwoDotFiveD
 from repro.graph import DataKey, GraphBuilder, TaskGraph
+from repro.graph.task import Batch, Tiles
 
 
 @pytest.fixture
@@ -66,32 +68,37 @@ class TestTaskGraph:
         assert graph.total_flops() == 15.0
 
 
+def _bump(bld, tiles, node=0):
+    """One task rewriting each of ``tiles`` in place: the one-row batch
+    that stands where the scalar ``bump`` / ``task`` calls used to."""
+    n = max(np.size(x) for x in tiles[1:])
+    bld.emit(0, Batch("POTRF", np.full(n, node), (0,), tiles, (), 1.0))
+    return bld.graph.tasks[-n:]
+
+
 class TestGraphBuilder:
     def test_version_bumping(self, graph):
         bld = GraphBuilder(graph)
         bld.declare("A", 0, 0, home=1, descriptor="spd")
-        assert bld.current("A", 0, 0) == DataKey("A", 0, 0, 0)
-        nxt = bld.bump("A", 0, 0)
-        assert nxt.ver == 1
-        assert bld.current("A", 0, 0).ver == 1
+        one = Tiles("A", np.array([0]), 0)
+        assert bld.source_of(one).tolist() == [1]
+        (t,) = _bump(bld, one, node=2)
+        assert (t.reads, t.write) == ((DataKey("A", 0, 0, 0),), DataKey("A", 0, 0, 1))
+        assert bld.source_of(one).tolist() == [2]  # the version moved with it
+        assert _bump(bld, one)[0].write.ver == 2
 
     def test_parts_are_independent_streams(self, graph):
         bld = GraphBuilder(graph)
         bld.declare("A", 0, 0, home=0, descriptor="spd", part=0)
         bld.declare("A", 0, 0, home=1, descriptor="zero", part=1)
-        bld.bump("A", 0, 0, part=1)
-        assert bld.current("A", 0, 0, part=0).ver == 0
-        assert bld.current("A", 0, 0, part=1).ver == 1
-
-    def test_exists(self, graph):
-        bld = GraphBuilder(graph)
-        assert not bld.exists("A", 2, 1)
-        bld.declare("A", 2, 1, home=0, descriptor="spd")
-        assert bld.exists("A", 2, 1)
+        _bump(bld, Tiles("A", np.array([0]), 0, part=1))
+        both = _bump(bld, Tiles("A", 0, 0, part=np.array([0, 1])))
+        assert [t.write for t in both] == [DataKey("A", 0, 0, 1, 0),
+                                           DataKey("A", 0, 0, 2, 1)]
 
     def test_current_of_undeclared_raises(self, graph):
         with pytest.raises(KeyError):
-            GraphBuilder(graph).current("A", 0, 0)
+            GraphBuilder(graph).source_of(Tiles("A", np.array([0]), 0))
 
 
 # Every entry point that builds a graph, with the arguments after (N, b).
@@ -106,6 +113,10 @@ ENTRY_POINTS = {
     "build_potri_graph": (BlockCyclic2D(2, 2),),
     "compile_cholesky": (BlockCyclic2D(2, 2),),
     "compile_lu": (BlockCyclic2D(2, 2),),
+    "compile_posv": (BlockCyclic2D(2, 2), RowCyclic1D(2)),
+    "compile_trtri": (BlockCyclic2D(2, 2),),
+    "compile_lauum": (BlockCyclic2D(2, 2),),
+    "compile_potri": (BlockCyclic2D(2, 2),),
 }
 
 

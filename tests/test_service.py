@@ -146,6 +146,30 @@ def test_truncated_store_line_is_skipped(tmp_path):
     assert reopened.get("abc") is None
 
 
+@pytest.mark.parametrize("where", ["key", "value", "sha", "newline"])
+def test_a_flipped_bit_is_one_corrupt_line(tmp_path, where):
+    """A byte with its high bit set is not UTF-8; the store must open all
+    the same, count the line, and serve the others."""
+    store = ResultStore(tmp_path / "store")
+    for k in "abc":
+        store.put({"hash": k, "status": "ok"})
+    path = store.root / ResultStore.RESULTS
+    raw = bytearray(path.read_bytes())
+    second = raw.index(b"\n") + 1  # where b's line starts
+    at = {"key": raw.index(b'"status"', second) + 2,
+          "value": raw.index(b'"ok"', second) + 1,
+          "sha": raw.index(b'"sha":"', second) + 10,
+          "newline": raw.index(b"\n", second)}[where]
+    raw[at] ^= 0x80
+    path.write_bytes(bytes(raw))
+
+    reopened = ResultStore(tmp_path / "store")
+    assert reopened.corrupt_entries == 1
+    # Without its newline b's line runs into c's: both are one bad line.
+    lost = "bc" if where == "newline" else "b"
+    assert [k for k in "abc" if reopened.get(k) is None] == list(lost)
+
+
 @pytest.mark.parametrize("tear", ["json", "sha", "newline"])
 @pytest.mark.parametrize("log", [ResultStore.RESULTS, ResultStore.STRUCTURES])
 def test_append_after_torn_tail_starts_a_fresh_line(tmp_path, log, tear):
@@ -318,6 +342,76 @@ def test_unknown_spec_keys_are_rejected(tmp_path):
     for out in asyncio.run(drive()):
         assert out.startswith(b"HTTP/1.1 400 Bad Request")
         assert b"brodcast" in out and b"synchronised" in out
+    assert len(server.store) == 0
+
+
+def test_unknown_nested_spec_keys_are_rejected(tmp_path):
+    """The same below the top level: ``varient`` used to simulate — and
+    cache — SBC-extended, ``bandwith`` the default network."""
+    from repro.config import laptop
+    from repro.distributions import TwoDotFiveD
+    from repro.runtime.faults import LinkDegradation
+    from repro.service.hashing import point_hash
+    from repro.service.http import HttpSweepService
+    from repro.service.jobs import (
+        dist_from_spec, faults_from_spec, machine_from_spec)
+    from repro.topology import grid, topology_from_spec, topology_to_spec
+
+    plan = FaultPlan(seed=1, slowdowns=(SlowdownWindow(0, 2.0),),
+                     links=(LinkDegradation(2.0, src=0),),
+                     crashes=(WorkerCrash(1, after_tasks=3),))
+    machine = dataclasses.replace(
+        laptop(nodes=6), topology=grid(2, 3, 1e9, 1e-6))
+    base = JobSpec.make("cholesky", 6, 32, TwoDotFiveD(BlockCyclic2D(1, 3), 2),
+                        machine, faults=plan)
+    good = base.to_dict()
+    again = JobSpec.from_dict(good)  # every key the system writes is known
+    assert (again.canonical(), point_hash(config_digest(again), "s")) == (
+        base.canonical(), point_hash(config_digest(base), "s"))
+    assert faults_from_spec(good["faults"]) == plan
+
+    def typo(path, key):
+        """``good`` with ``key`` added to the dict at ``path``."""
+        bad = json.loads(json.dumps(good))
+        at = bad
+        for step in path:
+            at = at[step]
+        at[key] = 1
+        return bad
+
+    cases = [(("dist",), "slices"), (("dist", "base"), "P"),
+             (("machine",), "bandwith"), (("machine", "topology"), "nodes"),
+             (("faults",), "loss"), (("faults", "slowdowns", 0), "until"),
+             (("faults", "links", 0), "source"),
+             (("faults", "crashes", 0), "after")]
+    for path, key in cases:
+        with pytest.raises(ValueError, match=key):
+            JobSpec.from_dict(typo(path, key))
+    sbc = {"kind": "sbc", "r": 4, "varient": "basic"}
+    for rebuild, bad in ((dist_from_spec, sbc),
+                         (machine_from_spec, typo(("machine",), "bandwith")["machine"]),
+                         (faults_from_spec, typo(("faults",), "loss")["faults"]),
+                         (topology_from_spec,
+                          dict(topology_to_spec(machine.topology), nodes=6))):
+        with pytest.raises(ValueError, match="unknown .* field"):
+            rebuild(bad)
+
+    server = SweepServer(ResultStore(tmp_path / "store"))
+    svc = HttpSweepService(server, "127.0.0.1", 0)
+
+    async def post():
+        body = json.dumps(dict(good, dist=sbc)).encode()
+        reader = asyncio.StreamReader()
+        reader.feed_data(f"POST /submit HTTP/1.1\r\nContent-Length: "
+                         f"{len(body)}\r\n\r\n".encode() + body)
+        reader.feed_eof()
+        try:
+            return await svc._dispatch(reader)
+        finally:
+            await server.close()
+
+    out = asyncio.run(post())
+    assert out.startswith(b"HTTP/1.1 400 Bad Request") and b"varient" in out
     assert len(server.store) == 0
 
 
