@@ -29,6 +29,8 @@ class TwoDotFiveD:
     def __init__(self, base: Distribution, c: int):
         if c < 1:
             raise ValueError(f"slice count must be positive, got {c}")
+        if isinstance(base, TwoDotFiveD):
+            raise ValueError("2.5d base must be a 2D distribution")
         self.base = base
         self.c = c
 

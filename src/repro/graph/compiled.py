@@ -123,7 +123,7 @@ class CompiledGraph:
     node: npt.NDArray[np.int32]  # per task
     flops: npt.NDArray[np.float64]  # per task
     iteration: npt.NDArray[np.int32]  # per task
-    priority: npt.NDArray[np.float64]  # per task (0 until assigned)
+    priority: npt.NDArray[np.float64]  # an input: all 0 = each run sweeps its own
     write_id: npt.NDArray[np.int32]  # per task, -1 when the task writes nothing
     read_ptr: npt.NDArray[np.int64]  # len n_tasks + 1
     read_ids: npt.NDArray[np.int32]  # data ids
@@ -174,8 +174,7 @@ class CompiledGraph:
         (``node``, ``data_source_node``) are replaced, and the cached
         communication plan is dropped so it is rebuilt against the new
         placement.  Initial data keeps its home; a produced version's
-        source follows its producer.  ``priority`` is copied so runs on
-        the reassigned graph never pollute the original's priorities.
+        source follows its producer.
         """
         node = np.ascontiguousarray(node, dtype=self.node.dtype)
         if node.shape != self.node.shape:
@@ -185,9 +184,7 @@ class CompiledGraph:
         source = self.data_source_node.copy()
         produced = self.data_producer >= 0
         source[produced] = node[self.data_producer[produced]]
-        return replace(self, node=node, data_source_node=source,
-                       priority=self.priority.copy(), _plan=None,
-                       _cons_csr=self._cons_csr)
+        return replace(self, node=node, data_source_node=source, _plan=None)
 
     def consumers_csr(
         self,

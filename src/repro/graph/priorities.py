@@ -8,7 +8,8 @@ POTRF-TRSM spine).  Two policies are provided:
   earlier iterations first, and within an iteration POTRF > TRSM > REDUCE >
   SYRK > GEMM, so panel tasks overtake trailing updates.
 * :func:`set_critical_path_priorities` — exact bottom-level (longest path
-  to any sink, weighted by task durations), the classical HEFT upward rank.
+  to any sink, weighted by task durations), the classical HEFT upward rank
+  (:func:`critical_path_priorities` computes it and leaves the graph alone).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from collections.abc import Callable
 
 from .task import Task, TaskGraph
 
-__all__ = ["set_iteration_priorities", "set_critical_path_priorities", "KIND_RANK"]
+__all__ = ["set_iteration_priorities", "critical_path_priorities",
+           "set_critical_path_priorities", "KIND_RANK"]
 
 #: Intra-iteration urgency; larger runs earlier among equal iterations.
 KIND_RANK = {
@@ -52,10 +54,10 @@ def set_iteration_priorities(graph: TaskGraph) -> None:
         t.priority = -t.iteration * 16 + KIND_RANK.get(t.kind, 0)
 
 
-def set_critical_path_priorities(
+def critical_path_priorities(
     graph: TaskGraph, duration_fn: Callable[[Task], float]
-) -> None:
-    """Priority = bottom level: duration-weighted longest path to a sink.
+) -> list[float]:
+    """Bottom level per task: duration-weighted longest path to a sink.
 
     Relies on the builder invariant that the task list is topologically
     ordered, so one reverse sweep suffices.
@@ -72,4 +74,12 @@ def set_critical_path_priorities(
     for t in reversed(graph.tasks):
         succ = max((bottom[c] for c in consumers[t.id]), default=0.0)
         bottom[t.id] = duration_fn(t) + succ
-        t.priority = bottom[t.id]
+    return bottom
+
+
+def set_critical_path_priorities(
+    graph: TaskGraph, duration_fn: Callable[[Task], float]
+) -> None:
+    """Write :func:`critical_path_priorities` into ``Task.priority``."""
+    for t, prio in zip(graph.tasks, critical_path_priorities(graph, duration_fn)):
+        t.priority = prio

@@ -27,10 +27,10 @@ from typing import Optional
 
 from ...config import MachineSpec
 from ...graph.compiled import compile_graph
-from ...graph.priorities import set_critical_path_priorities
+from ...graph.priorities import critical_path_priorities
 from ...graph.task import DataKey, Task, TaskGraph
 from ...obs import Recorder
-from ...schedulers import GraphView, PriorityQueues, ReadyQueue, check_plan, get_policy
+from ...schedulers import GraphView, PriorityQueues, check_plan, get_policy
 from ..faults import FaultPlan
 from .harness import SimReport, check_finished, check_inputs, fault_state, finish, resolve_recorder
 from .network import NetworkSim, Transfer, binomial_tree
@@ -83,11 +83,18 @@ def simulate(
     instance).  The default ``None`` — like the default
     ``"critical-path"`` policy — runs the engine's native behaviour
     bit-exactly; other policies may replace priorities, override task
-    placement (only if they declare ``migrates``; the graph's node
-    fields are restored afterwards), force fork-join barriers, or plug
-    in a dynamic ready-queue discipline.  See ``docs/schedulers.md``.
+    placement (only if they declare ``migrates``), force fork-join
+    barriers, or plug in a dynamic ready-queue discipline — for this run
+    only: ``Task.node`` and ``Task.priority`` are read, never written.
+    See ``docs/schedulers.md``.
     """
     check_inputs(broadcast, len(graph.tasks), graph.nodes_used(), machine)
+    tasks = graph.tasks
+    # This run's placement and priorities.  The graph's own are inputs: a
+    # run reads its graph and never writes it, so what it returns does not
+    # depend on what the graph was simulated with before.
+    place = [t.node for t in tasks]
+    priority = [t.priority for t in tasks]
     if duration_fn is None:
         b = graph.b
         kernel = machine.kernel
@@ -97,70 +104,39 @@ def simulate(
             # the homogeneous duration.  The compiled engine evaluates the
             # identical IEEE expression vectorized, keeping bit-equality.
             speed = topo.speed
-            duration_fn = lambda t: kernel.duration(t.flops, b) / speed[t.node]  # noqa: E731
+            duration_fn = lambda t: kernel.duration(t.flops, b) / speed[place[t.id]]  # noqa: E731
         else:
             duration_fn = lambda t: kernel.duration(t.flops, b)  # noqa: E731
 
     queue_factory = PriorityQueues  # the native discipline
-    saved = None  # the graph's own (node, priority) per task, if a plan overwrites them
     if scheduler is not None:
         # Policies plan on the compiled plane (one view for both engines);
         # the thunks run only if the policy reads a column, so the default
         # policy lowers nothing.
-        tasks = graph.tasks
         policy = get_policy(scheduler)
         splan = policy.plan(GraphView(
             lambda: compile_graph(graph), machine,
             lambda: [duration_fn(t) for t in tasks]))
-        check_plan(policy, splan, [t.node for t in tasks], machine.nodes)
+        check_plan(policy, splan, place, machine.nodes)
         synchronized = synchronized or splan.synchronized
-        if splan.priorities is not None or splan.assignment is not None:
-            saved = [(t.node, t.priority) for t in tasks]
         if splan.priorities is not None:
-            for t, prio in zip(tasks, splan.priorities):
-                t.priority = prio
+            priority = list(splan.priorities)
             auto_priorities = False
         if splan.assignment is not None:
-            for t, node in zip(tasks, splan.assignment):
-                t.node = node
+            place[:] = splan.assignment  # in place: duration_fn reads it
         if splan.queue_factory is not None:
             queue_factory = splan.queue_factory
-    try:
-        return _simulate(graph, machine, synchronized, duration_fn,
-                         auto_priorities, trace, broadcast, aggregate,
-                         recorder, faults,
-                         queue_factory(machine.nodes, machine.cores))
-    finally:
-        if saved is not None:
-            for t, (node, prio) in zip(graph.tasks, saved):
-                t.node, t.priority = node, prio
-
-
-def _simulate(
-    graph: TaskGraph,
-    machine: MachineSpec,
-    synchronized: bool,
-    duration_fn: Callable[[Task], float],
-    auto_priorities: bool,
-    trace: bool,
-    broadcast: str,
-    aggregate: bool,
-    recorder: Optional[Recorder],
-    faults: Optional[FaultPlan],
-    queue: ReadyQueue,
-) -> SimReport:
-    """The event loop behind :func:`simulate` (placement already applied)."""
     num_nodes = machine.nodes
-    if auto_priorities and all(t.priority == 0.0 for t in graph.tasks):
+    queue = queue_factory(num_nodes, machine.cores)
+    if auto_priorities and not any(priority):
         # Bottom-level priorities mirror Chameleon's scheduling hints and
         # let both workers and the network favour the critical path.
-        set_critical_path_priorities(graph, duration_fn)
+        priority = critical_path_priorities(graph, duration_fn)
 
-    tasks = graph.tasks
     n_tasks = len(tasks)
 
     # --- dependency bookkeeping --------------------------------------------
-    # missing[t] = input instances not yet present at t.node.
+    # missing[t] = input instances not yet present at t's node.
     missing = [0] * n_tasks
     # consumers on the producing node, released when the producer finishes.
     local_consumers: dict[DataKey, list[int]] = defaultdict(list)
@@ -170,25 +146,26 @@ def _simulate(
     key_dsts: dict[DataKey, list[int]] = defaultdict(list)
     initial_sources: list[tuple[DataKey, int]] = []  # misplaced initial data
     for t in tasks:
+        node = place[t.id]
         for k in t.reads:
             pid = graph.producer.get(k)
             if pid is not None:
                 missing[t.id] += 1
-                if tasks[pid].node == t.node:
+                if place[pid] == node:
                     local_consumers[k].append(t.id)
                 else:
-                    if (k, t.node) not in remote_needers:
-                        key_dsts[k].append(t.node)
-                    remote_needers[(k, t.node)].append(t.id)
+                    if (k, node) not in remote_needers:
+                        key_dsts[k].append(node)
+                    remote_needers[(k, node)].append(t.id)
             else:
                 home = graph.initial[k][0]
-                if home != t.node:
+                if home != node:
                     missing[t.id] += 1
-                    if (k, t.node) not in remote_needers:
+                    if (k, node) not in remote_needers:
                         if k not in key_dsts:
                             initial_sources.append((k, home))
-                        key_dsts[k].append(t.node)
-                    remote_needers[(k, t.node)].append(t.id)
+                        key_dsts[k].append(node)
+                    remote_needers[(k, node)].append(t.id)
 
     # --- synchronized-mode bookkeeping -------------------------------------
     iterations = sorted({t.iteration for t in tasks})
@@ -228,12 +205,13 @@ def _simulate(
 
     def start_task(task: Task, time: float) -> None:
         dur = duration_fn(task)
+        node = place[task.id]
         if fault_slow:
-            dur *= faults.compute_factor(task.node, time)
-        busy_time[task.node] += dur
+            dur *= faults.compute_factor(node, time)
+        busy_time[node] += dur
         time_by_kind[task.kind] += dur
         if trace:
-            rec.record_task(task.id, task.kind, task.node,
+            rec.record_task(task.id, task.kind, node,
                             ready_time[task.id], time, time + dur, task.flops)
         push_event(time + dur, "task", task)
 
@@ -244,7 +222,7 @@ def _simulate(
         if synchronized and iter_pos[task.iteration] > released_idx:
             iter_blocked[iter_pos[task.iteration]].append(task)
             return
-        node = task.node
+        node = place[task.id]
         # A fail-stopped node parks the task forever; the run ends with a
         # diagnostic SimulatedFailure.
         parked = dead is not None and dead[node]
@@ -252,7 +230,7 @@ def _simulate(
             free_workers[node] -= 1
             start_task(task, time)
             return
-        queue.push(node, task.id, task.priority)
+        queue.push(node, task.id, priority[task.id])
         if trace and not parked:
             rec.metrics.gauge(
                 "queue.depth.max", "peak ready-queue depth per node"
@@ -293,7 +271,7 @@ def _simulate(
         if not dsts:
             return
         prios = [
-            max(tasks[tid].priority for tid in remote_needers[(key, dst)])
+            max(priority[tid] for tid in remote_needers[(key, dst)])
             for dst in dsts
         ]
         if broadcast == "direct" or len(dsts) == 1:
@@ -328,7 +306,7 @@ def _simulate(
         if kind == "task":
             task = payload
             done += 1
-            n = task.node
+            n = place[task.id]
             if dead is not None:
                 fstate.task_completed(n, now, rec)
             if dead is not None and dead[n]:
@@ -341,7 +319,7 @@ def _simulate(
                     free_workers[n] += 1
             if task.write is not None:
                 data_arrived_local(task.write, now)
-                request_transfers(task.write, task.node, now)
+                request_transfers(task.write, n, now)
             if synchronized:
                 iter_remaining[iter_pos[task.iteration]] -= 1
                 release_iterations(now)

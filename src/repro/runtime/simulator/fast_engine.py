@@ -41,7 +41,6 @@ engine is the *oracle* — prefer it for small graphs, custom
 from __future__ import annotations
 
 import gc
-from dataclasses import replace
 from heapq import heappop, heappush
 from collections import defaultdict, deque
 from typing import Any, NamedTuple, Optional
@@ -68,11 +67,12 @@ __all__ = ["default_durations", "simulate_compiled"]
 
 class _Run(NamedTuple):
     """What :func:`_prepare` hands the loop: the graph with its final
-    placement/priority columns and every option resolved."""
+    placement, the run's settled priorities and every option resolved."""
 
     cg: CompiledGraph
     machine: MachineSpec
     durations: np.ndarray
+    priority: np.ndarray  # float64[n_tasks]; the graph's own column is an input
     plan: Any  # the graph's comm plan
     pair_prio: np.ndarray  # float64[n_pairs] transfer priorities
     ctopo: Any  # CompiledTopology, or None for the scalar network
@@ -108,11 +108,14 @@ def simulate_compiled(
     engine's (asserted in ``tests/test_compiled_engine.py``).
 
     ``scheduler`` names a policy from :data:`repro.schedulers.POLICIES`
-    (or passes a ``SchedulerInterface`` instance).  Plans are applied to
-    a copy of ``cg`` — the caller's priority/placement columns are never
-    mutated — and ``scheduler=None`` / ``"critical-path"`` leaves every
-    native code path untouched, so default runs stay bit-exact with the
-    object engine.
+    (or passes a ``SchedulerInterface`` instance); ``scheduler=None`` /
+    ``"critical-path"`` leaves every native code path untouched, so
+    default runs stay bit-exact with the object engine.
+
+    A run reads ``cg`` and never writes it: a non-zero ``cg.priority``
+    column is an input (used as given); a policy's priorities, or the
+    ``auto_priorities`` bottom levels under this run's durations, live
+    with the run — no result depends on what ``cg`` was simulated with before.
 
     A :class:`repro.runtime.faults.FaultPlan` produces bit-identical
     makespan/bytes/messages to the object engine under the same plan
@@ -154,12 +157,11 @@ def _prepare(cg, machine, synchronized=False, durations=None,
         durations = default_durations(cg, machine)
 
     # --- scheduler policy (repro.schedulers) --------------------------------
-    # Applied before any lowering so node / priority columns and the comm
-    # plan all reflect the policy's choices.  Plans land on a clone of
-    # ``cg`` (``replace`` / ``reassigned``) — the caller's arrays stay
-    # untouched, so a later default run of the same graph still triggers
-    # its own auto-priority sweep.
+    # Applied before any lowering so placement, priorities and the comm
+    # plan all reflect the policy's choices; a placement lands on a clone
+    # of ``cg`` (``reassigned``).
     cqueue = None
+    priority = cg.priority
     if scheduler is not None:
         from ...schedulers import GraphView, check_plan, get_policy
 
@@ -170,16 +172,12 @@ def _prepare(cg, machine, synchronized=False, durations=None,
         if splan.assignment is not None:
             cg = cg.reassigned(splan.assignment)
         if splan.priorities is not None:
-            prios = np.ascontiguousarray(splan.priorities, dtype=np.float64)
-            if splan.assignment is not None:
-                cg.priority[:] = prios  # the reassigned clone's private copy
-            else:
-                cg = replace(cg, priority=prios)
+            priority = np.ascontiguousarray(splan.priorities, dtype=np.float64)
             auto_priorities = False
         if splan.queue_factory is not None:
             cqueue = splan.queue_factory(num_nodes, machine.cores)
-    if auto_priorities and not cg.priority.any():
-        cg.priority[:] = compiled_critical_path_priorities(cg, durations)
+    if auto_priorities and not priority.any():
+        priority = compiled_critical_path_priorities(cg, durations)
 
     plan = cg.comm_plan()
     ctopo = (machine.topology.compiled()
@@ -193,16 +191,16 @@ def _prepare(cg, machine, synchronized=False, durations=None,
         starts = plan.pair_rn_start
         order = np.argsort(starts, kind="stable")
         pair_prio[order] = np.maximum.reduceat(
-            cg.priority[plan.rn_ids], starts[order])
+            priority[plan.rn_ids], starts[order])
 
-    return _Run(cg, machine, durations, plan, pair_prio, ctopo, cqueue,
+    return _Run(cg, machine, durations, priority, plan, pair_prio, ctopo, cqueue,
                 synchronized, broadcast, aggregate,
                 resolve_recorder(trace, recorder), faults)
 
 
 def _numpy_loop(run: _Run) -> SimReport:
     """The event loop, for every configuration."""
-    (cg, machine, durations, plan, pair_prio_arr, ctopo, cqueue, synchronized,
+    (cg, machine, durations, priority, plan, pair_prio_arr, ctopo, cqueue, synchronized,
      broadcast, aggregate, rec, faults) = run
     trace = rec is not None
     n_tasks = cg.n_tasks
@@ -239,10 +237,10 @@ def _numpy_loop(run: _Run) -> SimReport:
     dur_l = memoryview(np.ascontiguousarray(durations, dtype=np.float64))
     # Ready-queue keys are -priority; pre-negate once (the view keeps the
     # negated array alive).
-    negprio_l = memoryview(np.negative(cg.priority))
+    negprio_l = memoryview(np.negative(priority))
     # A custom ReadyQueue takes the un-negated priority (same argument the
     # object engine hands its queue).
-    prio_l = cg.priority.tolist() if cqueue is not None else None
+    prio_l = priority.tolist() if cqueue is not None else None
     mi = plan.missing
     if mi.size == 0 or int(mi.max()) < 256:
         missing = bytearray(mi.astype(np.uint8).tobytes())

@@ -37,7 +37,15 @@ from typing import Any, Optional
 from ..config import bora
 from .client import SweepClient
 from .http import serve_http
-from .jobs import JobSpec, machine_to_spec
+from .jobs import (
+    ALGORITHMS,
+    BROADCASTS,
+    ENGINES,
+    TABLES,
+    JobSpec,
+    dist_from_spec,
+    machine_to_spec,
+)
 from .server import SweepServer
 from .store import ResultStore
 
@@ -71,37 +79,19 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
                 fh.close()
     if args.dist is None:
         raise SystemExit("either --dist or --spec-json is required")
-    from ..distributions import TwoDotFiveD
-    from .jobs import dist_from_spec
-
-    dist = dist_from_spec(args.dist)
-    nodes = args.nodes or (dist.num_nodes if not isinstance(dist, TwoDotFiveD)
-                           else dist.num_nodes)
-    machine = machine_to_spec(bora(nodes))
-    if args.cores:
-        machine["cores"] = args.cores
-    if args.bandwidth:
-        machine["bandwidth"] = args.bandwidth
-    if args.latency:
-        machine["latency"] = args.latency
+    machine = machine_to_spec(
+        bora(args.nodes or dist_from_spec(args.dist).num_nodes))
+    for key in ("cores", "bandwidth", "latency"):
+        if getattr(args, key):
+            machine[key] = getattr(args, key)
     faults = None
     if args.faults_json:
         with open(args.faults_json) as fh:
             faults = json.load(fh)
-    return JobSpec.make(
-        algorithm=args.algorithm,
-        ntiles=args.ntiles,
-        b=args.b,
-        dist=args.dist,
-        machine=machine,
-        engine=args.engine,
-        synchronized=args.synchronized,
-        broadcast=args.broadcast,
-        aggregate=args.aggregate,
-        faults=faults,
-        collect_metrics=args.collect_metrics,
-        policy=args.policy,
-    )
+    # Every job flag is named after the spec field it sets.
+    flags = {name: value for name, value in vars(args).items()
+             if name in TABLES["JobSpec"]}
+    return JobSpec.make(**flags, machine=machine, faults=faults)
 
 
 def _client(args: argparse.Namespace) -> SweepClient:
@@ -122,21 +112,19 @@ def _add_endpoint_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_job_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm", choices=["cholesky", "lu"],
-                   default="cholesky")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="cholesky")
     p.add_argument("--ntiles", type=int, default=20, help="tile count N")
     p.add_argument("--b", type=int, default=512, help="tile size")
     p.add_argument("--dist", type=parse_dist, default=None,
                    help="sbc:r=8 | bc2d:7x4 | row1d:12")
-    p.add_argument("--engine", choices=["compiled", "object"],
-                   default="compiled")
+    p.add_argument("--engine", choices=ENGINES, default="compiled")
     p.add_argument("--nodes", type=int, default=0,
                    help="machine nodes (default: the distribution's)")
     p.add_argument("--cores", type=int, default=0)
     p.add_argument("--bandwidth", type=float, default=0.0)
     p.add_argument("--latency", type=float, default=0.0)
     p.add_argument("--synchronized", action="store_true")
-    p.add_argument("--broadcast", choices=["direct", "tree"], default="direct")
+    p.add_argument("--broadcast", choices=BROADCASTS, default="direct")
     p.add_argument("--policy", default="critical-path", metavar="NAME",
                    help="scheduler policy (see repro.schedulers.POLICIES; "
                         "default: critical-path)")

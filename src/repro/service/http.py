@@ -135,7 +135,7 @@ class HttpSweepService:
         if method == "POST" and path in ("/submit", "/status"):
             try:
                 spec = JobSpec.from_dict(json.loads(body.decode()))
-            except (ValueError, KeyError, TypeError) as exc:
+            except ValueError as exc:  # not JSON, or not what the schema says
                 return _response("400 Bad Request",
                                  _json_bytes({"error": f"bad job spec: {exc}"}))
             if path == "/status":

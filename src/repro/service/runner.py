@@ -46,97 +46,72 @@ __all__ = [
 ]
 
 
+#: The :class:`SimReport` fields a stored report keeps.
+REPORT_KEYS = ("makespan", "total_flops", "num_nodes", "comm_bytes",
+               "comm_messages", "busy_time", "time_by_kind", "num_tasks",
+               "cores_per_node")
+
+
+def _stored(get: Callable[[str], Any]) -> dict[str, Any]:
+    d = {name: get(name) for name in REPORT_KEYS}
+    return {**d, "busy_time": list(d["busy_time"]),
+            "time_by_kind": dict(d["time_by_kind"])}
+
+
 def report_to_dict(rep: SimReport) -> dict[str, Any]:
     """Lossless JSON form of a :class:`SimReport` (event traces dropped).
 
     ``json`` serializes floats via ``repr``, which round-trips doubles
     exactly — a reloaded report is bit-identical to the original.
     """
-    return {
-        "makespan": rep.makespan,
-        "total_flops": rep.total_flops,
-        "num_nodes": rep.num_nodes,
-        "comm_bytes": rep.comm_bytes,
-        "comm_messages": rep.comm_messages,
-        "busy_time": list(rep.busy_time),
-        "time_by_kind": dict(rep.time_by_kind),
-        "num_tasks": rep.num_tasks,
-        "cores_per_node": rep.cores_per_node,
-    }
+    return _stored(rep.__getattribute__)
 
 
 def report_from_dict(d: Mapping[str, Any]) -> SimReport:
     """Rebuild a :class:`SimReport` from :func:`report_to_dict` output."""
-    return SimReport(
-        makespan=d["makespan"],
-        total_flops=d["total_flops"],
-        num_nodes=d["num_nodes"],
-        comm_bytes=d["comm_bytes"],
-        comm_messages=d["comm_messages"],
-        busy_time=list(d["busy_time"]),
-        time_by_kind=dict(d["time_by_kind"]),
-        num_tasks=d["num_tasks"],
-        cores_per_node=d["cores_per_node"],
-    )
+    return SimReport(**_stored(d.__getitem__))
 
 
-def _build_object_graph(spec: JobSpec) -> TaskGraph:
-    """The oracle's sink of the algorithm's description; 2.5D is the
-    description's ``slices`` > 1 case, so the distribution needs no fork."""
-    return OPERATIONS[spec.algorithm][0](
-        spec.ntiles, spec.b, spec.distribution(),
-        spec.machine_spec().element_size)
-
-
-def _compile(spec: JobSpec) -> CompiledGraph:
-    """The core's sink of the same description."""
-    return OPERATIONS[spec.algorithm][1](
+def _build(spec: JobSpec, sink: int) -> Any:
+    """The algorithm's description in the oracle's sink (0: objects) or the
+    core's (1: columns); 2.5D is the description's ``slices`` > 1 case, so
+    the distribution needs no fork."""
+    return OPERATIONS[spec.algorithm][sink](
         spec.ntiles, spec.b, spec.distribution(),
         spec.machine_spec().element_size)
 
 
 # --------------------------------------------------------------------------
-# incremental re-simulation: worker-side compiled-graph cache
+# incremental re-simulation: worker-side compiled-graph memo
 # --------------------------------------------------------------------------
 # Sweeps routinely vary only network/machine constants, fault seeds or
 # scheduler policies across points — the graph structure (and hence the
 # expensive build + comm plan) is identical.  Each worker keeps the last
 # compiled graph keyed by the spec's structure key and hands it to the
-# next matching point instead of rebuilding.  The cache is *checkout-
-# based*: a graph is removed while in use and returned afterwards, so two
-# thread-executor points can never simulate the same (mutable) instance
-# concurrently — the loser of the race compiles fresh, last check-in
-# wins.  Reuse resets the priority column: simulate's auto-priority sweep
-# keys on ``priority.any()``, and a stale plan's priorities must not leak
-# into the next point (scheduler policies and machine constants change
-# the sweep's input).
+# next matching point instead of rebuilding.  A run reads its graph and
+# never writes it (priorities live with the run), so two thread-executor
+# points may simulate the one instance at once.
 
-_graph_cache_lock = threading.Lock()
-_graph_cache: Optional[tuple[str, CompiledGraph]] = None
+_graph_memo_lock = threading.Lock()
+_graph_memo: Optional[tuple[str, CompiledGraph]] = None
 
 
-def _checkout_graph(spec: JobSpec, skey: str) -> tuple[CompiledGraph, bool]:
+def _compiled(spec: JobSpec, skey: str) -> tuple[CompiledGraph, bool]:
     """(compiled graph, reused?) — reuse only on an exact structure match."""
-    global _graph_cache
-    with _graph_cache_lock:
-        cached = _graph_cache
-        if cached is not None and cached[0] == skey:
-            _graph_cache = None
-            cg = cached[1]
-            cg.priority[:] = 0.0
-            return cg, True
-        # A structure mismatch means the cached graph is about to be
+    global _graph_memo
+    with _graph_memo_lock:
+        memo = _graph_memo
+        if memo is not None and memo[0] == skey:
+            return memo[1], True
+        # A structure mismatch means the memoized graph is about to be
         # replaced anyway — evict it *before* compiling so the old
         # graph's memory does not inflate the new build's peak RSS
         # (ascending-N sweeps would otherwise hold both at once).
-        _graph_cache = None
-    return _compile(spec), False
-
-
-def _checkin_graph(skey: str, cg: CompiledGraph) -> None:
-    global _graph_cache
-    with _graph_cache_lock:
-        _graph_cache = (skey, cg)
+        _graph_memo = None
+    cg: CompiledGraph = _build(spec, 1)
+    with _graph_memo_lock:
+        _graph_memo = (skey, cg)
+    return cg, False
 
 
 def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
@@ -147,7 +122,6 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
     recorder = Recorder(source="service") if spec.collect_metrics else None
 
     graph_reused = False
-    checkin: Optional[Callable[[], None]] = None
     # The run options, said once for whichever engine the spec names.
     options: dict[str, Any] = {
         "synchronized": spec.synchronized, "broadcast": spec.broadcast,
@@ -157,9 +131,7 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
     t0 = time.perf_counter()
     if spec.engine == "compiled":
         skey = structure_key(spec)
-        cg, graph_reused = _checkout_graph(spec, skey)
-        # The hash covers only structural arrays (not priorities), so a
-        # reused graph's memoized hash is still exact.
+        cg, graph_reused = _compiled(spec, skey)
         memo = cg._structure_hash
         if memo is None:
             memo = structure_hash(cg)
@@ -168,10 +140,9 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
         t1 = time.perf_counter()
         cg.comm_plan()
         t2 = time.perf_counter()
-        checkin = lambda: _checkin_graph(skey, cg)  # noqa: E731
         runner = lambda: simulate_compiled(cg, machine, **options)  # noqa: E731
     else:
-        graph = _build_object_graph(spec)
+        graph: TaskGraph = _build(spec, 0)
         struct = structure_hash(compile_graph(graph))
         t1 = time.perf_counter()
         t2 = t1
@@ -187,9 +158,6 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
         # Seeded crash plans fail deterministically: memoize the outcome.
         status = "failed"
         error = str(exc)
-    finally:
-        if checkin is not None:
-            checkin()
     t3 = time.perf_counter()
 
     metrics = None

@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Sequence
 from typing import Any, Optional
 
@@ -88,21 +88,20 @@ class JobResult:
         return self
 
 
+#: What a stored record says of a :class:`JobResult`; ``spec`` and
+#: ``cached`` belong to the submit (a record's ``"spec"`` is the plain dict).
+_RECORD_KEYS = tuple(f.name for f in fields(JobResult)
+                     if f.name not in ("spec", "cached"))
+
+
 def _result_from_record(spec: JobSpec, record: dict[str, Any],
                         cached: bool) -> JobResult:
-    report = record.get("report")
-    return JobResult(
-        hash=record["hash"],
-        spec=spec,
-        status=record["status"],
-        cached=cached,
-        report=None if report is None else report_from_dict(report),
-        timings=dict(record.get("timings", {})),
-        metrics=record.get("metrics"),
-        error=record.get("error"),
-        peak_rss_mb=record.get("peak_rss_mb"),
-        graph_reused=bool(record.get("graph_reused", False)),
-    )
+    """A key an old record lacks keeps the field's default."""
+    got = {key: record[key] for key in _RECORD_KEYS if key in record}
+    report = got.get("report")
+    got["report"] = None if report is None else report_from_dict(report)
+    got["timings"] = dict(got.get("timings", {}))
+    return JobResult(spec=spec, cached=cached, **got)
 
 
 class SweepServer:

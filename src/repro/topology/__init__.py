@@ -13,11 +13,12 @@ scalar clique model bit-exactly.  See ``docs/topology.md``.
 
 from .builders import chain, clique, fat_tree, grid, ring, star
 from .model import (
+    TOPOLOGY,
+    TOPOLOGY_TABLE,
     CompiledTopology,
     Heterogeneity,
     Link,
     Topology,
-    check_topology_spec,
     topology_from_spec,
     topology_to_spec,
 )
@@ -29,7 +30,8 @@ __all__ = [
     "Heterogeneity",
     "topology_to_spec",
     "topology_from_spec",
-    "check_topology_spec",
+    "TOPOLOGY",
+    "TOPOLOGY_TABLE",
     "clique",
     "chain",
     "ring",

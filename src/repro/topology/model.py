@@ -43,8 +43,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from collections.abc import Mapping, Sequence
-from typing import Any, Optional
+from collections.abc import Mapping
+from typing import Any, Optional, cast
+
+from ..schema import Codec, Key, Table, decode, listof, nullable, record
 
 __all__ = [
     "Link",
@@ -53,7 +55,8 @@ __all__ = [
     "CompiledTopology",
     "topology_to_spec",
     "topology_from_spec",
-    "check_topology_spec",
+    "TOPOLOGY",
+    "TOPOLOGY_TABLE",
 ]
 
 #: Default link parameters, mirroring :class:`repro.config.NetworkSpec`
@@ -378,60 +381,43 @@ class CompiledTopology:
 # spec serialization (sweep-service content hashing; see docs/service.md)
 # --------------------------------------------------------------------------
 
-def _num(x: float) -> Optional[float]:
-    """JSON-safe float: ``inf`` (non-blocking switch) travels as null."""
-    return None if math.isinf(x) else x
+def _link_row(what: str, row: Any) -> Link:
+    if not isinstance(row, (list, tuple)) or len(row) != 4:
+        raise ValueError(f"{what} must be a [u, v, bandwidth, latency] row, "
+                         f"got {row!r}")
+    return Link(*(decode(f"{what}[{i}]", typ, x) for i, (typ, x)
+                  in enumerate(zip((int, int, float, float), row))))
+
+
+#: JSON-safe float: ``inf`` (a non-blocking switch) travels as null.
+_INF_AS_NULL = Codec(
+    lambda what, b: math.inf if b is None else decode(what, float, b),
+    lambda b: None if math.isinf(b) else float(b))
+
+#: The keys of a topology spec: every field that changes routing or
+#: heterogeneity, so two topologies serialize equal iff the engines would
+#: treat them equally; the sweep service hashes this dict into the config
+#: digest (``docs/service.md``, "Job schema").
+TOPOLOGY_TABLE: Table = {
+    "kind": Key(str, "custom"),
+    "num_nodes": Key(int),
+    "num_switches": Key(int, 0),
+    "links": Key(listof(Codec(_link_row, lambda ln: [
+        ln.u, ln.v, float(ln.bandwidth), float(ln.latency)])), ()),
+    "switch_bandwidth": Key(listof(_INF_AS_NULL), ()),
+    "speed": Key(listof(float), ()),
+    "cores": Key(listof(int), ()),
+}
+#: ``None`` (the historic clique) stays ``None`` both ways.
+TOPOLOGY = nullable(record("topology", Topology, TOPOLOGY_TABLE))
 
 
 def topology_to_spec(topo: Optional[Topology]) -> Optional[dict[str, Any]]:
-    """Canonical plain-JSON form of a topology (None stays None).
-
-    Every field that changes routing or heterogeneity is present, so two
-    topologies serialize equal iff the engines would treat them equally;
-    the sweep service hashes this dict into the config digest.
-    """
-    if topo is None:
-        return None
-    return {
-        "kind": topo.kind,
-        "num_nodes": topo.num_nodes,
-        "num_switches": topo.num_switches,
-        "links": [[ln.u, ln.v, ln.bandwidth, ln.latency]
-                  for ln in topo.links],
-        "switch_bandwidth": [_num(b) for b in topo.switch_bandwidth],
-        "speed": list(topo.speed),
-        "cores": list(topo.cores),
-    }
-
-
-def check_topology_spec(spec: Mapping[str, Any]) -> None:
-    """Refuse a key :func:`topology_from_spec` would not read: a misspelt
-    one would otherwise build — and the service cache — the default."""
-    known = {"kind", "num_nodes", "num_switches", "links", "switch_bandwidth",
-             "speed", "cores"}
-    if not spec.keys() <= known:
-        raise ValueError(f"unknown topology field(s) {sorted(spec.keys() - known)}; "
-                         f"use one of {sorted(known)}")
+    """Canonical plain-JSON form of a topology (None stays None)."""
+    return cast("Optional[dict[str, Any]]", TOPOLOGY.encode(topo))
 
 
 def topology_from_spec(spec: Optional[Mapping[str, Any]]) -> Optional[Topology]:
-    """Rebuild a :class:`Topology` from :func:`topology_to_spec` output."""
-    if spec is None:
-        return None
-    check_topology_spec(spec)
-    links = tuple(
-        Link(int(u), int(v), float(bw), float(lat))
-        for u, v, bw, lat in spec.get("links", ())
-    )
-    sw_bw: Sequence[Any] = spec.get("switch_bandwidth", ())
-    return Topology(
-        num_nodes=int(spec["num_nodes"]),
-        links=links,
-        num_switches=int(spec.get("num_switches", 0)),
-        switch_bandwidth=tuple(
-            math.inf if b is None else float(b) for b in sw_bw
-        ),
-        speed=tuple(float(s) for s in spec.get("speed", ())),
-        cores=tuple(int(c) for c in spec.get("cores", ())),
-        kind=str(spec.get("kind", "custom")),
-    )
+    """Rebuild a :class:`Topology` from :func:`topology_to_spec` output;
+    ``ValueError`` for anything :data:`TOPOLOGY_TABLE` does not say."""
+    return cast("Optional[Topology]", TOPOLOGY.decode("topology", spec))

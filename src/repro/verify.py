@@ -92,7 +92,7 @@ def _check_simulator() -> None:
         assert 0 < rep.avg_utilization <= 1.0
 
 
-def _check_distributed() -> None:
+def _check_mp_executor() -> None:
     from repro.comm import count_communications
     from repro.distributions import SymmetricBlockCyclic
     from repro.graph import build_cholesky_graph
@@ -110,7 +110,7 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("volume counters (graph == vectorized)", _check_counters),
     ("Theorem 1 bound", _check_theorem1),
     ("simulator conservation (all comm options)", _check_simulator),
-    ("distributed executor traffic", _check_distributed),
+    ("distributed executor traffic", _check_mp_executor),
 ]
 
 

@@ -31,12 +31,20 @@ from repro.graph import (
     compile_lu,
     compiled_critical_path_priorities,
 )
-from repro.distributions import Distribution, RowCyclic1D
+from repro.distributions import RowCyclic1D
 from repro.graph.compiled import ColumnSink, _StreamedPlanState
 from repro.graph.task import Batch, Tiles
-from repro.runtime.faults import FaultPlan, LinkDegradation, SlowdownWindow
+from repro.runtime.faults import (
+    FaultPlan,
+    LinkDegradation,
+    SimulatedFailure,
+    SlowdownWindow,
+    WorkerCrash,
+)
 from repro.runtime.simulator import simulate, simulate_compiled
 from repro.schedulers import POLICIES, SchedulePlan, SchedulerInterface
+
+from .strategies import fault_plans, machines, owner_tables
 
 
 def assert_reports_equal(ref, fast):
@@ -770,60 +778,6 @@ class TestKernelEquality:
             ref, simulate_compiled(compile_cholesky(12, 32, dist), m))
 
 
-class OwnerTable(Distribution):
-    """An arbitrary tile -> node map: none of the structure (cyclic,
-    symmetric, balanced) the paper's distributions have."""
-
-    def __init__(self, table, num_nodes):
-        self._table = np.asarray(table, dtype=np.int64)
-        self._num_nodes = num_nodes
-
-    num_nodes = property(lambda self: self._num_nodes)
-    name = property(lambda self: f"table(P={self._num_nodes})")
-
-    def owner(self, i, j):
-        return int(self._table[i, j])
-
-    def owner_map(self, N):
-        return self._table[:N, :N]
-
-
-@st.composite
-def owner_tables(draw, N):
-    """Uniform, unbalanced (two tiles in three on node 0), one-node, and
-    P > 256 (the core indexes a list where it otherwise lowers the node
-    column to ``bytes``)."""
-    shape = draw(st.sampled_from(["uniform", "unbalanced", "one-node", "wide"]))
-    if shape == "one-node":
-        P = 1
-    else:
-        P = draw(st.integers(257, 300) if shape == "wide"
-                 else st.integers(2, 9))
-    spread = 3 * P if shape == "unbalanced" else P
-    cells = draw(st.lists(st.integers(0, spread - 1),
-                          min_size=N * N, max_size=N * N))
-    table = [v if v < P else 0 for v in cells]
-    return OwnerTable(np.reshape(table, (N, N)), P)
-
-
-@st.composite
-def fault_plans(draw, P):
-    """Stragglers, a degraded link and seeded loss; no crash (a crashed
-    run raises on both engines instead of reporting)."""
-    window = draw(st.sampled_from([(0.0, float("inf")), (1e-4, 4e-4)]))
-    return FaultPlan(
-        seed=draw(st.integers(0, 2**16)),
-        slowdowns=tuple(
-            SlowdownWindow(node, draw(st.sampled_from([1.5, 4.0])), *window)
-            for node in draw(st.sets(st.integers(0, P - 1), max_size=2))),
-        links=draw(st.sampled_from([
-            (), (LinkDegradation(3.0, src=0),),
-            (LinkDegradation(2.0, dst=P - 1, start=window[0],
-                             end=window[1]),)])),
-        loss_rate=draw(st.sampled_from([0.0, 0.05, 0.3])),
-    )
-
-
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(),
        op=st.sampled_from(["cholesky", "lu", "posv", "trtri", "lauum",
@@ -867,3 +821,59 @@ def test_oracle_equals_core_on_generated_inputs(
     ref = simulate(g, m, **opts)
     for cg in compiled:
         assert_reports_equal(ref, simulate_compiled(cg, m, **opts))
+
+
+def _graph_state(g, cg):
+    return ([(t.node, t.priority) for t in g.tasks],
+            cg.priority.copy(), cg.node.copy())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), N=st.integers(2, 7), b=st.sampled_from([64, 512]),
+       preset=st.booleans(),
+       scheduler=st.sampled_from([None, *POLICIES]),
+       crash=st.booleans())
+def test_a_run_reads_its_graph_and_never_writes_it(
+        data, N, b, preset, scheduler, crash):
+    """``simulate*(g, B)`` after ``simulate*(g, A)`` is ``simulate*(g, B)``
+    on a fresh graph, and the graph is bit-equal before and after a run —
+    also one that raises.  A and B differ in per-node speeds, so their
+    bottom levels differ: both engines used to write A's into the graph
+    and skip the sweep for B.  A non-zero priority column is an input and
+    is used as given by both runs."""
+    layout = data.draw(owner_tables(N))
+    P = layout.num_nodes
+    A = data.draw(machines(P))
+    B = data.draw(machines(P, speeds=True))
+    opts = dict(scheduler=scheduler)
+    if crash:
+        opts["faults"] = FaultPlan(crashes=(
+            WorkerCrash(node=data.draw(st.integers(0, P - 1)), after_tasks=1),))
+
+    def graphs():
+        g = OPERATIONS["cholesky"][0](N, b, layout)
+        cg = OPERATIONS["cholesky"][1](N, b, layout)
+        if preset:  # hand-set iteration ranks, as bench_ablation_design does
+            for t in g.tasks:
+                t.priority = float(-t.iteration)
+            cg.priority[:] = -cg.iteration
+        return g, cg
+
+    def run(engine, graph, machine):
+        try:
+            rep = engine(graph, machine, **opts)
+        except SimulatedFailure as exc:
+            return str(exc)
+        return rep.makespan, rep.comm_bytes, rep.comm_messages
+
+    g, cg = graphs()
+    before = _graph_state(g, cg)
+    run(simulate, g, A), run(simulate_compiled, cg, A)
+    for was, now in zip(before, _graph_state(g, cg)):
+        assert np.array_equal(was, now)
+    second = run(simulate, g, B), run(simulate_compiled, cg, B)
+    for was, now in zip(before, _graph_state(g, cg)):
+        assert np.array_equal(was, now)
+    fresh_g, fresh_cg = graphs()
+    assert second == (run(simulate, fresh_g, B),
+                      run(simulate_compiled, fresh_cg, B))

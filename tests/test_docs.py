@@ -68,3 +68,21 @@ def test_anchor_slugs_handle_punctuation_and_duplicates(tmp_path):
 def test_check_docs_cli_passes_on_repo(capsys):
     assert obs_main(["--check-docs", str(ROOT)]) == 0
     assert "doc check OK" in capsys.readouterr().out
+
+
+def test_job_schema_tables_are_the_code_tables():
+    """docs/service.md "Job schema" has one ``###`` table per layer of
+    ``repro.service.jobs.TABLES``: the same layers, the same keys."""
+    import re
+
+    from repro.service.jobs import TABLES
+
+    text = (ROOT / "docs" / "service.md").read_text()
+    schema = text.split("\n## Job schema\n")[1].split("\n## ")[0]
+    documented = {}
+    for section in schema.split("\n### ")[1:]:
+        title, _, body = section.partition("\n")
+        keys = re.findall(r"^\| `([^`]+)` \|", body, flags=re.M)
+        if keys:
+            documented[title.strip()] = keys
+    assert documented == {name: list(table) for name, table in TABLES.items()}

@@ -346,9 +346,9 @@ def test_custom_durations_agree_across_engines(name):
 
 @pytest.mark.parametrize("crash", [False, True])
 def test_object_graph_is_restored_after_a_migrating_run(crash):
-    """The object engine applies a plan by writing ``Task.node`` /
-    ``Task.priority``; both come back, also when the run raises after
-    the plan was applied."""
+    """A plan's placement and priorities live with the run: ``Task.node`` /
+    ``Task.priority`` are never written, so there is nothing to restore —
+    also when the run raises after the plan was applied."""
     g = build_cholesky_graph(N, B, DIST)
     m = laptop(nodes=DIST.num_nodes, cores=2)
     before = [(t.node, t.priority) for t in g.tasks]

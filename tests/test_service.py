@@ -19,15 +19,27 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import bora
-from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
+from repro.distributions import (
+    BlockCyclic2D,
+    RowCyclic1D,
+    SymmetricBlockCyclic,
+    TwoDotFiveD,
+)
 from repro.graph import build_cholesky_graph, compile_cholesky
 from repro.runtime import cholesky_bounds
-from repro.runtime.faults import FaultPlan, SlowdownWindow, WorkerCrash
+from repro.runtime.faults import (
+    FaultPlan,
+    LinkDegradation,
+    SlowdownWindow,
+    WorkerCrash,
+)
 from repro.runtime.simulator import simulate, simulate_compiled
 from repro.service import (
     JobSpec,
@@ -40,7 +52,24 @@ from repro.service import (
     structure_hash,
     structure_key,
 )
+from repro.schedulers import POLICIES
 from repro.service.__main__ import main as service_main
+from repro.service.jobs import (
+    ALGORITHMS,
+    BROADCASTS,
+    ENGINES,
+    TABLES,
+    canonical_json,
+    dist_from_spec,
+    dist_to_spec,
+    faults_from_spec,
+    faults_to_spec,
+    machine_from_spec,
+    machine_to_spec,
+)
+from repro.topology import Heterogeneity, star, topology_from_spec
+
+from .strategies import corruptions, job_arguments, layers
 
 NT, B = 6, 128
 DIST = SymmetricBlockCyclic(2)  # 2 nodes: the smallest extended layout
@@ -221,56 +250,72 @@ def test_store_last_wins_and_compact(tmp_path):
 # cache keys: every field change is a distinct point
 # --------------------------------------------------------------------------
 
-def test_every_field_change_changes_the_hash():
-    base = spec(faults=FaultPlan(seed=1, loss_rate=0.05))
-    machine = base.to_dict()["machine"]
-    variants = {
-        "ntiles": spec(ntiles=NT + 1),
-        "b": spec(b=B * 2),
-        "dist.r": spec(dist=SymmetricBlockCyclic(3),
-                       machine=bora(nodes=SymmetricBlockCyclic(3).num_nodes)),
-        "dist.variant": spec(dist=SymmetricBlockCyclic(2, variant="basic")),
-        "dist.kind": spec(dist=BlockCyclic2D(1, 2)),
-        "algorithm": spec(algorithm="lu"),
-        "engine": spec(engine="object"),
-        "synchronized": spec(synchronized=True),
-        "broadcast": spec(broadcast="tree"),
-        "aggregate": spec(aggregate=True),
-        "collect_metrics": spec(collect_metrics=True),
-        "policy": spec(policy="bytes-critical-path"),
-        "faults.none-vs-plan": spec(),
-        "faults.seed": base.with_(faults=dict(base.to_dict()["faults"],
-                                              seed=2)),
-        "faults.loss_rate": base.with_(faults=dict(base.to_dict()["faults"],
-                                                   loss_rate=0.06)),
-        "faults.slowdown": spec(
-            faults=FaultPlan(seed=1, loss_rate=0.05,
-                             slowdowns=(SlowdownWindow(node=0, factor=2.0),))),
-        "machine.bandwidth": base.with_(machine=dict(machine,
-                                                     bandwidth=machine["bandwidth"] * 2)),
-        "machine.latency": base.with_(machine=dict(machine, latency=1e-3)),
-        "machine.cores": base.with_(machine=dict(machine,
-                                                 cores=machine["cores"] + 1)),
-        "machine.element_size": base.with_(machine=dict(machine,
-                                                        element_size=4)),
+def _changed(layer, key, value):
+    """Another valid value for ``layer[key]``."""
+    special = {
+        ("sbc distribution", "r"): lambda r: r + 2,  # basic SBC: r stays even
+        ("topology", "links"): lambda ls: [[*ls[0][:2], 2e9, 1e-6], *ls[1:]],
+        ("topology", "switch_bandwidth"): lambda bs: [4e9] * len(bs),
     }
-    digests = {"base": config_digest(base)}
-    for name, variant in variants.items():
-        digests[name] = config_digest(variant)
-    values = list(digests.values())
-    assert len(set(values)) == len(values), (
-        "config digests collided: " + repr(
-            [k for k, v in digests.items() if values.count(v) > 1])
-    )
-    # The point hash is H(schema, structure, config digest), so distinct
-    # digests imply distinct point hashes; structural fields must ALSO
-    # rotate the structure key (and only they should).
-    for name in ("ntiles", "b", "dist.r", "dist.variant", "dist.kind",
-                 "algorithm", "machine.element_size"):
-        assert structure_key(variants[name]) != structure_key(base), name
-    for name in ("engine", "synchronized", "broadcast", "faults.seed",
-                 "machine.bandwidth", "machine.latency", "policy"):
-        assert structure_key(variants[name]) == structure_key(base), name
+    if (layer, key) in special:
+        return special[layer, key](value)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 0.5 if 0 < value < math.inf else 1.0
+    if isinstance(value, list):  # speed, cores; rows of a fault plan
+        return [value[0] + 1, *value[1:]] if key in ("speed", "cores") else value[1:]
+    choices = {"algorithm": ALGORITHMS, "engine": ENGINES,
+               "broadcast": BROADCASTS, "policy": sorted(POLICIES)}
+    return next(c for c in choices.get(key, ["extended", "other"]) if c != value)
+
+
+def test_every_field_change_changes_the_hash():
+    """Walks the schema tables, so a key added later cannot be missed: every
+    key of every layer, changed alone, is another point."""
+    plan = FaultPlan(seed=1, loss_rate=0.05,
+                     slowdowns=(SlowdownWindow(0, 2.0),) * 2,
+                     links=(LinkDegradation(2.0, src=0),) * 2,
+                     crashes=(WorkerCrash(1, after_tasks=10**6),))
+    sbc = TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 2)
+    hetero = Heterogeneity(speed=(1.0, 0.5, 1.0, 0.5, 1.0, 0.5), cores=(2,) * 6)
+    bases = [
+        JobSpec.make("cholesky", NT, B, sbc, bora(sbc.num_nodes), faults=plan),
+        JobSpec.make("cholesky", NT, B, BlockCyclic2D(2, 3), dataclasses.replace(
+            bora(6), topology=star(6, 1e9, 1e-6, 5e9, hetero=hetero))),
+        JobSpec.make("cholesky", NT, B, RowCyclic1D(3), bora(3)),
+    ]
+    # Sizes that the arrays of their layer must agree with, so never
+    # changed alone; the arrays themselves are.
+    tied = {("machine", "nodes"), ("topology", "num_nodes"),
+            ("topology", "num_switches")}
+    structural = {("JobSpec", "algorithm"), ("JobSpec", "ntiles"),
+                  ("JobSpec", "b"), ("machine", "element_size")}
+    seen = set()
+    for base in bases:
+        for i, (layer, root, _) in enumerate(layers(base.to_dict())):
+            for key in TABLES[layer]:
+                if (layer, key) in tied and base is not bases[2]:
+                    continue
+                doc = base.to_dict()
+                obj = layers(doc)[i][2]
+                if isinstance(obj[key], dict) or obj[key] is None:
+                    continue  # a nested layer (visited itself) or none
+                obj[key] = _changed(layer, key, obj[key])
+                variant = JobSpec.from_dict(doc)
+                seen.add((layer, key))
+                assert variant != base, (layer, key)
+                assert config_digest(variant) != config_digest(base), (layer, key)
+                # Only what shapes the task graph rotates the structure key.
+                assert (structure_key(variant) != structure_key(base)) == (
+                    root == "dist" or (layer, key) in structural), (layer, key)
+    nested = {("JobSpec", "dist"), ("JobSpec", "machine"), ("JobSpec", "faults"),
+              ("machine", "topology"), ("2.5d distribution", "base")}
+    assert seen | nested | tied - {("machine", "nodes")} == {
+        (layer, key) for layer, table in TABLES.items() for key in table}
+    assert spec(faults=None) != spec(faults={})  # no plan is not an empty plan
 
 
 def test_spec_round_trips_through_json():
@@ -413,6 +458,117 @@ def test_unknown_nested_spec_keys_are_rejected(tmp_path):
     out = asyncio.run(post())
     assert out.startswith(b"HTTP/1.1 400 Bad Request") and b"varient" in out
     assert len(server.store) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=job_arguments())
+def test_spec_laws_on_generated_specs(args):
+    """One path: live objects and their dicts make the same spec; the plain
+    dict round-trips; ``==`` and ``hash`` are those of the canonical JSON."""
+    s = JobSpec.make(**args)
+    as_dicts = dict(args, dist=dist_to_spec(args["dist"]),
+                    machine=machine_to_spec(args["machine"]),
+                    faults=faults_to_spec(args["faults"]))
+    assert JobSpec.make(**as_dicts) == s
+    assert JobSpec.from_dict(as_dicts) == s
+    again = JobSpec.from_dict(json.loads(json.dumps(s.to_dict())))
+    assert again == s and hash(again) == hash(s)
+    assert again.canonical() == s.canonical() == canonical_json(s.to_dict())
+    assert (s.distribution().name, s.machine_spec(), s.fault_plan()) == (
+        args["dist"].name, args["machine"], args["faults"])
+    other = s.with_(ntiles=s.ntiles + 1)
+    assert other != s and len({s, again, other}) == 2
+    # What the digest names is what runs: a float where the schema says
+    # integer is refused, not truncated under the old key.
+    with pytest.raises(ValueError, match="ntiles"):
+        s.with_(ntiles=s.ntiles + 0.9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), args=job_arguments())
+def test_one_corruption_at_any_level_is_a_value_error(data, args):
+    """An unknown key, a missing required key, a value of another JSON
+    type: ``ValueError`` from ``from_dict`` and from the layer's own
+    ``*_from_spec`` — never another exception, never a spec."""
+    good = JobSpec.make(**args).to_dict()
+    bad, layer, root, what = data.draw(corruptions(good))
+    with pytest.raises(ValueError):
+        JobSpec.from_dict(bad)
+    rebuild = {"dist": dist_from_spec, "machine": machine_from_spec,
+               "faults": faults_from_spec}
+    if root is not None:
+        with pytest.raises(ValueError):
+            rebuild[root](bad[root])
+    if layer == "topology":
+        with pytest.raises(ValueError):
+            topology_from_spec(bad["machine"]["topology"])
+
+
+#: The malformed bodies of ISSUE 23: each ran, cached a point its JSON does
+#: not name, or answered 500 at the parent.
+MALFORMED = {
+    "string for a bool": lambda d: dict(d, aggregate="false"),
+    "int for a bool": lambda d: dict(d, collect_metrics=0),
+    "float for an int": lambda d: dict(d, ntiles=6.9),
+    "string for an int": lambda d: dict(d, b="64"),
+    "dist is a number": lambda d: dict(d, dist=5),
+    "float r": lambda d: dict(d, dist={"kind": "sbc", "r": 3.9}),
+    "float cores": lambda d: dict(d, machine=dict(d["machine"], cores=2.7)),
+    "fault row is a number": lambda d: dict(d, faults={"slowdowns": [5]}),
+    "list for an object": lambda d: dict(d, machine=[d["machine"]]),
+    "spec is a list": lambda d: [d],
+    "missing required key": lambda d: {k: v for k, v in d.items() if k != "b"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_spec_is_a_400_and_leaves_no_trace(tmp_path, case):
+    from repro.service.http import HttpSweepService
+
+    body = MALFORMED[case](spec().to_dict())
+    with pytest.raises(ValueError):
+        JobSpec.from_dict(body)
+    server = SweepServer(ResultStore(tmp_path / "store"))
+    svc = HttpSweepService(server, "127.0.0.1", 0)
+
+    async def request(method, path, payload=b""):
+        reader = asyncio.StreamReader()
+        reader.feed_data(f"{method} {path} HTTP/1.1\r\nContent-Length: "
+                         f"{len(payload)}\r\n\r\n".encode() + payload)
+        reader.feed_eof()
+        return await svc._dispatch(reader)
+
+    async def drive():
+        try:
+            good = json.dumps(spec().to_dict()).encode()
+            assert (await request("POST", "/submit", good)).startswith(
+                b"HTTP/1.1 200 OK")
+            log = (tmp_path / "store" / ResultStore.RESULTS).read_bytes()
+            for path in ("/submit", "/status"):
+                out = await request("POST", path, json.dumps(body).encode())
+                assert out.startswith(b"HTTP/1.1 400 Bad Request"), out
+                assert b"bad job spec" in out
+            assert (await request("GET", "/healthz")).startswith(
+                b"HTTP/1.1 200 OK")
+            assert (tmp_path / "store" / ResultStore.RESULTS).read_bytes() == log
+        finally:
+            await server.close()
+
+    asyncio.run(drive())
+    assert server.simulations() == 1 and len(server.store) == 1
+
+
+def test_an_empty_fault_plan_is_the_default_plan_not_no_plan(tmp_path):
+    """``"faults": {}`` used to pass ``from_dict`` and die in the worker with
+    ``AttributeError``; it is ``FaultPlan()``, which is another point than
+    ``None`` (they hash differently, as they always did)."""
+    empty = JobSpec.from_dict(dict(spec().to_dict(), faults={}))
+    assert empty.to_dict()["faults"] == faults_to_spec(FaultPlan())
+    assert empty == spec(faults=FaultPlan()) and empty != spec()
+    with SweepClient(store=tmp_path / "store") as client:
+        assert client.submit(empty).raise_for_status().report.makespan == \
+            client.submit(spec()).report.makespan
+        assert client.simulations_run() == 2
 
 
 # --------------------------------------------------------------------------
