@@ -66,6 +66,10 @@ __all__ = [
     "compiled_critical_path_priorities",
 ]
 
+#: Edges sorted at a time by :meth:`CompiledGraph.consumers_csr` (bounds its
+#: transient memory; tests shrink it to cross several chunks).
+_CSR_CHUNK_EDGES = 1 << 22
+
 #: Canonical kind -> code table shared by the generic lowering and the
 #: column sink, so both produce identical ``kind_codes`` arrays.
 #: Unknown kinds are appended dynamically by :func:`compile_graph`.
@@ -194,44 +198,31 @@ class CompiledGraph:
         and cached (the arrays are treated as read-only)."""
         if self._cons_csr is not None:
             return self._cons_csr
-        # A chunked stable counting sort instead of a global argsort: the
-        # result is bit-identical (groups in producer order, edge order
-        # within each group), but transient memory is bounded by the
-        # chunk size instead of several full-edge-list temporaries —
-        # at N = 400 this keeps ~400 MB off the peak RSS.  Bucket 0
-        # collects initial-data reads (producer -1 shifted to 0) so no
-        # boolean-mask copies are needed; it is sliced off at the end.
-        n, E = self.n_tasks, len(self.read_ids)
-        prod1 = self.data_producer[self.read_ids].astype(np.int32)
-        np.add(prod1, 1, out=prod1)
-        counts = np.bincount(prod1, minlength=n + 1)
-        ptr0 = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(counts, out=ptr0[1:])
-        n_invalid = int(counts[0])
-        del counts
-        out = np.empty(E, dtype=np.int32)
-        pos = ptr0[:-1].astype(np.int64)  # next write slot per bucket
-        read_ptr = self.read_ptr
-        CH = 1 << 22
-        for lo in range(0, E, CH):
-            p = prod1[lo:lo + CH]
-            m = len(p)
-            # consumer of edge e: the task whose read slice contains e.
-            cons = (np.searchsorted(read_ptr, np.arange(lo, lo + m),
-                                    side="right") - 1).astype(np.int32)
-            o = np.argsort(p, kind="stable")
-            sp = p[o]
-            # stable within-chunk offset of each edge inside its bucket
-            starts = np.flatnonzero(
-                np.r_[True, sp[1:] != sp[:-1]]) if m else np.empty(
-                    0, dtype=np.int64)
-            runs = np.diff(np.r_[starts, m])
-            cumcount = np.arange(m, dtype=np.int64) - np.repeat(starts, runs)
-            out[pos[sp] + cumcount] = cons[o]
-            pos[sp[starts]] += runs
-        del prod1, pos
-        ids = out[n_invalid:]  # a view: bucket 0 excluded
-        ptr = ptr0[1:] - n_invalid
+        # One sort of packed keys ``producer * n + consumer`` per chunk of
+        # *producers*: edges are stored in consumer order, so sorted keys
+        # are the stable by-producer order, and a producer range's keys
+        # are one contiguous slice of the result — no scatter, no
+        # per-bucket cursor.  Transient memory is 7 bytes per edge (the
+        # producer column and a chunk's selection masks) plus ~50 per edge
+        # of one chunk.  Reads of initial versions (producer -1) fall
+        # outside every chunk.
+        n = self.n_tasks
+        prod = self.data_producer[self.read_ids]
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(prod + 1, minlength=n + 1)[1:], out=ptr[1:])
+        ids = np.empty(ptr[n], dtype=np.int32)
+        a = 0
+        while a < n:
+            # as many whole producers as fit the chunk, at least one
+            b = max(a + 1, int(np.searchsorted(
+                ptr, ptr[a] + _CSR_CHUNK_EDGES, side="right")) - 1)
+            edges = np.flatnonzero((prod >= a) & (prod < b))
+            keys = prod[edges] * np.int64(n)
+            # consumer of edge e: the task whose read slice contains e
+            keys += np.searchsorted(self.read_ptr, edges, side="right") - 1
+            keys.sort()
+            ids[ptr[a]:ptr[b]] = keys % n
+            a = b
         self._cons_csr = (ptr, ids)
         return self._cons_csr
 

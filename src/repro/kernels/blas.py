@@ -4,7 +4,10 @@ These are the sequential per-tile operations that Chameleon dispatches to
 BLAS/LAPACK (the paper's Algorithm 1 plus the TRTRI/LAUUM/TRMM kernels of
 the POTRI workflow).  Here they are implemented with NumPy/SciPy; each
 function returns a *new* array (functional style) so the runtimes can
-version tile data explicitly.
+version tile data explicitly.  SciPy is imported by the first kernel that
+needs it, not with this module: ``import repro`` reaches here through the
+flop tables, and simulations, sweep workers and the service never factor
+a tile.
 
 Conventions match the paper: the factor is lower triangular, tiles below
 the diagonal are full ``b x b`` blocks, diagonal tiles hold their lower
@@ -14,7 +17,6 @@ triangle (upper part is ignored by the kernels that consume them).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "potrf",
@@ -39,9 +41,17 @@ __all__ = [
 ]
 
 
+def _solve_triangular(a: np.ndarray, b: np.ndarray, **kw) -> np.ndarray:
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(a, b, check_finite=False, **kw)
+
+
 def potrf(a: np.ndarray) -> np.ndarray:
     """Cholesky factor of a diagonal tile: returns lower-triangular L with A = L L^T."""
-    return scipy.linalg.cholesky(a, lower=True, check_finite=False)
+    from scipy.linalg import cholesky
+
+    return cholesky(a, lower=True, check_finite=False)
 
 
 def trsm(a: np.ndarray, l_diag: np.ndarray) -> np.ndarray:
@@ -49,9 +59,7 @@ def trsm(a: np.ndarray, l_diag: np.ndarray) -> np.ndarray:
 
     Solves X L^T = A for X, the TRSM of Algorithm 1 line 4.
     """
-    return scipy.linalg.solve_triangular(
-        l_diag, a.T, lower=True, trans="N", check_finite=False
-    ).T
+    return _solve_triangular(l_diag, a.T, lower=True, trans="N").T
 
 
 def syrk(c: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -69,14 +77,12 @@ def gemm(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def trsm_solve(b: np.ndarray, l_diag: np.ndarray) -> np.ndarray:
     """Forward-substitution tile op: B_i <- L_{i,i}^{-1} B_i."""
-    return scipy.linalg.solve_triangular(l_diag, b, lower=True, check_finite=False)
+    return _solve_triangular(l_diag, b, lower=True)
 
 
 def trsm_solve_t(b: np.ndarray, l_diag: np.ndarray) -> np.ndarray:
     """Backward-substitution tile op: B_i <- L_{i,i}^{-T} B_i."""
-    return scipy.linalg.solve_triangular(
-        l_diag, b, lower=True, trans="T", check_finite=False
-    )
+    return _solve_triangular(l_diag, b, lower=True, trans="T")
 
 
 def gemm_t(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,21 +96,17 @@ def gemm_t(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def trtri(a: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular diagonal tile."""
     n = a.shape[0]
-    return scipy.linalg.solve_triangular(
-        np.tril(a), np.eye(n), lower=True, check_finite=False
-    )
+    return _solve_triangular(np.tril(a), np.eye(n), lower=True)
 
 
 def trsm_right_inv(a: np.ndarray, l_diag: np.ndarray) -> np.ndarray:
     """TRTRI panel op: A_{m,k} <- -A_{m,k} * L_{k,k}^{-1} (right, lower, alpha=-1)."""
-    return -scipy.linalg.solve_triangular(
-        l_diag, a.T, lower=True, trans="T", check_finite=False
-    ).T
+    return -_solve_triangular(l_diag, a.T, lower=True, trans="T").T
 
 
 def trsm_left_inv(a: np.ndarray, l_diag: np.ndarray) -> np.ndarray:
     """TRTRI row op: A_{k,n} <- L_{k,k}^{-1} * A_{k,n} (left, lower)."""
-    return scipy.linalg.solve_triangular(l_diag, a, lower=True, check_finite=False)
+    return _solve_triangular(l_diag, a, lower=True)
 
 
 def gemm_inv(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,16 +158,12 @@ def getrf_nopiv(a: np.ndarray) -> np.ndarray:
 def trsm_lu_right(a: np.ndarray, lu_diag: np.ndarray) -> np.ndarray:
     """LU column-panel op: A <- A * U^{-1} with U from the packed diagonal."""
     u = np.triu(lu_diag)
-    return scipy.linalg.solve_triangular(
-        u, a.T, lower=False, trans="T", check_finite=False
-    ).T
+    return _solve_triangular(u, a.T, lower=False, trans="T").T
 
 
 def trsm_lu_left(a: np.ndarray, lu_diag: np.ndarray) -> np.ndarray:
     """LU row-panel op: A <- L^{-1} * A with unit-lower L from the packed tile."""
-    return scipy.linalg.solve_triangular(
-        lu_diag, a, lower=True, unit_diagonal=True, check_finite=False
-    )
+    return _solve_triangular(lu_diag, a, lower=True, unit_diagonal=True)
 
 
 def gemm_nn(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

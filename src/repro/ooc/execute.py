@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
+from ..kernels.blas import potrf, trsm
 from ..obs import Recorder
 from .bereux import choose_block_size
 
@@ -129,12 +129,10 @@ def execute_block_left_looking(
                     fast.discard(right)
                 fast.discard(left)
             if I == J:
-                target = scipy.linalg.cholesky(target, lower=True, check_finite=False)
+                target = potrf(target)
             else:
                 diag = fast.load(slow[(J, J)], key=(J, J))
-                target = scipy.linalg.solve_triangular(
-                    diag, target.T, lower=True, check_finite=False
-                ).T
+                target = trsm(target, diag)
                 fast.discard(diag)
             slow[(I, J)] = target
             fast.store(target, key=(I, J))

@@ -9,7 +9,9 @@ summed vectorized (different float-addition order), so those two match to
 rounding only.
 """
 
+import dataclasses
 from math import isclose
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from repro.graph import (
     compiled_critical_path_priorities,
 )
 from repro.distributions import RowCyclic1D
+from repro.graph import compiled as compiled_module
 from repro.graph.compiled import ColumnSink, _StreamedPlanState
-from repro.graph.task import Batch, Tiles
+from repro.graph.task import Batch, DataKey, TaskGraph, Tiles
 from repro.runtime.faults import (
     FaultPlan,
     LinkDegradation,
@@ -874,6 +877,108 @@ def test_a_run_reads_its_graph_and_never_writes_it(
     second = run(simulate, g, B), run(simulate_compiled, cg, B)
     for was, now in zip(before, _graph_state(g, cg)):
         assert np.array_equal(was, now)
+    # ... and gains no attribute beyond its declared fields (the memos
+    # ``_plan`` / ``_cons_csr`` / ``_structure_hash`` are among them)
+    assert set(vars(cg)) == {f.name for f in dataclasses.fields(cg)}
     fresh_g, fresh_cg = graphs()
     assert second == (run(simulate, fresh_g, B),
                       run(simulate_compiled, fresh_cg, B))
+
+
+def duplicate_reads_graph(fan_in):
+    """Three producers on node 0 finishing together (the second and third
+    tiles leave in one message under aggregation) and, on each of nodes
+    1-3, a task reading the first tile *twice*, one reading the two
+    aggregated tiles, and one doing both; ``fan_in`` more producers feed
+    one task that waits for them all (past 255 the core keeps ``missing``
+    in a list instead of a ``bytearray``)."""
+    g = TaskGraph(b=512)
+    src = [g.add_initial(DataKey("A", i, 0, 0), 0, "spd") for i in range(3)]
+    x, y, z = (g.add_task("POTRF", 0, (i,), (src[i],), DataKey("A", i, 0, 1),
+                          1e9, 0).write for i in range(3))
+    for n in (1, 2, 3):
+        for row, reads in enumerate([(x, x), (y, z), (x, y, y, z)]):
+            g.add_task("GEMM", n, (n, row), reads, DataKey("A", n, row + 1, 1),
+                       1e8, 1)
+    wide = [g.add_task("TRSM", 0, (i,), (x,), DataKey("B", i, 0, 1), 1e6, 1).write
+            for i in range(fan_in)]
+    if wide:
+        g.add_task("SYRK", 1, (0,), tuple(wide), DataKey("B", 0, 1, 1), 1e6, 2)
+    return g
+
+
+@pytest.mark.parametrize("fan_in", [0, 300])
+@pytest.mark.parametrize("trace", [False, True], ids=["lean", "general"])
+@pytest.mark.parametrize("aggregate", [False, True])
+@pytest.mark.parametrize("broadcast", ["direct", "tree"])
+def test_a_delivery_decrements_once_per_read(broadcast, aggregate, trace, fan_in):
+    """A delivery walks its remote-needer slice entry by entry: a task
+    listed twice (it reads the version twice) is decremented twice, a task
+    waiting for two tiles of one aggregated message once per tile, and
+    each starts the moment its own counter reaches zero — as on the
+    oracle, in both loops and with either counter representation."""
+    g = duplicate_reads_graph(fan_in)
+    cg = compile_graph(g)
+    plan = cg.comm_plan()
+    slices = [plan.rn_ids[s:s + c].tolist()
+              for s, c in zip(plan.pair_rn_start, plan.pair_rn_count)]
+    assert any(len(set(ids)) < len(ids) for ids in slices)  # a duplicate
+    assert (int(plan.missing.max()) > 255) == bool(fan_in)
+    m = laptop(nodes=4, cores=3)
+    opts = dict(broadcast=broadcast, aggregate=aggregate, trace=trace)
+    ref = simulate(g, m, **opts)
+    assert_reports_equal(ref, simulate_compiled(cg, m, **opts))
+    # aggregation did merge tiles: fewer messages than (tile, node) pairs
+    assert (ref.comm_messages < len(slices)) == aggregate
+
+
+def consumers_by_stable_argsort(cg):
+    """What ``consumers_csr`` must return, the slow obvious way: read edges
+    (stored in consumer order) stably sorted by producing task, reads of
+    initial versions dropped."""
+    prod = cg.data_producer[cg.read_ids]
+    cons = np.repeat(np.arange(cg.n_tasks), np.diff(cg.read_ptr))
+    order = np.argsort(prod, kind="stable")
+    order = order[prod[order] >= 0]
+    ptr = np.zeros(cg.n_tasks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(prod[order], minlength=cg.n_tasks), out=ptr[1:])
+    return ptr, cons[order]
+
+
+def assert_consumers_csr_is_the_reference(cg, chunk):
+    cg._cons_csr = None
+    with mock.patch.object(compiled_module, "_CSR_CHUNK_EDGES", chunk):
+        ptr, ids = cg.consumers_csr()
+    want_ptr, want_ids = consumers_by_stable_argsort(cg)
+    assert ptr.dtype == np.int64 and ids.dtype == np.int32
+    assert np.array_equal(ptr, want_ptr) and np.array_equal(ids, want_ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       op=st.sampled_from(["cholesky", "lu", "cholesky-c2", "lu-c2", "posv"]),
+       N=st.integers(1, 7),
+       chunk=st.sampled_from([1, 5, 64, 1 << 22]))  # edges sorted at a time
+def test_consumer_adjacency_is_the_stable_sort_by_producer(data, op, N, chunk):
+    """One sort of packed (producer, consumer) keys per chunk of producers
+    gives the priority sweep's adjacency array for array, whatever the
+    chunk: one producer at a time, a few, or the whole graph.  Every graph
+    here also reads initial versions (producer -1), which have no row."""
+    layouts = [data.draw(owner_tables(N))]
+    if op.endswith("-c2"):
+        layouts = [TwoDotFiveD(layouts[0], 2)]
+    elif op == "posv":
+        layouts.append(data.draw(owner_tables(N)))
+    cg = OPERATIONS[op.split("-")[0]][1](N, 32, *layouts)
+    assert (cg.data_producer[cg.read_ids] < 0).any()
+    assert_consumers_csr_is_the_reference(cg, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 1 << 22])
+def test_consumer_adjacency_keeps_duplicate_reads(chunk):
+    """A task reading one version twice is listed twice by its producer,
+    also when that producer alone overflows the chunk."""
+    cg = compile_graph(duplicate_reads_graph(5))
+    assert_consumers_csr_is_the_reference(cg, chunk)
+    ptr, ids = cg.consumers_csr()
+    assert ids[ptr[0]:ptr[1]].tolist().count(3) == 2  # task 3 reads x twice

@@ -1,5 +1,6 @@
 """Tests for the unified observability layer (repro.obs)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import repro
 from repro.comm import count_communications
 from repro.config import laptop
-from repro.distributions import SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph
+from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
+from repro.graph import build_cholesky_graph, compile_cholesky
 from repro.obs import (
     NULL_RECORDER,
     MetricsRegistry,
@@ -26,7 +27,7 @@ from repro.ooc import TileCache, execute_block_left_looking
 from repro.runtime.distributed import execute_distributed
 from repro.runtime.execution import InitialDataSpec
 from repro.runtime.local import execute_graph
-from repro.runtime.simulator import simulate
+from repro.runtime.simulator import simulate, simulate_compiled
 from repro.tiles.generation import random_spd_dense
 from repro.tiles.layout import TileGrid
 
@@ -178,6 +179,35 @@ class TestSimulatorIntegration:
         util = rec.metrics.gauge("worker.utilization")
         for node in range(rep.num_nodes):
             assert 0.0 <= util.value((node,)) <= 1.0
+
+    #: SHA-256 of ``json.dumps(metrics.as_dict(), sort_keys=True)`` for a
+    #: traced N = 24 run, recorded at 8a810f4 — before a recorder kept the
+    #: metric objects of its per-event counters instead of looking them up
+    #: by name on every event.
+    METRICS_AT_PARENT = {
+        "core": "68743968216ac8e2183ff4de30e997559e7f78025e3322737fb6f557e51e94b3",
+        "oracle": "bc31d8662ce1228d585e1a5b5e4119ac3d528525adcfb8a487d75d7f6b2639a8",
+    }
+
+    @pytest.mark.parametrize("engine", ["core", "oracle"])
+    def test_metrics_document_is_the_recorded_one(self, engine):
+        d = SymmetricBlockCyclic(4)
+        m = laptop(nodes=d.num_nodes, cores=2)
+        rep = (simulate_compiled(compile_cholesky(24, 64, d), m, trace=True)
+               if engine == "core"
+               else simulate(build_cholesky_graph(24, 64, d), m, trace=True))
+        doc = json.dumps(rep.obs.metrics.as_dict(), sort_keys=True)
+        assert (hashlib.sha256(doc.encode()).hexdigest()
+                == self.METRICS_AT_PARENT[engine])
+
+    def test_a_metric_is_registered_by_its_first_event(self):
+        """One node sends nothing, so no ``net.*`` metric exists."""
+        rep = simulate_compiled(compile_cholesky(4, 64, BlockCyclic2D(1, 1)),
+                                laptop(nodes=1, cores=2), trace=True)
+        assert sorted(rep.obs.metrics.as_dict()) == [
+            "makespan.seconds", "queue.depth.max", "task.seconds",
+            "task.wait.seconds", "tasks", "worker.busy.seconds",
+            "worker.utilization"]
 
     def test_untraced_run_records_nothing(self):
         g, machine = small_graph(6)

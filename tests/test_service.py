@@ -20,11 +20,16 @@ import asyncio
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.config import bora
 from repro.distributions import (
     BlockCyclic2D,
@@ -618,6 +623,31 @@ def test_run_point_is_a_pure_function_of_the_spec():
     assert a["hash"] == b["hash"]
     assert a["structure"] == b["structure"]
     assert a["report"] == b["report"]
+
+
+def test_a_simulating_interpreter_never_loads_scipy():
+    """Servers, pool workers and sweep clients simulate and never factor a
+    tile: importing the service and running a point on either engine loads
+    no ``scipy`` module (0.2 s and ~25 MiB per interpreter), and the
+    numeric kernels still find it the moment one is called."""
+    script = f"""
+import sys
+import numpy as np
+import repro, repro.service, repro.runtime.simulator
+for engine in ("compiled", "object"):
+    repro.service.run_point(dict({spec().to_dict()!r}, engine=engine))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+a = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 6.0]])
+low = repro.kernels.potrf(a)
+assert np.allclose(low @ low.T, a) and "scipy.linalg" in sys.modules
+"""
+    path = [str(Path(repro.__file__).resolve().parents[1]),
+            *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("engine", ["compiled", "object"])
