@@ -15,10 +15,11 @@ Five passes, one findings model, one CLI (``python -m repro.analyze``):
 * :mod:`repro.analyze.flow` — one more rule over the repository
   source, run with the lint pass: blocking calls reachable on the event
   loop, directly or through same-module helpers (FLOW-BLOCK);
-* :mod:`repro.analyze.mc` — a small-scope explicit-state model checker
-  that exhaustively explores every scheduler policy on small compiled
-  graphs and proves deadlock/starvation freedom (MC-* rules), which the
-  policy tournament requires before ranking.
+* :mod:`repro.analyze.mc` — checks every scheduler policy's plan on
+  small compiled graphs and drives its ready queue through every short
+  sequence of the calls the engines make, proving it never starves or
+  strands a task and keeps its counts (MC-* rules), which the policy
+  tournament requires before ranking.
 
 :mod:`repro.analyze.mutate` keeps all of the above honest: a seeded
 harness injects known-bad schedules, traces, source snippets, and

@@ -8,9 +8,9 @@ Modes (combinable; ``--all`` turns everything on):
   volume bound where the distribution is an SBC;
 * ``--lint`` — AST invariant rules over ``src/`` + ``tests/``, plus
   FLOW-BLOCK (blocking calls on the event loop) over ``src/``;
-* ``--mc`` — small-scope explicit-state model checker: every scheduler
-  policy is exhaustively explored on the small-scope graph matrix and
-  proved deadlock-free / starvation-free (MC-*);
+* ``--mc`` — every scheduler policy's plan is checked on the
+  small-scope graph matrix and its ready queue driven through every
+  short push / pop sequence the engines could issue (MC-*);
 * ``--races [TRACE [TRACE2]]`` — with no path, run a seeded traced
   simulation and race-check it (plus a replay determinism check); with
   one JSONL trace, race-check it against the graph named by

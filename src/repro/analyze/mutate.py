@@ -21,9 +21,10 @@ task/transfer — a cheap way to keep the detectors honest over time.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,13 @@ from ..graph.cholesky import build_cholesky_graph
 from ..graph.compiled import CompiledGraph, compile_cholesky, compile_graph
 from ..obs.events import Recorder
 from ..runtime.simulator.engine import simulate
-from ..schedulers import GraphView, ReadyQueue, SchedulePlan, SchedulerInterface
+from ..schedulers import (
+    GraphView,
+    PriorityQueues,
+    ReadyQueue,
+    SchedulePlan,
+    SchedulerInterface,
+)
 from .findings import Report, Severity
 from .flow import flow_module
 from .mc import model_check
@@ -88,28 +95,10 @@ class MutationOutcome:
 
 
 def _clone(cg: CompiledGraph) -> CompiledGraph:
-    """Independent copy of a compiled graph (caches dropped)."""
-    return CompiledGraph(
-        b=cg.b,
-        width=cg.width,
-        element_size=cg.element_size,
-        kind_names=list(cg.kind_names),
-        kind_codes=cg.kind_codes.copy(),
-        node=cg.node.copy(),
-        flops=cg.flops.copy(),
-        iteration=cg.iteration.copy(),
-        priority=cg.priority.copy(),
-        write_id=cg.write_id.copy(),
-        read_ptr=cg.read_ptr.copy(),
-        read_ids=cg.read_ids.copy(),
-        n_init=cg.n_init,
-        data_producer=cg.data_producer.copy(),
-        data_source_node=cg.data_source_node.copy(),
-        data_nbytes=cg.data_nbytes.copy(),
-        data_keys=list(cg.data_keys) if cg.data_keys is not None else None,
-        level_ranges=(list(cg.level_ranges)
-                      if cg.level_ranges is not None else None),
-    )
+    """Independent copy of a compiled graph: every field copied, the
+    memos (``_plan``, ``_cons_csr``, ``_structure_hash``) left unset."""
+    return CompiledGraph(**{f.name: copy.copy(getattr(cg, f.name))
+                            for f in fields(cg) if not f.name.startswith("_")})
 
 
 def _copy_recorder(rec: Recorder) -> Recorder:
@@ -472,79 +461,72 @@ def _flow_clean_baseline() -> Report:
 # ---------------------------------------------------------------------------
 # MC mutants: defective queue disciplines / policies through model_check
 # ---------------------------------------------------------------------------
-#
-# Module-level classes (not closures) so the checker's foreign-queue
-# cloning (pickle round-trip) works on their instances.
 
-class _HiddenBacklogQueue(ReadyQueue):
-    """Honest ledger, but ``depth()`` hides the backlog: pushed tasks
-    are never offered to a freeing worker, so the run strands ready
-    tasks with every worker idle — a deadlock."""
+class _HeldQueue(ReadyQueue):
+    """Holds every pushed task in a FIFO per node and serves none; its
+    counts are honest.  Each mutant below breaks one more call."""
 
-    def __init__(self) -> None:
-        self._held: list[int] = []
+    def __init__(self, num_nodes: int, cores: int) -> None:
+        self._held: list[list[int]] = [[] for _ in range(num_nodes)]
 
     def push(self, node: int, task: int, priority: float) -> None:
-        self._held.append(task)
-
-    def pop(self, node: int) -> Optional[int]:  # pragma: no cover - unreached
-        return None
-
-    def depth(self, node: int) -> int:
-        return 0
-
-    def total(self) -> int:
-        return len(self._held)
-
-
-class _RefusingQueue(ReadyQueue):
-    """Advertises backlog (``depth`` > 0) but refuses every ``pop`` —
-    a ready task is never assigned to the free worker (starvation)."""
-
-    def __init__(self) -> None:
-        self._held: list[int] = []
-
-    def push(self, node: int, task: int, priority: float) -> None:
-        self._held.append(task)
+        self._held[node].append(task)
 
     def pop(self, node: int) -> Optional[int]:
         return None
 
     def depth(self, node: int) -> int:
-        return len(self._held)
+        return len(self._held[node])
 
     def total(self) -> int:
-        return len(self._held)
+        return sum(map(len, self._held))
 
 
-class _LyingLedgerQueue(ReadyQueue):
-    """Accepts pushes but reports ``total() == 0``: the deadlock
-    accounting the engines rely on is silently wrong."""
-
-    def __init__(self) -> None:
-        self._held: list[int] = []
-
-    def push(self, node: int, task: int, priority: float) -> None:
-        self._held.append(task)
-
-    def pop(self, node: int) -> Optional[int]:
-        return self._held.pop(0) if self._held else None
+class _HiddenBacklogQueue(_HeldQueue):
+    """``depth()`` hides the backlog and ``pop()`` never serves it: a run
+    strands its pushed tasks with every worker idle — a deadlock.  The
+    engines dispatch on ``pop`` alone, so this is the defect of
+    :class:`_RefusingQueue`; the hidden depth adds ``MC-QUEUE``."""
 
     def depth(self, node: int) -> int:
-        return len(self._held)
+        return 0
+
+
+class _RefusingQueue(_HeldQueue):
+    """Advertises its backlog but refuses every ``pop()``: a worker that
+    frees is never given the ready task (starvation)."""
+
+
+class _LyingLedgerQueue(_HeldQueue):
+    """Serves each node in push order but reports ``total() == 0``: the
+    core's end-of-run accounting is silently wrong."""
+
+    def pop(self, node: int) -> Optional[int]:
+        held = self._held[node]
+        return held.pop(0) if held else None
 
     def total(self) -> int:
         return 0
 
 
-def _queue_policy(policy_name: str, factory: Callable[[], ReadyQueue]
+class _ZeroDepthQueue(PriorityQueues):
+    """The native discipline with ``depth()`` always 0.  Both engines run
+    it bit-identically to the native queue — neither dispatches on
+    ``depth`` — so the checker may convict it of ``MC-QUEUE`` only: it is
+    part of the clean baseline."""
+
+    def depth(self, node: int) -> int:
+        return 0
+
+
+def _queue_policy(policy_name: str,
+                  factory: Callable[[int, int], ReadyQueue]
                   ) -> SchedulerInterface:
     class _QueueMutantPolicy(SchedulerInterface):
         name = policy_name
 
         def plan(self, view: GraphView) -> SchedulePlan:
-            return SchedulePlan(
-                queue_factory=lambda nodes, cores: factory())
+            return SchedulePlan(queue_factory=factory)
 
     return _QueueMutantPolicy()
 
@@ -559,7 +541,7 @@ class _UndeclaredMigrator(SchedulerInterface):
 
 
 def _mc_case() -> tuple[CompiledGraph, MachineSpec]:
-    """Tiny exhaustive case every MC mutant runs against."""
+    """Tiny case every MC mutant plans on."""
     cg = compile_cholesky(4, 32, BlockCyclic2D(2, 2))
     return cg, laptop(nodes=4, cores=1)
 
@@ -587,10 +569,16 @@ def _mc_mutants() -> list[Mutant]:
 
 
 def _mc_clean_baseline() -> Report:
-    """The default policy model-checks clean on the tiny case."""
+    """The default policy model-checks clean on the tiny case, and the
+    zero-depth queue, which both engines run, strands and starves
+    nothing."""
     cg, machine = _mc_case()
     _result, rep = model_check(cg, machine, "critical-path",
                                label="mutant-case")
+    _result, zero = model_check(
+        cg, machine, _queue_policy("zero-depth", _ZeroDepthQueue),
+        label="mutant-case")
+    rep.findings += zero.by_rule("MC-DEADLOCK") + zero.by_rule("MC-STARVE")
     return rep
 
 

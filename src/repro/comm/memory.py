@@ -1,4 +1,4 @@
-"""Per-node memory footprint accounting (§IV's storage trade-off).
+"""Per-node memory accounting (§IV's storage trade-off).
 
 2.5D algorithms buy communication with memory: each of the ``c`` slices
 stores a full copy of the matrix.  These helpers compute exact per-node

@@ -156,7 +156,8 @@ def _prepare(cg, machine, synchronized=False, durations=None,
     build the comm plan — everything up to the event loop."""
     check_inputs(broadcast, cg.n_tasks, cg.nodes_used(), machine)
     num_nodes = machine.nodes
-    if durations is None:
+    derived = durations is None
+    if derived:
         # A caller-supplied array is used verbatim (like a custom
         # ``duration_fn`` on the object engine).
         durations = default_durations(cg, machine)
@@ -176,6 +177,8 @@ def _prepare(cg, machine, synchronized=False, durations=None,
         synchronized = synchronized or splan.synchronized
         if splan.assignment is not None:
             cg = cg.reassigned(splan.assignment)
+            if derived:  # a migrated task runs at its new node's speed
+                durations = default_durations(cg, machine)
         if splan.priorities is not None:
             priority = np.ascontiguousarray(splan.priorities, dtype=np.float64)
             auto_priorities = False

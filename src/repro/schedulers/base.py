@@ -52,12 +52,16 @@ __all__ = [
 class ReadyQueue(abc.ABC):
     """A pluggable per-node ready-queue discipline.
 
-    This is the *dynamic* half of the scheduler interface: the engines
-    feed it runtime updates — :meth:`push` when a task becomes ready on
-    a node with no free worker, :meth:`pop` when a worker frees — and it
-    answers with the next assignment.  Both engines drive one instance
-    with the identical update sequence, so a deterministic discipline
-    preserves the two-engine equality contract.
+    This is the *dynamic* half of the scheduler interface.  The engines
+    call :meth:`push` when a task becomes ready on a node with no free
+    worker (each task at most once) and :meth:`pop` once per completion
+    on that node — ``pop`` is their only dispatch call.  Of the two
+    counts, :meth:`total` feeds the core's end-of-run accounting and
+    :meth:`depth` the oracle's ``queue.depth.max`` trace gauge; neither
+    decides what runs.  Both engines drive one instance with the
+    identical call sequence, so a deterministic discipline preserves the
+    two-engine equality contract.  ``repro.analyze.mc`` checks a
+    discipline against exactly these calls (MC-*).
 
     A task that is ready while a worker is free never enters the queue
     (the engines start it immediately); the discipline only arbitrates
@@ -70,15 +74,18 @@ class ReadyQueue(abc.ABC):
 
     @abc.abstractmethod
     def pop(self, node: int) -> Optional[int]:
-        """A worker on ``node`` freed; next task id, or None to idle."""
+        """A worker on ``node`` freed: the next task pushed for ``node``
+        to run there, or None to idle the worker — which strands the
+        queued tasks if no other worker of ``node`` asks again."""
 
     @abc.abstractmethod
     def depth(self, node: int) -> int:
-        """Queued tasks currently runnable from ``node``."""
+        """Tasks pushed for ``node`` and not yet popped (trace gauge)."""
 
     @abc.abstractmethod
     def total(self) -> int:
-        """Queued tasks across all nodes (deadlock accounting)."""
+        """Tasks pushed and not yet popped, all nodes (the core's
+        end-of-run accounting)."""
 
 
 @dataclass

@@ -53,7 +53,10 @@ __all__ = [
 #: v5: JobSpec lost the ``kernel`` field (every serve loop is bit-identical
 #: by contract, so it could only split one result over four cache keys);
 #: a ``"kernel"`` key in a submitted dict raises like any unknown field.
-SCHEMA_VERSION = 5
+#: v6: the compiled engine charges a task a migrating policy moved the
+#: speed of the node it runs on, as the object engine does (it charged
+#: the owner's); results of ``heft-lookahead`` on per-node speeds changed.
+SCHEMA_VERSION = 6
 
 
 def _h(*parts: bytes) -> str:

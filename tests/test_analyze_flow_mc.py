@@ -7,7 +7,10 @@ The two acceptance-critical regressions live here:
   defect into the *real* ``repro/service/server.py`` source and proves
   FLOW-BLOCK catches it;
 * a seeded deadlocking scheduler (a queue discipline that hides its
-  backlog) that the model checker must convict with MC-DEADLOCK.
+  backlog) that the model checker must convict with MC-DEADLOCK;
+
+and the checker's queue verdicts are pinned to what both engines do with
+the same queues.
 """
 
 import subprocess
@@ -30,13 +33,17 @@ from repro.analyze.__main__ import run_lint
 from repro.analyze.mutate import (
     _FLOW_SNIPPETS,
     _HiddenBacklogQueue,
+    _LyingLedgerQueue,
+    _RefusingQueue,
     _UndeclaredMigrator,
+    _ZeroDepthQueue,
     _queue_policy,
 )
 from repro.config import laptop
-from repro.distributions.block_cyclic import BlockCyclic2D
-from repro.graph.compiled import compile_cholesky
-from repro.schedulers import POLICIES
+from repro.distributions import BlockCyclic2D, RowCyclic1D
+from repro.graph import build_cholesky_graph, compile_cholesky, compile_graph
+from repro.runtime.simulator import simulate, simulate_compiled
+from repro.schedulers import POLICIES, PriorityQueues, WorkStealingQueues
 
 ROOT = Path(__file__).resolve().parents[1]
 SERVER = ROOT / "src" / "repro" / "service" / "server.py"
@@ -163,10 +170,11 @@ def test_mc_clean_policy_proves_all_properties(tiny_case):
     assert result.ok()
     assert set(result.properties) == {
         "deadlock_free", "starvation_free", "queue_consistent",
-        "placement_safe", "exhaustive",
+        "placement_safe",
     }
     assert all(result.properties.values())
-    assert result.states > 0 and result.transitions > 0
+    # every sequence of up to 6 calls, each one of 2 x 2 pushes or 2 pops
+    assert result.states == sum(6 ** k for k in range(7))
 
 
 def test_small_scope_matrix_shape():
@@ -203,6 +211,61 @@ def test_every_zoo_policy_is_certifiable_on_one_small_case(tiny_case):
     results = require_model_checked(cases=[("tiny/clique", cg, machine)])
     assert set(results) == set(POLICIES)
     assert all(r.ok() for rs in results.values() for r in rs)
+
+
+# ---------------------------------------------------------------------------
+# MC: the verdicts against the engines the rules protect
+# ---------------------------------------------------------------------------
+
+#: the zoo's queues, the three seeded queue mutants, and the native queue
+#: with ``depth()`` always 0 (neither engine dispatches on ``depth``)
+QUEUES = [PriorityQueues, WorkStealingQueues, _HiddenBacklogQueue,
+          _RefusingQueue, _LyingLedgerQueue, _ZeroDepthQueue]
+
+
+def _outcome(engine, graph, machine, policy):
+    try:
+        rep = engine(graph, machine, scheduler=policy)
+    except RuntimeError as exc:
+        return str(exc)
+    return rep.makespan, rep.comm_bytes, rep.comm_messages
+
+
+@pytest.mark.parametrize("case", small_scope_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("queue", QUEUES, ids=lambda q: q.__name__)
+def test_what_the_checker_convicts_the_engines_cannot_run(queue, case):
+    """A queue convicted of MC-DEADLOCK or MC-STARVE strands tasks on both
+    engines; any other — accepted, or convicted of MC-QUEUE only — runs,
+    oracle == core.  On each case's machine the engines run an N = 8
+    row-cyclic Cholesky, which keeps the workers busy enough to queue
+    (some of the cases' own graphs never push)."""
+    label, cg, machine = case
+    policy = _queue_policy(queue.__name__, queue)
+    result, _ = model_check(cg, machine, policy, label=label)
+    g = build_cholesky_graph(8, 32, RowCyclic1D(machine.nodes))
+    oracle, core = (_outcome(simulate, g, machine, policy),
+                    _outcome(simulate_compiled, compile_graph(g), machine,
+                             policy))
+    if result.properties["deadlock_free"] and result.properties["starvation_free"]:
+        assert oracle == core and not isinstance(oracle, str)
+    else:
+        for run in (oracle, core):
+            assert "simulation deadlock" in run
+
+
+def test_a_depth_no_engine_dispatches_on_is_at_most_mc_queue(tiny_case):
+    """``depth()`` feeds only the oracle's trace gauge: the native queue
+    with a zero depth runs bit-identically to the native one on both
+    engines, so its lie is an MC-QUEUE finding and nothing worse."""
+    cg, machine = tiny_case
+    policy = _queue_policy("zero-depth", _ZeroDepthQueue)
+    _, rep = model_check(cg, machine, policy, label="tiny")
+    assert rep.rules_hit() == ["MC-QUEUE"]
+    g = build_cholesky_graph(4, 32, BlockCyclic2D(2, 2))
+    native = _outcome(simulate, g, machine, None)
+    assert native[0] == 0.0003341878695652173
+    assert (_outcome(simulate, g, machine, policy)
+            == _outcome(simulate_compiled, cg, machine, policy) == native)
 
 
 # ---------------------------------------------------------------------------

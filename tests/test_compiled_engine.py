@@ -803,7 +803,9 @@ def test_oracle_equals_core_on_generated_inputs(
     factorisations also replicated over ``c`` slices, POSV with a
     right-hand side narrower than a tile on a layout of its own, POTRI also
     remapped to a second layout — through both sinks of the description
-    (column sink, lowered objects)."""
+    (column sink, lowered objects), on generated machines: topologies,
+    per-node core counts and speeds (a migrating policy on per-node speeds
+    is what the core charged wrongly before ``SCHEMA_VERSION`` 6)."""
     layouts = [data.draw(owner_tables(N))]
     sized = {}
     if op in ("cholesky", "lu") and c > 1:
@@ -820,7 +822,11 @@ def test_oracle_equals_core_on_generated_inputs(
         broadcast=broadcast, aggregate=aggregate, synchronized=synchronized,
         trace=trace, scheduler=scheduler,
         faults=data.draw(fault_plans(P)) if faulty else None)
-    m = laptop(nodes=P, cores=cores)
+    # The wide tables (P > 256, up to 900 nodes at c = 3) keep the scalar
+    # network: a routed message would walk hundreds of hops per quantum.
+    m = (data.draw(machines(P, speeds=data.draw(st.booleans())))
+         if P <= 256 else laptop(P))
+    m = dataclasses.replace(m, cores=cores)
     ref = simulate(g, m, **opts)
     for cg in compiled:
         assert_reports_equal(ref, simulate_compiled(cg, m, **opts))

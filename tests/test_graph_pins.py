@@ -8,7 +8,8 @@ solves', inversions' and remap's in PR 22, whose standalone TRTRI / LAUUM
 batch phases, checked here on both sinks).  A stored sweep result is addressed by its
 structure hash, so a hash that moves here is a cache that silently
 empties.  ``python tests/test_graph_pins.py`` rewrites the file; do that
-only together with a ``SCHEMA_VERSION`` bump.
+only together with a ``SCHEMA_VERSION`` bump (the hashes are salted with
+it), after checking that it reproduces the file at the old version.
 """
 
 import json

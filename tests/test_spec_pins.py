@@ -3,12 +3,14 @@
 ``spec_pins.json`` holds the canonical JSON, ``config_digest`` and
 ``structure_key`` of every case below as ``09fac3a`` produced them (the
 commit before ``JobSpec`` became a table: six field lists, four
-hand-written codecs, freeze / thaw).  A stored sweep result is addressed
+hand-written codecs, freeze / thaw), re-salted at each ``SCHEMA_VERSION``
+bump since.  A stored sweep result is addressed
 through these, so a value that moves here is a cache that silently empties.
-``parent_store/`` is a store directory that commit's code filled with the
-``STORED`` cases; it must be served without one simulation.
+``parent_store/`` is a store directory filled with the ``STORED`` cases
+at the recorded version; it must be served without one simulation.
 ``python -m tests.test_spec_pins`` rewrites both; do that only together
-with a ``SCHEMA_VERSION`` bump.
+with a ``SCHEMA_VERSION`` bump, after checking that it reproduces the
+recorded files at the old version.
 """
 
 import functools
@@ -112,7 +114,7 @@ def fingerprint(spec):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_hashes_are_the_recorded_ones(case):
     """From live objects and — the one path — from their plain dicts."""
-    assert recorded()["schema"] == SCHEMA_VERSION == 5
+    assert recorded()["schema"] == SCHEMA_VERSION == 6
     want = recorded()["cases"][case]
     assert fingerprint(CASES[case]) == want
     assert fingerprint(JobSpec.from_dict(json.loads(want["canonical"]))) == want
