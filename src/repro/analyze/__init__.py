@@ -3,9 +3,9 @@
 Five passes, one findings model, one CLI (``python -m repro.analyze``):
 
 * :mod:`repro.analyze.schedule` — proves well-formedness of a compiled
-  schedule (acyclicity, single-writer, owner-computes, byte
-  conservation, SBC symmetry, Theorem 1 bounds) with vectorized
-  numpy sweeps that scale to the paper's largest compiled graphs;
+  schedule (topological order, single-writer, owner-computes, link
+  capacity, SBC symmetry, Theorem 1 bounds) with vectorized numpy
+  sweeps that scale to the paper's largest compiled graphs;
 * :mod:`repro.analyze.races` — vector-clock happens-before analysis of
   recorded ``repro.obs`` traces: data races, missing/misordered
   deliveries, stale retransmits, run-to-run determinism;
@@ -47,7 +47,6 @@ from .mc import (
 from .mutate import build_baseline, run_mutation_harness, self_test
 from .races import compare_traces, detect_races
 from .schedule import (
-    kahn_order,
     verify_all,
     verify_compiled,
     verify_sbc,
@@ -66,7 +65,6 @@ __all__ = [
     "verify_theorem1",
     "verify_topology_capacity",
     "verify_all",
-    "kahn_order",
     "detect_races",
     "compare_traces",
     "lint_repo",

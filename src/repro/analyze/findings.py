@@ -60,7 +60,7 @@ def severity_rank(severity: str) -> int:
 class Finding:
     """One defect (or advisory) detected by an analysis pass."""
 
-    rule: str  # stable rule id, e.g. "SCHED-CYCLE"
+    rule: str  # stable rule id, e.g. "SCHED-TOPO"
     severity: str  # one of SEVERITIES
     message: str  # human-readable statement of the defect
     location: str  # "file:line", "graph:task 17", "trace:event 3", ...

@@ -4,11 +4,9 @@ Every rule operates on the flat arrays (kind/node columns, CSR read
 adjacency, producer tables), so verification is vectorized numpy work
 and scales to the paper's 10.7M-task N = 400 compiled graphs.  Rules:
 
-* ``SCHED-CYCLE`` — the dependency relation is acyclic (Kahn sweep; the
-  common case where task ids are already a topological order is a single
-  vectorized comparison, with the full frontier sweep as fallback);
 * ``SCHED-TOPO`` — the task list order is a topological order (every
-  read's producer precedes the reader), which the runtimes rely on;
+  read's producer precedes the reader): the runtimes scan the list once,
+  so any backward read is fatal, and a dependency cycle is one;
 * ``SCHED-SELF`` — no task reads the version it writes (self-dependency
   deadlock);
 * ``SCHED-WRITER`` — single-writer discipline: each data version has at
@@ -19,15 +17,6 @@ and scales to the paper's 10.7M-task N = 400 compiled graphs.  Rules:
   :class:`~repro.distributions.base.Distribution` is supplied together
   with the tile keys) the *owner computes* rule holds: each task that
   writes tile (i, j) runs on ``dist.owner(i, j)``;
-* ``SCHED-BYTES`` — byte conservation: per-node sent and received
-  bytes implied by the communication plan balance globally, and the
-  totals equal :func:`repro.comm.count_communications` on the object
-  graph when it is available;
-* ``SCHED-PLACE`` — scheduler-policy placement: a policy's task
-  assignment (:meth:`repro.schedulers.SchedulerInterface.plan`) must
-  respect the graph's data placement — identical to the owner-computes
-  ``node`` column — unless the policy declares ``migrates = True``, and
-  even a migrating policy must stay inside the machine's node range;
 * ``SCHED-TOPO-CAP`` — physical link capacity: route the communication
   plan over the machine's interconnect (the attached
   :class:`repro.topology.Topology`, or the per-port clique model when
@@ -49,31 +38,24 @@ and is what ``python -m repro.analyze --all`` calls per builder.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from ..comm.counter import count_communications
 from ..comm.fast_counter import cholesky_message_count
 from ..comm.formulas import sbc_cholesky_volume
 from ..config import MachineSpec
 from ..distributions.base import Distribution
 from ..distributions.sbc import SymmetricBlockCyclic
 from ..graph.compiled import CompiledGraph
-from ..graph.task import TaskGraph
 from .findings import Report, Severity
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..schedulers import SchedulerInterface
 
 __all__ = [
     "verify_compiled",
     "verify_sbc",
     "verify_theorem1",
     "verify_topology_capacity",
-    "verify_policy_placement",
     "verify_all",
-    "kahn_order",
 ]
 
 #: Cap on per-rule findings so a systemically-broken graph does not
@@ -86,67 +68,9 @@ def _task_loc(name: str, t: int) -> str:
     return f"{name}:task {t}"
 
 
-def _edges(cg: CompiledGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(producer task, consumer task) pairs of every produced-data read."""
-    consumers = np.repeat(
-        np.arange(cg.n_tasks, dtype=np.int64), np.diff(cg.read_ptr)
-    )
-    producers = cg.data_producer[cg.read_ids].astype(np.int64)
-    has = producers >= 0
-    return producers[has], consumers[has]
-
-
-def kahn_order(cg: CompiledGraph) -> Optional[np.ndarray]:
-    """Topological order by vectorized Kahn sweep, or None on a cycle.
-
-    Works on arbitrary task numbering (unlike the fast ``producer < consumer``
-    check); each round releases the whole current frontier at once, so the
-    Python-level loop runs O(depth) times, not O(tasks).
-    """
-    n = cg.n_tasks
-    prod, cons = _edges(cg)
-    indeg = np.bincount(cons, minlength=n).astype(np.int64)
-    # CSR from producer -> consumer list.
-    order = np.argsort(prod, kind="stable")
-    adj = cons[order]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(prod, minlength=n), out=ptr[1:])
-
-    out = np.empty(n, dtype=np.int64)
-    frontier = np.flatnonzero(indeg == 0)
-    done = 0
-    while len(frontier):
-        out[done:done + len(frontier)] = frontier
-        done += len(frontier)
-        # Gather all consumers of the frontier in one flat slice batch:
-        # for frontier row k with CSR slice [s_k, s_k + c_k), the output
-        # positions [cum_k, cum_k + c_k) map to adj[s_k + offset].
-        starts = ptr[frontier]
-        counts = ptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            frontier = np.empty(0, dtype=np.int64)
-            continue
-        cum = np.zeros(len(frontier), dtype=np.int64)
-        np.cumsum(counts[:-1], out=cum[1:])
-        idx = np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
-        touched = adj[idx]
-        dec = np.bincount(touched, minlength=n)
-        indeg -= dec
-        frontier = touched[indeg[touched] == 0]
-        # A task whose indegree hits zero can appear several times in
-        # ``touched`` (several satisfied inputs in one batch); dedup.
-        if len(frontier):
-            frontier = np.unique(frontier)
-    if done != n:
-        return None
-    return out
-
-
 def verify_compiled(
     cg: CompiledGraph,
     dist: Optional[Distribution] = None,
-    graph: Optional[TaskGraph] = None,
     name: str = "graph",
     num_nodes: Optional[int] = None,
 ) -> Report:
@@ -222,10 +146,8 @@ def verify_compiled(
 
     # -- SCHED-SELF: no task reads its own output --------------------------
     consumers = np.repeat(np.arange(n, dtype=np.int64), np.diff(cg.read_ptr))
-    self_edges = np.flatnonzero(
-        cg.data_producer[cg.read_ids] == consumers
-    )
-    for e in self_edges[:MAX_FINDINGS_PER_RULE]:
+    producers = cg.data_producer[cg.read_ids]  # -1 for initial versions
+    for e in np.flatnonzero(producers == consumers)[:MAX_FINDINGS_PER_RULE]:
         rep.add(
             "SCHED-SELF", Severity.ERROR,
             f"task reads data id {int(cg.read_ids[e])}, its own output "
@@ -234,33 +156,16 @@ def verify_compiled(
             "read the previous version and write the bumped one",
         )
 
-    # -- SCHED-TOPO / SCHED-CYCLE ------------------------------------------
-    prod, cons = _edges(cg)
-    forward = prod < cons
-    if not forward.all():
-        back = np.flatnonzero(~forward)
-        # Non-topological numbering: either a cycle, or merely an order
-        # the runtimes would deadlock on.  Kahn distinguishes the two.
-        order = kahn_order(cg)
-        if order is None:
-            rep.add(
-                "SCHED-CYCLE", Severity.ERROR,
-                f"dependency cycle: {len(back)} edge(s) cannot be "
-                "topologically ordered — the schedule deadlocks",
-                _task_loc(name, int(cons[back[0]])),
-                "a task (transitively) reads a version derived from its "
-                "own output",
-            )
-        else:
-            for e in back[:MAX_FINDINGS_PER_RULE]:
-                rep.add(
-                    "SCHED-TOPO", Severity.ERROR,
-                    f"task {int(cons[e])} reads the output of task "
-                    f"{int(prod[e])}, emitted later in the list",
-                    _task_loc(name, int(cons[e])),
-                    "builders must emit tasks in dependency order; the "
-                    "runtimes scan the list once",
-                )
+    # -- SCHED-TOPO: no task reads a later task's output -------------------
+    for e in np.flatnonzero(producers > consumers)[:MAX_FINDINGS_PER_RULE]:
+        rep.add(
+            "SCHED-TOPO", Severity.ERROR,
+            f"task {int(consumers[e])} reads the output of task "
+            f"{int(producers[e])}, emitted later in the list",
+            _task_loc(name, int(consumers[e])),
+            "builders must emit tasks in dependency order; the runtimes "
+            "scan the list once (a dependency cycle is such a read)",
+        )
 
     # -- SCHED-NODE: valid placement + owner-computes ----------------------
     if num_nodes is None:
@@ -313,37 +218,6 @@ def verify_compiled(
                     f"{dist.owner(k.i, k.j)}",
                     _task_loc(name, t),
                     "the owner-computes rule determines placement",
-                )
-
-    # -- SCHED-BYTES: sent/recv conservation + counter cross-check ---------
-    if not rep.findings:  # plan construction assumes a well-formed graph
-        plan = cg.comm_plan()
-        src_nodes = cg.data_source_node[plan.pair_data]
-        nbytes = cg.data_nbytes[plan.pair_data]
-        sent = np.bincount(src_nodes, weights=nbytes, minlength=num_nodes)
-        recv = np.bincount(plan.pair_dst, weights=nbytes, minlength=num_nodes)
-        if int(sent.sum()) != int(recv.sum()):
-            rep.add(
-                "SCHED-BYTES", Severity.ERROR,
-                f"byte conservation violated: nodes send "
-                f"{int(sent.sum())} B but receive {int(recv.sum())} B",
-                f"{name}:plan",
-                "every wire message needs exactly one source and one "
-                "destination",
-            )
-        total = int(nbytes.sum())
-        messages = len(plan.pair_data)
-        if graph is not None:
-            stats = count_communications(graph)
-            if stats.total_bytes != total or stats.num_messages != messages:
-                rep.add(
-                    "SCHED-BYTES", Severity.ERROR,
-                    f"plan carries {total} B in {messages} messages but "
-                    f"count_communications finds {stats.total_bytes} B in "
-                    f"{stats.num_messages}",
-                    f"{name}:plan",
-                    "the compiled plan and the object counter must agree "
-                    "message for message",
                 )
 
     return rep
@@ -543,49 +417,15 @@ def verify_topology_capacity(
     return rep
 
 
-def verify_policy_placement(cg: CompiledGraph, machine: MachineSpec,
-                            policy: Union[str, "SchedulerInterface"],
-                            name: str = "graph") -> Report:
-    """SCHED-PLACE: a scheduler policy's assignments respect placement.
-
-    Runs ``policy.plan()`` against ``cg`` on ``machine`` and checks the
-    returned assignment (if any): a policy that does not declare
-    ``migrates = True`` must keep every task on its owner-computes node
-    (anything else silently changes the communication pattern the
-    distribution was chosen for), and a migrating policy must still land
-    every task on a node the machine has.
-    """
-    from ..runtime.simulator.fast_engine import default_durations
-    from ..schedulers import GraphView, PlanError, check_plan, get_policy
-
-    rep = Report()
-    rep.note_pass("policy-placement")
-    pol = get_policy(policy)
-    splan = pol.plan(GraphView(cg, machine, default_durations(cg, machine)))
-    label = f"{name}[{pol.name}]"
-    try:
-        check_plan(pol, splan, cg.node, machine.nodes)
-    except PlanError as exc:
-        # One finding per offending task, or one for the whole plan when
-        # a column is mis-sized.
-        where = ([_task_loc(label, t) for t in exc.tasks[:MAX_FINDINGS_PER_RULE]]
-                 or [f"{label}:plan"])
-        for loc in where:
-            rep.add("SCHED-PLACE", Severity.ERROR, str(exc), loc, exc.hint)
-    return rep
-
-
 def verify_all(
     cg: CompiledGraph,
     dist: Optional[Distribution] = None,
-    graph: Optional[TaskGraph] = None,
     name: str = "graph",
     N: Optional[int] = None,
     num_nodes: Optional[int] = None,
 ) -> Report:
     """Structural rules + SBC symmetry / Theorem 1 when they apply."""
-    rep = verify_compiled(cg, dist=dist, graph=graph, name=name,
-                          num_nodes=num_nodes)
+    rep = verify_compiled(cg, dist=dist, name=name, num_nodes=num_nodes)
     if isinstance(dist, SymmetricBlockCyclic) and N is not None:
         rep.extend(verify_sbc(dist, N, name=name))
         rep.extend(verify_theorem1(dist, N, name=name))

@@ -6,16 +6,21 @@ caches received data, so several tasks on the same node reading the same
 version trigger a single transfer — and every transfer is a point-to-point
 message of one tile.
 
-This counter is the ground truth the analytic formulas and the fast
-vectorized counters are validated against, and the simulator's transferred
-byte count must match it exactly.
+The compiled graph's communication plan states that rule once, one row
+per message the simulator core sends, so the count is a reduction of the
+plan.  :mod:`repro.comm.fast_counter` (closed form, no graph) is the
+independent reference it is checked against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from typing import Union
 
+import numpy as np
+import numpy.typing as npt
+
+from ..graph.compiled import CommPlan, CompiledGraph, compile_graph
 from ..graph.task import TaskGraph
 
 __all__ = ["CommStats", "count_communications"]
@@ -52,30 +57,32 @@ class CommStats:
         )
 
 
-def count_communications(graph: TaskGraph) -> CommStats:
+def plan_messages(graph: Union[TaskGraph, CompiledGraph]) -> tuple[
+        CompiledGraph, CommPlan, npt.NDArray[np.int64], npt.NDArray[np.int32]]:
+    """``(compiled graph, its plan, bytes, first consumer)`` per message;
+    the first consumer is the lowest-id task waiting at the destination."""
+    cg = graph if isinstance(graph, CompiledGraph) else compile_graph(graph)
+    plan = cg.comm_plan()
+    return cg, plan, cg.data_nbytes[plan.pair_data], plan.rn_ids[plan.pair_rn_start]
+
+
+def bytes_by(keys: npt.NDArray[np.integer],
+             nbytes: npt.NDArray[np.int64]) -> dict[int, int]:
+    """Integer-exact byte sums per key that occurs, in key order."""
+    present, slot = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(present), dtype=np.int64)
+    np.add.at(sums, slot, nbytes)
+    return dict(zip(present.tolist(), sums.tolist()))
+
+
+def count_communications(graph: Union[TaskGraph, CompiledGraph]) -> CommStats:
     """Count every inter-node transfer implied by the graph, exactly once
     per (data version, destination node) pair."""
-    stats = CommStats()
-    sent: Counter = Counter()
-    recv: Counter = Counter()
-    kinds: Counter = Counter()
-    seen: set = set()
-    for t in graph.tasks:
-        for k in t.reads:
-            src = graph.source_of(k)
-            if src == t.node:
-                continue
-            tag: tuple = (k, t.node)
-            if tag in seen:
-                continue
-            seen.add(tag)
-            nbytes = graph.data_bytes(k)
-            stats.total_bytes += nbytes
-            stats.num_messages += 1
-            sent[src] += nbytes
-            recv[t.node] += nbytes
-            kinds[t.kind] += 1
-    stats.sent_bytes = dict(sent)
-    stats.recv_bytes = dict(recv)
-    stats.messages_by_kind = dict(kinds)
-    return stats
+    cg, plan, nbytes, first = plan_messages(graph)
+    kinds = np.bincount(cg.kind_codes[first], minlength=len(cg.kind_names))
+    return CommStats(
+        total_bytes=int(nbytes.sum()), num_messages=len(nbytes),
+        sent_bytes=bytes_by(cg.data_source_node[plan.pair_data], nbytes),
+        recv_bytes=bytes_by(plan.pair_dst, nbytes),
+        messages_by_kind={cg.kind_names[k]: int(kinds[k])
+                          for k in np.flatnonzero(kinds)})

@@ -142,12 +142,13 @@ def cholesky_node_traffic(
     tile_dests = dests[tril]  # (T, W) masks of the lower-triangle tiles
     np.add.at(sent, tile_owners, tile_counts)
     # One popcount-by-node pass: unpack every mask into per-node bit
-    # columns and sum over tiles (little-endian bit order matches bit n
-    # of word n // 64 == node n).
+    # columns and count the set bits per column (little-endian bit order
+    # matches bit n of word n // 64 == node n).  The masks are sized by
+    # the largest owner the tiles use, which may be below P - 1.
     bits = np.unpackbits(
         tile_dests.view(np.uint8), axis=-1, bitorder="little"
     )
-    recv = bits.sum(axis=0, dtype=np.int64)[:P]
+    recv = np.bincount(np.nonzero(bits)[1], minlength=P).astype(np.int64)
     assert sent.sum() == recv.sum(), (
         f"per-node message accounting out of balance: "
         f"sent {int(sent.sum())} != received {int(recv.sum())}"

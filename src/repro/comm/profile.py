@@ -10,8 +10,13 @@ count, and intensity of each iteration of a task graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
+import numpy as np
+
+from ..graph.compiled import CompiledGraph
 from ..graph.task import TaskGraph
+from .counter import bytes_by, plan_messages
 
 __all__ = ["IterationProfile", "communication_profile"]
 
@@ -33,7 +38,8 @@ class IterationProfile:
         return self.flops / self.bytes
 
 
-def communication_profile(graph: TaskGraph) -> list[IterationProfile]:
+def communication_profile(
+        graph: Union[TaskGraph, CompiledGraph]) -> list[IterationProfile]:
     """Exact per-iteration traffic of a task graph.
 
     A transfer is attributed to the iteration of the (first) consuming
@@ -41,25 +47,11 @@ def communication_profile(graph: TaskGraph) -> list[IterationProfile]:
     The totals equal :func:`repro.comm.count_communications` by
     construction; the per-iteration flop counts sum to the graph's total.
     """
-    seen = set()
-    stats = {}
-
-    def slot(it: int):
-        if it not in stats:
-            stats[it] = [0, 0, 0.0]  # messages, bytes, flops
-        return stats[it]
-
-    for t in graph.tasks:
-        slot(t.iteration)[2] += t.flops
-        for k in t.reads:
-            src = graph.source_of(k)
-            if src == t.node or (k, t.node) in seen:
-                continue
-            seen.add((k, t.node))
-            s = slot(t.iteration)
-            s[0] += 1
-            s[1] += graph.data_bytes(k)
-    return [
-        IterationProfile(iteration=it, messages=m, bytes=b, flops=f)
-        for it, (m, b, f) in sorted(stats.items())
-    ]
+    cg, _plan, nbytes, first = plan_messages(graph)
+    iterations, slot = np.unique(cg.iteration, return_inverse=True)
+    flops = np.bincount(slot, weights=cg.flops, minlength=len(iterations))
+    messages = np.bincount(slot[first], minlength=len(iterations))
+    volume = bytes_by(slot[first], nbytes)
+    return [IterationProfile(it, int(messages[s]), volume.get(s, 0),
+                             float(flops[s]))
+            for s, it in enumerate(iterations.tolist())]

@@ -61,12 +61,12 @@ def validate_graph(graph: TaskGraph) -> None:
             seen.add(t.write)
 
     # One validation path: the schedule verifier re-derives the same
-    # invariants (plus byte conservation) from the compiled arrays.
+    # invariants from the compiled arrays.
     # Imported lazily — repro.analyze depends on this package.
     from ..analyze.schedule import verify_compiled
     from .compiled import compile_graph
 
-    report = verify_compiled(compile_graph(graph), graph=graph)
+    report = verify_compiled(compile_graph(graph))
     if not report.ok():
         raise AssertionError(
             "schedule verifier rejects the compiled graph:\n"

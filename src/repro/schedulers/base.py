@@ -24,7 +24,7 @@ The contract both engines honour (see ``docs/schedulers.md``):
   columns, nodes the machine has, and ``migrates = True`` declared by
   any policy whose ``assignment`` leaves the graph's owner-computes
   placement.  The engines raise what it raises; ``repro.analyze``
-  reports it as SCHED-PLACE / MC-PLACE.
+  reports it as MC-PLACE.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def check_plan(policy: SchedulerInterface, plan: SchedulePlan,
     """Raise :class:`PlanError` unless ``plan`` can run on ``num_nodes``
     nodes over a graph whose owner-computes placement is ``placement``.
 
-    The one statement of the plan contract: both engines, SCHED-PLACE
-    and MC-PLACE call it and differ only in how they report the error.
+    The one statement of the plan contract: both engines and MC-PLACE
+    call it and differ only in how they report the error.
     """
     n_tasks = len(placement)
     who = f"policy {policy.name!r}"

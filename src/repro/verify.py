@@ -5,8 +5,9 @@ checks — the same invariants the test suite relies on, packaged as a
 quick (seconds) smoke test for a fresh install or a new platform:
 
 1. numerics: tiled POTRF/POSV/POTRI match SciPy;
-2. counters: the vectorized volume counter equals the graph counter,
-   for Cholesky and LU, across distribution families;
+2. counters: the vectorized volume counter equals the count of the
+   compiled graph's communication plan, for Cholesky and LU, across
+   distribution families;
 3. theory: counted SBC volumes respect Theorem 1's bound;
 4. simulator: transferred bytes equal the counted volume, work is
    conserved, and all comm options preserve byte counts;
@@ -54,14 +55,14 @@ def _check_counters() -> None:
         lu_message_count,
     )
     from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
-    from repro.graph import build_cholesky_graph, build_lu_graph
+    from repro.graph import compile_cholesky, compile_lu
 
     for dist in (SymmetricBlockCyclic(5), SymmetricBlockCyclic(6, variant="basic"),
                  BlockCyclic2D(3, 4)):
-        g = build_cholesky_graph(14, 16, dist)
-        assert cholesky_volume_exact(dist, 14, 16) == count_communications(g).total_bytes
-        gl = build_lu_graph(10, 16, dist)
-        assert lu_message_count(dist, 10) == count_communications(gl).num_messages
+        cg = compile_cholesky(14, 16, dist)
+        assert cholesky_volume_exact(dist, 14, 16) == count_communications(cg).total_bytes
+        cl = compile_lu(10, 16, dist)
+        assert lu_message_count(dist, 10) == count_communications(cl).num_messages
 
 
 def _check_theorem1() -> None:
@@ -109,7 +110,7 @@ def _check_mp_executor() -> None:
 
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("numerics vs SciPy (POTRF/POSV/POTRI)", _check_numerics),
-    ("volume counters (graph == vectorized)", _check_counters),
+    ("volume counters (plan == vectorized)", _check_counters),
     ("Theorem 1 bound", _check_theorem1),
     ("simulator conservation (all comm options)", _check_simulator),
     ("distributed executor traffic", _check_mp_executor),

@@ -10,7 +10,6 @@ import json
 from heapq import heappop, heappush
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.runtime.simulator.engine as engine_mod
@@ -19,7 +18,6 @@ from repro.analyze import (
     Severity,
     compare_traces,
     detect_races,
-    kahn_order,
     lint_sources,
     run_mutation_harness,
     verify_compiled,
@@ -60,7 +58,7 @@ def test_finding_rejects_unknown_severity():
 def test_report_roundtrip_and_exit_codes(tmp_path):
     rep = Report()
     rep.note_pass("schedule", 3)
-    rep.add("SCHED-CYCLE", Severity.ERROR, "boom", "g:task 1", "fix it")
+    rep.add("SCHED-TOPO", Severity.ERROR, "boom", "g:task 1", "fix it")
     rep.add("RACE-RETRY", Severity.WARNING, "dup", "t:transfer 0->1")
     rep.add("SCHED-THM1", Severity.INFO, "margin 7", "g:N=8")
     assert not rep.ok()
@@ -72,7 +70,7 @@ def test_report_roundtrip_and_exit_codes(tmp_path):
     assert doc["summary"] == {"errors": 1, "warnings": 1, "info": 1}
     assert doc["passes"] == {"schedule": 3}
     assert {f["rule"] for f in doc["findings"]} == {
-        "SCHED-CYCLE", "RACE-RETRY", "SCHED-THM1"
+        "SCHED-TOPO", "RACE-RETRY", "SCHED-THM1"
     }
     assert all(
         set(f) == {"rule", "severity", "message", "location", "hint"}
@@ -94,8 +92,7 @@ def test_report_roundtrip_and_exit_codes(tmp_path):
 
 
 def test_clean_graphs_verify_clean(baseline):
-    rep = verify_compiled(baseline.cg, dist=baseline.dist,
-                          graph=baseline.graph)
+    rep = verify_compiled(baseline.cg, dist=baseline.dist)
     assert rep.ok(), rep.render()
     assert rep.num_errors == 0 and rep.num_warnings == 0
     assert rep.passes["schedule"] == baseline.cg.n_tasks
@@ -110,19 +107,6 @@ def test_sbc_symmetry_and_theorem1_clean():
             assert rep.ok()
             # The bound is reported as advisory info, never silent.
             assert rep.by_rule("SCHED-THM1")
-
-
-def test_kahn_order_matches_topological_numbering(baseline):
-    order = kahn_order(baseline.cg)
-    assert order is not None
-    seen_at = np.empty(baseline.cg.n_tasks, dtype=np.int64)
-    seen_at[order] = np.arange(baseline.cg.n_tasks)
-    cg = baseline.cg
-    for t in range(cg.n_tasks):
-        for d in cg.read_ids[cg.read_ptr[t]:cg.read_ptr[t + 1]]:
-            p = int(cg.data_producer[d])
-            if p >= 0:
-                assert seen_at[p] < seen_at[t]
 
 
 def test_verifier_catches_cross_distribution_placement():
@@ -142,7 +126,7 @@ def test_verifier_catches_cross_distribution_placement():
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_mutation_harness_catches_every_defect(baseline, seed):
     outcomes, gate = run_mutation_harness(seed=seed, base=baseline)
-    assert len(outcomes) == 22
+    assert len(outcomes) == 21
     missed = [o for o in outcomes if not o.caught]
     assert not missed, "undetected mutants: " + ", ".join(
         f"{o.name} (expected {o.expected_rule}, got {o.rules_hit})"
@@ -164,7 +148,7 @@ def test_mutation_harness_catches_every_defect(baseline, seed):
 def test_mutation_outcomes_have_expected_rules(baseline):
     outcomes, _ = run_mutation_harness(seed=0, base=baseline)
     by_name = {o.name: o for o in outcomes}
-    assert "SCHED-CYCLE" in by_name["cycle-potrf-trsm"].rules_hit
+    assert "SCHED-TOPO" in by_name["cycle-potrf-trsm"].rules_hit
     assert "SCHED-WRITER" in by_name["double-writer"].rules_hit
     assert "SCHED-SBC-SYM" in by_name["asymmetric-owner"].rules_hit
     assert "SCHED-THM1" in by_name["fake-sbc-volume"].rules_hit
@@ -419,7 +403,7 @@ def test_cli_self_test_and_report(tmp_path, capsys):
     assert code == 0
     doc = json.loads(report.read_text())
     assert doc["summary"]["errors"] == 0
-    assert doc["passes"]["mutation"] == 22
+    assert doc["passes"]["mutation"] == 21
 
 
 def test_cli_lint_on_repo(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.comm import (
     cholesky_message_count,
+    cholesky_node_traffic,
     cholesky_volume_exact,
     count_communications,
 )
@@ -79,11 +80,19 @@ class TestFastCounter:
         assert cholesky_message_count(dist, N) == count_communications(g).num_messages
 
     def test_node_traffic_beyond_64_nodes(self):
-        from repro.comm import cholesky_node_traffic
-
         dist = BlockCyclic2D(9, 8)  # P = 72 spans two mask words
         sent, recv = cholesky_node_traffic(dist, 14)
         assert sent.sum() == recv.sum() == cholesky_message_count(dist, 14)
+
+    @pytest.mark.parametrize("dist,N", [(BlockCyclic2D(9, 8), 7),
+                                        (BlockCyclic2D(2, 40), 3)],
+                             ids=["9x8-N7", "2x40-N3"])
+    def test_node_traffic_has_an_entry_per_node(self, dist, N):
+        """P > 64, but the N x N tiles use no node past 63: ``recv`` was
+        cut to the 64 nodes one mask word holds."""
+        sent, recv = cholesky_node_traffic(dist, N)
+        assert len(sent) == len(recv) == dist.num_nodes
+        assert sent.sum() == recv.sum() == cholesky_message_count(dist, N)
 
     def test_element_size_scaling(self):
         d = SymmetricBlockCyclic(4)

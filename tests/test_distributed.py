@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
-from repro.comm import count_communications
+from repro.comm import cholesky_message_count, cholesky_node_traffic, count_communications
 from repro.distributions import BlockCyclic2D, RowCyclic1D, SymmetricBlockCyclic
 from repro.graph import build_cholesky_graph, build_posv_graph, build_potri_graph
 from repro.kernels.reference import posv_reference, potri_reference
@@ -16,6 +17,8 @@ from repro.runtime import (
     execute_distributed,
 )
 from repro.tiles import TileGrid, random_rhs_dense, random_spd_dense
+
+from .strategies import owner_tables
 
 
 class TestDistributedCholesky:
@@ -30,16 +33,35 @@ class TestDistributedCholesky:
         ref = scipy.linalg.cholesky(random_spd_dense(N * b, seed=7, b=b), lower=True)
         np.testing.assert_allclose(L, ref, atol=1e-9)
 
-    def test_measured_traffic_equals_prediction(self):
-        """Real IPC byte counts match the analytic counter exactly —
-        the Figure 8 'measured volume' cross-check."""
-        dist = SymmetricBlockCyclic(4)
-        g = build_cholesky_graph(8, 16, dist)
-        grid = TileGrid(n=128, b=16)
-        rep = execute_distributed(g, InitialDataSpec(grid, seed=1), timeout=120)
+    @settings(max_examples=6, deadline=None)
+    @given(case=st.integers(1, 5).flatmap(
+        lambda N: st.tuples(st.just(N), owner_tables(N))))
+    @example(case=(8, SymmetricBlockCyclic(4)))
+    @example(case=(3, BlockCyclic2D(2, 40)))  # 80 nodes, the tiles use 7
+    def test_measured_traffic_equals_prediction(self, case):
+        """Real IPC bytes, the count of the plan the simulator core sends and
+        the closed-form counter agree, in total and per node, on generated
+        owner tables — the Figure 8 'measured volume' cross-check.  The
+        executor starts one process per node, so it runs the P <= 9 tables
+        only; the wide ones (P > 256) check the closed form alone."""
+        N, dist = case
+        b, P = 16, dist.num_nodes
+        g = build_cholesky_graph(N, b, dist)
         c = count_communications(g)
+        tile = b * b * 8
+        sent, recv = cholesky_node_traffic(dist, N)
+        assert cholesky_message_count(dist, N) == c.num_messages
+        assert len(sent) == len(recv) == P
+        assert (sent * tile).tolist() == [c.sent_bytes.get(n, 0) for n in range(P)]
+        assert (recv * tile).tolist() == [c.recv_bytes.get(n, 0) for n in range(P)]
+        if P > 9:
+            return
+        grid = TileGrid(n=N * b, b=b)
+        rep = execute_distributed(g, InitialDataSpec(grid, seed=N), timeout=120)
         assert rep.total_bytes == c.total_bytes
         assert rep.total_messages == c.num_messages
+        assert [rep.sent_bytes.get(n, 0) for n in range(P)] == \
+            [c.sent_bytes.get(n, 0) for n in range(P)]
 
     def test_per_node_sent_bytes_match(self):
         dist = BlockCyclic2D(2, 3)

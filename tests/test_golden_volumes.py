@@ -9,9 +9,14 @@ to the reproduction and must be deliberate.
 
 import pytest
 
-from repro.comm import cholesky_message_count, count_communications, lu_message_count
+from repro.comm import (
+    cholesky_message_count,
+    communication_profile,
+    count_communications,
+    lu_message_count,
+)
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
-from repro.graph import build_cholesky_graph_25d, build_potri_graph
+from repro.graph import build_cholesky_graph_25d, build_potri_graph, compile_cholesky
 
 # (distribution factory, N) -> exact POTRF message count
 CHOLESKY_GOLDEN = {
@@ -58,3 +63,14 @@ def test_25d_golden():
     d = TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 3)
     g = build_cholesky_graph_25d(48, 8, d)
     assert count_communications(g).num_messages == 5727
+
+
+def test_attribution_golden():
+    """Which kernel and which iteration a message is charged to: its first
+    consumer's, as a walk over the task list in id order finds it.  The
+    values were recorded by that walk (SBC(4), N = 8)."""
+    cg = compile_cholesky(8, 32, SymmetricBlockCyclic(4))
+    assert count_communications(cg).messages_by_kind == {
+        "GEMM": 43, "SYRK": 11, "TRSM": 11}
+    assert [(p.iteration, p.messages) for p in communication_profile(cg)] == [
+        (0, 16), (1, 14), (2, 12), (3, 10), (4, 8), (5, 4), (6, 1), (7, 0)]

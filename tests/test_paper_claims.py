@@ -8,6 +8,7 @@ closed forms proven in the paper.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.comm import (
     asymptotic_ratio_25d,
@@ -28,7 +29,7 @@ from repro.comm import (
     storage_tiles,
 )
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
-from repro.graph import build_cholesky_graph_25d
+from repro.graph import compile_cholesky
 from repro.kernels.flops import cholesky_flops
 
 
@@ -59,14 +60,28 @@ class TestTheorem1:
         """Interior TRSM results reach exactly r-2 nodes (extended SBC)."""
         r = 5
         d = SymmetricBlockCyclic(r)
-        # Probe a tile far from both matrix ends: row j=30, column i=5, N=60.
-        from repro.graph import build_cholesky_graph
-
-        g = build_cholesky_graph(40, 8, d)
-        c = count_communications(g)
+        cg = compile_cholesky(40, 8, d)
+        c = count_communications(cg)
         # The overall message count per produced tile approaches r-2.
-        produced = sum(1 for t in g.tasks if t.kind in ("TRSM",))
+        produced = int((cg.kind_codes == cg.kind_names.index("TRSM")).sum())
         assert c.num_messages / produced <= r - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["basic", "extended"]), data=st.data(),
+           c=st.integers(1, 4), N=st.integers(1, 24))
+    def test_production_count_within_the_volume_laws(self, variant, data, c, N):
+        """The count of the plan the simulator core sends never exceeds
+        ``S(r-1)`` / ``S(r-2)`` (Theorem 1) nor, over ``c`` slices,
+        ``S(r+c-2)`` / ``S(r+c-3)`` (§IV-A), and equals the closed form in
+        2D."""
+        r = data.draw(st.sampled_from([2, 4, 6, 8]) if variant == "basic"
+                      else st.integers(2, 7))
+        base = SymmetricBlockCyclic(r, variant)
+        counted = count_communications(
+            compile_cholesky(N, 8, TwoDotFiveD(base, c))).num_messages
+        assert counted <= sbc25d_cholesky_volume(N, r, c, variant)
+        if c == 1:
+            assert counted == cholesky_message_count(base, N)
 
 
 class Test2DBCVolume:
@@ -117,8 +132,7 @@ class Test25DVolume:
         r, c = 4, 2
         d = TwoDotFiveD(SymmetricBlockCyclic(r, variant="basic"), c)
         N = 48
-        g = build_cholesky_graph_25d(N, 8, d)
-        counted = count_communications(g).num_messages
+        counted = count_communications(compile_cholesky(N, 8, d)).num_messages
         predicted = sbc25d_cholesky_volume(N, r, c, variant="basic")
         assert counted <= predicted
         assert counted == pytest.approx(predicted, rel=0.15)

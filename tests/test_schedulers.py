@@ -3,8 +3,8 @@
 The cross-engine equality of every policy is pinned in
 ``tests/test_compiled_engine.py`` (TestPolicyConformance); this file
 covers the framework pieces in isolation: the one graph view against the
-``TaskGraph`` it was lowered from, the plan contract and its four
-callers, queue determinism, and the SCHED-PLACE analyzer rule.
+``TaskGraph`` it was lowered from, the plan contract and its three
+callers, queue determinism, and the MC-PLACE analyzer rule.
 """
 
 from dataclasses import replace
@@ -12,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analyze.mc import model_check
-from repro.analyze.schedule import verify_policy_placement
+from repro.analyze.mc import check_policies, model_check
 from repro.config import laptop
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
 from repro.graph import build_cholesky_graph
@@ -228,7 +227,7 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------------
-# one plan check, four callers, each with its own way of reporting
+# one plan check, three callers, each with its own way of reporting
 # --------------------------------------------------------------------------
 
 def _bad_policy(defect):
@@ -253,7 +252,7 @@ class TestPlanCheck:
                "undeclared": "without declaring migrates"}
 
     @pytest.mark.parametrize("caller", ["simulate", "simulate_compiled",
-                                        "SCHED-PLACE", "MC-PLACE"])
+                                        "MC-PLACE"])
     @pytest.mark.parametrize("defect", sorted(MESSAGE))
     def test_every_caller_reports_every_defect(self, defect, caller):
         g = build_cholesky_graph(4, B, BlockCyclic2D(2, 2))
@@ -267,13 +266,6 @@ class TestPlanCheck:
         elif caller == "simulate_compiled":
             with pytest.raises(PlanError, match=match):
                 simulate_compiled(cg, m, scheduler=policy)
-        elif caller == "SCHED-PLACE":
-            rep = verify_policy_placement(cg, m, policy, name="g")
-            found = rep.by_rule("SCHED-PLACE")
-            assert found and all(match in f.message for f in found)
-            # Per-task locations, except when a whole column is wrong.
-            assert (found[0].location == "g[bad-mis-sized]:plan") == \
-                (defect == "mis-sized")
         else:
             result, rep = model_check(cg, m, policy, label="g")
             assert not result.properties["placement_safe"]
@@ -305,7 +297,7 @@ class _RecordingHEFT(LookaheadHEFT):
 
 
 def test_analyzers_plan_with_the_engine_durations_on_heterogeneous_nodes():
-    """SCHED-PLACE and MC-PLACE must check the assignment the engine runs:
+    """MC-PLACE must check the assignment the engine runs:
     on a topology with per-node speeds that means planning against
     durations divided by the speed, as ``_prepare`` does."""
     dist = BlockCyclic2D(2, 2)
@@ -317,10 +309,9 @@ def test_analyzers_plan_with_the_engine_durations_on_heterogeneous_nodes():
         hetero=Heterogeneity.alternating(4, slow_speed=0.25)))
     policy = _RecordingHEFT()
     applied = _prepare(cg, m, scheduler=policy).cg.node.tolist()
-    verify_policy_placement(cg, m, policy)
     model_check(cg, m, policy)
     simulate(g, m, scheduler=policy)
-    assert policy.assignments == [applied] * 4
+    assert policy.assignments == [applied] * 3
     # The speeds matter to this plan: the homogeneous machine gets another.
     assert _prepare(cg, base, scheduler=policy).cg.node.tolist() != applied
 
@@ -413,19 +404,20 @@ class TestWorkStealingQueues:
 
 
 # --------------------------------------------------------------------------
-# the SCHED-PLACE analyzer rule
+# the MC-PLACE analyzer rule
 # --------------------------------------------------------------------------
 
-class TestPlacementRule:
-    def _cg_and_machine(self):
-        cg = compile_graph(build_cholesky_graph(N, B, DIST))
-        return cg, laptop(nodes=DIST.num_nodes, cores=2)
+def _placement(*policies):
+    """MC-PLACE findings of ``policies`` on an SBC(4) Cholesky graph."""
+    cg = compile_graph(build_cholesky_graph(N, B, DIST))
+    case = ("sbc4", cg, laptop(nodes=DIST.num_nodes, cores=2))
+    _results, rep = check_policies(policies, cases=[case])
+    return rep.by_rule("MC-PLACE")
 
+
+class TestPlacementRule:
     def test_zoo_is_clean(self):
-        cg, m = self._cg_and_machine()
-        for name in POLICIES:
-            rep = verify_policy_placement(cg, m, name)
-            assert rep.ok(), name
+        assert not _placement(*sorted(POLICIES))
 
     def test_undeclared_migration_is_flagged(self):
         class Sneaky(SchedulerInterface):
@@ -437,10 +429,7 @@ class TestPlacementRule:
                 moved = [(n + 1) % view.num_nodes for n in view.node]
                 return SchedulePlan(assignment=moved)
 
-        cg, m = self._cg_and_machine()
-        rep = verify_policy_placement(cg, m, Sneaky())
-        assert not rep.ok()
-        assert any(f.rule == "SCHED-PLACE" for f in rep)
+        assert _placement(Sneaky())
 
     def test_declared_migration_passes_in_range(self):
         class Honest(SchedulerInterface):
@@ -452,8 +441,7 @@ class TestPlacementRule:
                 moved = [(n + 1) % view.num_nodes for n in view.node]
                 return SchedulePlan(assignment=moved)
 
-        cg, m = self._cg_and_machine()
-        assert verify_policy_placement(cg, m, Honest()).ok()
+        assert not _placement(Honest())
 
     def test_out_of_range_flagged_even_when_migrating(self):
         class Offworld(SchedulerInterface):
@@ -465,9 +453,7 @@ class TestPlacementRule:
                 return SchedulePlan(
                     assignment=[view.num_nodes] * view.n_tasks)
 
-        cg, m = self._cg_and_machine()
-        rep = verify_policy_placement(cg, m, Offworld())
-        assert not rep.ok()
+        assert _placement(Offworld())
 
 
 # --------------------------------------------------------------------------
