@@ -1,9 +1,9 @@
-"""Vectorized exact communication counting for the Cholesky graph.
+"""Vectorized exact communication counting for the Cholesky and LU graphs.
 
 Counting transfers on the explicit task graph is O(N^3) tasks; for the
 paper's largest runs (N = 600 tiles) that is 36M tasks — too slow to build
-in Python.  This module computes the *same exact count* in O(N^2) numpy
-work, using the structure of Algorithm 1:
+in Python.  This module computes the *same exact count* from the owner map
+alone, using the structure of Algorithm 1:
 
 * the POTRF result (i, i) is read by the TRSM tasks of column ``i``;
 * the TRSM result (j, i) is read by the GEMMs of row ``j`` (columns
@@ -11,11 +11,17 @@ work, using the structure of Algorithm 1:
   (rows ``j+1 .. N-1``).
 
 Each produced tile is therefore sent to ``popcount(owners-of-consumers
-minus its own owner)``.  Owner sets are represented as node bitmasks —
-one uint64 *word* per 64 nodes, so platforms of any size work (the paper
-never exceeds P = 36, but 2.5D sweeps at large ``r * c`` routinely pass
-64) — and segment unions become prefix/suffix bitwise ORs.  Equality
-with the generic graph counter is property-tested.
+minus its own owner)``.  Owner sets are node bitmasks — one uint64 *word*
+per 64 nodes, so platforms of any size work (the paper never exceeds
+P = 36, but 2.5D sweeps at large ``r * c`` routinely pass 64) — held word
+axis first, shape ``(W, N, N)``.  Every consumer set is a suffix of a row
+or column, so the count is a fixed number of whole-array passes: the
+one-hot masks, ``np.tril`` / ``np.triu``, one ``bitwise_or.accumulate``
+per axis (Cholesky folds its column suffix into the diagonal with one
+``bitwise_or.reduce``), ``& ~owner`` and ``np.bitwise_count``.  That is
+O(N^2 * W) work with no Python loop over tiles, and the peak allocation,
+owner map included, stays within 8 words per tile per mask word (about 4
+at N = 600).  Equality with the graph's plan count is property-tested.
 """
 
 from __future__ import annotations
@@ -33,47 +39,35 @@ __all__ = [
     "lu_volume_exact",
 ]
 
-_POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
-
-def _popcount(arr: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
-    """Per-mask population count; masks live on the trailing word axis."""
-    b = arr.view(np.uint8).reshape(arr.shape[:-1] + (arr.shape[-1] * 8,))
-    return _POP8[b].sum(axis=-1)
-
-
-def _num_words(owners: npt.NDArray[np.integer]) -> int:
-    """Mask words needed for this owner map (one uint64 per 64 nodes)."""
+def _owner_map(dist: Distribution, N: int) -> npt.NDArray[np.integer]:
+    """``dist``'s N x N owner map, refused if it is not one."""
+    owners = dist.owner_map(N)
+    if owners.shape != (N, N):
+        raise ValueError(
+            f"{dist.name}: owner map of shape {owners.shape}, not ({N}, {N}); "
+            "the fast counters take a 2D layout — count a 2.5D one with "
+            "count_communications(compile_cholesky(N, b, dist)) or compile_lu")
     if owners.size and owners.min() < 0:
         raise ValueError("owner map contains negative node ids")
-    top = int(owners.max()) if owners.size else 0
-    return top // 64 + 1
+    return owners
 
 
-def _masks(
-    owners: npt.NDArray[np.integer], words: int
-) -> npt.NDArray[np.uint64]:
-    """Per-entry one-hot bitmasks, shape ``owners.shape + (words,)``."""
-    out = np.zeros(owners.shape + (words,), dtype=np.uint64)
-    word = owners // 64
-    bit = (np.uint64(1) << (owners % 64).astype(np.uint64)).astype(np.uint64)
-    np.put_along_axis(out, word[..., None], bit[..., None], axis=-1)
-    return out
+def _masks(owners: npt.NDArray[np.integer]) -> npt.NDArray[np.uint64]:
+    """One-hot node bitmask of every tile, shape ``(W, N, N)``."""
+    words = int(owners.max()) // 64 + 1 if owners.size else 1
+    bit = (owners & 63).astype(np.uint64)
+    np.left_shift(np.uint64(1), bit, out=bit)
+    masks = np.zeros((words,) + owners.shape, dtype=np.uint64)
+    np.put_along_axis(masks, (owners >> 6)[None], bit[None], axis=0)
+    return masks
 
 
-def _suffix_or(
-    masks: npt.NDArray[np.uint64], axis: int
-) -> npt.NDArray[np.uint64]:
-    """``out[t] = OR of masks[t:]`` along ``axis``, with a zero row appended.
-
-    The result has one extra entry along ``axis`` (the empty suffix).
-    """
-    flipped = np.flip(masks, axis=axis)
-    acc = np.flip(np.bitwise_or.accumulate(flipped, axis=axis), axis=axis)
-    pad_shape = list(masks.shape)
-    pad_shape[axis] = 1
-    zero = np.zeros(pad_shape, dtype=np.uint64)
-    return np.concatenate([acc, zero], axis=axis)
+def _suffix_or(masks: npt.NDArray[np.uint64], axis: int) -> npt.NDArray[np.uint64]:
+    """In place: entry ``t`` along ``axis`` becomes the OR of entries ``t:``."""
+    rev = np.flip(masks, axis=axis)
+    np.bitwise_or.accumulate(rev, axis=axis, out=rev)
+    return masks
 
 
 def _destination_masks(
@@ -81,45 +75,26 @@ def _destination_masks(
 ) -> npt.NDArray[np.uint64]:
     """Per-tile destination bitmasks for POTRF under owner map ``owners``.
 
-    Returns an (N, N, W) uint64 array D where D[j, i] (j > i) has bit ``n``
-    set iff node ``n`` receives the TRSM result (j, i), and D[i, i] the
-    receivers of the POTRF result (the producing node's bit is cleared).
+    Returns a (W, N, N) uint64 array D where D[:, j, i] (j > i) has bit
+    ``n`` set iff node ``n`` receives the TRSM result (j, i), D[:, i, i]
+    the receivers of the POTRF result, and zero above the diagonal.
     """
-    N = owners.shape[0]
-    W = _num_words(owners)
-    masks = _masks(owners, W)
-    dests = np.zeros((N, N, W), dtype=np.uint64)
-
-    # Column suffix ORs: colsuf[t, j] = OR of masks[t:, j]  (colsuf[N, j] = 0).
-    colsuf = _suffix_or(masks, axis=0)
-
-    # POTRF results: diagonal tile (i, i) feeds the TRSMs of column i.
-    diag_masks = masks[np.arange(N), np.arange(N)]
-    trsm_sets = colsuf[np.arange(1, N + 1), np.arange(N)]  # owners of rows > i in col i
-    dests[np.arange(N), np.arange(N)] = trsm_sets & ~diag_masks
-
-    # TRSM results: tile (j, i), i < j.
-    for j in range(1, N):
-        row = masks[j, :j]
-        # rowsuf[t] = OR of row[t:]; consumers in row j are columns i+1..j-1.
-        rowsuf = _suffix_or(row, axis=0)
-        row_sets = rowsuf[1 : j + 1]  # index i -> OR of masks[j, i+1..j-1]
-        col_const = colsuf[j + 1, j] | masks[j, j]  # SYRK (j,j) + column below
-        combined = row_sets | col_const
-        dests[j, :j] = combined & ~masks[j, :j]
+    masks = _masks(owners)
+    lower = np.tril(masks)
+    # Diagonal (j, j) <- column j from the diagonal down: the SYRK and the
+    # GEMMs below it, which read every TRSM result of row j.
+    diag = np.arange(owners.shape[0])
+    lower[:, diag, diag] = np.bitwise_or.reduce(lower, axis=1)
+    # Row suffix from column i: the GEMMs (j, i+1..j-1) plus that set.  It
+    # also holds tile (j, i)'s own owner, which the `& ~owner` drops.
+    dests = _suffix_or(lower, axis=-1)
+    dests &= np.invert(masks, out=masks)
     return dests
-
-
-def _transfer_counts(
-    owners: npt.NDArray[np.integer],
-) -> npt.NDArray[np.int64]:
-    """Per-tile transfer counts for POTRF under owner map ``owners``."""
-    return _popcount(_destination_masks(owners))
 
 
 def cholesky_message_count(dist: Distribution, N: int) -> int:
     """Total number of tile messages for POTRF on N x N tiles."""
-    return int(_transfer_counts(dist.owner_map(N)).sum())
+    return int(np.bitwise_count(_destination_masks(_owner_map(dist, N))).sum())
 
 
 def cholesky_node_traffic(
@@ -131,24 +106,19 @@ def cholesky_node_traffic(
     recv.sum() == cholesky_message_count(dist, N)``.  This is the input
     of the per-port bandwidth bounds (:mod:`repro.runtime.bounds`).
     """
-    owners = dist.owner_map(N)
+    owners = _owner_map(dist, N)
     dests = _destination_masks(owners)
-    counts = _popcount(dests)
     P = dist.num_nodes
     sent = np.zeros(P, dtype=np.int64)
-    tril = np.tril_indices(N)
-    tile_owners = owners[tril]
-    tile_counts = counts[tril]
-    tile_dests = dests[tril]  # (T, W) masks of the lower-triangle tiles
-    np.add.at(sent, tile_owners, tile_counts)
-    # One popcount-by-node pass: unpack every mask into per-node bit
-    # columns and count the set bits per column (little-endian bit order
-    # matches bit n of word n // 64 == node n).  The masks are sized by
-    # the largest owner the tiles use, which may be below P - 1.
-    bits = np.unpackbits(
-        tile_dests.view(np.uint8), axis=-1, bitorder="little"
-    )
-    recv = np.bincount(np.nonzero(bits)[1], minlength=P).astype(np.int64)
+    np.add.at(sent, owners, np.bitwise_count(dests).sum(axis=0, dtype=np.int64))
+    # One masked count per node the mask words hold (bit n of word n // 64
+    # is node n); nodes past them, or past the largest owner, receive 0.
+    recv = np.zeros(P, dtype=np.int64)
+    hit = np.empty_like(dests[0])
+    for node in range(min(P, 64 * len(dests))):
+        word, bit = divmod(node, 64)
+        recv[node] = np.count_nonzero(
+            np.bitwise_and(dests[word], np.uint64(1 << bit), out=hit))
     assert sent.sum() == recv.sum(), (
         f"per-node message accounting out of balance: "
         f"sent {int(sent.sum())} != received {int(recv.sum())}"
@@ -172,29 +142,13 @@ def lu_message_count(dist: Distribution, N: int) -> int:
     column k below row i.  LU has no symmetric reuse, which is why 2DBC is
     already communication-optimal for it (§III-E).
     """
-    owners = dist.owner_map(N)
-    W = _num_words(owners)
-    masks = _masks(owners, W)
-    total = 0
-
-    # Suffix ORs along rows and columns.
-    rowsuf = _suffix_or(masks, axis=1)
-    colsuf = _suffix_or(masks, axis=0)
-
-    diag_idx = np.arange(N)
-    # GETRF (i, i) -> both panels of step i.
-    panels = rowsuf[diag_idx, diag_idx + 1] | colsuf[diag_idx + 1, diag_idx]
-    total += int(_popcount(panels & ~masks[diag_idx, diag_idx]).sum())
-    # L-panel tiles (j, i), j > i -> row j, columns i+1..N-1.
-    for i in range(N):
-        col = masks[i + 1 :, i]
-        sets = rowsuf[np.arange(i + 1, N), i + 1]
-        total += int(_popcount(sets & ~col).sum())
-        # U-panel tiles (i, k), k > i -> column k, rows i+1..N-1.
-        row = masks[i, i + 1 :]
-        sets = colsuf[i + 1, np.arange(i + 1, N)]
-        total += int(_popcount(sets & ~row).sum())
-    return total
+    masks = _masks(_owner_map(dist, N))
+    # Row suffixes reach the L panel, column suffixes the U panel, and the
+    # diagonal both; each also holds the tile's own owner, dropped below.
+    dests = np.tril(_suffix_or(masks.copy(), axis=-1))
+    dests |= np.triu(_suffix_or(masks.copy(), axis=-2))
+    dests &= np.invert(masks, out=masks)
+    return int(np.bitwise_count(dests).sum())
 
 
 def lu_volume_exact(dist: Distribution, N: int, b: int, element_size: int = 8) -> int:

@@ -150,6 +150,9 @@ class SymmetricBlockCyclic(Distribution):
             else:
                 self._diag_patterns = _even_diagonal_patterns(r)
         self._diag_array = np.asarray(self._diag_patterns, dtype=np.int64)
+        # Owner of pattern position (x, y), x != y: the pair {x, y}.
+        self._pairs = np.array([[pair_index(x, y) if x != y else -1 for y in range(r)]
+                                for x in range(r)], dtype=np.int64)
 
     @property
     def num_nodes(self) -> int:
@@ -181,18 +184,17 @@ class SymmetricBlockCyclic(Distribution):
         return self._diag_patterns[pattern][x]
 
     def owner_map(self, N: int) -> np.ndarray:
-        idx = np.arange(N)
-        x = idx % self.r
-        lo = np.minimum(x[:, None], x[None, :])
-        hi = np.maximum(x[:, None], x[None, :])
-        out = hi * (hi - 1) // 2 + lo
-        # Overwrite pattern-diagonal positions (x == y), choosing the
+        r = self.r
+        x = np.arange(N) % r
+        out = self._pairs[x[:, None], x[None, :]]
+        # Overwrite the pattern-diagonal positions (x == y), choosing the
         # diagonal pattern from the *column* block index of the
         # lower-triangle representative of each tile.
-        col_block = np.minimum(idx[:, None], idx[None, :]) // self.r
-        pattern = col_block % len(self._diag_patterns)
-        diag_mask = x[:, None] == x[None, :]
-        out = np.where(diag_mask, self._diag_array[pattern, x[:, None]], out)
+        blocks = np.arange(N) // r
+        for d in range(min(r, N)):
+            b = blocks[d::r]
+            pattern = np.minimum.outer(b, b) % len(self._diag_patterns)
+            out[d::r, d::r] = self._diag_array[pattern, d]
         return out
 
     def broadcast_fanout(self) -> int:

@@ -1,16 +1,38 @@
 """Tests for the generic and vectorized communication counters."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import communication_volume
 from repro.comm import (
     cholesky_message_count,
     cholesky_node_traffic,
     cholesky_volume_exact,
     count_communications,
+    lu_message_count,
+    lu_volume_exact,
 )
-from repro.distributions import BlockCyclic2D, RowCyclic1D, SymmetricBlockCyclic
-from repro.graph import build_cholesky_graph, build_posv_graph
+from repro.distributions import (
+    BlockCyclic2D,
+    RowCyclic1D,
+    SymmetricBlockCyclic,
+    TwoDotFiveD,
+)
+from repro.graph import build_cholesky_graph, build_posv_graph, compile_cholesky, compile_lu
+
+from .strategies import owner_tables
+
+#: Every entry point of the fast counter, and the API call built on it.
+FAST_ENTRY_POINTS = {
+    "cholesky_message_count": cholesky_message_count,
+    "cholesky_node_traffic": cholesky_node_traffic,
+    "cholesky_volume_exact": lambda d, N: cholesky_volume_exact(d, N, 16),
+    "lu_message_count": lu_message_count,
+    "lu_volume_exact": lambda d, N: lu_volume_exact(d, N, 16),
+    "communication_volume": lambda d, N: communication_volume(d, N, 16),
+}
 
 
 class TestGenericCounter:
@@ -94,6 +116,35 @@ class TestFastCounter:
         assert len(sent) == len(recv) == dist.num_nodes
         assert sent.sum() == recv.sum() == cholesky_message_count(dist, N)
 
+    @pytest.mark.parametrize("entry", sorted(FAST_ENTRY_POINTS))
+    @pytest.mark.parametrize("dist,N", [
+        (TwoDotFiveD(BlockCyclic2D(2, 2), 2), 2),     # LU said 8, the plan 5
+        (TwoDotFiveD(SymmetricBlockCyclic(4), 3), 3),  # LU said 40, the plan 14
+        (TwoDotFiveD(BlockCyclic2D(2, 2), 2), 9),
+    ], ids=["2DBC-c2-N2", "SBC-c3-N3", "2DBC-c2-N9"])
+    def test_2_5d_layout_is_refused(self, entry, dist, N):
+        """A 2.5D owner map is ``(c, N, N)``, not ``N x N``: LU counted it
+        silently wrong at N <= c, everything else failed inside numpy."""
+        with pytest.raises(ValueError, match="count_communications"):
+            FAST_ENTRY_POINTS[entry](dist, N)
+
+    @pytest.mark.parametrize("entry", ["cholesky_message_count",
+                                       "cholesky_node_traffic", "lu_message_count"])
+    @pytest.mark.parametrize("dist", [SymmetricBlockCyclic(9), BlockCyclic2D(9, 8)],
+                             ids=lambda d: d.name)
+    def test_peak_memory_at_paper_scale(self, entry, dist):
+        """At N = 600 every entry point allocates at most 8 words per tile
+        per mask word (one word for SBC r = 9, two for 72 nodes), the owner
+        map included."""
+        N, words = 600, (dist.num_nodes - 1) // 64 + 1
+        tracemalloc.start()
+        try:
+            FAST_ENTRY_POINTS[entry](dist, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * N * N * words * 8, f"{peak / (N * N * words * 8):.1f} words"
+
     def test_element_size_scaling(self):
         d = SymmetricBlockCyclic(4)
         assert cholesky_volume_exact(d, 8, 16, element_size=4) * 2 == cholesky_volume_exact(
@@ -101,20 +152,33 @@ class TestFastCounter:
         )
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    N=st.integers(1, 16),
-    kind=st.sampled_from(["sbc", "sbc_basic", "bc"]),
+    data=st.data(),
+    N=st.integers(1, 40),
+    kind=st.sampled_from(["sbc", "sbc_basic", "bc", "table"]),
     param=st.integers(2, 5),
     q=st.integers(1, 4),
 )
-def test_fast_equals_generic_property(N, kind, param, q):
-    """The O(N^2) bitmask counter is exactly the graph counter, always."""
+def test_fast_equals_generic_property(data, N, kind, param, q):
+    """The bitmask counters are exactly the plan count, always: the
+    Cholesky total and per-node traffic and the LU total, also on arbitrary
+    owner tables of up to 300 nodes (five mask words)."""
     if kind == "sbc":
         dist = SymmetricBlockCyclic(max(param, 3))
     elif kind == "sbc_basic":
         dist = SymmetricBlockCyclic(2 * param, variant="basic")
-    else:
+    elif kind == "bc":
         dist = BlockCyclic2D(param, q)
-    g = build_cholesky_graph(N, 8, dist)
-    assert cholesky_volume_exact(dist, N, 8) == count_communications(g).total_bytes
+    else:
+        dist = data.draw(owner_tables(N))
+    b = 8
+    tile = b * b * 8
+    plan = count_communications(compile_cholesky(N, b, dist))
+    assert cholesky_volume_exact(dist, N, b) == plan.total_bytes
+    sent, recv = cholesky_node_traffic(dist, N)
+    assert len(sent) == len(recv) == dist.num_nodes
+    assert {n: int(v) * tile for n, v in enumerate(sent) if v} == plan.sent_bytes
+    assert {n: int(v) * tile for n, v in enumerate(recv) if v} == plan.recv_bytes
+    lu = count_communications(compile_lu(N, b, dist))
+    assert lu_message_count(dist, N) == lu.num_messages
