@@ -31,6 +31,16 @@ __all__ = [
 ]
 
 
+def _check_constants(model: object, positive: tuple[str, ...],
+                     nonnegative: tuple[str, ...]) -> None:
+    """Refuse a constant that simulates nonsense (negative, infinite, NaN)."""
+    for name in positive + nonnegative:
+        value, floor = getattr(model, name), name in nonnegative
+        if not (math.isfinite(value) and (value >= 0 if floor else value > 0)):
+            raise ValueError(f"{type(model).__name__}.{name} must be finite and "
+                             f"{'>=' if floor else '>'} 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Point-to-point network model.
@@ -47,6 +57,9 @@ class NetworkSpec:
 
     bandwidth: float = 12.5e9  # bytes/s (100 Gb/s OmniPath)
     latency: float = 1.5e-6  # seconds per message
+
+    def __post_init__(self) -> None:
+        _check_constants(self, ("bandwidth",), ("latency",))
 
     def transfer_time(self, nbytes: float) -> float:
         """Occupancy time of one channel for a message of ``nbytes``:
@@ -87,6 +100,9 @@ class KernelModel:
     efficiency: float = 0.92  # large-tile fraction of peak (MKL DGEMM-like)
     b_half: float = 55.0  # tile size at which rate halves vs. asymptote
     overhead: float = 4e-6  # per-task fixed runtime cost (seconds)
+
+    def __post_init__(self) -> None:
+        _check_constants(self, ("peak_flops", "efficiency"), ("b_half", "overhead"))
 
     def rate(self, b: int) -> float:
         """Achieved flop rate (flop/s) for a kernel on a ``b x b`` tile."""
@@ -129,6 +145,7 @@ class MachineSpec:
             raise ValueError(f"need at least one node, got {self.nodes}")
         if self.cores < 1:
             raise ValueError(f"need at least one core per node, got {self.cores}")
+        _check_constants(self, ("element_size",), ())  # an int: > 0 is >= 1
         if self.topology is not None and self.topology.num_nodes != self.nodes:
             raise ValueError(
                 f"topology has {self.topology.num_nodes} nodes "

@@ -73,14 +73,20 @@ class SweepClient:
         if self.url is not None:
             return self._http_submit(spec)
         assert self._loop is not None and self.server is not None
-        return self._loop.run_until_complete(self.server.submit(spec))
+        hit = self.server.lookup(spec)  # a hit never enters the event loop
+        return hit if hit is not None else self._loop.run_until_complete(self.server.submit(spec))
 
     def sweep(self, specs: Sequence[JobSpec]) -> list[JobResult]:
-        """Resolve many points; in-process mode runs them concurrently."""
+        """Resolve many points, in input order; in-process mode serves the
+        stored ones first, then runs the rest concurrently as one group."""
         if self.url is not None:
             return [self._http_submit(s) for s in specs]
         assert self._loop is not None and self.server is not None
-        return self._loop.run_until_complete(self.server.sweep(specs))
+        results = [self.server.lookup(s) for s in specs]
+        misses = [s for s, res in zip(specs, results) if res is None]
+        fresh = iter(self._loop.run_until_complete(self.server.sweep(misses))
+                     if misses else ())
+        return [res if res is not None else next(fresh) for res in results]
 
     def status(self, spec: JobSpec) -> str:
         if self.url is not None:

@@ -29,7 +29,7 @@ import hashlib
 import numpy as np
 
 from ..graph.compiled import CompiledGraph
-from .jobs import JobSpec, canonical_json
+from .jobs import JobSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -74,8 +74,8 @@ def config_digest(spec: JobSpec) -> str:
 
 
 def structure_key(spec: JobSpec) -> str:
-    """Canonical JSON of the fields the graph structure depends on."""
-    return canonical_json(spec.structure_fields())
+    """Canonical JSON of the fields the graph structure depends on (memoized)."""
+    return spec._structure_key
 
 
 def structure_hash(cg: CompiledGraph) -> str:

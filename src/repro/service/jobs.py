@@ -283,6 +283,14 @@ class JobSpec:
         """Plain-JSON shape (a fresh copy) of the point."""
         return cast("dict[str, Any]", json.loads(self._canonical))
 
+    @cached_property
+    def _plain(self) -> dict[str, Any]:  # to_dict() once, never handed out
+        return self.to_dict()
+
+    @cached_property
+    def _structure_key(self) -> str:
+        return canonical_json(self.structure_fields())
+
     def structure_fields(self) -> dict[str, Any]:
         """The subset of fields the task-graph *structure* depends on.
 

@@ -4,19 +4,19 @@
 :mod:`repro.service.http` and the CLI are thin wrappers over it).  One
 ``submit()`` walks the pipeline::
 
-    canonicalize -> config digest
-      -> join in-flight duplicate, if any          (dedup)
-      -> structure-hash memo -> point hash -> store lookup   (cache)
-      -> dispatch run_point to the worker executor           (simulate)
+    config digest -> structure-key memo -> point hash -> store   (lookup)
+      -> join in-flight duplicate, if any                        (dedup)
+      -> dispatch run_point to the worker executor               (simulate)
       -> persist record, resolve every joined waiter
 
-* **Dedup** keys on the config digest, which is computable without
-  building the graph, so N clients submitting the same point while it
-  runs all await one simulation.
 * **Memoization** keys on the content hash of
   :mod:`repro.service.hashing`; hits are re-verified by comparing the
   stored spec's canonical form (hash collisions aside, this catches
-  hand-edited stores).
+  hand-edited stores).  That step, :meth:`SweepServer.lookup`, is synchronous:
+  the in-process client enters the event loop only for misses.
+* **Dedup** keys on the config digest, which is computable without
+  building the graph, so N clients submitting the same point while it
+  runs all await one simulation.
 * **Sharding** uses a ``ProcessPoolExecutor`` when ``workers > 0``
   (independent sweep points are embarrassingly parallel); ``workers=0``
   runs points on the default thread executor — simulation releases
@@ -185,27 +185,42 @@ class SweepServer:
 
     # -- the pipeline --------------------------------------------------------
 
-    def _lookup(self, spec: JobSpec, ckey: str) -> Optional[dict[str, Any]]:
+    def _stored(self, spec: JobSpec, ckey: str) -> Optional[dict[str, Any]]:
         """Store lookup via the structure-hash memo; None on any miss."""
         struct = self.store.get_structure(structure_key(spec))
         if struct is None:
             return None
         record = self.store.get(point_hash(struct, ckey))
-        if record is None:
-            return None
         # Paranoia over hand-edited stores: the cached spec must be the
         # very spec we were asked about.
-        if record.get("spec") != spec.to_dict():
+        if record is None or record.get("spec") != spec._plain:
             return None
         return record
 
+    def lookup(self, spec: JobSpec) -> Optional[JobResult]:
+        """A stored point's whole submit, synchronously (counted; streamed as
+        ``submitted``, ``cache-hit``); None on a miss, which counts nothing."""
+        ckey = config_digest(spec)
+        record = self._stored(spec, ckey)
+        if record is None:
+            return None
+        self._count("service.jobs", "points submitted")
+        self._emit("submitted", ckey, str(spec))
+        self._count("service.cache.hits", "points served from the store")
+        self._emit("cache-hit", ckey)
+        return _result_from_record(spec, record, cached=True)
+
     async def submit(self, spec: JobSpec) -> JobResult:
-        """Resolve one point: dedup, then cache, then simulate + persist."""
+        """Resolve one point: cache, then dedup, then simulate + persist."""
+        # 1. memoized result?
+        hit = self.lookup(spec)
+        if hit is not None:
+            return hit
         ckey = config_digest(spec)
         self._count("service.jobs", "points submitted")
         self._emit("submitted", ckey, str(spec))
 
-        # 1. join an identical in-flight point (registered synchronously
+        # 2. join an identical in-flight point (registered synchronously
         #    below, before any await — concurrent submits cannot race past
         #    this check in one event loop).
         pending = self._inflight.get(ckey)
@@ -213,13 +228,6 @@ class SweepServer:
             self._count("service.dedup.joined", "submits joined in-flight work")
             self._emit("dedup", ckey)
             record = await asyncio.shield(pending)
-            return _result_from_record(spec, record, cached=True)
-
-        # 2. memoized result?
-        record = self._lookup(spec, ckey)
-        if record is not None:
-            self._count("service.cache.hits", "points served from the store")
-            self._emit("cache-hit", ckey)
             return _result_from_record(spec, record, cached=True)
         self._count("service.cache.misses", "points not found in the store")
 
@@ -291,7 +299,7 @@ class SweepServer:
         ckey = config_digest(spec)
         if ckey in self._inflight:
             return "running"
-        if self._lookup(spec, ckey) is not None:
+        if self._stored(spec, ckey) is not None:
             return "cached"
         return "unknown"
 

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -47,11 +49,13 @@ from repro.runtime.faults import (
 )
 from repro.runtime.simulator import simulate, simulate_compiled
 from repro.service import (
+    SCHEMA_VERSION,
     JobSpec,
     ResultStore,
     SweepClient,
     SweepServer,
     config_digest,
+    point_hash,
     report_to_dict,
     run_point,
     structure_hash,
@@ -108,8 +112,6 @@ def test_same_config_simulates_exactly_once(tmp_path):
 def test_client_removes_only_the_store_it_made(tmp_path, monkeypatch):
     """A client built without a store makes a temp one and takes it away
     again; a store the caller or ``$REPRO_SWEEP_STORE`` named survives."""
-    import tempfile
-
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
@@ -487,6 +489,26 @@ def test_spec_laws_on_generated_specs(args):
     # integer is refused, not truncated under the old key.
     with pytest.raises(ValueError, match="ntiles"):
         s.with_(ntiles=s.ntiles + 0.9)
+    # The keys a spec memoizes are the ones recomputed from scratch, and
+    # no dict ``to_dict`` hands out reaches them or what a lookup serves.
+    for t in (s, again):
+        assert structure_key(t) == canonical_json(t.structure_fields())
+        assert config_digest(t) == hashlib.sha256(
+            b"config\x00%d\x00%s\x00" % (SCHEMA_VERSION,
+                                         canonical_json(t.to_dict()).encode())
+        ).hexdigest()
+    with tempfile.TemporaryDirectory() as tmp, SweepClient(store=tmp) as client:
+        store = client.server.store
+        store.put_structure(structure_key(s), "structure")
+        point = point_hash("structure", config_digest(s))
+        store.put({"hash": point, "spec": s.to_dict(), "status": "ok",
+                   "report": None, "timings": {}})
+        keys = (config_digest(s), structure_key(s))
+        for doc in (s.to_dict(), s.to_dict()["machine"]):
+            doc.clear()
+            assert (config_digest(s), structure_key(s)) == keys
+            assert client.server.lookup(s).hash == point
+            assert client.server.lookup(again).hash == point
 
 
 @settings(max_examples=200, deadline=None)
@@ -509,6 +531,10 @@ def test_one_corruption_at_any_level_is_a_value_error(data, args):
             topology_from_spec(bad["machine"]["topology"])
 
 
+def _machine(**changes):
+    return lambda d: dict(d, machine=dict(d["machine"], **changes))
+
+
 #: The malformed bodies of ISSUE 23: each ran, cached a point its JSON does
 #: not name, or answered 500 at the parent.
 MALFORMED = {
@@ -523,6 +549,16 @@ MALFORMED = {
     "list for an object": lambda d: dict(d, machine=[d["machine"]]),
     "spec is a list": lambda d: [d],
     "missing required key": lambda d: {k: v for k, v in d.items() if k != "b"},
+    # Machine constants out of range: each simulated (a negative or an
+    # infinite makespan, negative bytes) and cached the nonsense.
+    "negative bandwidth": _machine(bandwidth=-1.0),
+    "infinite bandwidth": _machine(bandwidth=math.inf),
+    "negative peak_flops": _machine(peak_flops=-1.0),
+    "negative overhead": _machine(overhead=-1.0),
+    "zero efficiency": _machine(efficiency=0.0),
+    "negative b_half": _machine(b_half=-1.0),
+    "negative element_size": _machine(element_size=-8),
+    "NaN latency": _machine(latency=math.nan),
 }
 
 
@@ -741,6 +777,73 @@ def test_event_stream_and_status(tmp_path):
         "submitted", "cache-hit",             # warm
     ]
     assert len({e.key for e in events}) == 1  # all about one config digest
+
+    # In-process, a hit never enters the event loop, and is one whole
+    # submit: one job, one hit, its two events.
+    def drain(queue):
+        ops = []
+        while not queue.empty():
+            ops.append(queue.get_nowait().op)
+        return ops
+
+    def counts(server):
+        return tuple(int(c.total()) if (c := server.metrics.get(name)) else 0
+                     for name in ("service.jobs", "service.cache.hits",
+                                  "service.simulations"))
+
+    with SweepClient(store=tmp_path / "client") as client:
+        server, loop = client.server, client._loop
+        queue = server.subscribe()
+        client.submit(spec()).raise_for_status()
+        assert drain(queue) == ["submitted", "started", "completed"]
+        assert counts(server) == (1, 0, 1)
+
+        def refuse(coro):
+            coro.close()
+            raise AssertionError("a cache hit ran the event loop")
+
+        loop.run_until_complete = refuse  # shadows the method until del
+        try:
+            hit = client.submit(spec())
+            swept = client.sweep([spec(), spec()])
+        finally:
+            del loop.run_until_complete
+        assert all(r.cached and r.status == "ok" for r in [hit, *swept])
+        assert drain(queue) == ["submitted", "cache-hit"] * 3
+        assert counts(server) == (4, 3, 1)
+
+        # A miss is still counted once and streams its three events.
+        client.submit(spec(ntiles=NT + 1)).raise_for_status()
+        assert drain(queue) == ["submitted", "started", "completed"]
+        assert counts(server) == (5, 3, 2)
+
+
+@pytest.mark.parametrize("door", ["client.submit", "client.sweep",
+                                  "server.submit", "status"])
+def test_a_hand_edited_stored_spec_is_not_served(tmp_path, door):
+    """A record filed under the point's hash, checksum intact, whose
+    ``"spec"`` names another point: no door serves it, and a submit
+    simulates the point again."""
+    root = tmp_path / "store"
+    with SweepClient(store=root) as client:
+        point = client.submit(spec()).raise_for_status().hash
+    store = ResultStore(root)
+    record = dict(store.get(point), spec=spec(policy="work-stealing").to_dict())
+    store.put(record)
+
+    with SweepClient(store=root) as client:
+        server = client.server
+        if door == "status":
+            assert client.status(spec()) == "unknown"
+            return
+        res = {"client.submit": lambda: client.submit(spec()),
+               "client.sweep": lambda: client.sweep([spec()])[0],
+               "server.submit": lambda: client._loop.run_until_complete(
+                   server.submit(spec()))}[door]()
+        assert not res.cached and res.hash == point
+        assert client.simulations_run() == 1
+        assert server.metrics.get("service.cache.hits") is None
+    assert ResultStore(root).get(point)["spec"] == spec().to_dict()
 
 
 def test_bounded_subscriber_drops_oldest(tmp_path):
