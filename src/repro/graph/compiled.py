@@ -29,7 +29,10 @@ Two ways in, one numbering:
   ``tests/test_graph_pins.py`` and property-tested); :data:`OPERATIONS`
   lists them.
 
-Priorities use the same bottom-level recurrence as
+One adjacency, two reductions: :meth:`CompiledGraph.consumers_csr` (each
+task's readers, in task order) is built once per graph, and the priority
+sweep and the comm plan (:func:`_build_comm_plan`, for every graph alike)
+both reduce it.  Priorities use the same bottom-level recurrence as
 :func:`repro.graph.priorities.set_critical_path_priorities`; the column
 sink keeps ``level_ranges`` (contiguous batches of mutually independent
 tasks) while the description allows, so the reverse sweep runs as ~3N
@@ -38,7 +41,6 @@ vectorized segment-max reductions instead of an O(tasks) Python loop.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import Any, Optional
@@ -69,6 +71,9 @@ __all__ = [
 #: Edges sorted at a time by :meth:`CompiledGraph.consumers_csr` (bounds its
 #: transient memory; tests shrink it to cross several chunks).
 _CSR_CHUNK_EDGES = 1 << 22
+
+#: The same for :func:`_build_comm_plan`, in read edges grouped at a time.
+_PLAN_CHUNK_EDGES = 1 << 18
 
 #: Canonical kind -> code table shared by the generic lowering and the
 #: column sink, so both produce identical ``kind_codes`` arrays.
@@ -128,7 +133,10 @@ class CompiledGraph:
     flops: npt.NDArray[np.float64]  # per task
     iteration: npt.NDArray[np.int32]  # per task
     priority: npt.NDArray[np.float64]  # an input: all 0 = each run sweeps its own
-    write_id: npt.NDArray[np.int32]  # per task, -1 when the task writes nothing
+    #: per task, -1 when the task writes nothing; both lowerings number
+    #: produced versions in task order, so the ids ascend with their
+    #: producer (the comm plan appends one producer range at a time)
+    write_id: npt.NDArray[np.int32]
     read_ptr: npt.NDArray[np.int64]  # len n_tasks + 1
     read_ids: npt.NDArray[np.int32]  # data ids
     n_init: int  # versions that pre-exist the computation (ids 0..n_init-1)
@@ -146,8 +154,8 @@ class CompiledGraph:
     _cons_csr: Optional[
         tuple[npt.NDArray[np.int64], npt.NDArray[np.int32]]
     ] = field(default=None, repr=False)
-    #: memoized :func:`repro.service.hashing.structure_hash` — the hash
-    #: covers only structural arrays, so it stays exact across reuse.
+    #: memoized :func:`repro.service.hashing.structure_hash` — exact across
+    #: reuse of this object; :meth:`reassigned` drops it with the placement.
     _structure_hash: Optional[str] = field(default=None, repr=False)
 
     @property
@@ -175,10 +183,11 @@ class CompiledGraph:
 
         Used by migrating scheduler policies (:mod:`repro.schedulers`):
         the structural arrays are shared, the placement-derived columns
-        (``node``, ``data_source_node``) are replaced, and the cached
-        communication plan is dropped so it is rebuilt against the new
-        placement.  Initial data keeps its home; a produced version's
-        source follows its producer.
+        (``node``, ``data_source_node``) are replaced, and the memos that
+        read placement — the communication plan and the structure hash —
+        are dropped so they are recomputed for the new one.  The consumer
+        adjacency does not read placement and stays shared.  Initial data
+        keeps its home; a produced version's source follows its producer.
         """
         node = np.ascontiguousarray(node, dtype=self.node.dtype)
         if node.shape != self.node.shape:
@@ -188,14 +197,16 @@ class CompiledGraph:
         source = self.data_source_node.copy()
         produced = self.data_producer >= 0
         source[produced] = node[self.data_producer[produced]]
-        return replace(self, node=node, data_source_node=source, _plan=None)
+        return replace(self, node=node, data_source_node=source, _plan=None,
+                       _structure_hash=None)
 
     def consumers_csr(
         self,
     ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int32]]:
         """CSR over *tasks*: ids of tasks reading each task's output,
-        in task-id order (the priority sweep's adjacency).  Built once
-        and cached (the arrays are treated as read-only)."""
+        in task-id order (what the priority sweep and the comm plan
+        reduce).  Built once and cached (the arrays are treated as
+        read-only)."""
         if self._cons_csr is not None:
             return self._cons_csr
         # One sort of packed keys ``producer * n + consumer`` per chunk of
@@ -227,92 +238,107 @@ class CompiledGraph:
         return self._cons_csr
 
 
+def _pairs(version: npt.NDArray[Any], dst: npt.NDArray[np.int32],
+           reader: npt.NDArray[np.int32]) -> tuple[npt.NDArray[Any], ...]:
+    """Group remote read edges, given in need order, by (version,
+    destination).
+
+    One sort of unique keys does it — version, destination and edge packed
+    into one integer; a sort of plain values is several times faster than
+    a stable ``argsort``.  Returns the readers grouped by (version,
+    destination) ascending (the ``rn_ids`` layout), then one row per group
+    — version, destination, start, count, first edge — with the groups of
+    one version put in first-need order, the order of their first edges.
+    """
+    n = len(version)
+    nn = int(dst.max(initial=0)) + 1
+    key = version.astype(np.int64) * nn + dst
+    key *= n
+    key += np.arange(n)
+    key.sort()
+    group, edge = np.divmod(key, n)
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    first = edge[starts]
+    pv, pd = np.divmod(group[starts], nn)
+    kd = np.lexsort((first, pv))
+    counts = np.diff(starts, append=n)
+    return (reader[edge], pv[kd], pd[kd].astype(np.int32), starts[kd],
+            counts[kd], first[kd])
+
+
 def _build_comm_plan(cg: CompiledGraph) -> CommPlan:
-    n_tasks, n_data = cg.n_tasks, cg.n_data
-    edge_cons = np.repeat(
-        np.arange(n_tasks, dtype=np.int32), np.diff(cg.read_ptr)
-    )
-    edge_data = cg.read_ids
-    src = cg.data_source_node[edge_data]
-    dst = cg.node[edge_cons]
-    produced = cg.data_producer[edge_data] >= 0
-    remote = src != dst
+    """The :class:`CommPlan` of ``cg``: a reduction of its read edges, the
+    initial versions' in one pass, the produced versions' one producer
+    range of :meth:`CompiledGraph.consumers_csr` at a time."""
+    n, n_init = cg.n_tasks, cg.n_init
+    ptr, ids = cg.consumers_csr()
+    missing = np.empty(n, dtype=np.int32)
+    np.subtract(cg.read_ptr[1:], cg.read_ptr[:-1], out=missing, casting="unsafe")
+    # Local and remote readers of produced versions partition ``ids``, so
+    # zeroed buffers (pages cost nothing until written) take them without
+    # a concatenation copy.
+    lc_ids = np.zeros(len(ids), dtype=np.int32)
+    lc_per_task = np.zeros(n, dtype=np.int32)
+    edge = np.flatnonzero(cg.read_ids < n_init)
+    rn_ids = np.zeros(len(ids) + len(edge), dtype=np.int32)
+    n_lc = 0
+    pairs = []  # (data, destination, rn start, rn count) rows, by chunk
 
-    missing = np.bincount(
-        edge_cons[produced | remote], minlength=n_tasks
-    ).astype(np.int32)
+    # Initial versions: every read waits, except one at the version's home.
+    version = cg.read_ids[edge]
+    reader = (np.searchsorted(cg.read_ptr, edge, side="right") - 1).astype(np.int32)
+    dst = cg.node[reader]
+    remote = dst != cg.data_source_node[version]
+    np.subtract.at(missing, reader[~remote], 1)
+    rn, pv, pd, start, count, first = _pairs(
+        version[remote], dst[remote], reader[remote])
+    rn_ids[: len(rn)] = rn
+    n_rn = len(rn)
+    pairs.append((pv, pd, start, count))
+    # eager transfers start in the order of each version's first read
+    head = np.flatnonzero(np.diff(pv, prepend=-1))
+    initial_sources = tuple((int(d), int(cg.data_source_node[d]))
+                            for d in pv[head][np.argsort(first[head])])
 
-    # Local consumers of produced versions, grouped by data id.
-    lmask = produced & ~remote
-    ldata = edge_data[lmask]
-    lorder = np.argsort(ldata, kind="stable")
-    lc_ptr = np.zeros(n_data + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ldata, minlength=n_data), out=lc_ptr[1:])
-    lc_ids = edge_cons[lmask][lorder]
+    # Produced versions: their ids ascend with their producers, so the
+    # groups of one producer range append after everything before it.
+    a = 0
+    while a < n:
+        # as many whole producers as fit the chunk, at least one
+        b = max(a + 1, int(np.searchsorted(
+            ptr, ptr[a] + _PLAN_CHUNK_EDGES, side="right")) - 1)
+        deg = np.diff(ptr[a : b + 1])
+        reader = ids[ptr[a] : ptr[b]]
+        rel = np.repeat(np.arange(b - a), deg)
+        dst = cg.node[reader]
+        remote = dst != np.repeat(cg.data_source_node[cg.write_id[a:b]], deg)
+        local = reader[~remote]
+        lc_ids[n_lc : n_lc + len(local)] = local
+        n_lc += len(local)
+        lc_per_task[a:b] = np.bincount(rel[~remote], minlength=b - a)
+        rn, pv, pd, start, count, _ = _pairs(
+            rel[remote], dst[remote], reader[remote])
+        rn_ids[n_rn : n_rn + len(rn)] = rn
+        pairs.append((cg.write_id[a + pv].astype(np.int64), pd,
+                      n_rn + start, count))
+        n_rn += len(rn)
+        a = b
 
-    # Remote needers, grouped by (data, destination) pair.
-    rdata = edge_data[remote].astype(np.int64)
-    rdst = dst[remote]
-    rcons = edge_cons[remote]
-    num_nodes = int(cg.node.max()) + 1 if n_tasks else 1
-    pair_key = rdata * num_nodes + rdst
-    porder = np.argsort(pair_key, kind="stable")
-    sorted_pairs = pair_key[porder]
-    # Group boundaries on the already-sorted keys (np.unique would sort
-    # again — measurable at tens of millions of edges).
-    if len(sorted_pairs):
-        head = np.empty(len(sorted_pairs), dtype=bool)
-        head[0] = True
-        np.not_equal(sorted_pairs[1:], sorted_pairs[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        uniq = sorted_pairs[starts]
-        counts = np.diff(np.append(starts, len(sorted_pairs)))
-    else:
-        uniq = sorted_pairs
-        starts = np.empty(0, dtype=np.int64)
-        counts = starts
-    # rn_ids holds all remote-needer tasks grouped by pair (task order
-    # within each group, since the argsort is stable).
-    rn_ids = rcons[porder]
-    # First edge (in task order) of each pair: the stable sort puts each
-    # group's smallest original index first, which drives first-need order.
-    first_edge = porder[starts] if len(uniq) else starts
-    pdata = (uniq // num_nodes).astype(np.int64)
-    # Within each data id, order destinations by first need (pairs of one
-    # data id stay contiguous): sort by (data, first_edge).
-    kd_order = np.lexsort((first_edge, pdata))
-    pair_data = pdata[kd_order]
-    pair_dst = (uniq % num_nodes).astype(np.int32)[kd_order]
-    pair_rn_start = starts[kd_order].astype(np.int64)
-    pair_rn_count = counts[kd_order].astype(np.int64)
-
-    kd_ptr = np.zeros(n_data + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_data, minlength=n_data), out=kd_ptr[1:])
-
-    # Misplaced initial versions, ordered by their first remote read.
-    init_mask = cg.data_producer[pair_data] < 0
-    if init_mask.any():
-        idata = pair_data[init_mask]
-        ifirst = first_edge[kd_order][init_mask]
-        seen_first = np.full(n_data, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(seen_first, idata, ifirst)
-        init_ids = np.unique(idata)
-        init_ids = init_ids[np.argsort(seen_first[init_ids], kind="stable")]
-        initial_sources = tuple(
-            (int(d), int(cg.data_source_node[d])) for d in init_ids
-        )
-    else:
-        initial_sources = ()
-
+    pair_data, pair_dst, pair_rn_start, pair_rn_count = (
+        np.concatenate(column) for column in zip(*pairs))
+    lc_ptr = np.zeros(cg.n_data + 1, dtype=np.int64)
+    np.cumsum(lc_per_task[cg.data_producer[n_init:]], out=lc_ptr[n_init + 1 :])
+    kd_ptr = np.zeros(cg.n_data + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_data, minlength=cg.n_data), out=kd_ptr[1:])
     return CommPlan(
         missing=missing,
         lc_ptr=lc_ptr,
-        lc_ids=lc_ids,
+        lc_ids=lc_ids[:n_lc],
         pair_data=pair_data,
         pair_dst=pair_dst,
         pair_rn_start=pair_rn_start,
         pair_rn_count=pair_rn_count,
-        rn_ids=rn_ids,
+        rn_ids=rn_ids[:n_rn],
         kd_ptr=kd_ptr,
         initial_sources=initial_sources,
     )
@@ -421,18 +447,6 @@ def compile_graph(graph: TaskGraph) -> CompiledGraph:
 # ---------------------------------------------------------------------------
 
 
-def _concat(
-    parts: Sequence[npt.NDArray[Any]], dtype: npt.DTypeLike
-) -> npt.NDArray[Any]:
-    if not parts:
-        return np.empty(0, dtype=dtype)
-    return np.concatenate([np.asarray(p, dtype=dtype) for p in parts])
-
-
-def _ascending(a: npt.NDArray[Any]) -> bool:
-    return bool(np.all(a[1:] > a[:-1]))
-
-
 def _grown(
     old: npt.NDArray[Any], size: int, keep: Optional[int] = None
 ) -> npt.NDArray[Any]:
@@ -444,167 +458,6 @@ def _grown(
     kept = old[:keep]
     new[: len(kept)] = kept
     return new
-
-
-class _StreamedPlanState:
-    """The :class:`CommPlan` of :func:`_build_comm_plan`, accumulated one
-    window of tasks (an iteration or a few) at a time, without the global
-    edge list.
-
-    Every plan array is grouped by data id, so per-window groups can simply
-    be appended as long as each window consumes ids above everything
-    consumed before it.  :meth:`add_window` checks exactly that on the
-    window's read edges, in two classes.  Versions from *before* the window
-    must each be read once, on the node that holds them, in an id range
-    above all earlier reads (a factorisation's "previous version of my
-    tile" reads: one local consumer per version, no grouping needed).
-    Versions produced *inside* the window (the panel fanning out to the
-    trailing update) are grouped by :meth:`_group`, which assumes nothing
-    and sorts on keys that span one window.  The 2D factorisations
-    satisfy this at every iteration, which keeps every temporary
-    O(iteration) at paper scale.  A window that does not (2.5D: partial
-    sums are read ``c`` iterations later, on another slice) makes
-    ``add_window`` return False; the sink then drops the stream and the
-    plan comes from :func:`_build_comm_plan` on demand.  The equality with
-    that function is pinned array for array, at several window sizes, in
-    ``tests/test_compiled_engine.py``.
-    """
-
-    #: Tasks a window gathers before it is closed at the next iteration
-    #: boundary: under this, the fixed cost of a window's ~70 numpy calls
-    #: outweighs sorting the reads that merging moves inside the window.
-    MIN_WINDOW = 4096
-
-    def __init__(self) -> None:
-        self.missing = np.zeros(0, dtype=np.int32)
-        # Per-version consumer counts are O(iteration width), far below
-        # 2**31: int32 halves the first-touch cost of these two n_data
-        # arrays; cumsum below widens into the int64 ptr rows (safe cast).
-        self._lc_counts = self._kd_counts = self.missing
-        # Local-consumer and remote-needer ids partition the produced
-        # read edges, so ``n_reads`` bounds both: preallocated buffers
-        # sliced at the end, no per-column concatenation copies.  Pair
-        # rows stay chunked — there are few of them.
-        self._lc = self._rn = self.missing
-        self._lc_len = self._rn_len = 0
-        self._pairs: list[tuple[np.ndarray, ...]] = []
-        self._newest_read = -1
-
-    def reserve(self, n_tasks: int, n_data: int, n_reads: int) -> None:
-        """Room for that many tasks, versions and reads in all."""
-        self.missing = _grown(self.missing, n_tasks)
-        self._lc_counts = _grown(self._lc_counts, n_data)
-        self._kd_counts = _grown(self._kd_counts, n_data)
-        self._lc = _grown(self._lc, n_reads, self._lc_len)
-        self._rn = _grown(self._rn, n_reads, self._rn_len)
-
-    def _lc_append(self, ids: npt.NDArray[np.intp]) -> None:
-        self._lc[self._lc_len : self._lc_len + len(ids)] = ids
-        self._lc_len += len(ids)
-
-    def add_window(self, sink: "ColumnSink", lo: int, hi: int) -> bool:
-        """Account for tasks ``lo .. hi`` of ``sink``; False when they do
-        not stream."""
-        ptr = sink.read_ptr[lo : hi + 1]
-        ids = sink.read_ids[ptr[0] : ptr[-1]]
-        arity = ptr[1:] - ptr[:-1]
-        cons = np.repeat(np.arange(lo, hi), arity)
-        first_inside = sink.n_init + lo  # task ``lo``'s output
-        before = ids < first_inside
-        old = np.flatnonzero(before)
-        # (index arrays are kept in intp: numpy converts any other dtype
-        # on every gather, which costs more than the gather)
-        va, ca = ids[old].astype(np.intp), cons[old]
-        if len(va) and not _ascending(va):
-            order = np.argsort(va)
-            va, ca = va[order], ca[order]
-        if len(va) and (
-                va[0] <= self._newest_read or not _ascending(va)
-                or not np.array_equal(sink.node[ca], sink.data_source_node[va])):
-            return False
-        self._newest_read = int(ids.max(initial=-1))
-        made = int(np.searchsorted(va, sink.n_init))  # initial ones list nobody
-        self._lc_counts[va[made:]] = 1
-        self._lc_append(ca[made:])
-        # Every read is waited for, except of initial versions (at home).
-        self.missing[lo:hi] = arity
-        if made:
-            self.missing[lo:hi] -= np.bincount(
-                ca[:made] - lo, minlength=hi - lo).astype(np.int32)
-        inside = np.flatnonzero(~before)
-        if len(inside):
-            self._group(sink, first_inside,
-                        ids[inside].astype(np.intp) - first_inside, inside, cons)
-        return True
-
-    def _group(
-        self,
-        sink: "ColumnSink",
-        d0: int,
-        rel: npt.NDArray[np.intp],
-        edge: npt.NDArray[np.intp],
-        cons: npt.NDArray[np.intp],
-    ) -> None:
-        """Group the window's ``edge``s (read by ``cons[edge]``) of versions
-        ``d0 + rel``: local consumers by version, remote ones by (version,
-        destination).
-
-        One sort of unique keys does it — remote or not, version,
-        destination and edge packed into one integer — and a sort of plain
-        values is several times faster than a stable ``argsort``.  Pairs of
-        one version are then put in first-need order, the order of their
-        first edges.
-        """
-        dst = sink.node[cons[edge]]
-        remote = dst != sink.data_source_node[d0 + rel]
-        nd, nn, width = int(rel.max()) + 1, int(dst.max()) + 1, len(cons)
-        key = remote.astype(np.int32 if 2 * nd * nn * width < 2**31 else np.int64)
-        n_remote = int(key.sum())
-        n_local = len(key) - n_remote
-        for scale, field in ((nd, rel), (nn, dst), (width, edge)):
-            key *= scale
-            key += field
-        key.sort()
-        group = key // width
-        edge = key - group * width
-        reader = cons[edge]
-        self._lc_counts[d0 : d0 + nd] = np.bincount(
-            (group[:n_local] // nn).astype(np.intp), minlength=nd)
-        self._lc_append(reader[:n_local])
-        if n_remote == 0:
-            return
-        group, edge = group[n_local:] - nd * nn, edge[n_local:]
-        starts = np.flatnonzero(group[1:] != group[:-1]) + 1
-        starts = np.concatenate([[0], starts])
-        counts = np.diff(starts, append=n_remote)
-        self._rn[self._rn_len : self._rn_len + n_remote] = reader[n_local:]
-        prel, pdst = np.divmod(group[starts], nn)
-        kd = np.lexsort((edge[starts], prel))
-        self._pairs.append((d0 + prel[kd], pdst[kd],
-                            self._rn_len + starts[kd], counts[kd]))
-        self._kd_counts[d0 : d0 + nd] = np.bincount(prel, minlength=nd)
-        self._rn_len += n_remote
-
-    def finish(self, n_tasks: int, n_data: int) -> CommPlan:
-        lc_ptr = np.zeros(n_data + 1, dtype=np.int64)
-        np.cumsum(self._lc_counts[:n_data], out=lc_ptr[1:])
-        kd_ptr = np.zeros(n_data + 1, dtype=np.int64)
-        np.cumsum(self._kd_counts[:n_data], out=kd_ptr[1:])
-        data, dst, start, count = (
-            zip(*self._pairs) if self._pairs else ((), (), (), ()))
-        return CommPlan(
-            missing=self.missing[:n_tasks],
-            lc_ptr=lc_ptr,
-            lc_ids=self._lc[: self._lc_len],
-            pair_data=_concat(data, np.int64),
-            pair_dst=_concat(dst, np.int32),
-            pair_rn_start=_concat(start, np.int64),
-            pair_rn_count=_concat(count, np.int64),
-            rn_ids=self._rn[: self._rn_len],
-            kd_ptr=kd_ptr,
-            # A streamed window reads initial versions at home only.
-            initial_sources=(),
-        )
 
 
 #: "No version": above every id a sink can hand out, so reading an
@@ -623,13 +476,11 @@ class ColumnSink:
     per matrix name, kept flat.  Ids follow :func:`compile_graph`'s numbering —
     initial versions in declaration order, then one per task — so every
     tile must be declared before the first ``reserve``; after that, phases
-    follow one another freely, each reserving room for its own rows.  Two
-    by-products are kept while the description allows them: ``level_ranges``
-    as long as no ``emit`` block reads a version written inside itself (its
-    rows are then mutually independent: the vectorised priority sweep), and
-    the streamed comm plan as long as iterations consume ascending id ranges
-    (:class:`_StreamedPlanState`).  Both hold for the 2D factorisations;
-    what does not stream is planned by :func:`_build_comm_plan` on demand.
+    follow one another freely, each reserving room for its own rows.
+    ``level_ranges`` are kept as long as no ``emit`` block reads a version
+    written inside itself (its rows are then mutually independent: the
+    vectorised priority sweep); the comm plan is built on demand, as for
+    any other graph.
     """
 
     def __init__(self, N: int, b: int, element_size: int = 8,
@@ -650,9 +501,6 @@ class ColumnSink:
         # homes, as ``node``: a produced version lives where its task ran.
         self.data_source_node = np.empty(0, dtype=np.int32)
         self._levels: Optional[list[tuple[int, int]]] = []
-        self._stream: Optional[_StreamedPlanState] = _StreamedPlanState()
-        self._iteration = -1  # of the last emit: windows end between two
-        self._window = 0  # first task of the stream's open window
 
     @classmethod
     def build(cls, describe: Any, N: int, b: int, *layouts: Any,
@@ -704,19 +552,10 @@ class ColumnSink:
         self.data_source_node = _grown(
             self.data_source_node, self.n_init + n, self.n_init + self._n)
         self.node = self.data_source_node[self.n_init :]
-        if self._stream is not None:
-            self._stream.reserve(n, self.n_init + n, r)
 
     def source_of(self, tiles: Tiles) -> npt.NDArray[np.int32]:
         """Node holding the current version of each tile."""
         return self.data_source_node[self._cur[tiles.name][self._slots(tiles)]]
-
-    def _close_window(self) -> None:
-        lo, hi = self._window, self._n
-        if (self._stream is not None and hi > lo
-                and not self._stream.add_window(self, lo, hi)):
-            self._stream = None  # the plan is built in one piece, on demand
-        self._window = hi
 
     def emit(self, iteration: int, *batches: Batch) -> None:
         """Write the batches' rows into one block of task ids."""
@@ -725,10 +564,6 @@ class ColumnSink:
         n = sum(sizes)
         if n == 0:
             return
-        if iteration != self._iteration:
-            self._iteration = iteration
-            if self._n - self._window >= _StreamedPlanState.MIN_WINDOW:
-                self._close_window()
         lo = self._n
         if lo + n > len(self.kinds):
             raise ValueError(f"{lo + n} tasks emitted, {len(self.kinds)} reserved")
@@ -776,7 +611,6 @@ class ColumnSink:
         self._r = int(ends[-1])
 
     def finish(self) -> CompiledGraph:
-        self._close_window()
         n, n_data = self._n, self.n_init + self._n
         nbytes = np.full(
             n_data, self.b * self.b * self.element_size, dtype=np.int64)
@@ -803,7 +637,6 @@ class ColumnSink:
             data_nbytes=nbytes,
             data_keys=None,
             level_ranges=self._levels,
-            _plan=self._stream.finish(n, n_data) if self._stream else None,
         )
 
 

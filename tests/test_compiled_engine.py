@@ -35,7 +35,7 @@ from repro.graph import (
 )
 from repro.distributions import RowCyclic1D
 from repro.graph import compiled as compiled_module
-from repro.graph.compiled import ColumnSink, _StreamedPlanState
+from repro.graph.compiled import ColumnSink, CommPlan
 from repro.graph.task import Batch, DataKey, TaskGraph, Tiles
 from repro.runtime.faults import (
     FaultPlan,
@@ -46,6 +46,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.simulator import simulate, simulate_compiled
 from repro.schedulers import POLICIES, SchedulePlan, SchedulerInterface
+from repro.service.hashing import structure_hash
 
 from .strategies import fault_plans, machines, owner_tables
 
@@ -238,18 +239,16 @@ class TestDirectCompilers:
         ("potri", ()), ("potri", (BlockCyclic2D(2, 2),))],
         ids=["posv", "trtri", "lauum", "potri", "potri-remap"])
     def test_merged_operations_identical_to_generic_lowering(
-            self, monkeypatch, op, more, N, dist):
+            self, op, more, N, dist):
         """Several phases, a second matrix (``b x width`` tiles), a REMAP
         that looks before it moves: still the lowered object graph, plan
-        included, wherever the plan windows fall."""
+        included."""
         build, direct = OPERATIONS[op]
         sized = {"width": 8} if op == "posv" else {}
         generic = compile_graph(build(N, 32, dist, *more, **sized))
-        for min_window in (1, 40, _StreamedPlanState.MIN_WINDOW):
-            monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
-            cg = direct(N, 32, dist, *more, **sized)
-            self._assert_same_arrays(cg, generic)
-            TestStreamedBuild._assert_same_plan(cg.comm_plan(), generic.comm_plan())
+        cg = direct(N, 32, dist, *more, **sized)
+        self._assert_same_arrays(cg, generic)
+        TestStreamedBuild._assert_same_plan(cg.comm_plan(), generic.comm_plan())
         if op == "posv":
             assert cg.width == 8 and set(cg.data_nbytes) == {32 * 32 * 8, 32 * 8 * 8}
 
@@ -604,13 +603,10 @@ STREAM_DISTS = [
 
 class TestStreamedBuild:
     """The column sink's by-products must be *bit*-identical — columns,
-    comm plan, dtypes — to lowering the object graph and planning it
-    globally (``_build_comm_plan``), at every N and however the tasks are
-    cut into plan windows (window boundaries move with the iteration
-    count, so small sizes and one-iteration windows are the adversarial
-    ones).  2D graphs must really stream and keep their levels; 2.5D ones
-    fall back to the generic sweep and, once a partial sum outlives its
-    window, to the global plan."""
+    comm plan, dtypes — to lowering the object graph, at every N.  2D
+    graphs keep their levels; 2.5D ones fall back to the generic sweep.
+    (The class keeps the name it had when the sink also streamed a plan
+    of its own, window by window.)"""
 
     PLAN_FIELDS = ("missing", "lc_ptr", "lc_ids", "pair_data", "pair_dst",
                    "pair_rn_start", "pair_rn_count", "rn_ids", "kd_ptr")
@@ -624,31 +620,28 @@ class TestStreamedBuild:
         assert direct.initial_sources == generic.initial_sources
 
     @classmethod
-    def _check(cls, monkeypatch, compile_direct, build, N, dist):
+    def _check(cls, compile_direct, build, N, dist):
         generic = compile_graph(build(N, 32, dist))
-        assert generic._plan is None  # planned globally, on demand
-        for min_window in (1, 40, _StreamedPlanState.MIN_WINDOW):
-            monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
-            direct = compile_direct(N, 32, dist)
-            flat = not isinstance(dist, TwoDotFiveD) or N == 1
-            assert direct._plan is not None or not flat
-            assert (direct.level_ranges is not None) == flat
-            TestDirectCompilers._assert_same_arrays(direct, generic)
-            cls._assert_same_plan(direct.comm_plan(), generic.comm_plan())
+        direct = compile_direct(N, 32, dist)
+        assert generic._plan is None and direct._plan is None  # on demand
+        flat = not isinstance(dist, TwoDotFiveD) or N == 1
+        assert (direct.level_ranges is not None) == flat
+        TestDirectCompilers._assert_same_arrays(direct, generic)
+        cls._assert_same_plan(direct.comm_plan(), generic.comm_plan())
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 12])
     @pytest.mark.parametrize("dist", STREAM_DISTS + SLICED, ids=lambda d: d.name)
-    def test_cholesky_streamed_equals_monolithic(self, monkeypatch, N, dist):
-        self._check(monkeypatch, compile_cholesky, build_cholesky_graph, N, dist)
+    def test_cholesky_streamed_equals_monolithic(self, N, dist):
+        self._check(compile_cholesky, build_cholesky_graph, N, dist)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 12])
     @pytest.mark.parametrize("dist", STREAM_DISTS + SLICED, ids=lambda d: d.name)
-    def test_lu_streamed_equals_monolithic(self, monkeypatch, N, dist):
-        self._check(monkeypatch, compile_lu, build_lu_graph, N, dist)
+    def test_lu_streamed_equals_monolithic(self, N, dist):
+        self._check(compile_lu, build_lu_graph, N, dist)
 
     def test_25d_lowering_plan_is_consistent(self):
         """The CSR invariants of a 2.5D plan, on the lowered object graph
-        and on the column sink's (both planned by ``_build_comm_plan``)."""
+        and on the column sink's."""
         d25 = TwoDotFiveD(BlockCyclic2D(2, 2), 2)
         for cg in (compile_graph(build_cholesky_graph_25d(10, 32, d25)),
                    compile_cholesky(10, 32, d25)):
@@ -691,9 +684,9 @@ class TestSinksAgree:
         sink.emit(3, Batch("SYRK", (home + 2) % P, (rows, 3), X(rows, 1),
                            (X(0),), 4.0))
 
-    @pytest.mark.parametrize("min_window", [1, 4096])
-    def test_columns_plan_and_levels(self, monkeypatch, min_window):
-        monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
+    @pytest.mark.parametrize("chunk", [1, 4096])  # plan edges grouped at a time
+    def test_columns_plan_and_levels(self, monkeypatch, chunk):
+        monkeypatch.setattr(compiled_module, "_PLAN_CHUNK_EDGES", chunk)
         bld = GraphBuilder.sized(6, 16)
         self._describe(bld)
         sink = ColumnSink(6, 16)
@@ -730,10 +723,9 @@ class TestSinksAgree:
         sink.emit(2, Batch("TRSM_SOLVE", target, (rows,), B, (A,), 2.0))
         return odd
 
-    @pytest.mark.parametrize("min_window", [1, 4096])
-    def test_two_matrices_two_phases_conditional_remap(
-            self, monkeypatch, min_window):
-        monkeypatch.setattr(_StreamedPlanState, "MIN_WINDOW", min_window)
+    @pytest.mark.parametrize("chunk", [1, 4096])  # plan edges grouped at a time
+    def test_two_matrices_two_phases_conditional_remap(self, monkeypatch, chunk):
+        monkeypatch.setattr(compiled_module, "_PLAN_CHUNK_EDGES", chunk)
         bld = GraphBuilder.sized(6, 16, width=4)
         sink = ColumnSink(6, 16, width=4)
         assert (self._describe_two_matrices(bld).tolist()
@@ -988,3 +980,111 @@ def test_consumer_adjacency_keeps_duplicate_reads(chunk):
     assert_consumers_csr_is_the_reference(cg, chunk)
     ptr, ids = cg.consumers_csr()
     assert ids[ptr[0]:ptr[1]].tolist().count(3) == 2  # task 3 reads x twice
+
+
+def plan_by_walking_reads(cg):
+    """What ``comm_plan`` must return, the slow obvious way: walk the read
+    edges in task order.  A read on the version's node is a local consumer
+    (of a produced version) or nothing to wait for (of an initial one); any
+    other read joins the (version, destination) pair that brings it there.
+    Pairs of a version are listed in first-need order, their readers kept
+    by (version, destination), each group in task order."""
+    missing = np.zeros(cg.n_tasks, dtype=np.int32)
+    local = [[] for _ in range(cg.n_data)]
+    needers = [{} for _ in range(cg.n_data)]  # dst -> readers, by first need
+    initial = {}  # misplaced initial version -> home, by first read
+    for t in range(cg.n_tasks):
+        for d in cg.read_ids[cg.read_ptr[t]:cg.read_ptr[t + 1]].tolist():
+            produced = bool(cg.data_producer[d] >= 0)
+            home, dst = int(cg.data_source_node[d]), int(cg.node[t])
+            missing[t] += produced or home != dst
+            if home != dst:
+                needers[d].setdefault(dst, []).append(t)
+                if not produced:
+                    initial.setdefault(d, home)
+            elif produced:
+                local[d].append(t)
+    rn_ids, start = [], {}
+    for d, by_dst in enumerate(needers):
+        for dst in sorted(by_dst):
+            start[d, dst] = len(rn_ids)
+            rn_ids += by_dst[dst]
+    pairs = [(d, dst) for d, by_dst in enumerate(needers) for dst in by_dst]
+
+    def ptr(counts):
+        return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+    return CommPlan(
+        missing=missing,
+        lc_ptr=ptr([len(x) for x in local]),
+        lc_ids=np.array([t for x in local for t in x], dtype=np.int32),
+        pair_data=np.array([d for d, _ in pairs], dtype=np.int64),
+        pair_dst=np.array([dst for _, dst in pairs], dtype=np.int32),
+        pair_rn_start=np.array([start[p] for p in pairs], dtype=np.int64),
+        pair_rn_count=np.array([len(needers[d][dst]) for d, dst in pairs],
+                               dtype=np.int64),
+        rn_ids=np.array(rn_ids, dtype=np.int32),
+        kd_ptr=ptr([len(x) for x in needers]),
+        initial_sources=tuple(initial.items()),
+    )
+
+
+def assert_plan_is_the_walk(cg, chunk):
+    cg._plan = None
+    with mock.patch.object(compiled_module, "_PLAN_CHUNK_EDGES", chunk):
+        plan = cg.comm_plan()
+    TestStreamedBuild._assert_same_plan(plan, plan_by_walking_reads(cg))
+
+
+PLAN_CHUNKS = [1, 5, 64, compiled_module._PLAN_CHUNK_EDGES]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       op=st.sampled_from(["cholesky", "lu", "cholesky-c2", "lu-c2", "posv",
+                           "trtri", "lauum", "potri", "potri-remap"]),
+       N=st.integers(1, 7),
+       chunk=st.sampled_from(PLAN_CHUNKS),  # plan edges grouped at a time
+       seed=st.integers(0, 2**16))
+def test_comm_plan_is_the_walk_of_the_reads(data, op, N, chunk, seed):
+    """The plan is the slow obvious one array for array, whatever the
+    chunk, on the column sink's graph, on its lowered twin and on a random
+    re-placement of it — which shares the consumer adjacency the plan is
+    reduced from and drops every memo that reads placement."""
+    layouts = [data.draw(owner_tables(N))]
+    if op.endswith("-c2"):
+        layouts = [TwoDotFiveD(layouts[0], 2)]
+    elif op in ("posv", "potri-remap"):
+        layouts.append(data.draw(owner_tables(N)))
+    build, compile_direct = OPERATIONS[op.split("-")[0]]
+    cg = compile_direct(N, 32, *layouts)
+    cg._structure_hash = structure_hash(cg)
+    cg.consumers_csr()
+    P = max(d.num_nodes for d in layouts)
+    node = np.random.default_rng(seed).integers(0, P, cg.n_tasks).astype(np.int32)
+    moved = cg.reassigned(node)
+    assert moved._structure_hash is None and moved._plan is None
+    assert moved._cons_csr is cg._cons_csr
+    for graph in (cg, compile_graph(build(N, 32, *layouts)), moved):
+        assert_plan_is_the_walk(graph, chunk)
+
+
+@pytest.mark.parametrize("chunk", PLAN_CHUNKS)
+@pytest.mark.parametrize("case", ["duplicate-reads", "sinks", "two-matrices"])
+def test_comm_plan_is_the_walk_on_hand_built_graphs(case, chunk):
+    """Duplicate reads, rows chained inside a block, versions read
+    iterations later and off their node, an initial tile fetched remotely,
+    a second matrix and a REMAP: still the slow obvious plan."""
+    if case == "duplicate-reads":
+        graphs = [compile_graph(duplicate_reads_graph(5))]
+    else:
+        describe, sized = {
+            "sinks": (TestSinksAgree._describe, {}),
+            "two-matrices": (TestSinksAgree._describe_two_matrices, {"width": 4}),
+        }[case]
+        bld, sink = GraphBuilder.sized(6, 16, **sized), ColumnSink(6, 16, **sized)
+        describe(bld)
+        describe(sink)
+        graphs = [sink.finish(), compile_graph(bld.graph)]
+    for cg in graphs:
+        assert_plan_is_the_walk(cg, chunk)
