@@ -6,12 +6,12 @@ Five passes, one findings model, one CLI (``python -m repro.analyze``):
   schedule (topological order, single-writer, owner-computes, link
   capacity, SBC symmetry, Theorem 1 bounds) with vectorized numpy
   sweeps that scale to the paper's largest compiled graphs;
-* :mod:`repro.analyze.races` — vector-clock happens-before analysis of
-  recorded ``repro.obs`` traces: data races, missing/misordered
-  deliveries, stale retransmits, run-to-run determinism;
-* :mod:`repro.analyze.lint` — AST rules over the repository itself
-  (no unseeded randomness, no wall-clock in the simulator, TaskEvent
-  coverage of every runtime, engine-equality test coverage);
+* :mod:`repro.analyze.races` — checks every read and send of a recorded
+  ``repro.obs`` trace against when its version became available on that
+  node: early and missing deliveries, misordered deliveries, stale
+  retransmits, run-to-run determinism;
+* :mod:`repro.analyze.lint` — AST rules over the repository source
+  (no unseeded randomness, no wall-clock in the simulator);
 * :mod:`repro.analyze.flow` — one more rule over the repository
   source, run with the lint pass: blocking calls reachable on the event
   loop, directly or through same-module helpers (FLOW-BLOCK);

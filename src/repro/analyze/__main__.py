@@ -6,8 +6,8 @@ Modes (combinable; ``--all`` turns everything on):
   POSV, POTRI × SBC / 2DBC / 2.5D / remap variants) and run the full
   schedule verifier on each, including SBC symmetry and the Theorem 1
   volume bound where the distribution is an SBC;
-* ``--lint`` — AST invariant rules over ``src/`` + ``tests/``, plus
-  FLOW-BLOCK (blocking calls on the event loop) over ``src/``;
+* ``--lint`` — AST invariant rules, plus FLOW-BLOCK (blocking calls on
+  the event loop), over ``src/``;
 * ``--mc`` — every scheduler policy's plan is checked on the
   small-scope graph matrix and its ready queue driven through every
   short push / pop sequence the engines could issue (MC-*);
@@ -162,7 +162,7 @@ def run_races(paths: list[str], spec: str, quiet: bool = False,
 def run_lint(root: Path, quiet: bool = False) -> Report:
     """The ANA-* invariants, then FLOW-BLOCK on every file under src/."""
     src = root / "src"
-    rep = lint_sources(src, tests_root=root / "tests")
+    rep = lint_sources(src)
     files = sorted(src.rglob("*.py"))
     for path in files:
         flow_module(path.read_text(encoding="utf-8"),
@@ -199,8 +199,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--graphs", action="store_true",
                     help="verify every shipped graph builder")
     ap.add_argument("--lint", action="store_true",
-                    help="AST invariant rules over src/ and tests/, plus "
-                         "FLOW-BLOCK over src/")
+                    help="AST invariant rules plus FLOW-BLOCK over src/")
     ap.add_argument("--mc", action="store_true",
                     help="model-check every scheduler policy (MC-*)")
     ap.add_argument("--races", nargs="*", metavar="TRACE", default=None,
@@ -249,7 +248,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         rep.extend(run_mc(quiet=args.quiet))
     if do_races:
         if not args.quiet:
-            print("[races] happens-before analysis")
+            print("[races] availability analysis")
         rep.extend(run_races(args.races or [], args.trace_graph,
                              quiet=args.quiet, base=base))
     if do_lint:

@@ -13,14 +13,7 @@ checked by walking Python ASTs (no imports, no execution):
   ``time.perf_counter``, ``time.monotonic``, ``datetime.now``) inside
   ``runtime/simulator/``: the simulator owns its clock, and a wall-clock
   read there silently breaks bit-exact engine equality;
-* ``ANA-OBS`` — every runtime path that completes tasks must emit
-  :class:`~repro.obs.events.TaskEvent`\\ s: the modules listed in
-  :data:`TASK_COMPLETION_MODULES` must contain at least one
-  ``record_task`` call;
-* ``ANA-EQTEST`` — engine-equality coverage: every ``simulate_*``
-  entry point defined under ``src/`` must be referenced somewhere under
-  ``tests/``, so a new engine cannot ship without an equality/behaviour
-  test naming it.
+* ``ANA-PARSE`` — every source file parses.
 
 Run via ``python -m repro.analyze --lint`` (or ``--all``); wired into
 CI as a blocking step.
@@ -35,7 +28,7 @@ from typing import Optional
 
 from .findings import Report, Severity
 
-__all__ = ["lint_repo", "lint_sources", "TASK_COMPLETION_MODULES"]
+__all__ = ["lint_repo", "lint_sources"]
 
 #: Module-level ``random`` functions that use the hidden global RNG.
 _RANDOM_GLOBAL_FNS = {
@@ -58,17 +51,6 @@ _CLOCK_CALLS = {
     ("time", "time_ns"), ("time", "perf_counter_ns"),
     ("datetime", "now"), ("datetime", "utcnow"),
 }
-
-#: Runtime modules (relative to the source root) that complete tasks and
-#: must therefore emit TaskEvents through a ``record_task`` call.  The
-#: out-of-core engine is deliberately absent: it traces IO/cache events
-#: (its unit of progress is a tile movement, not a task).
-TASK_COMPLETION_MODULES = (
-    "repro/runtime/simulator/engine.py",
-    "repro/runtime/simulator/fast_engine.py",
-    "repro/runtime/local.py",
-    "repro/runtime/distributed/executor.py",
-)
 
 #: Directories whose files may use unseeded randomness (fixtures).
 _RAND_EXEMPT_PARTS = ("tests", "benchmarks", "examples", "conftest")
@@ -94,21 +76,9 @@ class _FileLint(ast.NodeVisitor):
         self.in_simulator = in_simulator
         self.rand_exempt = rand_exempt
         self.hits: list[tuple[str, int, str, str]] = []
-        self.record_task_calls = 0
-        self.simulate_defs: list[tuple[str, int]] = []
 
     def _hit(self, rule: str, lineno: int, message: str, hint: str) -> None:
         self.hits.append((rule, lineno, message, hint))
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if node.name.startswith("simulate_"):
-            self.simulate_defs.append((node.name, node.lineno))
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        if node.name.startswith("simulate_"):
-            self.simulate_defs.append((node.name, node.lineno))
-        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
@@ -117,9 +87,6 @@ class _FileLint(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_call(self, dotted: tuple[str, ...], node: ast.Call) -> None:
-        if dotted[-1] == "record_task":
-            self.record_task_calls += 1
-
         if not self.rand_exempt:
             # random.<global fn>(...)
             if len(dotted) == 2 and dotted[0] == "random" \
@@ -166,15 +133,10 @@ def _iter_sources(src_root: Path) -> Iterable[Path]:
     return sorted(src_root.rglob("*.py"))
 
 
-def lint_sources(src_root: Path, tests_root: Optional[Path] = None) -> Report:
-    """Lint every Python file under ``src_root``.
-
-    ``tests_root`` enables the ANA-EQTEST rule (simulate_* entry points
-    must be referenced by at least one test file).
-    """
+def lint_sources(src_root: Path) -> Report:
+    """Lint every Python file under ``src_root``."""
     rep = Report()
     src_root = Path(src_root)
-    simulate_defs: list[tuple[str, str, int]] = []
     files = list(_iter_sources(src_root))
     rep.note_pass("lint", len(files))
     for path in files:
@@ -192,54 +154,9 @@ def lint_sources(src_root: Path, tests_root: Optional[Path] = None) -> Report:
         visitor.visit(tree)
         for rule, lineno, message, hint in visitor.hits:
             rep.add(rule, Severity.ERROR, message, f"{rel}:{lineno}", hint)
-        if rel in TASK_COMPLETION_MODULES and not visitor.record_task_calls:
-            rep.add(
-                "ANA-OBS", Severity.ERROR,
-                "runtime module completes tasks but never calls "
-                "record_task: executions would be invisible to repro.obs",
-                f"{rel}:1",
-                "emit a TaskEvent wherever a task finishes (see "
-                "docs/observability.md)",
-            )
-        for fn_name, lineno in visitor.simulate_defs:
-            simulate_defs.append((fn_name, rel, lineno))
-
-    missing_modules = [
-        m for m in TASK_COMPLETION_MODULES if not (src_root / m).exists()
-    ]
-    for m in missing_modules:
-        rep.add(
-            "ANA-OBS", Severity.WARNING,
-            "configured task-completion module does not exist "
-            "(update TASK_COMPLETION_MODULES after moving runtimes)",
-            f"{m}:1",
-        )
-
-    if tests_root is not None:
-        tests_root = Path(tests_root)
-        corpus = ""
-        if tests_root.is_dir():
-            corpus = "\n".join(
-                p.read_text() for p in sorted(tests_root.rglob("*.py"))
-            )
-        seen: set[str] = set()
-        for fn_name, rel, lineno in simulate_defs:
-            if fn_name in seen:
-                continue
-            seen.add(fn_name)
-            if fn_name not in corpus:
-                rep.add(
-                    "ANA-EQTEST", Severity.ERROR,
-                    f"engine entry point {fn_name} has no test referencing "
-                    "it",
-                    f"{rel}:{lineno}",
-                    "new simulate_* paths need an engine-equality test "
-                    "(see tests/test_compiled_engine.py)",
-                )
     return rep
 
 
 def lint_repo(root: Path) -> Report:
-    """Lint the repository layout used by this project (src/ + tests/)."""
-    root = Path(root)
-    return lint_sources(root / "src", tests_root=root / "tests")
+    """Lint the ``src/`` tree of the repository at ``root``."""
+    return lint_sources(Path(root) / "src")

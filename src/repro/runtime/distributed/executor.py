@@ -140,13 +140,15 @@ def _worker(
         base = trace_base if trace_base is not None else time.monotonic()
 
         # In-flight sends awaiting an ack: msg id -> [dst, key, arr,
-        # attempt, retransmit deadline].  Ids are strided by the node
-        # count so they are globally unique without coordination.
+        # attempt, retransmit deadline, first send time].  Ids are strided
+        # by the node count so they are globally unique without
+        # coordination.
         pending: dict[int, list] = {}
         next_msg = node
         seen_msgs = set()  # retransmitted duplicates are acked, not re-stored
 
-        def transmit(msg_id: int, dst: int, key: DataKey, arr, attempt: int) -> None:
+        def transmit(msg_id: int, dst: int, key: DataKey, arr, attempt: int,
+                     sent: float) -> None:
             if loss is not None and loss.lost(node, dst):
                 # Injected sender-side loss: the message evaporates; the
                 # ack timeout below retransmits it.
@@ -154,9 +156,9 @@ def _worker(
                     events.append(("fault", "loss", node, dst, key,
                                    time.monotonic() - base, ""))
             else:
-                outboxes[dst].put(("data", msg_id, node, key, arr))
+                outboxes[dst].put(("data", msg_id, node, key, arr, sent))
             pending[msg_id] = [dst, key, arr, attempt,
-                               time.monotonic() + retry.delay(attempt)]
+                               time.monotonic() + retry.delay(attempt), sent]
 
         def publish(key: DataKey, arr: np.ndarray) -> None:
             nonlocal sent_bytes, sent_messages, next_msg
@@ -166,19 +168,19 @@ def _worker(
                 next_msg += num_nodes
                 sent_bytes += arr.nbytes
                 sent_messages += 1
-                if events is not None:
-                    events.append(("xfer", key, node, dst, arr.nbytes,
-                                   time.monotonic() - base))
-                transmit(msg_id, dst, key, arr, 0)
+                transmit(msg_id, dst, key, arr, 0, time.monotonic() - base)
 
         def handle(msg) -> None:
             tag = msg[0]
             if tag == "data":
-                _tag, msg_id, src, key, arr = msg
+                _tag, msg_id, src, key, arr, sent = msg
                 outboxes[src].put(("ack", msg_id))
                 if msg_id not in seen_msgs:
                     seen_msgs.add(msg_id)
                     store[key] = arr
+                    if events is not None:
+                        events.append(("xfer", key, src, node, arr.nbytes,
+                                       sent, time.monotonic() - base))
             elif tag == "ack":
                 pending.pop(msg[1], None)
             elif tag == "stop":
@@ -187,7 +189,8 @@ def _worker(
         def retransmit_due() -> None:
             nonlocal retransmits
             t = time.monotonic()
-            for msg_id, (dst, key, arr, attempt, deadline) in list(pending.items()):
+            for msg_id, (dst, key, arr, attempt, deadline, sent) in list(
+                    pending.items()):
                 if t >= deadline:
                     attempt += 1
                     if attempt > retry.max_retries:
@@ -201,7 +204,7 @@ def _worker(
                                        time.monotonic() - base,
                                        f"attempt {attempt}"))
                     del pending[msg_id]
-                    transmit(msg_id, dst, key, arr, attempt)
+                    transmit(msg_id, dst, key, arr, attempt, sent)
 
         def pump(block: bool) -> bool:
             """Handle one inbound message; retransmit overdue sends."""
@@ -283,7 +286,9 @@ def _event_time(item) -> float:
     e = item[1]
     if e[0] == "task":
         return e[4]  # completion time
-    return e[5]  # "xfer" and "fault" both carry their timestamp at [5]
+    if e[0] == "xfer":
+        return e[6]  # receipt time
+    return e[5]
 
 
 def _merge_events(rec: Recorder, all_events: list) -> None:
@@ -293,8 +298,8 @@ def _merge_events(rec: Recorder, all_events: list) -> None:
             _tag, tid, kind, start, end, flops = e
             rec.record_task(tid, kind, node, start, start, end, flops)
         elif e[0] == "xfer":
-            _tag, key, src, dst, nbytes, t = e
-            rec.record_transfer(key, src, dst, nbytes, t, t, t)
+            _tag, key, src, dst, nbytes, sent, delivered = e
+            rec.record_transfer(key, src, dst, nbytes, sent, sent, delivered)
         else:
             _tag, op, src, dst, key, t, detail = e
             rec.record_fault(op, time=t, src=src, dst=dst, key=key,
@@ -313,11 +318,12 @@ def execute_distributed(
     """Run ``graph`` across one OS process per node; gather final tiles.
 
     Pass a :class:`repro.obs.Recorder` to collect wall-clock task events
-    and per-send transfer events from every worker process (merged into
-    the recorder when the run completes — or whatever was gathered before
-    a failure; for sends, the recorded ``submitted == started ==
-    delivered`` timestamp is the moment the message entered the
-    destination's queue).
+    and per-message transfer events from every worker process (merged
+    into the recorder when the run completes — or whatever was gathered
+    before a failure).  A transfer is recorded by its receiver at first
+    receipt: ``submitted == started`` is the sender's first send time and
+    ``delivered`` the receipt time, so a message lost and retransmitted
+    is delivered late, not at its send.
 
     ``faults`` injects a :class:`repro.runtime.faults.FaultPlan`:
     slowdown windows stretch kernels with post-kernel sleeps, ``loss_rate``
