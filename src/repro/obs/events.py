@@ -28,6 +28,7 @@ method is a no-op, so instrumented code can either branch on
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -198,13 +199,7 @@ class Recorder:
         end: float,
         flops: float = 0.0,
     ) -> None:
-        self.task_events.append(
-            TaskEvent(task_id, kind, node, ready, start, end, flops)
-        )
-        tasks, seconds, wait = self._task_metrics
-        tasks.inc(labels=(kind,))
-        seconds.inc(end - start, labels=(kind,))
-        wait.observe(start - ready)
+        self.record_tasks(((task_id, kind, node, ready, start, end, flops),))
 
     def record_transfer(
         self,
@@ -216,13 +211,43 @@ class Recorder:
         started: float,
         delivered: float,
     ) -> None:
-        self.transfer_events.append(
-            TransferEvent(key, src, dst, nbytes, submitted, started, delivered)
-        )
+        self.record_transfers(((key, src, dst, nbytes, submitted, started, delivered),))
+
+    # The bulk forms equal one ``record_*`` per row: events and every metric
+    # sum in row order (float sums are order-sensitive).
+
+    def record_tasks(self, rows: Sequence[tuple]) -> None:
+        """Record one :class:`TaskEvent` per ``(task_id, kind, node, ready,
+        start, end, flops)`` row."""
+        if not rows:
+            return
+        self.task_events.extend(TaskEvent(*row) for row in rows)
+        tasks, seconds, wait = self._task_metrics
+        count, busy = tasks.values, seconds.values
+        for _tid, kind, _node, _ready, start, end, _flops in rows:
+            key = (kind,)
+            count[key] = count.get(key, 0.0) + 1.0
+            dur = end - start
+            if dur < 0:
+                raise ValueError(f"counter task.seconds cannot decrease (got {dur})")
+            busy[key] = busy.get(key, 0.0) + dur
+        wait.observe_all(row[4] - row[3] for row in rows)
+
+    def record_transfers(self, rows: Sequence[tuple]) -> None:
+        """Record one :class:`TransferEvent` per ``(key, src, dst, nbytes,
+        submitted, started, delivered)`` row."""
+        if not rows:
+            return
+        self.transfer_events.extend(TransferEvent(*row) for row in rows)
         nbytes_c, messages, queued = self._transfer_metrics
-        nbytes_c.inc(nbytes, labels=(src, dst))
-        messages.inc(labels=(src, dst))
-        queued.observe(started - submitted)
+        volume, count = nbytes_c.values, messages.values
+        for _key, src, dst, nbytes, _submitted, _started, _delivered in rows:
+            if nbytes < 0:
+                raise ValueError(f"counter net.bytes cannot decrease (got {nbytes})")
+            pair = (src, dst)
+            volume[pair] = volume.get(pair, 0.0) + nbytes
+            count[pair] = count.get(pair, 0.0) + 1.0
+        queued.observe_all(row[5] - row[4] for row in rows)
 
     def record_io(self, op: str, key: object, nbytes: int, time: float) -> None:
         if op not in ("load", "store"):
@@ -314,10 +339,10 @@ class NullRecorder(Recorder):
 
     enabled = False
 
-    def record_task(self, *args, **kwargs) -> None:  # noqa: D102
+    def record_tasks(self, rows: Sequence[tuple]) -> None:  # noqa: D102
         pass
 
-    def record_transfer(self, *args, **kwargs) -> None:  # noqa: D102
+    def record_transfers(self, rows: Sequence[tuple]) -> None:  # noqa: D102
         pass
 
     def record_io(self, *args, **kwargs) -> None:  # noqa: D102

@@ -102,15 +102,21 @@ class Histogram:
         self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        self.counts[self._slot(value)] += 1
-        self.count += 1
-        self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        self.observe_all((value,))
 
-    def _slot(self, value: float) -> int:
-        # First bucket boundary >= value; the overflow slot past the end.
-        return bisect_left(self.buckets, value)
+    def observe_all(self, values: Iterable[float]) -> None:
+        """``observe`` each value in order (the sum is accumulated in that
+        order, so it equals the one-at-a-time sum bit for bit)."""
+        counts, buckets = self.counts, self.buckets
+        count, total, lo, hi = self.count, self.sum, self.min, self.max
+        for value in values:
+            # First bucket boundary >= value; the overflow slot past the end.
+            counts[bisect_left(buckets, value)] += 1
+            count += 1
+            total += value
+            lo = value if value < lo else lo
+            hi = value if value > hi else hi
+        self.count, self.sum, self.min, self.max = count, total, lo, hi
 
     @property
     def mean(self) -> float:

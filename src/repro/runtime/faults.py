@@ -69,18 +69,16 @@ class SimulatedFailure(RuntimeError):
 
 
 _M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix(*ints: int) -> float:
-    """Deterministic splitmix64-style hash of integers onto [0, 1)."""
-    x = 0x9E3779B97F4A7C15
-    for v in ints:
-        x = (x ^ ((v + 0x9E3779B97F4A7C15) & _M64)) & _M64
-        x = (x * 0xBF58476D1CE4E5B9) & _M64
-        x ^= x >> 31
-        x = (x * 0x94D049BB133111EB) & _M64
-        x ^= x >> 27
-    return x / 2.0 ** 64
+def _fold(x: int, v: int) -> int:
+    """One splitmix64-style round folding the integer ``v`` into state ``x``."""
+    x = (x ^ ((v + _GOLDEN) & _M64)) & _M64
+    x = (x * 0xBF58476D1CE4E5B9) & _M64
+    x ^= x >> 31
+    x = (x * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 27)
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,16 @@ class RetryPolicy:
 
 class LossState:
     """Per-run mutable loss counters; see the module docstring for why
-    decisions hash (seed, src, dst, attempt-index) and nothing else."""
+    decisions hash (seed, src, dst, attempt-index) and nothing else; the
+    state after (seed, src, dst) is folded once per pair."""
 
-    __slots__ = ("_seed", "_rate", "_counts")
+    __slots__ = ("_seed", "_rate", "_counts", "_states")
 
     def __init__(self, seed: int, rate: float):
         self._seed = seed
         self._rate = rate
         self._counts: dict[tuple[int, int], int] = {}
+        self._states: dict[tuple[int, int], int] = {}
 
     def lost(self, src: int, dst: int) -> bool:
         """Decide the fate of the next delivery attempt on (src, dst)."""
@@ -180,7 +180,10 @@ class LossState:
         self._counts[key] = n + 1
         if self._rate <= 0.0:
             return False
-        return _mix(self._seed, src, dst, n) < self._rate
+        x = self._states.get(key)
+        if x is None:
+            x = self._states[key] = _fold(_fold(_fold(_GOLDEN, self._seed), src), dst)
+        return _fold(x, n) / 2.0 ** 64 < self._rate
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from .engine import simulate
 from .fast_engine import simulate_compiled
 from .harness import SimReport
-from .network import Chunk, NetworkSim, Transfer
+from .network import NetworkSim, Transfer
 from .analysis import (
     CriticalPathBreakdown,
     critical_path_breakdown,
@@ -17,7 +17,6 @@ __all__ = [
     "SimReport",
     "NetworkSim",
     "Transfer",
-    "Chunk",
     "CriticalPathBreakdown",
     "critical_path_breakdown",
     "iteration_profile",

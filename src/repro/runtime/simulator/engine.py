@@ -248,13 +248,13 @@ def simulate(
             if missing[tid] == 0:
                 enqueue_ready(tasks[tid], time)
 
-    def launch(chunk) -> None:
-        tr = chunk.transfer
+    def launch(quantum) -> None:
+        tr, egress_done, delivery, final = quantum
         if trace and (tr.key, tr.dst) not in first_chunk_start:
-            first_chunk_start[(tr.key, tr.dst)] = chunk.egress_done
-        push_event(chunk.egress_done, "sent", chunk)
-        if chunk.final:
-            push_event(chunk.delivery, "xfer", tr)
+            first_chunk_start[(tr.key, tr.dst)] = egress_done
+        push_event(egress_done, "sent", tr)
+        if final:
+            push_event(delivery, "xfer", tr)
 
     # Forwarding plans for tree broadcasts: (key, node) -> the
     # (child node, priority) edges the node relays on delivery.
@@ -324,7 +324,7 @@ def simulate(
                 iter_remaining[iter_pos[task.iteration]] -= 1
                 release_iterations(now)
         elif kind == "sent":  # source egress channel freed
-            nxt = net.egress_freed(payload.transfer.src, now)
+            nxt = net.egress_freed(payload.src, now)
             if nxt is not None:
                 launch(nxt)
         elif kind == "retry":  # retransmission of a lost message
@@ -342,6 +342,8 @@ def simulate(
                 # sender retransmits after the plan's timeout (the lost
                 # bytes stayed on the wire and remain counted).
                 if trace:
+                    # the retransmission is a message of its own
+                    first_chunk_start.pop((tr.key, tr.dst), None)
                     rec.record_fault(
                         "loss", time=tr.end, src=tr.src, dst=tr.dst,
                         key=tr.key,

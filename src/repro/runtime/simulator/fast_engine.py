@@ -332,7 +332,13 @@ def _numpy_loop(run: _Run) -> SimReport:
     seq = 0
     now = 0.0
 
+    # A traced run appends plain event rows and keeps each node's peak
+    # queue depth; the recorder gets them once, after the loop.
     ready_time = [0.0] * n_tasks if trace else None
+    task_rows: list[tuple] = []
+    transfer_rows: list[tuple] = []
+    qmax = [0] * num_nodes
+    flops_l = cg.flops.tolist() if trace else []
     first_chunk_start: dict[tuple[int, int], float] = {}
     data_keys = cg.data_keys
     kind_names = cg.kind_names
@@ -348,8 +354,8 @@ def _numpy_loop(run: _Run) -> SimReport:
             busy_acc[n] += dur
             tbk_acc[kind_l[t]] += dur
         if trace:
-            rec.record_task(t, kind_names[kind_l[t]], n,
-                            ready_time[t], time, time + dur, cg.flops[t])
+            task_rows.append((t, kind_names[kind_l[t]], n, ready_time[t],
+                              time, time + dur, flops_l[t]))
         seq += 1
         heappush(events, (time + dur, seq, 0, t))
 
@@ -380,20 +386,19 @@ def _numpy_loop(run: _Run) -> SimReport:
                 b.append(t)
         if trace and not parked:
             qlen[n] += 1
-            rec.metrics.gauge(
-                "queue.depth.max", "peak ready-queue depth per node"
-            ).set_max(qlen[n], labels=(n,))
+            if qlen[n] > qmax[n]:
+                qmax[n] = qlen[n]
 
-    def launch(chunk) -> None:
+    def launch(quantum) -> None:
         nonlocal seq
-        tr = chunk.transfer
+        tr, egress_done, delivery, final = quantum
         if trace and (tr.key, tr.dst) not in first_chunk_start:
-            first_chunk_start[(tr.key, tr.dst)] = chunk.egress_done
+            first_chunk_start[(tr.key, tr.dst)] = egress_done
         seq += 1
-        heappush(events, (chunk.egress_done, seq, 1, tr.src))
-        if chunk.final:
+        heappush(events, (egress_done, seq, 1, tr.src))
+        if final:
             seq += 1
-            heappush(events, (chunk.delivery, seq, 2, tr))
+            heappush(events, (delivery, seq, 2, tr))
 
     def _send(d: int, src: int, dst: int, prio: float, time: float) -> None:
         started = net.submit(
@@ -519,6 +524,8 @@ def _numpy_loop(run: _Run) -> SimReport:
                         # Transient loss: the message evaporates in flight;
                         # the sender retransmits after the plan's timeout.
                         if trace:
+                            # the retransmission is a message of its own
+                            first_chunk_start.pop((tr.key, tr.dst), None)
                             rec.record_fault(
                                 "loss", time=tr.end, src=tr.src, dst=tr.dst,
                                 key=key_of(tr),
@@ -530,17 +537,12 @@ def _numpy_loop(run: _Run) -> SimReport:
                                  (tr.end + faults.retransmit_timeout, seq, 3, tr))
                         continue
                     if trace:
-                        rec.record_transfer(
-                            key=key_of(tr),
-                            src=tr.src,
-                            dst=tr.dst,
-                            nbytes=tr.nbytes,
-                            submitted=tr.submitted,
-                            started=first_chunk_start.get(
-                                (tr.key, tr.dst), tr.submitted
-                            ),
-                            delivered=tr.end,
-                        )
+                        transfer_rows.append((
+                            key_of(tr), tr.src, tr.dst, tr.nbytes,
+                            tr.submitted,
+                            first_chunk_start.get((tr.key, tr.dst),
+                                                  tr.submitted),
+                            tr.end))
                     dst = tr.dst
                     end = tr.end
                     for d in tr.keys:
@@ -682,6 +684,14 @@ def _numpy_loop(run: _Run) -> SimReport:
     finally:
         if gc_was_enabled:
             gc.enable()
+        if trace:  # before a crash is reported, or when the loop raised
+            rec.record_tasks(task_rows)
+            rec.record_transfers(transfer_rows)
+            for n, depth in enumerate(qmax):
+                if depth:
+                    rec.metrics.gauge(
+                        "queue.depth.max", "peak ready-queue depth per node"
+                    ).set_max(depth, labels=(n,))
 
     if cqueue is not None:
         queued = cqueue.total()

@@ -29,6 +29,10 @@ on the destination ingress as before.  On a uniform single-hop topology
 the walk degenerates to exactly the arithmetic above — the engines'
 bit-equality pin for default (clique) runs.
 
+A served quantum is the plain tuple ``(transfer, egress_done, delivery,
+final)``: when the source's egress channel frees, when the quantum lands
+at the destination, and whether it completes the message.
+
 Oracle and core share everything here: the server (:class:`NetworkSim`),
 the binomial-tree broadcast plan (:func:`binomial_tree`) and the copy a
 lost message is retransmitted as (:meth:`Transfer.retransmission`).
@@ -39,11 +43,11 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from heapq import heappop, heappush
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ...config import NetworkSpec
 
-__all__ = ["NetworkSim", "Transfer", "Chunk", "binomial_tree"]
+__all__ = ["NetworkSim", "Transfer", "binomial_tree"]
 
 #: Default service quantum: a quarter of the paper's 2 MB tiles.
 DEFAULT_QUANTUM = 512 * 1024
@@ -77,15 +81,6 @@ class Transfer:
                          self.priority)
         fresh.keys = list(self.keys)
         return fresh
-
-
-class Chunk(NamedTuple):
-    """One served quantum of a transfer."""
-
-    transfer: Transfer
-    egress_done: float  # when the source's egress channel frees
-    delivery: float  # when this quantum lands at the destination
-    final: bool  # True when this quantum completes the message
 
 
 def binomial_tree(dsts, prios):
@@ -130,7 +125,7 @@ class NetworkSim:
         self.spec = spec
         self.num_nodes = num_nodes
         self.quantum = quantum
-        # Hot-path aliases: _serve runs once per quantum (millions of times
+        # Hot-path aliases: egress_freed runs once per quantum (millions of times
         # at paper scale); avoid the dataclass attribute chain.
         self._bandwidth = spec.bandwidth
         self._latency = spec.latency
@@ -152,7 +147,7 @@ class NetworkSim:
             self._switch_free = None
         #: Fault-injection hook (repro.runtime.faults): multiplies the wire
         #: time of each quantum served on (src, dst) at a given time.  The
-        #: core's lean loop transcribes _serve inline and does NOT apply
+        #: core's lean loop transcribes egress_freed inline and does NOT apply
         #: it — fault runs take its general loop, which serves every
         #: quantum through this class.
         self._wire_factor = wire_factor
@@ -168,9 +163,9 @@ class NetworkSim:
         # Aggregation index: per source, the queued-but-unstarted transfer
         # headed to each destination (at most one exists — a second submit
         # to the same destination piggy-backs instead of queueing).  Entries
-        # go stale once _serve starts the transfer; submit validates lazily,
-        # so _serve stays untouched (the compiled engine's lean loop inlines
-        # it).
+        # go stale once egress_freed starts the transfer; submit validates
+        # lazily, so egress_freed stays untouched (the compiled engine's
+        # lean loop inlines it).
         self._unstarted: list[dict] = [{} for _ in range(num_nodes)]
         self._seq = 0
         self.total_bytes = 0
@@ -182,8 +177,8 @@ class NetworkSim:
         heappush(self._queues[transfer.src],
                  (-transfer.priority, self._seq, transfer))
 
-    def submit(self, transfer: Transfer, now: float) -> Optional[Chunk]:
-        """Queue a transfer; returns its first chunk if the port is idle."""
+    def submit(self, transfer: Transfer, now: float) -> Optional[tuple]:
+        """Queue a transfer; returns its first quantum if the port is idle."""
         if not 0 <= transfer.src < self.num_nodes:
             raise ValueError(f"bad source node {transfer.src}")
         if not 0 <= transfer.dst < self.num_nodes:
@@ -197,7 +192,7 @@ class NetworkSim:
             # destination instead of paying another per-message latency.
             # O(1): the _unstarted index replaces a scan of the whole heap
             # (quadratic under broadcast bursts); a stale entry just means
-            # _serve started that message since, so a fresh one is queued.
+            # egress_freed started that message since, so a fresh one is queued.
             pending = self._unstarted[transfer.src]
             queued = pending.get(transfer.dst)
             if queued is not None and queued.started:
@@ -209,7 +204,7 @@ class NetworkSim:
                 queued.remaining += transfer.nbytes
                 if transfer.priority > queued.priority:
                     # The old heap entry keeps its stale (lower) key;
-                    # re-push at the raised priority and let _serve
+                    # re-push at the raised priority and let egress_freed
                     # skip the stale entry when it surfaces.
                     queued.priority = transfer.priority
                     self._push(queued)
@@ -220,13 +215,11 @@ class NetworkSim:
             if self.aggregate:
                 self._unstarted[transfer.src][transfer.dst] = transfer
             return None
-        return self._serve(transfer.src, now)
+        return self.egress_freed(transfer.src, now)
 
-    def egress_freed(self, src: int, now: float) -> Optional[Chunk]:
-        """A quantum finished pushing; serve the next pending one."""
-        return self._serve(src, now)
-
-    def _serve(self, src: int, now: float) -> Optional[Chunk]:
+    def egress_freed(self, src: int, now: float) -> Optional[tuple]:
+        """The egress port of ``src`` is free at ``now``: serve the next
+        pending quantum (``None`` when nothing is pending)."""
         queue = self._queues[src]
         while queue:
             negprio, _, tr = heappop(queue)
@@ -305,6 +298,6 @@ class NetworkSim:
             seq = self._seq + 1
             self._seq = seq
             heappush(queue, (-tr.priority, seq, tr))
-            return Chunk(tr, egress_done, delivery, False)
+            return tr, egress_done, delivery, False
         tr.end = delivery
-        return Chunk(tr, egress_done, delivery, True)
+        return tr, egress_done, delivery, True

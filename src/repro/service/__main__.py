@@ -136,7 +136,7 @@ def _add_job_flags(p: argparse.ArgumentParser) -> None:
                    help="full JobSpec JSON ('-' = stdin); overrides job flags")
 
 
-async def _serve(args: argparse.Namespace) -> int:
+async def _run_server(args: argparse.Namespace) -> int:
     store = ResultStore(args.store, max_bytes=args.max_store_bytes or None)
     server = SweepServer(store, workers=args.workers)
     svc = await serve_http(server, args.host, args.port)
@@ -186,7 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "serve":
         try:
-            return asyncio.run(_serve(args))
+            return asyncio.run(_run_server(args))
         except KeyboardInterrupt:  # pragma: no cover - interactive
             return 0
 

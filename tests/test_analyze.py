@@ -44,7 +44,7 @@ from repro.runtime.execution import InitialDataSpec
 from repro.runtime.faults import FaultPlan
 from repro.runtime.local import execute_graph
 from repro.runtime.simulator import simulate, simulate_compiled
-from repro.runtime.simulator.network import Chunk, NetworkSim
+from repro.runtime.simulator.network import NetworkSim
 from repro.tiles.layout import TileGrid
 
 from .strategies import fault_plans
@@ -391,7 +391,7 @@ def test_validate_graph_uses_schedule_verifier(baseline, monkeypatch):
 class _PreFixNetworkSim(NetworkSim):
     """The pre-fix behavior: an aggregation piggy-back that raises a queued
     transfer's priority mutates it in place, leaving the heap entry's
-    sort key stale; _serve trusts whatever surfaces first."""
+    sort key stale; egress_freed trusts whatever surfaces first."""
 
     def submit(self, transfer, now):
         if self.aggregate and self._egress_busy[transfer.src]:
@@ -407,7 +407,7 @@ class _PreFixNetworkSim(NetworkSim):
                     return None
         return NetworkSim.submit(self, transfer, now)
 
-    def _serve(self, src, now):
+    def egress_freed(self, src, now):
         queue = self._queues[src]
         if not queue:
             self._egress_busy[src] = False
@@ -428,9 +428,9 @@ class _PreFixNetworkSim(NetworkSim):
         if tr.remaining:
             self._seq += 1
             heappush(queue, (-tr.priority, self._seq, tr))
-            return Chunk(tr, egress_done, delivery, False)
+            return tr, egress_done, delivery, False
         tr.end = delivery
-        return Chunk(tr, egress_done, delivery, True)
+        return tr, egress_done, delivery, True
 
 
 def _traced_lu_run(monkeypatch, net_cls):

@@ -178,7 +178,7 @@ class TestAggregationIndex:
                 self._push(transfer)
                 if self._egress_busy[transfer.src]:
                     return None
-                return self._serve(transfer.src, now)
+                return self.egress_freed(transfer.src, now)
 
         return LegacyScanNet
 
@@ -209,8 +209,10 @@ class TestAggregationIndex:
         net = NetworkSim(NetworkSpec(bandwidth=1e9, latency=1e-6),
                          num_nodes=3, aggregate=True, quantum=1 << 30)
         # First transfer starts immediately (port idle) — not indexed.
-        chunk = net.submit(Transfer("a", 0, 1, 100, 1.0), 0.0)
-        assert chunk is not None and chunk.transfer.started
+        quantum = net.submit(Transfer("a", 0, 1, 100, 1.0), 0.0)
+        assert quantum is not None
+        first, _egress_done, _delivery, _final = quantum
+        assert first.started
         # Queued behind it: indexed as the unstarted (0, 1) transfer.
         assert net.submit(Transfer("b", 0, 1, 100, 1.0), 0.0) is None
         # Same destination again: must piggy-back onto "b", not "a".

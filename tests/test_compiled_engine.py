@@ -66,6 +66,29 @@ def assert_reports_equal(ref, fast):
                        rel_tol=1e-9, abs_tol=1e-12)
 
 
+def assert_traces_equal(ref, fast, named):
+    """The oracle's trace is the core's: task events field for field,
+    transfer and fault events too (their ``key`` only when the compiled
+    graph is ``named``: the column sink keys data by id), and the metrics
+    document but for the ``worker.*`` gauges, which the core sums by
+    bincount (so they agree to rounding, like ``busy_time``)."""
+    a, b = ref.obs, fast.obs
+    assert b.task_events == a.task_events
+
+    def keyless(events):
+        return (events if named
+                else [dataclasses.replace(e, key=None) for e in events])
+
+    assert keyless(b.transfer_events) == keyless(a.transfer_events)
+    assert keyless(b.fault_events) == keyless(a.fault_events)
+
+    def document(rec):
+        return {name: m for name, m in rec.metrics.as_dict().items()
+                if not name.startswith("worker.")}
+
+    assert document(b) == document(a)
+
+
 DISTS = [
     SymmetricBlockCyclic(4),
     BlockCyclic2D(3, 3),
@@ -326,6 +349,10 @@ class TestFastEngineApi:
         assert rep.transfers is not None
         assert len(rep.transfers) == rep.comm_messages
         assert rep.obs is not None
+        # a plain float from both engines (never a numpy scalar)
+        ref = simulate(build_cholesky_graph(10, 32, dist), m, trace=True)
+        for events in (rep.trace, ref.trace):
+            assert {type(e.flops) for e in events} == {float}
 
     def test_custom_durations_array(self):
         """A ``durations`` array is charged verbatim — the same run as the
@@ -797,7 +824,8 @@ def test_oracle_equals_core_on_generated_inputs(
     remapped to a second layout — through both sinks of the description
     (column sink, lowered objects), on generated machines: topologies,
     per-node core counts and speeds (a migrating policy on per-node speeds
-    is what the core charged wrongly before ``SCHEMA_VERSION`` 6)."""
+    is what the core charged wrongly before ``SCHEMA_VERSION`` 6).  A traced
+    run also records the same trace and metrics on both engines."""
     layouts = [data.draw(owner_tables(N))]
     sized = {}
     if op in ("cholesky", "lu") and c > 1:
@@ -821,7 +849,10 @@ def test_oracle_equals_core_on_generated_inputs(
     m = dataclasses.replace(m, cores=cores)
     ref = simulate(g, m, **opts)
     for cg in compiled:
-        assert_reports_equal(ref, simulate_compiled(cg, m, **opts))
+        fast = simulate_compiled(cg, m, **opts)
+        assert_reports_equal(ref, fast)
+        if trace:
+            assert_traces_equal(ref, fast, named=cg.data_keys is not None)
 
 
 def _graph_state(g, cg):

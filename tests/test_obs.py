@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.comm import count_communications
@@ -145,6 +146,68 @@ class TestRecorder:
         rec.record_cache("hit", "a", 8, 1.0)
         rec.record_cache("miss", "b", 8, 2.0)
         assert rec.cache_hit_rate() == pytest.approx(0.5)
+
+
+_WAITS = st.sampled_from([0.0, 1e-6, 0.25]) | st.floats(0, 10)
+
+
+@st.composite
+def task_rows(draw):
+    ready = draw(st.floats(0, 1e3))
+    start = ready + draw(_WAITS)
+    return (draw(st.integers(0, 99)),
+            draw(st.sampled_from(["POTRF", "TRSM", "SYRK", "GEMM"])),
+            draw(st.integers(0, 3)), ready, start,
+            start + draw(st.floats(0, 10)), draw(st.floats(0, 1e9)))
+
+
+@st.composite
+def transfer_rows(draw):
+    submitted = draw(st.floats(0, 1e3))
+    started = submitted + draw(_WAITS)
+    return (draw(st.sampled_from(["a", ("A", 1, 0), 7])),
+            draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+            draw(st.integers(0, 1 << 22)), submitted, started,
+            started + draw(st.floats(0, 10)))
+
+
+def _batches(rows, held, cuts):
+    """``rows[held:]`` cut at ``cuts`` (repeats give empty batches)."""
+    edges = ([held] + sorted(min(max(c, held), len(rows)) for c in cuts)
+             + [len(rows)])
+    return [rows[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tasks=st.lists(task_rows(), max_size=30),
+       transfers=st.lists(transfer_rows(), max_size=30),
+       held=st.integers(0, 30), cuts=st.lists(st.integers(0, 30), max_size=4))
+def test_bulk_recording_is_per_row_recording(tasks, transfers, held, cuts):
+    """Rows recorded in batches (empty ones among them, the first onto a
+    recorder already holding ``held`` rows) are the events and the metrics
+    document of one ``record_task`` / ``record_transfer`` per row: every
+    sum is accumulated in row order."""
+    one, bulk = Recorder(), Recorder()
+    for rows, single, many in (
+            (tasks, "record_task", "record_tasks"),
+            (transfers, "record_transfer", "record_transfers")):
+        for row in rows:
+            getattr(one, single)(*row)
+        for row in rows[:held]:
+            getattr(bulk, single)(*row)
+        for batch in _batches(rows, min(held, len(rows)), cuts):
+            getattr(bulk, many)(batch)
+    assert bulk.task_events == one.task_events
+    assert bulk.transfer_events == one.transfer_events
+    assert (json.dumps(bulk.metrics.as_dict(), sort_keys=True)
+            == json.dumps(one.metrics.as_dict(), sort_keys=True))
+
+
+def test_an_empty_batch_registers_no_metric():
+    rec = Recorder()
+    rec.record_tasks([])
+    rec.record_transfers([])
+    assert len(rec.metrics) == 0 and rec.num_events() == 0
 
 
 class TestSimulatorIntegration:

@@ -26,91 +26,95 @@ class TestNetworkSim:
 
     def test_single_transfer_timing(self):
         net = self.net(2)
-        ch = net.submit(Transfer("k", 0, 1, 10**9, 1.0), now=0.0)
-        assert ch is not None and ch.final
-        assert ch.transfer.end == pytest.approx(1.0 + 1e-6)
+        quantum = net.submit(Transfer("k", 0, 1, 10**9, 1.0), now=0.0)
+        assert quantum is not None
+        tr, _egress_done, _delivery, final = quantum
+        assert final
+        assert tr.end == pytest.approx(1.0 + 1e-6)
 
     def test_egress_serialization(self):
         net = self.net(3)
-        c1 = net.submit(Transfer("a", 0, 1, 10**9, 1.0), now=0.0)
+        _tr, c1_done, _d, _f = net.submit(Transfer("a", 0, 1, 10**9, 1.0), now=0.0)
         c2 = net.submit(Transfer("b", 0, 2, 10**9, 1.0), now=0.0)
         assert c2 is None  # queued behind the in-flight quantum
-        nxt = net.egress_freed(0, c1.egress_done)
-        assert nxt.egress_done >= c1.egress_done
+        _tr, nxt_done, _d, _f = net.egress_freed(0, c1_done)
+        assert nxt_done >= c1_done
 
     def test_priority_order_in_queue(self):
         net = self.net(4)
-        c1 = net.submit(Transfer("a", 0, 1, 10**6, 1.0), now=0.0)
+        _tr, c1_done, _d, _f = net.submit(Transfer("a", 0, 1, 10**6, 1.0), now=0.0)
         net.submit(Transfer("low", 0, 2, 10**6, 1.0), now=0.0)
         net.submit(Transfer("high", 0, 3, 10**6, 9.0), now=0.0)
-        nxt = net.egress_freed(0, c1.egress_done)
-        assert nxt.transfer.key == "high"
+        nxt, _done, _d, _f = net.egress_freed(0, c1_done)
+        assert nxt.key == "high"
+
+    def serve_all(self, net, t):
+        """Every quantum ``net`` serves from node 0 once its port frees at
+        ``t``, in order."""
+        served = []
+        while True:
+            quantum = net.egress_freed(0, t)
+            if quantum is None:
+                return served
+            served.append(quantum)
+            t = quantum[1]
 
     def test_quantum_interleaving(self):
         """A high-priority message overtakes a bulk one between quanta."""
         net = NetworkSim(self.spec(), 3, quantum=10**6)
-        c1 = net.submit(Transfer("bulk", 0, 1, 4 * 10**6, 1.0), now=0.0)
-        assert not c1.final
+        _tr, c1_done, _d, c1_final = net.submit(
+            Transfer("bulk", 0, 1, 4 * 10**6, 1.0), now=0.0)
+        assert not c1_final
         net.submit(Transfer("urgent", 0, 2, 10**6, 9.0), now=0.0)
-        nxt = net.egress_freed(0, c1.egress_done)
-        assert nxt.transfer.key == "urgent" and nxt.final
+        nxt, nxt_done, _d, nxt_final = net.egress_freed(0, c1_done)
+        assert nxt.key == "urgent" and nxt_final
         # The bulk message finishes after its remaining three quanta.
-        rest = []
-        t = nxt.egress_done
-        while True:
-            ch = net.egress_freed(0, t)
-            if ch is None:
-                break
-            rest.append(ch)
-            t = ch.egress_done
-        assert rest[-1].final and rest[-1].transfer.key == "bulk"
+        rest = self.serve_all(net, nxt_done)
+        last, _done, _d, last_final = rest[-1]
+        assert last_final and last.key == "bulk"
         assert len(rest) == 3
 
     def test_round_robin_among_equal_priorities(self):
         """Two equal-priority messages pending together interleave quanta."""
         net = NetworkSim(self.spec(), 4, quantum=10**6)
-        c0 = net.submit(Transfer("head", 0, 3, 10**6, 1.0), now=0.0)
+        _tr, c0_done, _d, _f = net.submit(
+            Transfer("head", 0, 3, 10**6, 1.0), now=0.0)
         net.submit(Transfer("a", 0, 1, 2 * 10**6, 1.0), now=0.0)
         net.submit(Transfer("b", 0, 2, 2 * 10**6, 1.0), now=0.0)
-        order = []
-        t = c0.egress_done
-        while True:
-            ch = net.egress_freed(0, t)
-            if ch is None:
-                break
-            order.append(ch.transfer.key)
-            t = ch.egress_done
+        order = [tr.key for tr, _done, _d, _f in self.serve_all(net, c0_done)]
         assert order == ["a", "b", "a", "b"]
 
     def test_ingress_contention_delays_delivery_not_sender(self):
         net = self.net(3)
-        c1 = net.submit(Transfer("a", 0, 2, 10**9, 1.0), now=0.0)
-        c2 = net.submit(Transfer("b", 1, 2, 10**9, 1.0), now=0.0)
+        _tr, c1_done, c1_delivery, _f = net.submit(
+            Transfer("a", 0, 2, 10**9, 1.0), now=0.0)
+        _tr, c2_done, c2_delivery, _f = net.submit(
+            Transfer("b", 1, 2, 10**9, 1.0), now=0.0)
         # Both senders push immediately (disjoint egress ports)...
-        assert c1.egress_done == c2.egress_done
+        assert c1_done == c2_done
         # ...but the shared ingress port serializes the deliveries.
-        assert c2.delivery >= c1.delivery + 1.0 - 1e-9
+        assert c2_delivery >= c1_delivery + 1.0 - 1e-9
 
     def test_idle_ingress_delivers_at_wire_speed(self):
         net = self.net(2)
-        c1 = net.submit(Transfer("a", 0, 1, 10**9, 1.0), now=0.0)
-        assert c1.delivery == c1.egress_done
+        _tr, c1_done, c1_delivery, _f = net.submit(
+            Transfer("a", 0, 1, 10**9, 1.0), now=0.0)
+        assert c1_delivery == c1_done
 
     def test_disjoint_pairs_parallel(self):
         net = self.net(4)
-        c1 = net.submit(Transfer("a", 0, 1, 10**9, 1.0), now=0.0)
-        c2 = net.submit(Transfer("b", 2, 3, 10**9, 1.0), now=0.0)
-        assert c1.egress_done == c2.egress_done
+        _tr, c1_done, _d, _f = net.submit(Transfer("a", 0, 1, 10**9, 1.0), now=0.0)
+        _tr, c2_done, _d, _f = net.submit(Transfer("b", 2, 3, 10**9, 1.0), now=0.0)
+        assert c1_done == c2_done
 
     def test_latency_charged_once_per_message(self):
         spec = NetworkSpec(bandwidth=1e9, latency=0.5)
         net = NetworkSim(spec, 2, quantum=10**6)
-        ch = net.submit(Transfer("a", 0, 1, 2 * 10**6, 1.0), now=0.0)
-        t = ch.egress_done
+        _tr, t, _d, _f = net.submit(Transfer("a", 0, 1, 2 * 10**6, 1.0), now=0.0)
         assert t == pytest.approx(0.5 + 1e-3)
-        ch2 = net.egress_freed(0, t)
-        assert ch2.final
-        assert ch2.egress_done == pytest.approx(t + 1e-3)  # no second latency
+        _tr, ch2_done, _d, ch2_final = net.egress_freed(0, t)
+        assert ch2_final
+        assert ch2_done == pytest.approx(t + 1e-3)  # no second latency
 
     def test_rejects_self_transfer(self):
         net = self.net(2)
@@ -131,20 +135,14 @@ class TestNetworkSim:
         must pull that message ahead of other pending traffic, not leave
         the heap entry at its stale (lower) priority."""
         net = NetworkSim(self.spec(), 4, quantum=10**9, aggregate=True)
-        c1 = net.submit(Transfer("head", 0, 3, 10**6, 5.0), now=0.0)
+        _tr, c1_done, _d, _f = net.submit(
+            Transfer("head", 0, 3, 10**6, 5.0), now=0.0)
         net.submit(Transfer("bulk", 0, 1, 10**6, 1.0), now=0.0)
         net.submit(Transfer("mid", 0, 2, 10**6, 3.0), now=0.0)
         # Urgent tile to the same destination as "bulk": piggy-backs and
         # raises the queued message's priority above "mid".
         net.submit(Transfer("urgent", 0, 1, 10**6, 9.0), now=0.0)
-        served = []
-        t = c1.egress_done
-        while True:
-            ch = net.egress_freed(0, t)
-            if ch is None:
-                break
-            served.append(ch.transfer.keys[0])
-            t = ch.egress_done
+        served = [tr.keys[0] for tr, _done, _d, _f in self.serve_all(net, c1_done)]
         assert served == ["bulk", "mid"], served
         # The aggregated message carried both tiles and was counted once.
         assert net.total_messages == 3
@@ -153,17 +151,11 @@ class TestNetworkSim:
         """Piggy-backing at non-raising priority must not re-push (the
         message would otherwise be served twice)."""
         net = NetworkSim(self.spec(), 3, quantum=10**9, aggregate=True)
-        c1 = net.submit(Transfer("head", 0, 2, 10**6, 5.0), now=0.0)
+        _tr, c1_done, _d, _f = net.submit(
+            Transfer("head", 0, 2, 10**6, 5.0), now=0.0)
         net.submit(Transfer("bulk", 0, 1, 10**6, 2.0), now=0.0)
         net.submit(Transfer("same", 0, 1, 10**6, 2.0), now=0.0)
-        served = []
-        t = c1.egress_done
-        while True:
-            ch = net.egress_freed(0, t)
-            if ch is None:
-                break
-            served.append(tuple(ch.transfer.keys))
-            t = ch.egress_done
+        served = [tuple(tr.keys) for tr, _done, _d, _f in self.serve_all(net, c1_done)]
         assert served == [("bulk", "same")]
 
 
