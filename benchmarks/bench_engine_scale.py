@@ -22,6 +22,12 @@ regenerate the reference trajectory against a *cold* store.
 
 The acceptance point of the array-engine PR is the last full-mode row:
 N = 400 (10.7M tasks) must simulate in under 60 s wall.
+
+The JSON also holds the cache-hit layer (``service.hit_us``: min and
+median, over repeats, of the per-call time of 1 000 in-process
+``client.submit`` calls on the trajectory's own, already stored, points,
+each submit with a new ``JobSpec`` object) and the host it was measured
+on (nproc, CPU model, Python, numpy).
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ import json
 import os
 import platform
 import resource
+import statistics
+import time
 
+import numpy as np
 from conftest import print_header, sizes
 
 from repro.config import bora
@@ -41,6 +50,13 @@ from repro.service import JobSpec, SweepClient
 B = 512
 R = 9  # extended SBC on P = 36 nodes, the paper's largest square layout
 NS = sizes(small=[18, 36, 54], full=[100, 200, 400])
+HIT_CALLS, HIT_REPEATS = 1000, 5
+
+
+def _point(N: int) -> JobSpec:
+    dist = SymmetricBlockCyclic(R)
+    return JobSpec.make("cholesky", N, B, dist, bora(nodes=dist.num_nodes),
+                        engine="compiled")
 
 
 def _peak_rss_mb(res=None) -> float:
@@ -64,14 +80,10 @@ def _peak_rss_mb(res=None) -> float:
 
 
 def trajectory(ns, client: SweepClient):
-    dist = SymmetricBlockCyclic(R)
-    machine = bora(nodes=dist.num_nodes)
     metrics = MetricsRegistry()
     rows = []
     for N in ns:
-        res = client.submit(
-            JobSpec.make("cholesky", N, B, dist, machine, engine="compiled")
-        ).raise_for_status()
+        res = client.submit(_point(N)).raise_for_status()
         rep = res.report
         row = {
             "N": N,
@@ -95,8 +107,40 @@ def trajectory(ns, client: SweepClient):
     return rows, metrics
 
 
+def hit_layer(ns, client: SweepClient) -> dict:
+    """Per-call µs of ``HIT_CALLS`` submits cycling over stored points, as
+    min and median over ``HIT_REPEATS`` repeats.  Each submit gets a new
+    ``JobSpec``, built before the timed loop: the figure suite builds one
+    per point and HTTP parses one per request, so a spec object's own
+    memos (canonical JSON, plain dict, structure key) are paid per hit."""
+    sims = client.simulations_run()
+    per_call = []
+    for _ in range(HIT_REPEATS):
+        specs = [_point(ns[i % len(ns)]) for i in range(HIT_CALLS)]
+        t0 = time.perf_counter()
+        for spec in specs:
+            client.submit(spec)
+        per_call.append(1e6 * (time.perf_counter() - t0) / HIT_CALLS)
+    assert client.simulations_run() == sims, "a stored point was simulated"
+    return {"min": round(min(per_call), 2),
+            "median": round(statistics.median(per_call), 2),
+            "calls": HIT_CALLS, "repeats": HIT_REPEATS}
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def test_engine_scale(run_once, sweep_client):
     rows, metrics = run_once(trajectory, NS, sweep_client)
+    hit_us = hit_layer(NS, sweep_client)
     print_header(
         f"Compiled-engine scaling, POTRF on SBC-extended(r={R}), b={B}",
         f"{'N':>5} {'tasks':>10} {'build(s)':>9} {'plan(s)':>9} "
@@ -106,6 +150,8 @@ def test_engine_scale(run_once, sweep_client):
         print(f"{r['N']:>5} {r['n_tasks']:>10} {r['build_seconds']:>9.2f} "
               f"{r['plan_seconds']:>9.2f} {r['sim_seconds']:>9.2f} "
               f"{r['peak_rss_mb']:>12.1f} {str(r['cached']):>7}")
+    print(f"cache hit: {hit_us['min']:.1f} µs min, {hit_us['median']:.1f} µs "
+          f"median per submit ({HIT_REPEATS} x {HIT_CALLS} calls)")
 
     # Structural sanity only at scaled sizes: a per-task wall-clock bound
     # on a 68 ms run measures the host, not the loop, whose speed gate is
@@ -123,8 +169,12 @@ def test_engine_scale(run_once, sweep_client):
             "config": {"b": B, "r": R, "distribution": f"SBC-extended(r={R})",
                        "machine": "bora", "nodes": SymmetricBlockCyclic(R).num_nodes},
             "host": {"python": platform.python_version(),
-                     "machine": platform.machine()},
+                     "numpy": np.__version__,
+                     "machine": platform.machine(),
+                     "cpu": _cpu_model(),
+                     "nproc": os.cpu_count()},
             "trajectory": rows,
+            "service": {"hit_us": hit_us},
             "metrics": metrics.as_dict(),
         }
         with open(out, "w") as fh:

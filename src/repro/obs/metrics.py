@@ -155,7 +155,8 @@ class MetricsRegistry:
         return m
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(name, Counter, help=help)
+        m = self._metrics.get(name)  # once registered, one dict read per count
+        return m if type(m) is Counter else self._get(name, Counter, help=help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(name, Gauge, help=help)

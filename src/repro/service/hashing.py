@@ -60,11 +60,8 @@ SCHEMA_VERSION = 6
 
 
 def _h(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p)
-        h.update(b"\x00")
-    return h.hexdigest()
+    """SHA-256 of the parts, each followed by a NUL byte, in one update."""
+    return hashlib.sha256(b"\x00".join(parts) + b"\x00").hexdigest()
 
 
 def config_digest(spec: JobSpec) -> str:

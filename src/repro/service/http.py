@@ -135,7 +135,7 @@ class HttpSweepService:
         if method == "POST" and path in ("/submit", "/status"):
             try:
                 spec = JobSpec.from_dict(json.loads(body.decode()))
-            except ValueError as exc:  # not JSON, or not what the schema says
+            except (ValueError, RecursionError) as exc:  # not JSON, too deep, or off-schema
                 return _response("400 Bad Request",
                                  _json_bytes({"error": f"bad job spec: {exc}"}))
             if path == "/status":

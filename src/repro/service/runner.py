@@ -27,7 +27,9 @@ from __future__ import annotations
 import resource
 import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
+from dataclasses import fields
+from operator import itemgetter
 from typing import Any, Optional
 
 from ..graph import OPERATIONS, compile_graph
@@ -46,16 +48,11 @@ __all__ = [
 ]
 
 
-#: The :class:`SimReport` fields a stored report keeps.
-REPORT_KEYS = ("makespan", "total_flops", "num_nodes", "comm_bytes",
-               "comm_messages", "busy_time", "time_by_kind", "num_tasks",
-               "cores_per_node")
-
-
-def _stored(get: Callable[[str], Any]) -> dict[str, Any]:
-    d = {name: get(name) for name in REPORT_KEYS}
-    return {**d, "busy_time": list(d["busy_time"]),
-            "time_by_kind": dict(d["time_by_kind"])}
+_FIELDS = tuple(f.name for f in fields(SimReport))
+#: The :class:`SimReport` fields a stored report keeps: those before the
+#: event traces, in field order, so a report is rebuilt positionally.
+REPORT_KEYS = _FIELDS[:_FIELDS.index("trace")]
+_report_values = itemgetter(*REPORT_KEYS)
 
 
 def report_to_dict(rep: SimReport) -> dict[str, Any]:
@@ -64,12 +61,17 @@ def report_to_dict(rep: SimReport) -> dict[str, Any]:
     ``json`` serializes floats via ``repr``, which round-trips doubles
     exactly — a reloaded report is bit-identical to the original.
     """
-    return _stored(rep.__getattribute__)
+    d = {name: getattr(rep, name) for name in REPORT_KEYS}
+    return {**d, "busy_time": list(d["busy_time"]),
+            "time_by_kind": dict(d["time_by_kind"])}
 
 
 def report_from_dict(d: Mapping[str, Any]) -> SimReport:
-    """Rebuild a :class:`SimReport` from :func:`report_to_dict` output."""
-    return SimReport(**_stored(d.__getitem__))
+    """Rebuild a :class:`SimReport` from :func:`report_to_dict` output; its
+    list and dict are fresh (callers may mutate them)."""
+    rep = SimReport(*_report_values(d))
+    rep.busy_time, rep.time_by_kind = list(rep.busy_time), dict(rep.time_by_kind)
+    return rep
 
 
 def _build(spec: JobSpec, sink: int) -> Any:

@@ -149,10 +149,13 @@ class SweepServer:
         if q in self._subscribers:
             self._subscribers.remove(q)
 
-    def _emit(self, op: str, key: str, detail: str = "") -> None:
-        ev = SweepEvent(op, key, time.monotonic() - self._t0, detail)
+    def _emit(self, op: str, key: str, detail: object = "") -> None:
+        """Count one event; build it (``str(detail)``) only for a listener."""
         self.metrics.counter("service.events", "job lifecycle events per op") \
             .inc(labels=(op,))
+        if not self._subscribers:
+            return
+        ev = SweepEvent(op, key, time.monotonic() - self._t0, str(detail))
         for q in self._subscribers:
             try:
                 q.put_nowait(ev)
@@ -205,7 +208,7 @@ class SweepServer:
         if record is None:
             return None
         self._count("service.jobs", "points submitted")
-        self._emit("submitted", ckey, str(spec))
+        self._emit("submitted", ckey, spec)
         self._count("service.cache.hits", "points served from the store")
         self._emit("cache-hit", ckey)
         return _result_from_record(spec, record, cached=True)
@@ -218,7 +221,7 @@ class SweepServer:
             return hit
         ckey = config_digest(spec)
         self._count("service.jobs", "points submitted")
-        self._emit("submitted", ckey, str(spec))
+        self._emit("submitted", ckey, spec)
 
         # 2. join an identical in-flight point (registered synchronously
         #    below, before any await — concurrent submits cannot race past

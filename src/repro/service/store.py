@@ -15,8 +15,9 @@ Both files are append-only logs of single-line JSON envelopes::
 detected at load time: a line that fails to parse, carries the wrong
 schema version, or mismatches its checksum is *skipped* (and counted in
 ``corrupt_entries``) — the server then treats the point as uncached and
-recomputes it, appending a fresh valid record.  Served results are
-re-verified on every read, never trusted from a stale in-memory index.
+recomputes it, appending a fresh valid record.  Records are checksummed
+once, at load; a hit re-checks only the stored spec against the one
+submitted (:meth:`repro.service.server.SweepServer.lookup`).
 
 Appends are last-wins per key, which is what makes recovery and
 re-runs idempotent; :meth:`ResultStore.compact` rewrites each file with
@@ -64,7 +65,7 @@ def _open_valid(line: bytes) -> Optional[dict[str, Any]]:
     """Parse + verify one envelope line; None when corrupt/foreign."""
     try:
         body = json.loads(line)
-    except ValueError:  # not JSON, or (UnicodeDecodeError) not even text
+    except (ValueError, RecursionError):  # not JSON, too deep, or not even text
         return None
     if not isinstance(body, dict) or body.get("schema") != SCHEMA_VERSION:
         return None

@@ -85,6 +85,9 @@ class TestMetrics:
         reg.counter("m")
         with pytest.raises(TypeError):
             reg.gauge("m")
+        reg.gauge("g")
+        with pytest.raises(TypeError):
+            reg.counter("g")
 
     def test_get_or_create_returns_same(self):
         reg = MetricsRegistry()

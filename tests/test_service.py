@@ -206,6 +206,25 @@ def test_a_flipped_bit_is_one_corrupt_line(tmp_path, where):
     assert [k for k in "abc" if reopened.get(k) is None] == list(lost)
 
 
+@pytest.mark.parametrize("log", [ResultStore.RESULTS, ResultStore.STRUCTURES])
+def test_a_line_nested_past_the_parsers_depth_is_one_corrupt_line(tmp_path, log):
+    """``json.loads`` raises ``RecursionError`` on such a line, not
+    ``ValueError``; the store must open all the same and serve the rest."""
+    store = ResultStore(tmp_path / "store")
+    for k in "ab":
+        store.put({"hash": k, "status": "ok"})
+        store.put_structure(k, f"structure-{k}")
+        if k == "a":
+            with open(store.root / log, "ab") as fh:
+                fh.write(b"[" * 100_000 + b"\n")
+
+    reopened = ResultStore(tmp_path / "store")
+    assert reopened.corrupt_entries == 1
+    assert [reopened.get(k)["status"] for k in "ab"] == ["ok", "ok"]
+    assert [reopened.get_structure(k) for k in "ab"] == [
+        "structure-a", "structure-b"]
+
+
 @pytest.mark.parametrize("tear", ["json", "sha", "newline"])
 @pytest.mark.parametrize("log", [ResultStore.RESULTS, ResultStore.STRUCTURES])
 def test_append_after_torn_tail_starts_a_fresh_line(tmp_path, log, tear):
@@ -562,13 +581,24 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
+#: Malformed bodies ``json.dumps`` cannot write.  A body nested past the
+#: parser's depth raised ``RecursionError``, which answered 500.
+MALFORMED_BYTES = {
+    "nested past the parser's depth": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(MALFORMED_BYTES))
 def test_a_malformed_spec_is_a_400_and_leaves_no_trace(tmp_path, case):
     from repro.service.http import HttpSweepService
 
-    body = MALFORMED[case](spec().to_dict())
-    with pytest.raises(ValueError):
-        JobSpec.from_dict(body)
+    if case in MALFORMED:
+        doc = MALFORMED[case](spec().to_dict())
+        with pytest.raises(ValueError):
+            JobSpec.from_dict(doc)
+        body = json.dumps(doc).encode()
+    else:
+        body = MALFORMED_BYTES[case]
     server = SweepServer(ResultStore(tmp_path / "store"))
     svc = HttpSweepService(server, "127.0.0.1", 0)
 
@@ -586,7 +616,7 @@ def test_a_malformed_spec_is_a_400_and_leaves_no_trace(tmp_path, case):
                 b"HTTP/1.1 200 OK")
             log = (tmp_path / "store" / ResultStore.RESULTS).read_bytes()
             for path in ("/submit", "/status"):
-                out = await request("POST", path, json.dumps(body).encode())
+                out = await request("POST", path, body)
                 assert out.startswith(b"HTTP/1.1 400 Bad Request"), out
                 assert b"bad job spec" in out
             assert (await request("GET", "/healthz")).startswith(
@@ -874,6 +904,100 @@ def test_bounded_subscriber_drops_oldest(tmp_path):
     assert [e.op for e in kept] == ["submitted", "cache-hit"]
     dropped = server.metrics.get("service.events.dropped")
     assert dropped is not None and int(dropped.total()) == 3
+
+
+# --------------------------------------------------------------------------
+# the hit path: what a hit skips changes nothing a caller can observe
+# --------------------------------------------------------------------------
+
+def _drain(queue):
+    events = []
+    while not queue.empty():
+        events.append(queue.get_nowait())
+    return events
+
+
+def test_hits_count_the_same_with_and_without_a_subscriber(tmp_path):
+    """Events are built only for a listener, but every hit is counted:
+    N hits unobserved, then N observed, leave the metrics of 2N hits."""
+    n = 5
+    with SweepClient(store=tmp_path / "store") as client:
+        server = client.server
+        client.submit(spec()).raise_for_status()
+        for _ in range(n):
+            client.submit(spec())
+        queue = server.subscribe()
+        for _ in range(n):
+            client.submit(spec())
+        assert [e.op for e in _drain(queue)] == ["submitted", "cache-hit"] * n
+        metrics = server.metrics.as_dict()
+    assert {name: doc["values"] for name, doc in metrics.items()} == {
+        "service.jobs": {"": 1.0 + 2 * n},
+        "service.cache.misses": {"": 1.0},
+        "service.simulations": {"": 1.0},
+        "service.cache.hits": {"": 2.0 * n},
+        "service.events": {"submitted": 1.0 + 2 * n, "started": 1.0,
+                           "completed": 1.0, "cache-hit": 2.0 * n},
+    }
+
+
+def test_a_subscriber_attached_mid_sweep_sees_every_later_hit(tmp_path):
+    specs = [spec(ntiles=nt) for nt in (NT, NT + 1, NT + 2)]
+    with SweepClient(store=tmp_path / "store") as client:
+        client.sweep(specs)
+        server = client.server
+        client.submit(specs[0])
+        queue = server.subscribe()
+        for s in specs[1:]:
+            client.submit(s)
+        events = _drain(queue)
+    assert [(e.op, e.key, e.detail) for e in events] == [
+        pair for s in specs[1:] for pair in (
+            ("submitted", config_digest(s), str(s)),
+            ("cache-hit", config_digest(s), ""))]
+    assert all(a.time <= b.time for a, b in zip(events, events[1:]))
+
+
+def test_one_spec_on_two_stores_reads_each_stores_own_point(tmp_path):
+    """A spec's point is the store's: one ``JobSpec`` object served by
+    stores that map its structure key to different structure hashes reads
+    each store's own point (or misses), never another store's."""
+    s = spec()
+    servers = []
+    for name in ("one", "two", "none"):
+        store = ResultStore(tmp_path / name)
+        store.put_structure(structure_key(s), f"structure-{name}")
+        if name != "none":
+            store.put({"hash": point_hash(f"structure-{name}", config_digest(s)),
+                       "spec": s.to_dict(), "status": "ok", "report": None,
+                       "timings": {}, "error": name})
+        servers.append(SweepServer(store))
+    for server in servers * 2:
+        got = server.lookup(s)
+        want = server.store.get_structure(structure_key(s))
+        if want == "structure-none":
+            assert got is None and server.status(s) == "unknown"
+        else:
+            assert got.hash == point_hash(want, config_digest(s))
+            assert got.error == want.removeprefix("structure-")
+    for server in servers:
+        asyncio.run(server.close())
+
+
+def test_two_hits_share_no_mutable_object(tmp_path):
+    with SweepClient(store=tmp_path / "store") as client:
+        client.submit(spec()).raise_for_status()
+        first, second = client.submit(spec()), client.submit(spec())
+        assert first is not second and first.report is not second.report
+        for name in ("busy_time", "time_by_kind"):
+            assert getattr(first.report, name) is not getattr(second.report, name)
+        assert first.timings is not second.timings
+        first.report.busy_time.clear()
+        first.report.time_by_kind.clear()
+        first.timings.clear()
+        third = client.submit(spec())
+    assert report_to_dict(third.report) == report_to_dict(second.report)
+    assert third.report.busy_time and third.timings == second.timings
 
 
 def test_sweep_survives_a_raising_point(tmp_path):
