@@ -26,7 +26,11 @@ N = 400 (10.7M tasks) must simulate in under 60 s wall.
 The JSON also holds the cache-hit layer (``service.hit_us``: min and
 median, over repeats, of the per-call time of 1 000 in-process
 ``client.submit`` calls on the trajectory's own, already stored, points,
-each submit with a new ``JobSpec`` object) and the host it was measured
+each submit with a new ``JobSpec`` object), the plan layer at N = 100
+split in two (``plan_layer``: ``csr_seconds`` for
+``CompiledGraph.consumers_csr``, ``plan_seconds`` for ``comm_plan`` on the
+cached adjacency, min and median over repeats, and the ``tracemalloc``
+peak of each next to the bytes it returns) and the host it was measured
 on (nproc, CPU model, Python, numpy).
 """
 
@@ -38,12 +42,14 @@ import platform
 import resource
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 from conftest import print_header, sizes
 
 from repro.config import bora
 from repro.distributions import SymmetricBlockCyclic
+from repro.graph import compile_cholesky
 from repro.obs import MetricsRegistry
 from repro.service import JobSpec, SweepClient
 
@@ -51,6 +57,7 @@ B = 512
 R = 9  # extended SBC on P = 36 nodes, the paper's largest square layout
 NS = sizes(small=[18, 36, 54], full=[100, 200, 400])
 HIT_CALLS, HIT_REPEATS = 1000, 5
+LAYER_N, LAYER_REPEATS = 100, 7
 
 
 def _point(N: int) -> JobSpec:
@@ -127,6 +134,46 @@ def hit_layer(ns, client: SweepClient) -> dict:
             "calls": HIT_CALLS, "repeats": HIT_REPEATS}
 
 
+def plan_layer(N: int = LAYER_N, repeats: int = LAYER_REPEATS) -> dict:
+    """The adjacency and the plan of the N-tile graph timed apart:
+    ``consumers_csr`` from scratch, then ``comm_plan`` on the cached
+    adjacency (together they are a trajectory row's ``plan_seconds``),
+    min and median over ``repeats``; then one ``tracemalloc`` run of each
+    for its peak and the bytes of what it returns."""
+    dist = SymmetricBlockCyclic(R)
+    cg = compile_cholesky(N, B, dist)
+    csr, plan = [], []
+    for _ in range(repeats):
+        cg._cons_csr = cg._plan = None
+        t0 = time.perf_counter()
+        cg.consumers_csr()
+        t1 = time.perf_counter()
+        cg.comm_plan()
+        plan.append(time.perf_counter() - t1)
+        csr.append(t1 - t0)
+    cg._cons_csr = cg._plan = None
+    peaks = []
+    for build in (cg.consumers_csr, cg.comm_plan):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    returned = (sum(a.nbytes for a in cg.consumers_csr()),
+                sum(v.nbytes for v in vars(cg.comm_plan()).values()
+                    if isinstance(v, np.ndarray)))
+    mib = 1 << 20
+    row = {"N": N, "n_tasks": cg.n_tasks, "read_edges": len(cg.read_ids),
+           "repeats": repeats}
+    for name, ts, peak, size in zip(("csr", "plan"), (csr, plan), peaks, returned):
+        row[f"{name}_seconds"] = {"min": round(min(ts), 5),
+                                  "median": round(statistics.median(ts), 5)}
+        row[f"{name}_peak_mb"] = round(peak / mib, 2)
+        row[f"{name}_result_mb"] = round(size / mib, 2)
+    return row
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -141,6 +188,7 @@ def _cpu_model() -> str:
 def test_engine_scale(run_once, sweep_client):
     rows, metrics = run_once(trajectory, NS, sweep_client)
     hit_us = hit_layer(NS, sweep_client)
+    layer = plan_layer()
     print_header(
         f"Compiled-engine scaling, POTRF on SBC-extended(r={R}), b={B}",
         f"{'N':>5} {'tasks':>10} {'build(s)':>9} {'plan(s)':>9} "
@@ -152,6 +200,13 @@ def test_engine_scale(run_once, sweep_client):
               f"{r['peak_rss_mb']:>12.1f} {str(r['cached']):>7}")
     print(f"cache hit: {hit_us['min']:.1f} µs min, {hit_us['median']:.1f} µs "
           f"median per submit ({HIT_REPEATS} x {HIT_CALLS} calls)")
+    print(f"N={layer['N']} adjacency {1e3 * layer['csr_seconds']['min']:.1f} / "
+          f"{1e3 * layer['csr_seconds']['median']:.1f} ms, plan "
+          f"{1e3 * layer['plan_seconds']['min']:.1f} / "
+          f"{1e3 * layer['plan_seconds']['median']:.1f} ms (min / median of "
+          f"{layer['repeats']}); transient peak {layer['csr_peak_mb']:.1f} / "
+          f"{layer['plan_peak_mb']:.1f} MiB for {layer['csr_result_mb']:.1f} / "
+          f"{layer['plan_result_mb']:.1f} MiB returned")
 
     # Structural sanity only at scaled sizes: a per-task wall-clock bound
     # on a 68 ms run measures the host, not the loop, whose speed gate is
@@ -175,6 +230,7 @@ def test_engine_scale(run_once, sweep_client):
                      "nproc": os.cpu_count()},
             "trajectory": rows,
             "service": {"hit_us": hit_us},
+            "plan_layer": layer,
             "metrics": metrics.as_dict(),
         }
         with open(out, "w") as fh:

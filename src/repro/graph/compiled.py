@@ -68,12 +68,12 @@ __all__ = [
     "compiled_critical_path_priorities",
 ]
 
-#: Edges sorted at a time by :meth:`CompiledGraph.consumers_csr` (bounds its
-#: transient memory; tests shrink it to cross several chunks).
+#: Read edges packed at a time by :meth:`CompiledGraph.consumers_csr` (bounds
+#: its transient memory; tests shrink it to cross several chunks).
 _CSR_CHUNK_EDGES = 1 << 22
 
 #: The same for :func:`_build_comm_plan`, in read edges grouped at a time.
-_PLAN_CHUNK_EDGES = 1 << 18
+_PLAN_CHUNK_EDGES = 1 << 16
 
 #: Canonical kind -> code table shared by the generic lowering and the
 #: column sink, so both produce identical ``kind_codes`` arrays.
@@ -209,61 +209,70 @@ class CompiledGraph:
         read-only)."""
         if self._cons_csr is not None:
             return self._cons_csr
-        # One sort of packed keys ``producer * n + consumer`` per chunk of
-        # *producers*: edges are stored in consumer order, so sorted keys
-        # are the stable by-producer order, and a producer range's keys
-        # are one contiguous slice of the result — no scatter, no
-        # per-bucket cursor.  Transient memory is 7 bytes per edge (the
-        # producer column and a chunk's selection masks) plus ~50 per edge
-        # of one chunk.  Reads of initial versions (producer -1) fall
-        # outside every chunk.
-        n = self.n_tasks
-        prod = self.data_producer[self.read_ids]
+        # One sort of packed keys ``producer << shift | consumer``: edges
+        # are stored in consumer order, so sorted keys are the stable
+        # by-producer order.  Reads of initial versions (producer -1) pack
+        # to negative keys, sort to the front and are sliced off; the
+        # low bits of the rest are ``ids``.  The keys are written one
+        # range of consumers (``_CSR_CHUNK_EDGES`` edges) at a time, so
+        # transient memory is the 8-byte key per edge plus one range's
+        # 4-byte producer and consumer columns.
+        n, read_ptr = self.n_tasks, self.read_ptr
         ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(prod + 1, minlength=n + 1)[1:], out=ptr[1:])
-        ids = np.empty(ptr[n], dtype=np.int32)
+        ptr[1:][self.data_producer[self.n_init:]] = np.bincount(
+            self.read_ids, minlength=self.n_data)[self.n_init:]
+        np.cumsum(ptr, out=ptr)
+        shift = n.bit_length()
+        keys = np.empty(len(self.read_ids), dtype=np.int64)
         a = 0
         while a < n:
-            # as many whole producers as fit the chunk, at least one
+            # as many whole consumers as fit the chunk, at least one
             b = max(a + 1, int(np.searchsorted(
-                ptr, ptr[a] + _CSR_CHUNK_EDGES, side="right")) - 1)
-            edges = np.flatnonzero((prod >= a) & (prod < b))
-            keys = prod[edges] * np.int64(n)
-            # consumer of edge e: the task whose read slice contains e
-            keys += np.searchsorted(self.read_ptr, edges, side="right") - 1
-            keys.sort()
-            ids[ptr[a]:ptr[b]] = keys % n
+                read_ptr, read_ptr[a] + _CSR_CHUNK_EDGES, side="right")) - 1)
+            k = keys[read_ptr[a]:read_ptr[b]]
+            k[:] = self.data_producer[self.read_ids[read_ptr[a]:read_ptr[b]]]
+            k <<= shift
+            k |= np.repeat(np.arange(a, b, dtype=np.int32),
+                           np.diff(read_ptr[a : b + 1]))
             a = b
+        keys.sort()
+        ids = np.empty(ptr[n], dtype=np.int32)
+        np.bitwise_and(keys[len(keys) - ptr[n]:], (1 << shift) - 1, out=ids,
+                       casting="unsafe")
         self._cons_csr = (ptr, ids)
         return self._cons_csr
 
 
 def _pairs(version: npt.NDArray[Any], dst: npt.NDArray[np.int32],
-           reader: npt.NDArray[np.int32]) -> tuple[npt.NDArray[Any], ...]:
-    """Group remote read edges, given in need order, by (version,
-    destination).
+           edge: npt.NDArray[np.int64]) -> tuple[npt.NDArray[Any], ...]:
+    """Group remote read edges by (version, destination); ``edge`` numbers
+    them in need order (ascending).
 
     One sort of unique keys does it — version, destination and edge packed
-    into one integer; a sort of plain values is several times faster than
-    a stable ``argsort``.  Returns the readers grouped by (version,
+    into the bit fields of one integer, so fields come back by shift and
+    mask, not division; a sort of plain values is several times faster
+    than a stable ``argsort``.  Returns the edges grouped by (version,
     destination) ascending (the ``rn_ids`` layout), then one row per group
     — version, destination, start, count, first edge — with the groups of
     one version put in first-need order, the order of their first edges.
     """
-    n = len(version)
-    nn = int(dst.max(initial=0)) + 1
-    key = version.astype(np.int64) * nn + dst
-    key *= n
-    key += np.arange(n)
+    n = len(edge)
+    dst_bits = int(dst.max(initial=0)).bit_length()
+    edge_bits = int(edge[-1]).bit_length() if n else 0
+    key = (version.astype(np.int64) << dst_bits | dst) << edge_bits | edge
     key.sort()
-    group, edge = np.divmod(key, n)
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    edge = key & ((1 << edge_bits) - 1)
+    key >>= edge_bits  # the (version, destination) group
+    new = np.ones(n, dtype=bool)  # a group starts where the key changes
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
     first = edge[starts]
-    pv, pd = np.divmod(group[starts], nn)
-    kd = np.lexsort((first, pv))
+    group = key[starts]
+    pv = group >> dst_bits
+    kd = np.argsort((pv << edge_bits) | first)
     counts = np.diff(starts, append=n)
-    return (reader[edge], pv[kd], pd[kd].astype(np.int32), starts[kd],
-            counts[kd], first[kd])
+    pd = (group[kd] & ((1 << dst_bits) - 1)).astype(np.int32)
+    return edge, pv[kd], pd, starts[kd], counts[kd], first[kd]
 
 
 def _build_comm_plan(cg: CompiledGraph) -> CommPlan:
@@ -278,7 +287,9 @@ def _build_comm_plan(cg: CompiledGraph) -> CommPlan:
     # zeroed buffers (pages cost nothing until written) take them without
     # a concatenation copy.
     lc_ids = np.zeros(len(ids), dtype=np.int32)
-    lc_per_task = np.zeros(n, dtype=np.int32)
+    # per-version counts at [d + 1], summed into offsets at the end
+    lc_ptr = np.zeros(cg.n_data + 1, dtype=np.int64)
+    kd_ptr = np.zeros(cg.n_data + 1, dtype=np.int64)
     edge = np.flatnonzero(cg.read_ids < n_init)
     rn_ids = np.zeros(len(ids) + len(edge), dtype=np.int32)
     n_lc = 0
@@ -290,13 +301,14 @@ def _build_comm_plan(cg: CompiledGraph) -> CommPlan:
     dst = cg.node[reader]
     remote = dst != cg.data_source_node[version]
     np.subtract.at(missing, reader[~remote], 1)
-    rn, pv, pd, start, count, first = _pairs(
-        version[remote], dst[remote], reader[remote])
-    rn_ids[: len(rn)] = rn
-    n_rn = len(rn)
+    edge = np.flatnonzero(remote)
+    edge, pv, pd, start, count, first = _pairs(version[edge], dst[edge], edge)
+    n_rn = len(edge)
+    np.take(reader, edge, out=rn_ids[:n_rn])
     pairs.append((pv, pd, start, count))
+    head = np.flatnonzero(np.diff(pv, prepend=-1))  # each version's first pair
+    kd_ptr[pv[head] + 1] = np.diff(head, append=len(pv))
     # eager transfers start in the order of each version's first read
-    head = np.flatnonzero(np.diff(pv, prepend=-1))
     initial_sources = tuple((int(d), int(cg.data_source_node[d]))
                             for d in pv[head][np.argsort(first[head])])
 
@@ -309,27 +321,30 @@ def _build_comm_plan(cg: CompiledGraph) -> CommPlan:
             ptr, ptr[a] + _PLAN_CHUNK_EDGES, side="right")) - 1)
         deg = np.diff(ptr[a : b + 1])
         reader = ids[ptr[a] : ptr[b]]
-        rel = np.repeat(np.arange(b - a), deg)
-        dst = cg.node[reader]
+        dst = np.take(cg.node, reader)
         remote = dst != np.repeat(cg.data_source_node[cg.write_id[a:b]], deg)
         local = reader[~remote]
         lc_ids[n_lc : n_lc + len(local)] = local
         n_lc += len(local)
-        lc_per_task[a:b] = np.bincount(rel[~remote], minlength=b - a)
-        rn, pv, pd, start, count, _ = _pairs(
-            rel[remote], dst[remote], reader[remote])
-        rn_ids[n_rn : n_rn + len(rn)] = rn
-        pairs.append((cg.write_id[a + pv].astype(np.int64), pd,
-                      n_rn + start, count))
-        n_rn += len(rn)
+        edge = np.flatnonzero(remote)
+        rel = np.repeat(np.arange(b - a, dtype=np.int32), deg)
+        edge, pv, pd, start, count, _ = _pairs(rel[edge], dst[edge], edge)
+        np.take(reader, edge, out=rn_ids[n_rn : n_rn + len(edge)])
+        data = cg.write_id[a + pv].astype(np.int64)
+        head = np.flatnonzero(np.diff(pv, prepend=-1))
+        kd_ptr[data[head] + 1] = np.diff(head, append=len(pv))
+        # a producer's local readers: all of them less its remote groups';
+        # a task writing nothing has none, and its 0 lands in lc_ptr[0]
+        deg[pv[head]] -= np.add.reduceat(count, head)
+        lc_ptr[cg.write_id[a:b] + 1] = deg
+        pairs.append((data, pd, n_rn + start, count))
+        n_rn += len(edge)
         a = b
 
     pair_data, pair_dst, pair_rn_start, pair_rn_count = (
         np.concatenate(column) for column in zip(*pairs))
-    lc_ptr = np.zeros(cg.n_data + 1, dtype=np.int64)
-    np.cumsum(lc_per_task[cg.data_producer[n_init:]], out=lc_ptr[n_init + 1 :])
-    kd_ptr = np.zeros(cg.n_data + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_data, minlength=cg.n_data), out=kd_ptr[1:])
+    np.cumsum(lc_ptr, out=lc_ptr)
+    np.cumsum(kd_ptr, out=kd_ptr)
     return CommPlan(
         missing=missing,
         lc_ptr=lc_ptr,

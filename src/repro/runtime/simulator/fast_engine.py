@@ -229,13 +229,10 @@ def _numpy_loop(run: _Run) -> SimReport:
         kind_l = cg.kind_codes.tolist()
     n_init = cg.n_init
     # The column sink emits write_id[t] == n_init + t; detect it and
-    # use arithmetic instead of a 10M-entry table.
-    write_dense = bool(
-        np.array_equal(
-            cg.write_id,
-            np.arange(n_init, n_init + n_tasks, dtype=np.int64),
-        )
-    )
+    # use arithmetic instead of a 10M-entry table.  Produced versions are
+    # numbered n_init, n_init + 1, ... in task order (see
+    # ``CompiledGraph.write_id``), so that is every task writing.
+    write_dense = cg.n_data - n_init == n_tasks
     write_l = None if write_dense else cg.write_id.tolist()
     # Numeric columns are indexed through ``memoryview``s of contiguous
     # numpy arrays: indexing boxes a fresh int/float per access exactly
@@ -258,7 +255,7 @@ def _numpy_loop(run: _Run) -> SimReport:
     # kd_ptr is consulted per *message* (rare), but "does this data have
     # remote destinations at all" per *task* (hot): a bytes bitmap answers
     # the hot question in one index with no boxed-int churn.
-    has_remote = (np.diff(plan.kd_ptr) != 0).astype(np.uint8).tobytes()
+    has_remote = (plan.kd_ptr[1:] != plan.kd_ptr[:-1]).tobytes()
     kd_ptr = memoryview(np.ascontiguousarray(plan.kd_ptr))
     pair_dst = memoryview(np.ascontiguousarray(plan.pair_dst))
     rn_start = memoryview(np.ascontiguousarray(plan.pair_rn_start))

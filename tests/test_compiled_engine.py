@@ -10,6 +10,7 @@ rounding only.
 """
 
 import dataclasses
+import tracemalloc
 from math import isclose
 from unittest import mock
 
@@ -1011,6 +1012,76 @@ def test_consumer_adjacency_keeps_duplicate_reads(chunk):
     assert_consumers_csr_is_the_reference(cg, chunk)
     ptr, ids = cg.consumers_csr()
     assert ids[ptr[0]:ptr[1]].tolist().count(3) == 2  # task 3 reads x twice
+
+
+def _reads_only_initial(cg):
+    """Tasks all of whose reads are of initial versions (producer -1)."""
+    reader = np.repeat(np.arange(cg.n_tasks), np.diff(cg.read_ptr))
+    produced = cg.data_producer[cg.read_ids] >= 0
+    return np.setdiff1d(reader, reader[produced])
+
+
+ADJACENCY_EDGE_CASES = {
+    "one-task": lambda: compile_cholesky(1, 32, SymmetricBlockCyclic(4)),
+    "posv": lambda: OPERATIONS["posv"][1](
+        4, 32, SymmetricBlockCyclic(4), RowCyclic1D(3)),
+    "potri-remap": lambda: OPERATIONS["potri"][1](
+        4, 32, SymmetricBlockCyclic(4), BlockCyclic2D(2, 2)),
+    "zero-partials": lambda: compile_cholesky(
+        4, 32, TwoDotFiveD(SymmetricBlockCyclic(4), 2)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])  # edges packed at a time
+@pytest.mark.parametrize("case", sorted(ADJACENCY_EDGE_CASES))
+def test_consumer_adjacency_slices_off_initial_reads(case, chunk):
+    """Reads of initial versions pack to negative keys, sort to the front
+    and are sliced off: still the stable sort by producer with a single
+    task, with tasks that read initial versions only, and with the 2.5D
+    partial sums' zero tiles."""
+    cg = ADJACENCY_EDGE_CASES[case]()
+    if case == "one-task":
+        assert cg.n_tasks == 1
+    elif case == "zero-partials":
+        flat = compile_cholesky(4, 32, SymmetricBlockCyclic(4))
+        assert cg.n_init > flat.n_init  # the zero tiles
+    else:
+        assert len(_reads_only_initial(cg)) > 0
+    assert_consumers_csr_is_the_reference(cg, chunk)
+
+
+def test_adjacency_and_plan_transients_are_bounded():
+    """``tracemalloc`` peak of each reduction against the bytes it returns
+    (Cholesky N = 48, SBC r = 9: 19 600 tasks, 56 448 read edges).
+
+    Adjacency, k = 3: the 8-byte packed key per edge is twice the result's
+    4-byte ``ids`` entry, one consumer range's int32 column adds one more;
+    per task, the range's int32 ``arange`` and int64 read counts next to
+    ``ptr`` are 20 bytes, under three times ``ptr``'s 8.
+
+    Plan, k = 2, at chunks of 4 096 edges (N = 48 fits in one default
+    chunk, a paper-scale graph crosses hundreds): beyond its result the
+    plan holds the unused tails of the two zeroed reader buffers, at most
+    4 bytes per edge, which is the result's own reader-id share, and one
+    chunk's temporaries, under the result's per-task and per-version
+    columns."""
+
+    def peak_and_result(build):
+        tracemalloc.start()
+        try:
+            out = build()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    cg = compile_cholesky(48, 512, SymmetricBlockCyclic(9))
+    peak, (ptr, ids) = peak_and_result(cg.consumers_csr)
+    assert peak <= 3 * (ptr.nbytes + ids.nbytes)
+    with mock.patch.object(compiled_module, "_PLAN_CHUNK_EDGES", 4096):
+        peak, plan = peak_and_result(cg.comm_plan)
+    result = sum(getattr(plan, f.name).nbytes
+                 for f in dataclasses.fields(plan) if f.name != "initial_sources")
+    assert peak <= 2 * result
 
 
 def plan_by_walking_reads(cg):
