@@ -30,8 +30,13 @@ each submit with a new ``JobSpec`` object), the plan layer at N = 100
 split in two (``plan_layer``: ``csr_seconds`` for
 ``CompiledGraph.consumers_csr``, ``plan_seconds`` for ``comm_plan`` on the
 cached adjacency, min and median over repeats, and the ``tracemalloc``
-peak of each next to the bytes it returns) and the host it was measured
-on (nproc, CPU model, Python, numpy).
+peak of each next to the bytes it returns), the trace layer at N = 48
+(``trace_layer``: the untraced and the traced run of one prebuilt graph
+and, inside the traced one, the rebuild of its trace from the run's
+timeline — seconds, min and median over repeats, measured in a fresh
+interpreter before the trajectory, so no earlier point's heap or store
+is in it) and the host it was measured on (nproc, CPU model, Python,
+numpy).
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -58,6 +65,7 @@ R = 9  # extended SBC on P = 36 nodes, the paper's largest square layout
 NS = sizes(small=[18, 36, 54], full=[100, 200, 400])
 HIT_CALLS, HIT_REPEATS = 1000, 5
 LAYER_N, LAYER_REPEATS = 100, 7
+TRACE_N, TRACE_REPEATS = 48, 7
 
 
 def _point(N: int) -> JobSpec:
@@ -174,6 +182,56 @@ def plan_layer(N: int = LAYER_N, repeats: int = LAYER_REPEATS) -> dict:
     return row
 
 
+def measure_trace_layer(N: int = TRACE_N, repeats: int = TRACE_REPEATS) -> dict:
+    """Untraced and traced ``simulate_compiled`` of one N-tile graph,
+    alternating, and the rebuild inside each traced run (timed by wrapping
+    the function the loop calls): seconds, min and median over
+    ``repeats``.  Every run re-derives its priorities, as a service
+    worker reusing a graph does."""
+    from repro.runtime.simulator import fast_engine, simulate_compiled
+
+    dist = SymmetricBlockCyclic(R)
+    machine = bora(nodes=dist.num_nodes)
+    cg = compile_cholesky(N, B, dist)
+    cg.comm_plan()
+    rebuild, spent = fast_engine.rebuild, []
+
+    def timed_rebuild(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return rebuild(*args, **kwargs)
+        finally:
+            spent.append(time.perf_counter() - t0)
+
+    fast_engine.rebuild = timed_rebuild
+    try:
+        runs: dict[str, list[float]] = {"untraced": [], "traced": []}
+        for _ in range(repeats):
+            for name in runs:
+                cg.priority[:] = 0.0
+                t0 = time.perf_counter()
+                simulate_compiled(cg, machine, trace=name == "traced")
+                runs[name].append(time.perf_counter() - t0)
+    finally:
+        fast_engine.rebuild = rebuild
+    row = {"N": N, "n_tasks": cg.n_tasks, "repeats": repeats}
+    for name, ts in (*runs.items(), ("rebuild", spent)):
+        row[f"{name}_seconds"] = {"min": round(min(ts), 5),
+                                  "median": round(statistics.median(ts), 5)}
+    return row
+
+
+def trace_layer() -> dict:
+    """:func:`measure_trace_layer` in a fresh interpreter."""
+    code = ("import json; from bench_engine_scale import measure_trace_layer; "
+            "print(json.dumps(measure_trace_layer()))")
+    path = [os.path.dirname(os.path.abspath(__file__)), *filter(None, sys.path)]
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -186,6 +244,7 @@ def _cpu_model() -> str:
 
 
 def test_engine_scale(run_once, sweep_client):
+    traced = trace_layer()
     rows, metrics = run_once(trajectory, NS, sweep_client)
     hit_us = hit_layer(NS, sweep_client)
     layer = plan_layer()
@@ -207,6 +266,13 @@ def test_engine_scale(run_once, sweep_client):
           f"{layer['repeats']}); transient peak {layer['csr_peak_mb']:.1f} / "
           f"{layer['plan_peak_mb']:.1f} MiB for {layer['csr_result_mb']:.1f} / "
           f"{layer['plan_result_mb']:.1f} MiB returned")
+    print(f"N={traced['N']} untraced {1e3 * traced['untraced_seconds']['min']:.1f} / "
+          f"{1e3 * traced['untraced_seconds']['median']:.1f} ms, traced "
+          f"{1e3 * traced['traced_seconds']['min']:.1f} / "
+          f"{1e3 * traced['traced_seconds']['median']:.1f} ms, of which the "
+          f"rebuild {1e3 * traced['rebuild_seconds']['min']:.1f} / "
+          f"{1e3 * traced['rebuild_seconds']['median']:.1f} ms (min / median "
+          f"of {traced['repeats']})")
 
     # Structural sanity only at scaled sizes: a per-task wall-clock bound
     # on a 68 ms run measures the host, not the loop, whose speed gate is
@@ -231,6 +297,7 @@ def test_engine_scale(run_once, sweep_client):
             "trajectory": rows,
             "service": {"hit_us": hit_us},
             "plan_layer": layer,
+            "trace_layer": traced,
             "metrics": metrics.as_dict(),
         }
         with open(out, "w") as fh:

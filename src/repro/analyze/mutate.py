@@ -304,9 +304,8 @@ def _trace_mutants(base: Baseline, rng: random.Random) -> list[Mutant]:
                    if e.task_id == t)
         e = rec.task_events[idx]
         shift = (e.start - delivered) + 0.25 * (e.end - e.start) + 1e-6
-        rec.task_events[idx] = replace(
-            e, ready=e.ready - shift, start=e.start - shift,
-            end=e.end - shift)
+        rec.task_events[idx] = e._replace(
+            ready=e.ready - shift, start=e.start - shift, end=e.end - shift)
         return races(rec)
 
     def missing_transfer() -> Report:
@@ -335,8 +334,8 @@ def _trace_mutants(base: Baseline, rng: random.Random) -> list[Mutant]:
         e = rec.transfer_events[cand[rng.randrange(len(cand))]]
         stale_key = e.key._replace(ver=e.key.ver - 1)
         src = int(cg.data_source_node[key_of.index(stale_key)])
-        stale = replace(
-            e, key=stale_key, src=src,
+        stale = e._replace(
+            key=stale_key, src=src,
             submitted=e.delivered + 1e-6, started=e.delivered + 2e-6,
             delivered=e.delivered + 3e-6,
         )
@@ -356,8 +355,8 @@ def _trace_mutants(base: Baseline, rng: random.Random) -> list[Mutant]:
         other = _copy_recorder(base.recorder)
         idx = rng.randrange(len(other.task_events))
         e = other.task_events[idx]
-        other.task_events[idx] = replace(
-            e, node=(e.node + 1) % base.dist.num_nodes,
+        other.task_events[idx] = e._replace(
+            node=(e.node + 1) % base.dist.num_nodes,
             start=e.start + 1e-3, end=e.end + 1e-3)
         return compare_traces(base.recorder, other, name="mutant")
 

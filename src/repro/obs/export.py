@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import asdict
 
 from ..graph.task import DataKey
 from .events import Recorder
@@ -222,26 +221,26 @@ def write_jsonl(recorder: Recorder, path) -> str:
                              "source": recorder.source}) + "\n")
         for e in recorder.task_events:
             rec = {"type": "task"}
-            rec.update(asdict(e))
+            rec.update(e._asdict())
             fh.write(json.dumps(rec) + "\n")
         for e in recorder.transfer_events:
             rec = {"type": "transfer"}
-            rec.update(asdict(e))
+            rec.update(e._asdict())
             rec["key"] = _encode_key(e.key)
             fh.write(json.dumps(rec) + "\n")
         for e in recorder.io_events:
             rec = {"type": "io"}
-            rec.update(asdict(e))
+            rec.update(e._asdict())
             rec["key"] = _encode_key(e.key)
             fh.write(json.dumps(rec) + "\n")
         for e in recorder.cache_events:
             rec = {"type": "cache"}
-            rec.update(asdict(e))
+            rec.update(e._asdict())
             rec["key"] = _encode_key(e.key)
             fh.write(json.dumps(rec) + "\n")
         for e in recorder.fault_events:
             rec = {"type": "fault"}
-            rec.update(asdict(e))
+            rec.update(e._asdict())
             rec["key"] = _encode_key(e.key)
             fh.write(json.dumps(rec) + "\n")
     return str(path)

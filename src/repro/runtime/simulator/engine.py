@@ -201,7 +201,6 @@ def simulate(
         heapq.heappush(events, (time, seq, kind, payload))
 
     ready_time = [0.0] * n_tasks if trace else None
-    first_chunk_start: dict[tuple[DataKey, int], float] = {}
 
     def start_task(task: Task, time: float) -> None:
         dur = duration_fn(task)
@@ -250,8 +249,6 @@ def simulate(
 
     def launch(quantum) -> None:
         tr, egress_done, delivery, final = quantum
-        if trace and (tr.key, tr.dst) not in first_chunk_start:
-            first_chunk_start[(tr.key, tr.dst)] = egress_done
         push_event(egress_done, "sent", tr)
         if final:
             push_event(delivery, "xfer", tr)
@@ -342,8 +339,6 @@ def simulate(
                 # sender retransmits after the plan's timeout (the lost
                 # bytes stayed on the wire and remain counted).
                 if trace:
-                    # the retransmission is a message of its own
-                    first_chunk_start.pop((tr.key, tr.dst), None)
                     rec.record_fault(
                         "loss", time=tr.end, src=tr.src, dst=tr.dst,
                         key=tr.key,
@@ -358,7 +353,7 @@ def simulate(
                     dst=tr.dst,
                     nbytes=tr.nbytes,
                     submitted=tr.submitted,
-                    started=first_chunk_start.get((tr.key, tr.dst), tr.submitted),
+                    started=tr.started,
                     delivered=tr.end,
                 )
             for key in tr.keys:

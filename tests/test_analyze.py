@@ -7,7 +7,6 @@ detector pins.
 """
 
 import json
-from dataclasses import replace
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -265,8 +264,8 @@ def test_local_read_before_its_producer_ends_is_race_hb():
     i = next(i for i, e in enumerate(rec.task_events) if e.task_id == t)
     e = rec.task_events[i]
     shift = e.start - ends[producer] + 1e-6
-    rec.task_events[i] = replace(e, ready=e.ready - shift,
-                                 start=e.start - shift, end=e.end - shift)
+    rec.task_events[i] = e._replace(ready=e.ready - shift,
+                                    start=e.start - shift, end=e.end - shift)
     assert detect_races(rec, cg).rules_hit() == ["RACE-HB"]
 
 

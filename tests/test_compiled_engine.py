@@ -78,7 +78,7 @@ def assert_traces_equal(ref, fast, named):
 
     def keyless(events):
         return (events if named
-                else [dataclasses.replace(e, key=None) for e in events])
+                else [e._replace(key=None) for e in events])
 
     assert keyless(b.transfer_events) == keyless(a.transfer_events)
     assert keyless(b.fault_events) == keyless(a.fault_events)
@@ -164,18 +164,21 @@ class TestEngineEquality:
         assert_reports_equal(ref, fast)
 
     @pytest.mark.parametrize("general", [
-        {"trace": True},
+        # an empty fault plan forces the general loop; tracing does not
+        {"trace": True, "faults": FaultPlan()},
         {"synchronized": True},
         {"scheduler": "work-stealing"},
-    ], ids=lambda o: next(iter(o)))
+        {"trace": True},
+    ], ids=["trace", "synchronized", "scheduler", "lean-trace"])
     @pytest.mark.parametrize("broadcast", ["direct", "tree"])
     @pytest.mark.parametrize("aggregate", [False, True])
     def test_general_loop_on_scalar_network(self, general, broadcast,
                                             aggregate):
         """Fault-free runs of the general loop on the scalar (clique)
         network serve every quantum through the shared NetworkSim, as
-        fault and topology runs do.  2 MB tiles, so messages span several
-        quanta and the round-robin order matters."""
+        fault and topology runs do; a traced lean run (``lean-trace``)
+        rebuilds the same trace from its timeline.  2 MB tiles, so
+        messages span several quanta and the round-robin order matters."""
         dist = SymmetricBlockCyclic(4)
         g = build_cholesky_graph(10, 512, dist)
         cg = compile_graph(g)
@@ -938,10 +941,12 @@ def duplicate_reads_graph(fan_in):
 
 
 @pytest.mark.parametrize("fan_in", [0, 300])
-@pytest.mark.parametrize("trace", [False, True], ids=["lean", "general"])
+@pytest.mark.parametrize("loop", [
+    {}, {"trace": True, "faults": FaultPlan()}, {"trace": True},
+], ids=["lean", "general", "lean-trace"])
 @pytest.mark.parametrize("aggregate", [False, True])
 @pytest.mark.parametrize("broadcast", ["direct", "tree"])
-def test_a_delivery_decrements_once_per_read(broadcast, aggregate, trace, fan_in):
+def test_a_delivery_decrements_once_per_read(broadcast, aggregate, loop, fan_in):
     """A delivery walks its remote-needer slice entry by entry: a task
     listed twice (it reads the version twice) is decremented twice, a task
     waiting for two tiles of one aggregated message once per tile, and
@@ -955,7 +960,7 @@ def test_a_delivery_decrements_once_per_read(broadcast, aggregate, trace, fan_in
     assert any(len(set(ids)) < len(ids) for ids in slices)  # a duplicate
     assert (int(plan.missing.max()) > 255) == bool(fan_in)
     m = laptop(nodes=4, cores=3)
-    opts = dict(broadcast=broadcast, aggregate=aggregate, trace=trace)
+    opts = dict(loop, broadcast=broadcast, aggregate=aggregate)
     ref = simulate(g, m, **opts)
     assert_reports_equal(ref, simulate_compiled(cg, m, **opts))
     # aggregation did merge tiles: fewer messages than (tile, node) pairs

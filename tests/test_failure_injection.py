@@ -207,6 +207,31 @@ class TestFaultPlanSimulator:
             simulate_compiled(cg, m, faults=plan)
         assert str(e1.value) == str(e2.value)
 
+    def test_a_crashed_run_keeps_every_started_task(self):
+        """A caller's recorder holds the trace of a run that raises: every
+        task that started, every message delivered and every fault, the
+        same on both engines (the core rebuilds its rows from the
+        timeline before the failure propagates)."""
+        g, cg, m = self._setup()
+        plan = FaultPlan(
+            seed=3, loss_rate=0.1,
+            slowdowns=(SlowdownWindow(node=0, factor=2.0),),
+            crashes=(WorkerCrash(node=1, after_tasks=4),))
+        recs = []
+        for run, graph in ((simulate, g), (simulate_compiled, cg)):
+            rec = Recorder()
+            with pytest.raises(SimulatedFailure, match="node 1 after 4 tasks"):
+                run(graph, m, faults=plan, recorder=rec)
+            recs.append(rec)
+        ref, core = recs
+        assert 0 < len(ref.task_events) < len(g.tasks)
+        assert ref.transfer_events and {"crash", "loss"} <= {
+            e.op for e in ref.fault_events}
+        assert core.task_events == ref.task_events
+        assert core.transfer_events == ref.transfer_events
+        assert core.fault_events == ref.fault_events
+        assert core.metrics.as_dict() == ref.metrics.as_dict()
+
     def test_fault_events_recorded(self):
         g, _cg, m = self._setup()
         rec = Recorder()

@@ -125,6 +125,16 @@ class TestRecorder:
         rep = simulate(g, machine, recorder=NullRecorder())
         assert rep.trace is None and rep.transfers is None and rep.obs is None
 
+    def test_events_are_immutable_and_hashable(self, traced):
+        _g, _rep, rec = traced
+        e = rec.task_events[0]
+        with pytest.raises(AttributeError):
+            e.start = 0.0
+        assert hash(e) == hash(e._replace())
+        moved = e._replace(start=e.start + 1.0)
+        assert moved.start == e.start + 1.0 and moved.end == e.end
+        assert moved != e and moved.duration == e.end - moved.start
+
     def test_invalid_ops_rejected(self):
         rec = Recorder()
         with pytest.raises(ValueError):
@@ -302,6 +312,29 @@ class TestExport:
                 == rec.metrics.counter("net.bytes").values)
         assert (back.metrics.counter("tasks").values
                 == rec.metrics.counter("tasks").values)
+
+    #: SHA-256 of both exports of a traced N = 24 core run, recorded when
+    #: the events were frozen dataclasses and the core's general loop
+    #: appended its rows as it went.
+    EXPORTS_AT_PARENT = {
+        "jsonl": "6bac511748ca1740f371f665ca10bff237f95e5d4b087a66ebb21e377fb9fd55",
+        "chrome": "8b2879ccf4cc7118b8c1cd92937e4465032f8115cda8d213265b6fa555d40ffd",
+    }
+
+    def test_exports_are_the_recorded_ones(self, tmp_path):
+        d = SymmetricBlockCyclic(4)
+        rec = simulate_compiled(compile_cholesky(24, 64, d),
+                                laptop(nodes=d.num_nodes, cores=2),
+                                trace=True).obs
+        for name, write in (("jsonl", write_jsonl),
+                            ("chrome", write_chrome_trace)):
+            with open(write(rec, tmp_path / name), "rb") as fh:
+                assert (hashlib.sha256(fh.read()).hexdigest()
+                        == self.EXPORTS_AT_PARENT[name])
+        back = read_jsonl(tmp_path / "jsonl")
+        assert back.task_events == rec.task_events
+        assert back.transfer_events == rec.transfer_events
+        assert back.fault_events == rec.fault_events
 
     def test_jsonl_rejects_bad_version(self, tmp_path):
         p = tmp_path / "bad.jsonl"
