@@ -23,20 +23,25 @@ regenerate the reference trajectory against a *cold* store.
 The acceptance point of the array-engine PR is the last full-mode row:
 N = 400 (10.7M tasks) must simulate in under 60 s wall.
 
-The JSON also holds the cache-hit layer (``service.hit_us``: min and
-median, over repeats, of the per-call time of 1 000 in-process
-``client.submit`` calls on the trajectory's own, already stored, points,
-each submit with a new ``JobSpec`` object), the plan layer at N = 100
-split in two (``plan_layer``: ``csr_seconds`` for
-``CompiledGraph.consumers_csr``, ``plan_seconds`` for ``comm_plan`` on the
-cached adjacency, min and median over repeats, and the ``tracemalloc``
-peak of each next to the bytes it returns), the trace layer at N = 48
-(``trace_layer``: the untraced and the traced run of one prebuilt graph
-and, inside the traced one, the rebuild of its trace from the run's
-timeline — seconds, min and median over repeats, measured in a fresh
-interpreter before the trajectory, so no earlier point's heap or store
-is in it) and the host it was measured on (nproc, CPU model, Python,
-numpy).
+The JSON also holds three layers, each measured in a fresh interpreter
+before the trajectory, so no earlier point's heap or store is in it, and
+each as min and median over repeats:
+
+* ``loop_layer``: the serve loop at N = 48, seconds per run of one
+  prebuilt graph in each configuration the ``potrf_general`` perf
+  workload times (untraced, traced, synchronized, its fault plan, tree +
+  aggregation, a ``grid(6, 6)`` topology with work-stealing), the runs
+  alternating, and the rebuild of the trace inside each traced run;
+* ``service.hit_us``: the per-call time of 1 000 in-process
+  ``client.submit`` calls on the small-mode points (N = 18 / 36 / 54),
+  stored first in a temporary store, each submit with a new ``JobSpec``
+  object;
+* ``plan_layer`` (in this process): the plan layer at N = 100 split in
+  two, ``csr_seconds`` for ``CompiledGraph.consumers_csr`` and
+  ``plan_seconds`` for ``comm_plan`` on the cached adjacency, with the
+  ``tracemalloc`` peak of each next to the bytes it returns;
+
+and the host it was measured on (nproc, CPU model, Python, numpy).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -62,10 +68,11 @@ from repro.service import JobSpec, SweepClient
 
 B = 512
 R = 9  # extended SBC on P = 36 nodes, the paper's largest square layout
-NS = sizes(small=[18, 36, 54], full=[100, 200, 400])
+SMALL_NS = [18, 36, 54]
+NS = sizes(small=SMALL_NS, full=[100, 200, 400])
 HIT_CALLS, HIT_REPEATS = 1000, 5
 LAYER_N, LAYER_REPEATS = 100, 7
-TRACE_N, TRACE_REPEATS = 48, 7
+LOOP_N, LOOP_REPEATS = 48, 7
 
 
 def _point(N: int) -> JobSpec:
@@ -122,24 +129,29 @@ def trajectory(ns, client: SweepClient):
     return rows, metrics
 
 
-def hit_layer(ns, client: SweepClient) -> dict:
-    """Per-call µs of ``HIT_CALLS`` submits cycling over stored points, as
-    min and median over ``HIT_REPEATS`` repeats.  Each submit gets a new
-    ``JobSpec``, built before the timed loop: the figure suite builds one
-    per point and HTTP parses one per request, so a spec object's own
+def measure_hit_layer(ns=SMALL_NS) -> dict:
+    """Per-call µs of ``HIT_CALLS`` submits cycling over the points of
+    ``ns``, stored first in a temporary store that is deleted afterwards,
+    as min and median over ``HIT_REPEATS`` repeats.  Each submit gets a
+    new ``JobSpec``, built before the timed loop: the figure suite builds
+    one per point and HTTP parses one per request, so a spec object's own
     memos (canonical JSON, plain dict, structure key) are paid per hit."""
-    sims = client.simulations_run()
-    per_call = []
-    for _ in range(HIT_REPEATS):
-        specs = [_point(ns[i % len(ns)]) for i in range(HIT_CALLS)]
-        t0 = time.perf_counter()
-        for spec in specs:
-            client.submit(spec)
-        per_call.append(1e6 * (time.perf_counter() - t0) / HIT_CALLS)
-    assert client.simulations_run() == sims, "a stored point was simulated"
+    with tempfile.TemporaryDirectory(prefix="repro-hit-") as store, \
+            SweepClient(store) as client:
+        for N in ns:
+            client.submit(_point(N)).raise_for_status()
+        sims = client.simulations_run()
+        per_call = []
+        for _ in range(HIT_REPEATS):
+            specs = [_point(ns[i % len(ns)]) for i in range(HIT_CALLS)]
+            t0 = time.perf_counter()
+            for spec in specs:
+                client.submit(spec)
+            per_call.append(1e6 * (time.perf_counter() - t0) / HIT_CALLS)
+        assert client.simulations_run() == sims, "a stored point was simulated"
     return {"min": round(min(per_call), 2),
             "median": round(statistics.median(per_call), 2),
-            "calls": HIT_CALLS, "repeats": HIT_REPEATS}
+            "calls": HIT_CALLS, "repeats": HIT_REPEATS, "N": ns}
 
 
 def plan_layer(N: int = LAYER_N, repeats: int = LAYER_REPEATS) -> dict:
@@ -182,16 +194,32 @@ def plan_layer(N: int = LAYER_N, repeats: int = LAYER_REPEATS) -> dict:
     return row
 
 
-def measure_trace_layer(N: int = TRACE_N, repeats: int = TRACE_REPEATS) -> dict:
-    """Untraced and traced ``simulate_compiled`` of one N-tile graph,
-    alternating, and the rebuild inside each traced run (timed by wrapping
-    the function the loop calls): seconds, min and median over
-    ``repeats``.  Every run re-derives its priorities, as a service
-    worker reusing a graph does."""
+def measure_loop_layer(N: int = LOOP_N, repeats: int = LOOP_REPEATS) -> dict:
+    """``simulate_compiled`` of one N-tile graph in each configuration
+    the ``potrf_general`` perf workload times, one run of each per round,
+    and the rebuild inside each traced run (timed by wrapping the
+    function the loop calls): seconds, min and median over ``repeats``.
+    Every run re-derives its priorities, as a service worker reusing a
+    graph does."""
+    from dataclasses import replace
+
+    from repro.runtime.faults import FaultPlan, SlowdownWindow
     from repro.runtime.simulator import fast_engine, simulate_compiled
+    from repro.topology import grid
 
     dist = SymmetricBlockCyclic(R)
     machine = bora(nodes=dist.num_nodes)
+    routed = replace(machine, topology=grid(6, 6))
+    faults = FaultPlan(seed=0, loss_rate=0.02,
+                       slowdowns=(SlowdownWindow(node=0, factor=2.0),))
+    configs = {
+        "untraced": (machine, {}),
+        "traced": (machine, {"trace": True}),
+        "synchronized": (machine, {"synchronized": True}),
+        "faults": (machine, {"faults": faults}),
+        "tree_agg": (machine, {"broadcast": "tree", "aggregate": True}),
+        "topo_steal": (routed, {"scheduler": "work-stealing"}),
+    }
     cg = compile_cholesky(N, B, dist)
     cg.comm_plan()
     rebuild, spent = fast_engine.rebuild, []
@@ -205,12 +233,12 @@ def measure_trace_layer(N: int = TRACE_N, repeats: int = TRACE_REPEATS) -> dict:
 
     fast_engine.rebuild = timed_rebuild
     try:
-        runs: dict[str, list[float]] = {"untraced": [], "traced": []}
+        runs: dict[str, list[float]] = {name: [] for name in configs}
         for _ in range(repeats):
-            for name in runs:
+            for name, (m, opts) in configs.items():
                 cg.priority[:] = 0.0
                 t0 = time.perf_counter()
-                simulate_compiled(cg, machine, trace=name == "traced")
+                simulate_compiled(cg, m, **opts)
                 runs[name].append(time.perf_counter() - t0)
     finally:
         fast_engine.rebuild = rebuild
@@ -221,10 +249,11 @@ def measure_trace_layer(N: int = TRACE_N, repeats: int = TRACE_REPEATS) -> dict:
     return row
 
 
-def trace_layer() -> dict:
-    """:func:`measure_trace_layer` in a fresh interpreter."""
-    code = ("import json; from bench_engine_scale import measure_trace_layer; "
-            "print(json.dumps(measure_trace_layer()))")
+def in_fresh_interpreter(name: str) -> dict:
+    """The JSON result of this module's ``name()``, run in a fresh
+    interpreter."""
+    code = (f"import json, bench_engine_scale as bench; "
+            f"print(json.dumps(bench.{name}()))")
     path = [os.path.dirname(os.path.abspath(__file__)), *filter(None, sys.path)]
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
@@ -244,9 +273,9 @@ def _cpu_model() -> str:
 
 
 def test_engine_scale(run_once, sweep_client):
-    traced = trace_layer()
+    loop = in_fresh_interpreter("measure_loop_layer")
+    hit_us = in_fresh_interpreter("measure_hit_layer")
     rows, metrics = run_once(trajectory, NS, sweep_client)
-    hit_us = hit_layer(NS, sweep_client)
     layer = plan_layer()
     print_header(
         f"Compiled-engine scaling, POTRF on SBC-extended(r={R}), b={B}",
@@ -258,7 +287,8 @@ def test_engine_scale(run_once, sweep_client):
               f"{r['plan_seconds']:>9.2f} {r['sim_seconds']:>9.2f} "
               f"{r['peak_rss_mb']:>12.1f} {str(r['cached']):>7}")
     print(f"cache hit: {hit_us['min']:.1f} µs min, {hit_us['median']:.1f} µs "
-          f"median per submit ({HIT_REPEATS} x {HIT_CALLS} calls)")
+          f"median per submit ({HIT_REPEATS} x {HIT_CALLS} calls, "
+          f"N = {hit_us['N']})")
     print(f"N={layer['N']} adjacency {1e3 * layer['csr_seconds']['min']:.1f} / "
           f"{1e3 * layer['csr_seconds']['median']:.1f} ms, plan "
           f"{1e3 * layer['plan_seconds']['min']:.1f} / "
@@ -266,13 +296,11 @@ def test_engine_scale(run_once, sweep_client):
           f"{layer['repeats']}); transient peak {layer['csr_peak_mb']:.1f} / "
           f"{layer['plan_peak_mb']:.1f} MiB for {layer['csr_result_mb']:.1f} / "
           f"{layer['plan_result_mb']:.1f} MiB returned")
-    print(f"N={traced['N']} untraced {1e3 * traced['untraced_seconds']['min']:.1f} / "
-          f"{1e3 * traced['untraced_seconds']['median']:.1f} ms, traced "
-          f"{1e3 * traced['traced_seconds']['min']:.1f} / "
-          f"{1e3 * traced['traced_seconds']['median']:.1f} ms, of which the "
-          f"rebuild {1e3 * traced['rebuild_seconds']['min']:.1f} / "
-          f"{1e3 * traced['rebuild_seconds']['median']:.1f} ms (min / median "
-          f"of {traced['repeats']})")
+    print(f"N={loop['N']} serve loop, ms per run (min / median of "
+          f"{loop['repeats']}):")
+    for key, ts in loop.items():
+        if key.endswith("_seconds"):
+            print(f"  {key[:-8]:>12} {1e3 * ts['min']:8.1f} {1e3 * ts['median']:8.1f}")
 
     # Structural sanity only at scaled sizes: a per-task wall-clock bound
     # on a 68 ms run measures the host, not the loop, whose speed gate is
@@ -297,7 +325,7 @@ def test_engine_scale(run_once, sweep_client):
             "trajectory": rows,
             "service": {"hit_us": hit_us},
             "plan_layer": layer,
-            "trace_layer": traced,
+            "loop_layer": loop,
             "metrics": metrics.as_dict(),
         }
         with open(out, "w") as fh:

@@ -378,15 +378,13 @@ def compiled_critical_path_priorities(
         for lo, hi in reversed(cg.level_ranges):
             flat_lo, flat_hi = cons_ptr[lo], cons_ptr[hi]
             vals = bottom[cons_ids[flat_lo:flat_hi]]
-            starts = (cons_ptr[lo:hi] - flat_lo).astype(np.int64)
-            deg = np.diff(cons_ptr[lo : hi + 1])
+            succ = np.zeros(hi - lo, dtype=np.float64)
+            # Reduce only the non-empty segments: an empty one's start is
+            # the next one's, or len(vals) at the end of the level.
+            read = np.diff(cons_ptr[lo : hi + 1]) > 0
             if len(vals):
-                red = np.maximum.reduceat(
-                    vals, np.minimum(starts, len(vals) - 1)
-                )
-                succ = np.where(deg > 0, red, 0.0)
-            else:
-                succ = np.zeros(hi - lo, dtype=np.float64)
+                starts = (cons_ptr[lo:hi][read] - flat_lo).astype(np.int64)
+                succ[read] = np.maximum.reduceat(vals, starts)
             bottom[lo:hi] = durations[lo:hi] + succ
         return bottom
     # Generic reverse sweep (tasks are topologically ordered by id).

@@ -27,13 +27,13 @@ costs several times the plain loop over them (``docs/ledger.md``, PR 24).
 This is the simulator's *core*, the one timed implementation:
 :func:`simulate_compiled` is :func:`_prepare` (validate, plan, settle
 priorities) -> :func:`_numpy_loop` (the event loop) -> :func:`_report`.
-The loop has a lean variant for scalar-network runs without barriers,
-faults or a custom ready queue, and a general one for everything else;
-which runs is read off the prepared run, never asked for, and tracing
-is not part of the choice.  Both append the run's timeline to two logs
+One loop serves every configuration.  Barriers, faults, a custom ready
+queue and a routed topology are flags read off the prepared run before
+it starts; each sends only its own steps to the helpers the inlined
+path otherwise skips.  The loop appends the run's timeline to two logs
 (:func:`repro.obs.timeline.new_log`: each start's completion event and
-each queue entry, each delivered message) and neither records an event:
-a traced run keeps the logs and its trace is rebuilt from them after the
+each queue entry, each delivered message) and records no event: a
+traced run keeps the logs and its trace is rebuilt from them after the
 loop (:func:`repro.obs.timeline.rebuild`), also when the loop raised;
 an untraced run's logs have length zero.
 
@@ -130,9 +130,9 @@ def simulate_compiled(
 
     A :class:`repro.runtime.faults.FaultPlan` produces bit-identical
     makespan/bytes/messages to the object engine under the same plan
-    (fault runs take the general loop and route every network quantum
-    through the shared :class:`NetworkSim` code so the injected wire
-    factors agree exactly).
+    (a plan with degraded links serves every network quantum through the
+    shared :class:`NetworkSim` code, so the injected wire factors agree
+    exactly).
     """
     return _numpy_loop(_prepare(
         cg, machine, synchronized, durations, auto_priorities, trace,
@@ -313,7 +313,7 @@ def _numpy_loop(run: _Run) -> SimReport:
 
     net = NetworkSim(machine.network, num_nodes, aggregate=aggregate,
                      wire_factor=fstate.wire_factor, topology=ctopo)
-    # The lean loop transcribes the per-quantum server inline (the single
+    # The loop transcribes the per-quantum server inline (the single
     # hottest network path); bind its state once.
     net_queues = net._queues
     net_ingress = net._ingress_free
@@ -439,234 +439,233 @@ def _numpy_loop(run: _Run) -> SimReport:
     # The loop and a trace's rebuild allocate only acyclic temporaries,
     # reclaimed by refcounting; with tens of millions of live ints in the
     # lowered lists, letting the cyclic collector run full passes here
-    # costs more than the whole event loop.  The general loop calls
-    # ``enqueue_ready`` and ``NetworkSim.egress_freed``; only the lean
-    # loop (the configuration ``potrf_lean`` times on its own) carries
-    # inlined copies of both — the call itself (and the closure-cell
-    # reloads it forces) is measurable at ten million calls.
+    # costs more than the whole event loop.  One loop serves every
+    # configuration; each feature is a flag set here, and only its own
+    # steps leave the inlined path for the helpers above — a call (and the
+    # closure-cell reloads it forces) is measurable at ten million calls.
+    # Crashes, a custom queue or a slowdown: enqueues go through
+    # enqueue_ready and a slowdown's starts through start_task.  Under
+    # barriers only the enqueues a barrier holds back do.
+    special = dead is not None or cqueue is not None or fault_slow
+    # A topology or a wire factor: quanta are served by NetworkSim itself.
+    net_plain = ctopo is None and fstate.wire_factor is None
+    # Direct sends on such a network are submitted inline, statement for
+    # statement what NetworkSim.submit does without aggregation.
+    plain_send = direct and not aggregate and net_plain
+    _hpush, _hpop = heappush, heappop
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if (synchronized or faults is not None or cqueue is not None
-                or ctopo is not None):
-            while events:
-                now, _evseq, kind, payload = heappop(events)
-                if kind >= 0.0:  # task completion
-                    t = payload
-                    n = node_l[t]
-                    if dead is not None:
-                        fstate.task_completed(n, now, rec)
-                    if dead is None or not dead[n]:  # else no workers left
-                        if cqueue is not None:
-                            t2 = cqueue.pop(n)
-                        elif pheap[n]:
-                            ph = pheap[n]
-                            np0 = ph[0]
-                            bq = buckets[n]
-                            b2 = bq[np0]
-                            t2 = b2.popleft()
-                            if not b2:
-                                heappop(ph)
-                                del bq[np0]
-                        else:
-                            t2 = None
-                        if t2 is None:
-                            free[n] += 1
-                        else:
-                            start_task(t2, n, now)
-                    d = t + n_init if write_dense else write_l[t]
-                    if d >= 0:
-                        a = lc_ptr[d]
-                        b = lc_ptr[d + 1]
-                        if a != b:
-                            # most tiles have exactly one local consumer;
-                            # skip the slice allocation for that case
-                            for tid in ((lc_ids[a],) if b - a == 1
-                                        else lc_ids[a:b]):
-                                m = missing[tid] - 1
-                                missing[tid] = m
-                                if m == 0:
-                                    enqueue_ready(tid, now)
-                        if has_remote[d]:
-                            request_transfers(d, n, now)
-                    if synchronized:
-                        iter_remaining[ipos[t]] -= 1
-                        release_iterations(now)
-                elif kind == -1.0:  # source egress channel freed
-                    nxt = net.egress_freed(payload, now)
-                    if nxt is not None:
-                        launch(nxt)
-                elif kind == -3.0:  # retransmission of a lost message
-                    old = payload
-                    frec.record_fault("retry", time=now, src=old.src,
-                                      dst=old.dst, key=data_keys[old.key])
-                    first = net.submit(old.retransmission(), now)
-                    if first is not None:
-                        launch(first)
-                else:  # transfer delivered at the destination
-                    tr = payload
-                    if lost_fn is not None and lost_fn(tr.src, tr.dst):
-                        # Transient loss: the message evaporates in flight;
-                        # the sender retransmits after the plan's timeout.
-                        frec.record_fault(
-                            "loss", time=tr.end, src=tr.src, dst=tr.dst,
-                            key=data_keys[tr.key],
-                            detail="retry at "
-                            f"{tr.end + faults.retransmit_timeout:.6g}",
-                        )
-                        seq += 1
-                        heappush(events,
-                                 (tr.end + faults.retransmit_timeout, seq, -3.0, tr))
-                        continue
-                    delivered(tr)
-                    dst = tr.dst
-                    end = tr.end
-                    for d in tr.keys:
-                        p = kd_ptr[d]
-                        while pair_dst[p] != dst:
-                            p += 1
-                        if not delivered_pairs[p]:
-                            delivered_pairs[p] = 1
-                            s0 = rn_start[p]
-                            for tid in rn_ids[s0:s0 + rn_count[p]]:
-                                m = missing[tid] - 1
-                                missing[tid] = m
-                                if m == 0:
-                                    enqueue_ready(tid, end)
-                        for child, prio in tree_children.pop((d, dst), ()):
-                            _send(d, dst, child, prio, end)
-        else:
-            # Lean variant of the loop above for the common case: identical
-            # statements minus the barrier, fault and custom queue branches
-            # (the equality suite runs both paths).
-            _hpush = heappush
-            _hpop = heappop
-            is_tree = broadcast == "tree"
-            while events:
-                now, _evseq, kind, payload = _hpop(events)
-                if kind >= 0.0:  # task completion
-                    t = payload
-                    n = node_l[t]
-                    ph = pheap[n]
-                    if ph:
-                        np0 = ph[0]
-                        bq = buckets[n]
-                        b2 = bq[np0]
-                        t2 = b2.popleft()
-                        if not b2:
-                            _hpop(ph)
-                            del bq[np0]
+        while events:
+            now, _evseq, kind, payload = _hpop(events)
+            if kind >= 0.0:  # task completion
+                t = payload
+                n = node_l[t]
+                if dead is not None:
+                    fstate.task_completed(n, now, rec)
+                if dead is not None and dead[n]:
+                    pass  # fail-stopped: no workers left to start anything
+                elif cqueue is not None:
+                    t2 = cqueue.pop(n)
+                    if t2 is None:
+                        free[n] += 1
+                    else:
+                        start_task(t2, n, now)
+                elif ph := pheap[n]:
+                    np0 = ph[0]
+                    bq = buckets[n]
+                    b2 = bq[np0]
+                    t2 = b2.popleft()
+                    if not b2:
+                        _hpop(ph)
+                        del bq[np0]
+                    if fault_slow:
+                        start_task(t2, n, now)
+                    else:
                         seq += 1
                         ev = (now + dur_l[t2], seq, now, t2)
                         _hpush(events, ev)
                         log(ev)
-                    else:
-                        free[n] += 1
-                    d = t + n_init if write_dense else write_l[t]
-                    if d >= 0:
-                        a = lc_ptr[d]
-                        b = lc_ptr[d + 1]
-                        if a != b:
-                            for tid in ((lc_ids[a],) if b - a == 1
-                                        else lc_ids[a:b]):
-                                m = missing[tid] - 1
-                                missing[tid] = m
-                                if m == 0:  # enqueue_ready(tid, now)
-                                    n2 = node_l[tid]
-                                    if free[n2] > 0:
-                                        free[n2] -= 1
-                                        seq += 1
-                                        ev = (now + dur_l[tid], seq, now, tid)
-                                        _hpush(events, ev)
-                                        log(ev)
+                else:
+                    free[n] += 1
+                d = t + n_init if write_dense else write_l[t]
+                if d >= 0:
+                    a = lc_ptr[d]
+                    b = lc_ptr[d + 1]
+                    if a != b:
+                        # most tiles have exactly one local consumer;
+                        # skip the slice allocation for that case
+                        for tid in ((lc_ids[a],) if b - a == 1
+                                    else lc_ids[a:b]):
+                            m = missing[tid] - 1
+                            missing[tid] = m
+                            if m == 0:
+                                if special or (synchronized and ipos[tid] > released_idx):
+                                    enqueue_ready(tid, now)
+                                    continue
+                                n2 = node_l[tid]
+                                if free[n2] > 0:
+                                    free[n2] -= 1
+                                    seq += 1
+                                    ev = (now + dur_l[tid], seq, now, tid)
+                                    _hpush(events, ev)
+                                    log(ev)
+                                else:
+                                    np_ = negprio_l[tid]
+                                    bq = buckets[n2]
+                                    b3 = bq.get(np_)
+                                    if b3 is None:
+                                        bq[np_] = deque((tid,))
+                                        _hpush(pheap[n2], np_)
                                     else:
-                                        np_ = negprio_l[tid]
-                                        bq = buckets[n2]
-                                        b3 = bq.get(np_)
-                                        if b3 is None:
-                                            bq[np_] = deque((tid,))
-                                            _hpush(pheap[n2], np_)
-                                        else:
-                                            b3.append(tid)
-                                        log((now, tid))
-                        if has_remote[d]:
-                            request_transfers(d, n, now)
-                elif kind == -1.0:  # source egress channel freed
-                    src_n = payload
-                    queue = net_queues[src_n]
-                    while queue:
-                        negprio, _s, tr = _hpop(queue)
-                        if negprio == -tr.priority:
-                            break
+                                        b3.append(tid)
+                                    log((now, tid))
+                    if not has_remote[d]:
+                        pass  # no remote reader
+                    elif not plain_send:
+                        request_transfers(d, n, now)
                     else:
-                        net_egress_busy[src_n] = False
-                        continue
-                    remaining = tr.remaining
-                    size = (net_quantum if net_quantum < remaining
-                            else remaining)
-                    remaining -= size
-                    tr.remaining = remaining
-                    wire = size / net_bw
-                    if tr.started >= 0.0:
-                        occupancy = wire
-                        egress_done = now + wire
-                    else:  # the first quantum pays the latency
-                        occupancy = wire + net_lat
-                        egress_done = tr.started = now + occupancy
-                    dst = tr.dst
-                    ingress = net_ingress[dst] + wire
-                    delivery = (egress_done if egress_done > ingress
-                                else ingress)
-                    net_ingress[dst] = delivery
-                    net_busy[src_n] += occupancy
+                        nb = nbytes_l[d]
+                        for p in range(kd_ptr[d], kd_ptr[d + 1]):
+                            dst = pair_dst[p]
+                            prio = pair_prio[p]
+                            tr = Transfer(d, n, dst, nb, prio)
+                            if not (0 <= n < num_nodes
+                                    and 0 <= dst < num_nodes and n != dst):
+                                net.submit(tr, now)  # raises submit's error
+                            tr.submitted = now
+                            net.total_bytes += nb
+                            net.total_messages += 1
+                            s2 = net._seq + 1  # submit's push
+                            net._seq = s2
+                            if net_egress_busy[n]:
+                                _hpush(net_queues[n], (-prio, s2, tr))
+                                continue
+                            # an idle port serves the first quantum now
+                            size = net_quantum if net_quantum < nb else nb
+                            wire = size / net_bw
+                            occupancy = wire + net_lat
+                            egress_done = tr.started = now + occupancy
+                            ingress = net_ingress[dst] + wire
+                            delivery = egress_done if egress_done > ingress else ingress
+                            net_ingress[dst] = delivery
+                            net_egress_busy[n] = True
+                            net_busy[n] += occupancy
+                            seq += 1
+                            _hpush(events, (egress_done, seq, -1.0, n))
+                            tr.remaining = remaining = nb - size
+                            if remaining:  # back in line, as in egress_freed
+                                net._seq = s2 + 1
+                                _hpush(net_queues[n], (-prio, s2 + 1, tr))
+                            else:
+                                tr.end = delivery
+                                seq += 1
+                                _hpush(events, (delivery, seq, -2.0, tr))
+                if synchronized:
+                    iter_remaining[ipos[t]] -= 1
+                    if not iter_remaining[released_idx]:
+                        release_iterations(now)
+            elif kind == -1.0:  # source egress channel freed
+                src_n = payload
+                if not net_plain:
+                    nxt = net.egress_freed(src_n, now)
+                    if nxt is not None:
+                        launch(nxt)
+                    continue
+                queue = net_queues[src_n]
+                while queue:
+                    negprio, _s, tr = _hpop(queue)
+                    if negprio == -tr.priority:
+                        break
+                else:
+                    net_egress_busy[src_n] = False
+                    continue
+                remaining = tr.remaining
+                size = net_quantum if net_quantum < remaining else remaining
+                remaining -= size
+                tr.remaining = remaining
+                wire = size / net_bw
+                if tr.started >= 0.0:
+                    occupancy = wire
+                    egress_done = now + wire
+                else:  # the first quantum pays the latency
+                    occupancy = wire + net_lat
+                    egress_done = tr.started = now + occupancy
+                dst = tr.dst
+                ingress = net_ingress[dst] + wire
+                delivery = egress_done if egress_done > ingress else ingress
+                net_ingress[dst] = delivery
+                net_busy[src_n] += occupancy
+                seq += 1
+                if remaining:  # back in line (negprio is -tr.priority)
+                    s2 = net._seq + 1
+                    net._seq = s2
+                    _hpush(queue, (negprio, s2, tr))
+                    _hpush(events, (egress_done, seq, -1.0, src_n))
+                else:
+                    tr.end = delivery
+                    _hpush(events, (egress_done, seq, -1.0, src_n))
                     seq += 1
-                    if remaining:  # back in line (negprio is -tr.priority)
-                        s2 = net._seq + 1
-                        net._seq = s2
-                        _hpush(queue, (negprio, s2, tr))
-                        _hpush(events, (egress_done, seq, -1.0, src_n))
-                    else:
-                        tr.end = delivery
-                        _hpush(events, (egress_done, seq, -1.0, src_n))
-                        seq += 1
-                        _hpush(events, (delivery, seq, -2.0, tr))
-                else:  # transfer delivered at the destination
-                    tr = payload
-                    delivered(tr)
-                    dst = tr.dst
-                    end = tr.end
-                    for d in tr.keys:
-                        p = kd_ptr[d]
-                        while pair_dst[p] != dst:
-                            p += 1
-                        if not delivered_pairs[p]:
-                            delivered_pairs[p] = 1
-                            s0 = rn_start[p]
-                            for tid in rn_ids[s0:s0 + rn_count[p]]:
-                                m = missing[tid] - 1
-                                missing[tid] = m
-                                if m == 0:  # enqueue_ready(tid, end)
-                                    n2 = node_l[tid]
-                                    if free[n2] > 0:
-                                        free[n2] -= 1
-                                        seq += 1
-                                        ev = (end + dur_l[tid], seq, end, tid)
-                                        _hpush(events, ev)
-                                        log(ev)
+                    _hpush(events, (delivery, seq, -2.0, tr))
+            elif kind == -2.0:  # transfer delivered at the destination
+                tr = payload
+                if lost_fn is not None and lost_fn(tr.src, tr.dst):
+                    # Transient loss: the message evaporates in flight;
+                    # the sender retransmits after the plan's timeout.
+                    frec.record_fault(
+                        "loss", time=tr.end, src=tr.src, dst=tr.dst,
+                        key=data_keys[tr.key],
+                        detail="retry at "
+                        f"{tr.end + faults.retransmit_timeout:.6g}",
+                    )
+                    seq += 1
+                    _hpush(events,
+                           (tr.end + faults.retransmit_timeout, seq, -3.0, tr))
+                    continue
+                delivered(tr)
+                dst = tr.dst
+                end = tr.end
+                for d in tr.keys:
+                    p = kd_ptr[d]
+                    while pair_dst[p] != dst:
+                        p += 1
+                    if not delivered_pairs[p]:
+                        delivered_pairs[p] = 1
+                        s0 = rn_start[p]
+                        for tid in rn_ids[s0:s0 + rn_count[p]]:
+                            m = missing[tid] - 1
+                            missing[tid] = m
+                            if m == 0:
+                                if special or (synchronized and ipos[tid] > released_idx):
+                                    enqueue_ready(tid, end)
+                                    continue
+                                n2 = node_l[tid]
+                                if free[n2] > 0:
+                                    free[n2] -= 1
+                                    seq += 1
+                                    ev = (end + dur_l[tid], seq, end, tid)
+                                    _hpush(events, ev)
+                                    log(ev)
+                                else:
+                                    np_ = negprio_l[tid]
+                                    bq = buckets[n2]
+                                    b3 = bq.get(np_)
+                                    if b3 is None:
+                                        bq[np_] = deque((tid,))
+                                        _hpush(pheap[n2], np_)
                                     else:
-                                        np_ = negprio_l[tid]
-                                        bq = buckets[n2]
-                                        b3 = bq.get(np_)
-                                        if b3 is None:
-                                            bq[np_] = deque((tid,))
-                                            _hpush(pheap[n2], np_)
-                                        else:
-                                            b3.append(tid)
-                                        log((end, tid))
-                        if is_tree:
-                            for child, prio in tree_children.pop((d, dst),
-                                                                 ()):
-                                _send(d, dst, child, prio, end)
+                                        b3.append(tid)
+                                    log((end, tid))
+                    if not direct:
+                        for child, prio in tree_children.pop((d, dst), ()):
+                            _send(d, dst, child, prio, end)
+            else:  # retransmission of a lost message
+                old = payload
+                frec.record_fault("retry", time=now, src=old.src,
+                                  dst=old.dst, key=data_keys[old.key])
+                first = net.submit(old.retransmission(), now)
+                if first is not None:
+                    launch(first)
     finally:
         try:  # the trace, before a crash is reported or when the loop raised
             if rec is not None:

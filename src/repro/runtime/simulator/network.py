@@ -147,9 +147,9 @@ class NetworkSim:
             self._switch_free = None
         #: Fault-injection hook (repro.runtime.faults): multiplies the wire
         #: time of each quantum served on (src, dst) at a given time.  The
-        #: core's lean loop transcribes egress_freed inline and does NOT apply
-        #: it — fault runs take its general loop, which serves every
-        #: quantum through this class.
+        #: core transcribes egress_freed (and a non-aggregating submit)
+        #: inline and does NOT apply it there: with a wire factor set, its
+        #: loop serves every quantum through this class.
         self._wire_factor = wire_factor
         #: Coalesce queued messages sharing (source, destination) into one
         #: wire message (single latency): the aggregation optimization the
@@ -165,7 +165,7 @@ class NetworkSim:
         # to the same destination piggy-backs instead of queueing).  Entries
         # go stale once egress_freed starts the transfer; submit validates
         # lazily, so egress_freed stays untouched (the compiled engine's
-        # lean loop inlines it).
+        # loop inlines it).
         self._unstarted: list[dict] = [{} for _ in range(num_nodes)]
         self._seq = 0
         self.total_bytes = 0

@@ -127,7 +127,7 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("sync", [False, True])
     def test_synchronized_mode_matches(self, sync):
-        """Covers both loop variants (the barrier path is the general one)."""
+        """Covers the loop with and without its barrier flag."""
         g = build_cholesky_graph(10, 32, SymmetricBlockCyclic(4))
         cg = compile_graph(g)
         m = laptop(nodes=6, cores=2)
@@ -163,31 +163,40 @@ class TestEngineEquality:
                                  aggregate=aggregate, faults=plan)
         assert_reports_equal(ref, fast)
 
-    @pytest.mark.parametrize("general", [
-        # an empty fault plan forces the general loop; tracing does not
+    @pytest.mark.parametrize("flags", [
+        # an empty fault plan turns on no flag; tracing is none either
         {"trace": True, "faults": FaultPlan()},
         {"synchronized": True},
         {"scheduler": "work-stealing"},
         {"trace": True},
-    ], ids=["trace", "synchronized", "scheduler", "lean-trace"])
+        {"synchronized": True, "trace": True},
+        {"trace": True, "faults": FaultPlan(
+            seed=3, slowdowns=(SlowdownWindow(node=1, factor=2.0),),
+            loss_rate=0.05)},
+    ], ids=["trace", "synchronized", "scheduler", "lean-trace",
+            "synchronized-trace", "slowdown-trace"])
     @pytest.mark.parametrize("broadcast", ["direct", "tree"])
     @pytest.mark.parametrize("aggregate", [False, True])
-    def test_general_loop_on_scalar_network(self, general, broadcast,
+    def test_general_loop_on_scalar_network(self, flags, broadcast,
                                             aggregate):
-        """Fault-free runs of the general loop on the scalar (clique)
-        network serve every quantum through the shared NetworkSim, as
-        fault and topology runs do; a traced lean run (``lean-trace``)
-        rebuilds the same trace from its timeline.  2 MB tiles, so
-        messages span several quanta and the round-robin order matters."""
+        """Runs on the scalar (clique) network with each of the loop's
+        flags: barriers (``synchronized``), or a custom ready queue or a
+        slowdown (``special``: enqueues through ``enqueue_ready``); none
+        sets a topology or a wire factor, so quanta and direct sends stay
+        inline.  A traced run rebuilds the same trace from its timeline.
+        2 MB tiles, so messages span several quanta and the round-robin
+        order matters.  (The test and its first four ids keep the names
+        they had when the first three cases ran a second, general loop
+        and ``lean-trace`` the lean one.)"""
         dist = SymmetricBlockCyclic(4)
         g = build_cholesky_graph(10, 512, dist)
         cg = compile_graph(g)
         m = laptop(nodes=dist.num_nodes, cores=2)
-        opts = dict(general, broadcast=broadcast, aggregate=aggregate)
+        opts = dict(flags, broadcast=broadcast, aggregate=aggregate)
         ref = simulate(g, m, **opts)
         fast = simulate_compiled(cg, m, **opts)
         assert_reports_equal(ref, fast)
-        if "trace" in general:
+        if "trace" in flags:
             assert ([e.started for e in fast.transfers]
                     == [e.started for e in ref.transfers])
 
@@ -341,6 +350,46 @@ class TestCompiledPriorities:
             compiled_critical_path_priorities(generic, durations),
             rtol=1e-12,
         )
+
+    @staticmethod
+    def _levelled(reads, levels):
+        """A compiled graph with ``level_ranges=levels`` in which task
+        ``t`` reads the outputs of the tasks ``reads[t]``."""
+        g = TaskGraph(b=4)
+        for t, srcs in enumerate(reads):
+            g.add_task("GEMM", 0, (t,),
+                       tuple(DataKey("A", s, 0, 0) for s in srcs),
+                       DataKey("A", t, 0, 0), 1.0, 0)
+        return dataclasses.replace(compile_graph(g), level_ranges=levels)
+
+    def test_level_sweep_keeps_a_consumer_before_an_unread_tail(self):
+        """Task 1, last of its level, is read by nobody: the segment of
+        task 0 before it must still reach its last consumer (task 3)."""
+        cg = self._levelled([(), (), (0,), (0,)], [(0, 2), (2, 4)])
+        durations = np.array([1.0, 1.0, 1.0, 5.0])
+        pri = compiled_critical_path_priorities(cg, durations)
+        assert pri.tolist() == [6.0, 1.0, 1.0, 5.0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_generated_level_sweeps_equal_generic(self, data):
+        """On random level-structured DAGs the level sweep is bit-equal
+        to the generic one."""
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+        reads, levels = [], []
+        for size in sizes:
+            lo = len(reads)
+            for _ in range(size):
+                reads.append(tuple(sorted(data.draw(st.sets(
+                    st.integers(0, lo - 1), max_size=3)))) if lo else ())
+            levels.append((lo, lo + size))
+        durations = np.array(data.draw(st.lists(
+            st.floats(0.125, 9.0), min_size=len(reads), max_size=len(reads))))
+        cg = self._levelled(reads, levels)
+        np.testing.assert_array_equal(
+            compiled_critical_path_priorities(cg, durations),
+            compiled_critical_path_priorities(
+                dataclasses.replace(cg, level_ranges=None), durations))
 
 
 class TestFastEngineApi:
@@ -519,8 +568,8 @@ class TestTopologyEquality:
         assert_reports_equal(ref, fast)
 
     def test_topology_run_with_trace_and_sync(self):
-        """The core's general loop carries topologies through
-        trace/synchronized modes too."""
+        """The core's topology flag (quanta served by NetworkSim)
+        combines with the barrier flag and with tracing."""
         from repro.topology import ring
 
         dist = BlockCyclic2D(2, 3)
@@ -791,10 +840,11 @@ class TestSinksAgree:
 
 
 class TestKernelEquality:
-    """The core's lean loop against the oracle on every layout family the
-    column sink streams (the class and test keep the names they had
-    when a third serve loop, the flat-array kernel, was pinned here too;
-    what else that matrix held is accounted for in ``docs/ledger.md``)."""
+    """The core's loop with no flag set against the oracle on every
+    layout family the column sink streams (the class and test keep the
+    names they had when a third serve loop, the flat-array kernel, was
+    pinned here too; what else that matrix held is accounted for in
+    ``docs/ledger.md``)."""
 
     @pytest.mark.parametrize("dist", STREAM_DISTS, ids=lambda d: d.name)
     def test_kernels_match_object_engine(self, dist):
@@ -941,17 +991,20 @@ def duplicate_reads_graph(fan_in):
 
 
 @pytest.mark.parametrize("fan_in", [0, 300])
-@pytest.mark.parametrize("loop", [
+@pytest.mark.parametrize("flags", [
     {}, {"trace": True, "faults": FaultPlan()}, {"trace": True},
-], ids=["lean", "general", "lean-trace"])
+    {"synchronized": True},
+], ids=["lean", "general", "lean-trace", "synchronized"])
 @pytest.mark.parametrize("aggregate", [False, True])
 @pytest.mark.parametrize("broadcast", ["direct", "tree"])
-def test_a_delivery_decrements_once_per_read(broadcast, aggregate, loop, fan_in):
+def test_a_delivery_decrements_once_per_read(broadcast, aggregate, flags, fan_in):
     """A delivery walks its remote-needer slice entry by entry: a task
     listed twice (it reads the version twice) is decremented twice, a task
     waiting for two tiles of one aggregated message once per tile, and
     each starts the moment its own counter reaches zero — as on the
-    oracle, in both loops and with either counter representation."""
+    oracle, with and without barriers, and with either counter
+    representation.  (The first three ids keep the names they had when
+    ``general`` ran a second loop of the core.)"""
     g = duplicate_reads_graph(fan_in)
     cg = compile_graph(g)
     plan = cg.comm_plan()
@@ -960,7 +1013,7 @@ def test_a_delivery_decrements_once_per_read(broadcast, aggregate, loop, fan_in)
     assert any(len(set(ids)) < len(ids) for ids in slices)  # a duplicate
     assert (int(plan.missing.max()) > 255) == bool(fan_in)
     m = laptop(nodes=4, cores=3)
-    opts = dict(loop, broadcast=broadcast, aggregate=aggregate)
+    opts = dict(flags, broadcast=broadcast, aggregate=aggregate)
     ref = simulate(g, m, **opts)
     assert_reports_equal(ref, simulate_compiled(cg, m, **opts))
     # aggregation did merge tiles: fewer messages than (tile, node) pairs

@@ -314,8 +314,8 @@ class TestExport:
                 == rec.metrics.counter("tasks").values)
 
     #: SHA-256 of both exports of a traced N = 24 core run, recorded when
-    #: the events were frozen dataclasses and the core's general loop
-    #: appended its rows as it went.
+    #: the events were frozen dataclasses and the core appended its rows
+    #: as it went, in a second loop that traced runs took then.
     EXPORTS_AT_PARENT = {
         "jsonl": "6bac511748ca1740f371f665ca10bff237f95e5d4b087a66ebb21e377fb9fd55",
         "chrome": "8b2879ccf4cc7118b8c1cd92937e4465032f8115cda8d213265b6fa555d40ffd",
