@@ -39,6 +39,13 @@ each as min and median over repeats:
   ``client.submit`` calls on the small-mode points (N = 18 / 36 / 54),
   stored first in a temporary store, each submit with a new ``JobSpec``
   object;
+* ``miss_layer``: the service's miss path on the ``sweep_warm`` perf
+  workload's 160-point ablation set (five Figure 9 layouts at N = 8 and
+  10, so 10 graph structures, under four policies, two broadcasts and
+  aggregation on / off), submitted cold into a temporary store one point
+  at a time (``submit``) and as one ``client.sweep()`` (``sweep``): the
+  compiled graphs the worker built and the seconds of the whole set, as
+  min and median over repeats;
 * ``plan_layer`` (in this process): the plan layer at N = 100 split in
   two, ``csr_seconds`` for ``CompiledGraph.consumers_csr`` and
   ``plan_seconds`` for ``comm_plan`` on the cached adjacency, with the
@@ -64,10 +71,10 @@ import numpy as np
 from conftest import print_header, sizes
 
 from repro.config import bora
-from repro.distributions import SymmetricBlockCyclic
+from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
 from repro.graph import compile_cholesky
 from repro.obs import MetricsRegistry
-from repro.service import JobSpec, SweepClient
+from repro.service import JobSpec, SweepClient, structure_key
 
 B = 512
 R = 9  # extended SBC on P = 36 nodes, the paper's largest square layout
@@ -76,6 +83,17 @@ NS = sizes(small=SMALL_NS, full=[100, 200, 400])
 HIT_CALLS, HIT_REPEATS = 1000, 5
 LAYER_N, LAYER_REPEATS = 100, 7
 LOOP_N, LOOP_REPEATS = 48, 7
+MISS_NS, MISS_B, MISS_REPEATS = (8, 10), 500, 5
+#: The Figure 9 layouts of the perf workloads: (distribution, nodes, options).
+MISS_LAYOUTS = (
+    (SymmetricBlockCyclic(8), 28, {}),
+    (BlockCyclic2D(7, 4), 28, {}),
+    (TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 3), 24, {}),
+    (TwoDotFiveD(BlockCyclic2D(3, 3), 3), 27, {}),
+    (BlockCyclic2D(8, 4), 32, {"synchronized": True}),
+)
+MISS_POLICIES = ("critical-path", "bytes-critical-path", "work-stealing",
+                 "comm-avoiding")
 
 
 def _point(N: int) -> JobSpec:
@@ -155,6 +173,46 @@ def measure_hit_layer(ns=SMALL_NS) -> dict:
     return {"min": round(min(per_call), 2),
             "median": round(statistics.median(per_call), 2),
             "calls": HIT_CALLS, "repeats": HIT_REPEATS, "N": ns}
+
+
+def ablation_points() -> list[JobSpec]:
+    """The ``sweep_warm`` store's 160 points, in its order of population."""
+    return [
+        JobSpec.make("cholesky", n, MISS_B, dist, bora(nodes), policy=policy,
+                     broadcast=broadcast, aggregate=aggregate, **own)
+        for policy in MISS_POLICIES
+        for broadcast in ("direct", "tree")
+        for aggregate in (False, True)
+        for n in MISS_NS for dist, nodes, own in MISS_LAYOUTS
+    ]
+
+
+def measure_miss_layer(repeats: int = MISS_REPEATS) -> dict:
+    """The ablation set submitted cold, ``repeats`` times per mode, each
+    time into a new temporary store: graphs built (points that did not
+    report ``graph_reused``) and seconds for the whole set, min and
+    median."""
+    specs = ablation_points()
+    row: dict = {"points": len(specs),
+                 "structures": len({structure_key(s) for s in specs}),
+                 "repeats": repeats}
+    for mode in ("submit", "sweep"):
+        builds, seconds = [], []
+        for _ in range(repeats):
+            with tempfile.TemporaryDirectory(prefix="repro-miss-") as store, \
+                    SweepClient(store) as client:
+                t0 = time.perf_counter()
+                rows = ([client.submit(s) for s in specs] if mode == "submit"
+                        else client.sweep(specs))
+                seconds.append(time.perf_counter() - t0)
+                assert client.simulations_run() == len(specs)
+            assert all(r.status == "ok" for r in rows)
+            builds.append(sum(not r.graph_reused for r in rows))
+        row[mode] = {
+            "builds": {"min": min(builds), "median": statistics.median(builds)},
+            "seconds": {"min": round(min(seconds), 4),
+                        "median": round(statistics.median(seconds), 4)}}
+    return row
 
 
 def plan_layer(N: int = LAYER_N, repeats: int = LAYER_REPEATS) -> dict:
@@ -287,6 +345,7 @@ def _cpu_model() -> str:
 def test_engine_scale(run_once, sweep_client):
     loop = in_fresh_interpreter("measure_loop_layer")
     hit_us = in_fresh_interpreter("measure_hit_layer")
+    miss = in_fresh_interpreter("measure_miss_layer")
     rows, metrics = run_once(trajectory, NS, sweep_client)
     layer = plan_layer()
     print_header(
@@ -301,6 +360,13 @@ def test_engine_scale(run_once, sweep_client):
     print(f"cache hit: {hit_us['min']:.1f} µs min, {hit_us['median']:.1f} µs "
           f"median per submit ({HIT_REPEATS} x {HIT_CALLS} calls, "
           f"N = {hit_us['N']})")
+    for mode in ("submit", "sweep"):
+        m = miss[mode]
+        print(f"cold {mode} of {miss['points']} points ({miss['structures']} "
+              f"structures): {m['builds']['min']} / {m['builds']['median']} "
+              f"builds, {m['seconds']['min']:.2f} / "
+              f"{m['seconds']['median']:.2f} s (min / median of "
+              f"{miss['repeats']})")
     print(f"N={layer['N']} adjacency {1e3 * layer['csr_seconds']['min']:.1f} / "
           f"{1e3 * layer['csr_seconds']['median']:.1f} ms, plan "
           f"{1e3 * layer['plan_seconds']['min']:.1f} / "
@@ -339,6 +405,7 @@ def test_engine_scale(run_once, sweep_client):
                      "nproc": os.cpu_count()},
             "trajectory": rows,
             "service": {"hit_us": hit_us},
+            "miss_layer": miss,
             "plan_layer": layer,
             "loop_layer": loop,
             "metrics": metrics.as_dict(),

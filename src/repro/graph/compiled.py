@@ -196,6 +196,16 @@ class CompiledGraph:
     def total_flops(self) -> float:
         return float(self.flops.sum())
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes this graph holds: its columns plus the comm plan and the
+        consumer adjacency once cached (``data_keys``, an extra of the
+        object-graph lowering, is not counted)."""
+        arrays = [*vars(self).values(), *(self._cons_csr or ())]
+        if self._plan is not None:
+            arrays += vars(self._plan).values()
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
     def comm_plan(self) -> CommPlan:
         """The precomputed communication structures (built once, cached)."""
         if self._plan is None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import signal
 import sys
 from collections.abc import Sequence
@@ -237,8 +238,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if record is None:
             print(f"no stored result for {args.hash}", file=sys.stderr)
             return 1
-        json.dump(record, sys.stdout, indent=2, sort_keys=True)
-        print()
+        try:
+            json.dump(record, sys.stdout, indent=2, sort_keys=True)
+            print(flush=True)
+        except BrokenPipeError:
+            # The reader closed the pipe (``| head``): point stdout at
+            # /dev/null so the interpreter's exit flush is quiet too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
     return 2  # pragma: no cover - argparse guards choices

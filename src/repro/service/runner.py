@@ -27,7 +27,9 @@ from __future__ import annotations
 import resource
 import threading
 import time
-from collections.abc import Mapping
+from collections import OrderedDict
+from collections.abc import Callable, Mapping
+from concurrent.futures import Future
 from dataclasses import fields
 from operator import itemgetter
 from typing import Any, Optional
@@ -88,32 +90,99 @@ def _build(spec: JobSpec, sink: int) -> Any:
 # --------------------------------------------------------------------------
 # Sweeps routinely vary only network/machine constants, fault seeds or
 # scheduler policies across points — the graph structure (and hence the
-# expensive build + comm plan) is identical.  Each worker keeps the last
-# compiled graph keyed by the spec's structure key and hands it to the
-# next matching point instead of rebuilding.  A run reads its graph and
-# never writes it (priorities live with the run), so two thread-executor
-# points may simulate the one instance at once.
+# expensive build + comm plan) is identical.  Each worker holds compiled
+# graphs keyed by the spec's structure key and hands them to later
+# matching points instead of rebuilding:
+#
+# * a structure built for the first time is held only until the next
+#   build, and dropped *before* it, so a sweep of distinct structures
+#   (ascending N) holds one graph at a time;
+# * a structure built a second time is one that sweeps come back to (a
+#   figure's options over one set of layouts), so it is kept.  Before
+#   each build the kept graphs are evicted, least recently used first,
+#   until their bytes are within GRAPH_MEMO_BYTES; a second build larger
+#   than that is held like a first, so no graph past the budget is held
+#   beside a build;
+# * a point whose structure another thread is building waits for that
+#   build instead of starting its own.
+#
+# A run reads its graph and never writes it (priorities live with the
+# run), so thread-executor points may simulate one instance at once.  The
+# memo lives as long as the server: SweepServer.close() clears it for the
+# thread executor, and pool workers die with their pool.
 
-_graph_memo_lock = threading.Lock()
-_graph_memo: Optional[tuple[str, CompiledGraph]] = None
+#: Bytes (CompiledGraph.nbytes) of kept graphs a worker may hold at a build.
+GRAPH_MEMO_BYTES = 64 << 20
 
 
-def _compiled(spec: JobSpec, skey: str) -> tuple[CompiledGraph, bool]:
-    """(compiled graph, reused?) — reuse only on an exact structure match."""
-    global _graph_memo
-    with _graph_memo_lock:
-        memo = _graph_memo
-        if memo is not None and memo[0] == skey:
-            return memo[1], True
-        # A structure mismatch means the memoized graph is about to be
-        # replaced anyway — evict it *before* compiling so the old
-        # graph's memory does not inflate the new build's peak RSS
-        # (ascending-N sweeps would otherwise hold both at once).
-        _graph_memo = None
-    cg: CompiledGraph = _build(spec, 1)
-    with _graph_memo_lock:
-        _graph_memo = (skey, cg)
-    return cg, False
+class GraphMemo:
+    """This process's compiled graphs by structure key (see above)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: held graphs, least recently used first
+        self._held: OrderedDict[str, CompiledGraph] = OrderedDict()
+        self._once: Optional[str] = None  # the held graph built only once
+        self._built: set[str] = set()  # every structure built since clear()
+        self._building: dict[str, Future[CompiledGraph]] = {}
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def __contains__(self, skey: str) -> bool:
+        return skey in self._held
+
+    def get(self, skey: str,
+            build: Callable[[], CompiledGraph]) -> tuple[CompiledGraph, bool]:
+        """(graph, reused?): the held or in-flight graph of ``skey``, else
+        ``build()``'s."""
+        with self._lock:
+            cg = self._held.get(skey)
+            if cg is not None:
+                self._held.move_to_end(skey)
+                return cg, True
+            waiting = self._building.get(skey)
+            if waiting is None:
+                self._drop_once()
+                total = sum(g.nbytes for g in self._held.values())
+                while total > GRAPH_MEMO_BYTES:
+                    total -= self._held.popitem(last=False)[1].nbytes
+                pending: Future[CompiledGraph] = Future()
+                self._building[skey] = pending
+        if waiting is not None:
+            return waiting.result(), True
+        try:
+            cg = build()
+        except BaseException as exc:
+            with self._lock:
+                del self._building[skey]
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            del self._building[skey]
+            if skey not in self._built or cg.nbytes > GRAPH_MEMO_BYTES:
+                self._drop_once()
+                self._once = skey
+            self._built.add(skey)
+            self._held[skey] = cg
+        pending.set_result(cg)
+        return cg, False
+
+    def clear(self) -> None:
+        """Drop every graph and forget which structures were built."""
+        with self._lock:
+            self._held.clear()
+            self._once = None
+            self._built.clear()
+
+    def _drop_once(self) -> None:
+        if self._once is not None:
+            del self._held[self._once]
+            self._once = None
+
+
+#: The worker's memo (one per process: a pool worker has its own).
+graph_memo = GraphMemo()
 
 
 def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
@@ -132,8 +201,8 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
 
     t0 = time.perf_counter()
     if spec.engine == "compiled":
-        skey = structure_key(spec)
-        cg, graph_reused = _compiled(spec, skey)
+        cg, graph_reused = graph_memo.get(structure_key(spec),
+                                          lambda: _build(spec, 1))
         memo = cg._structure_hash
         if memo is None:
             memo = structure_hash(cg)

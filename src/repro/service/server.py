@@ -39,7 +39,7 @@ from typing import Any, Optional
 from ..obs.metrics import MetricsRegistry
 from .hashing import config_digest, point_hash, structure_key
 from .jobs import JobSpec
-from .runner import report_from_dict, run_point
+from .runner import graph_memo, report_from_dict, run_point
 from .store import ResultStore
 
 __all__ = ["JobResult", "SweepServer"]
@@ -62,8 +62,9 @@ class JobResult:
     #: meaningful even when points run in executor processes.  None for
     #: records stored before this field existed.
     peak_rss_mb: Optional[float] = None
-    #: True when the worker reused its cached compiled graph for this
-    #: point (incremental re-simulation) instead of rebuilding.
+    #: True when the worker did not build this point's compiled graph: it
+    #: held one of the same structure (incremental re-simulation), or
+    #: another point was already building it and this one waited.
     graph_reused: bool = False
 
     def raise_for_status(self) -> JobResult:
@@ -241,4 +242,8 @@ class SweepServer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        else:
+            # Thread-executor points share this process's graph memo,
+            # which lives as long as the server.
+            graph_memo.clear()
         self._io.shutdown(wait=True)

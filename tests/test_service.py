@@ -27,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,7 @@ from repro.service import (
     structure_key,
 )
 from repro.schedulers import POLICIES
+from repro.service import runner
 from repro.service.__main__ import _add_job_flags, main as service_main
 from repro.service.jobs import (
     ALGORITHMS,
@@ -759,6 +761,122 @@ def test_worker_reuses_graph_across_structure_matched_points(tmp_path):
     assert report_to_dict(warm.report) == report_to_dict(fresh)
 
 
+def _fresh_report(sp: JobSpec) -> dict:
+    """``sp`` simulated on a graph built for it alone."""
+    cg = compile_cholesky(sp.ntiles, sp.b, sp.distribution(),
+                          sp.machine_spec().element_size)
+    return report_to_dict(simulate_compiled(
+        cg, sp.machine_spec(), synchronized=sp.synchronized,
+        broadcast=sp.broadcast, aggregate=sp.aggregate, faults=sp.fault_plan(),
+        scheduler=sp.policy))
+
+
+def test_one_sweep_of_a_structure_builds_it_once(tmp_path, monkeypatch):
+    """Six points of one structure in one ``client.sweep()`` run on six
+    executor threads at once: one builds the graph, the other five wait
+    for that build (it is slowed so that they do), and every report is a
+    fresh run's."""
+    builds = []
+    build = runner._build
+
+    def slow_build(sp, sink):
+        builds.append(sp.ntiles)
+        cg = build(sp, sink)
+        time.sleep(0.2)
+        return cg
+
+    monkeypatch.setattr(runner, "_build", slow_build)
+    options = [*({"policy": p} for p in list(POLICIES)[:4]),
+               {"broadcast": "tree"}, {"aggregate": True}]
+    specs = [spec(ntiles=8, dist=BlockCyclic2D(2, 2), machine=bora(nodes=4), **o)
+             for o in options]
+    assert len({structure_key(s) for s in specs}) == 1
+    with SweepClient(store=tmp_path / "store") as client:
+        rows = [r.raise_for_status() for r in client.sweep(specs)]
+        assert client.simulations_run() == len(specs)
+    assert builds == [8]
+    assert sum(r.graph_reused for r in rows) == len(specs) - 1
+    assert [report_to_dict(r.report) for r in rows] == \
+        [_fresh_report(s) for s in specs]
+
+
+def test_graph_memo_keeps_what_is_built_twice(monkeypatch):
+    """A structure built once is dropped before the next build; one built
+    twice is kept, and a build first evicts the least recently used kept
+    graphs past the byte budget; under a budget below one graph's bytes
+    nothing is kept."""
+    memo = runner.GraphMemo()
+    builds = []
+
+    def get(key, held=()):
+        def build():
+            assert sorted(k for k in "abcd" if k in memo) == sorted(held)
+            builds.append(key)
+            return compile_cholesky(5, B, DIST)
+        return memo.get(key, build)
+
+    size = compile_cholesky(5, B, DIST).nbytes
+    monkeypatch.setattr(runner, "GRAPH_MEMO_BYTES", 2 * size)
+    get("a")
+    assert get("a")[1] and "a" in memo
+    get("b")  # the first "a" is dropped before this build
+    get("a")  # built twice: kept
+    get("b", held="a")
+    assert builds == ["a", "b", "a", "b"] and len(memo) == 2
+    assert get("a")[1] and get("b")[1]
+    get("c", held="ab")
+    get("d", held="ab")
+    get("c", held="ab")  # kept: three graphs, one past the budget ...
+    assert builds[-3:] == ["c", "d", "c"] and len(memo) == 3
+    assert get("a")[1]
+    get("d", held="ca")  # ... until the next build evicts the least recent
+    assert len(memo) == 3 and "b" not in memo
+
+    memo.clear()
+    builds.clear()
+    monkeypatch.setattr(runner, "GRAPH_MEMO_BYTES", size - 1)
+    for key in "ababa":
+        get(key)
+    assert builds == list("ababa") and len(memo) == 1
+
+
+def test_a_closed_client_holds_no_graph(tmp_path):
+    with SweepClient(store=tmp_path / "store") as client:
+        client.submit(spec(ntiles=7)).raise_for_status()
+        assert structure_key(spec(ntiles=7)) in runner.graph_memo
+    assert len(runner.graph_memo) == 0
+
+
+_STRUCTURES = ({}, {"ntiles": 5, "b": 64},
+               {"dist": BlockCyclic2D(2, 2), "machine": bora(nodes=4)})
+_RUNS = ({}, {"policy": "work-stealing"},
+         {"broadcast": "tree", "aggregate": True}, {"synchronized": True},
+         {"faults": FaultPlan(seed=1, loss_rate=0.05)})
+_FRESH: dict[tuple[int, int], dict] = {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, len(_STRUCTURES) - 1),
+                                 st.integers(0, len(_RUNS) - 1)),
+                       min_size=1, max_size=12),
+       budget=st.sampled_from([0, 6 << 10, runner.GRAPH_MEMO_BYTES]))
+def test_memoized_graphs_run_like_fresh_ones(points, budget):
+    """Any order of 3 structures x run options, under any budget, reports
+    what a run on a graph of its own reports."""
+    default = runner.GRAPH_MEMO_BYTES
+    runner.graph_memo.clear()
+    runner.GRAPH_MEMO_BYTES = budget
+    try:
+        for s, r in points:
+            sp = spec(**_STRUCTURES[s], **_RUNS[r])
+            if (s, r) not in _FRESH:
+                _FRESH[s, r] = _fresh_report(sp)
+            assert run_point(sp.to_dict())["report"] == _FRESH[s, r]
+    finally:
+        runner.GRAPH_MEMO_BYTES = default
+        runner.graph_memo.clear()
+
+
 def test_result_records_worker_peak_rss(tmp_path):
     with SweepClient(store=tmp_path / "store") as client:
         res = client.submit(spec()).raise_for_status()
@@ -1049,6 +1167,25 @@ def test_cli_status_and_result(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["hash"] == point and record["status"] == "ok"
     assert service_main(["result", "--store", store, "deadbeef"]) == 1
+
+
+def test_cli_result_into_a_closed_pipe_ends_quietly(tmp_path, capsys):
+    """``result ... | head`` closes the pipe before the record is written:
+    the command ends without a traceback."""
+    store = str(tmp_path / "store")
+    assert service_main(["submit", "--store", store, "--dist", "sbc:r=2",
+                         "--ntiles", str(NT), "--b", str(B)]) == 0
+    point = next(ln.split()[1] for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("hash:"))
+    path = [str(Path(repro.__file__).resolve().parents[1]),
+            *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "result", "--store", store,
+         point], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert err == b"" and child.returncode == 0
 
 
 def test_cli_job_flags_are_the_jobspec_table():
