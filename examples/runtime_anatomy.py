@@ -17,12 +17,9 @@ from repro.comm import communication_profile
 from repro.config import bora
 from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic
 from repro.experiments import potrf, run
-from repro.graph import build_cholesky_graph
-from repro.runtime import (
-    critical_path_breakdown,
-    simulate,
-    utilization_timeline,
-)
+from repro.graph import compile_cholesky
+from repro.obs.timeline import critical_path_breakdown, utilization_timeline
+from repro.runtime.simulator import simulate_compiled
 from repro.service import SweepClient
 
 N, B = 48, 500
@@ -40,24 +37,24 @@ def main() -> None:
     print(f"=== Critical path: where does the makespan go? (n={N * B}, P=28) ===")
     reports = {}
     for dist in (sbc, bc):
-        g = build_cholesky_graph(N, B, dist)
-        rep = simulate(g, bora(dist.num_nodes), trace=True)
-        reports[dist.name] = (g, rep)
-        bd = critical_path_breakdown(g, rep)
+        cg = compile_cholesky(N, B, dist)
+        rep = simulate_compiled(cg, bora(dist.num_nodes), trace=True)
+        reports[dist.name] = (cg, rep)
+        bd = critical_path_breakdown(cg, rep)
         print(f"{dist.name:>18}: {bd}")
     print("SBC's critical path spends less time on the wire: each panel tile"
           "\ncrosses to r-2 = 6 nodes instead of p+q-2 = 9.\n")
 
     print("=== Worker utilization over time (34 cores x 28 nodes) ===")
-    for name, (g, rep) in reports.items():
+    for name, (_cg, rep) in reports.items():
         tl = utilization_timeline(rep, buckets=60)
         print(f"{name:>18}: [{spark([u for _t, u in tl])}]")
     print("Ramp-up, plateau, endgame: the endgame is where communication"
           "\nlatency decides who finishes first.\n")
 
     print("=== Per-iteration arithmetic intensity (flops per byte moved) ===")
-    g, _ = reports[sbc.name]
-    prof = [p for p in communication_profile(g) if p.bytes > 0]
+    cg, _ = reports[sbc.name]
+    prof = [p for p in communication_profile(cg) if p.bytes > 0]
     marks = [prof[0], prof[len(prof) // 2], prof[-2]]
     for p in marks:
         print(f"  iteration {p.iteration:>3}: {p.intensity:8.1f} flop/B "

@@ -35,10 +35,9 @@ recorded message, which intentionally hides payloads from the trace.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graph.compiled import CompiledGraph
 from ..obs.events import Recorder, TaskEvent, TransferEvent
+from ..obs.timeline import data_ids
 from .findings import Report, Severity
 
 __all__ = ["detect_races", "compare_traces"]
@@ -79,17 +78,7 @@ def detect_races(
                              f"{e.node}) is no task of the graph: it is a "
                              "trace of another graph")
     traced = {e.task_id for e in recorder.task_events}
-    ids: dict[object, int] = {k: i for i, k in enumerate(cg.data_keys or ())}
-
-    def data_id(key: object) -> int:
-        d = (int(key) if isinstance(key, (int, np.integer))
-             else ids.get(key, -1))
-        if not 0 <= d < cg.n_data:
-            raise ValueError(f"{name}: the trace moves {key!r}, which the "
-                             "graph does not declare: it is a trace of "
-                             "another graph")
-        return d
-
+    data_id = data_ids(cg, name)
     local = recorder.source == "local"
     read_ptr, read_ids, write_id = cg.read_ptr, cg.read_ids, cg.write_id
     transfers = [(data_id(e.key), e) for e in recorder.transfer_events]

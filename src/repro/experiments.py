@@ -30,8 +30,9 @@ from .comm import (
 )
 from .config import bora
 from .distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD, best_rectangle
-from .graph import build_cholesky_graph
-from .runtime import critical_path_breakdown, simulate
+from .graph import compile_cholesky
+from .obs.timeline import critical_path_breakdown
+from .runtime.simulator import simulate_compiled
 from .service import JobSpec, SweepClient
 
 __all__ = [
@@ -148,9 +149,9 @@ def spine_breakdown(r: int = 8, ntiles: int = 60, b: int = B_DEFAULT):
     bc = best_rectangle(sbc.num_nodes)
     out = {}
     for d in (sbc, bc):
-        g = build_cholesky_graph(ntiles, b, d)
-        rep = simulate(g, bora(d.num_nodes), trace=True)
-        out[d.name] = critical_path_breakdown(g, rep)
+        cg = compile_cholesky(ntiles, b, d)
+        rep = simulate_compiled(cg, bora(d.num_nodes), trace=True)
+        out[d.name] = critical_path_breakdown(cg, rep)
     return out
 
 

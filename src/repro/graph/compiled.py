@@ -168,7 +168,7 @@ class CompiledGraph:
     data_source_node: npt.NDArray[np.int32]  # producer's node / initial home
     data_nbytes: npt.NDArray[np.int64]  # per data id
     #: DataKey per data id — kept by :func:`compile_graph` for tracing;
-    #: the column sink skips it (keys are synthesized on demand).
+    #: the column sink has none, and its traces name versions by id.
     data_keys: Optional[list[DataKey]] = None
     #: ``(lo, hi, step)`` task-id batches ``range(lo, hi, step)``, in
     #: forward topological order, whose tasks are mutually independent

@@ -8,14 +8,7 @@ from .local import (
     execute_graph,
     final_versions,
 )
-from .simulator import (
-    CriticalPathBreakdown,
-    SimReport,
-    critical_path_breakdown,
-    iteration_profile,
-    simulate,
-    utilization_timeline,
-)
+from .simulator import SimReport, simulate
 from .bounds import CholeskyBounds, cholesky_bounds
 from .distributed import (
     DeadWorkerError,
@@ -44,10 +37,6 @@ __all__ = [
     "assemble_rhs",
     "simulate",
     "SimReport",
-    "CriticalPathBreakdown",
-    "critical_path_breakdown",
-    "iteration_profile",
-    "utilization_timeline",
     "execute_distributed",
     "DistributedReport",
     "DeadWorkerError",

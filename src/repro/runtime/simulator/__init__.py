@@ -4,12 +4,6 @@ from .engine import simulate
 from .fast_engine import simulate_compiled
 from .harness import SimReport
 from .network import NetworkSim, Transfer
-from .analysis import (
-    CriticalPathBreakdown,
-    critical_path_breakdown,
-    iteration_profile,
-    utilization_timeline,
-)
 
 __all__ = [
     "simulate",
@@ -17,8 +11,4 @@ __all__ = [
     "SimReport",
     "NetworkSim",
     "Transfer",
-    "CriticalPathBreakdown",
-    "critical_path_breakdown",
-    "iteration_profile",
-    "utilization_timeline",
 ]

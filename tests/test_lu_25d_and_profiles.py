@@ -16,12 +16,8 @@ from repro.graph import (
     build_lu_graph_25d,
     validate_graph,
 )
-from repro.runtime import (
-    InitialDataSpec,
-    execute_graph,
-    simulate,
-    utilization_timeline,
-)
+from repro.obs.timeline import utilization_timeline
+from repro.runtime import InitialDataSpec, execute_graph, simulate
 from repro.runtime.local import final_versions
 from repro.tiles import TileGrid
 

@@ -84,7 +84,7 @@ from repro.topology import star, topology_from_spec
 from .strategies import corruptions, job_arguments, layers
 
 NT, B = 6, 128
-DIST = SymmetricBlockCyclic(2)  # 2 nodes: the smallest extended layout
+DIST = SymmetricBlockCyclic(3)  # 3 nodes: SBC(2) has r(r-1)/2 = 1
 MACHINE = bora(nodes=DIST.num_nodes)
 
 
@@ -693,6 +693,8 @@ def test_run_point_is_a_pure_function_of_the_spec():
     assert a["hash"] == b["hash"]
     assert a["structure"] == b["structure"]
     assert a["report"] == b["report"]
+    # the tests that reuse spec() unchanged run a point with messages
+    assert a["report"]["comm_messages"] > 0
 
 
 def test_a_simulating_interpreter_never_loads_scipy():
