@@ -41,11 +41,11 @@ each as min and median over repeats:
   object;
 * ``miss_layer``: the service's miss path on the ``sweep_warm`` perf
   workload's 160-point ablation set (five Figure 9 layouts at N = 8 and
-  10, so 10 graph structures, under four policies, two broadcasts and
-  aggregation on / off), submitted cold into a temporary store one point
-  at a time (``submit``) and as one ``client.sweep()`` (``sweep``): the
-  compiled graphs the worker built and the seconds of the whole set, as
-  min and median over repeats;
+  10, so 10 graph structures on 4 DAGs, one per N and slice count, under
+  four policies, two broadcasts and aggregation on / off), submitted cold
+  into a temporary store one point at a time (``submit``) and as one
+  ``client.sweep()`` (``sweep``): the DAGs the worker built and the
+  seconds of the whole set, as min and median over repeats;
 * ``plan_layer`` (in this process): the plan layer at N = 100 split in
   two, ``csr_seconds`` for ``CompiledGraph.consumers_csr`` and
   ``plan_seconds`` for ``comm_plan`` on the cached adjacency, with the
@@ -75,6 +75,7 @@ from repro.distributions import BlockCyclic2D, SymmetricBlockCyclic, TwoDotFiveD
 from repro.graph import compile_cholesky
 from repro.obs import MetricsRegistry
 from repro.service import JobSpec, SweepClient, structure_key
+from repro.service.runner import dag_key
 
 B = 512
 R = 9  # extended SBC on P = 36 nodes, the paper's largest square layout
@@ -189,12 +190,13 @@ def ablation_points() -> list[JobSpec]:
 
 def measure_miss_layer(repeats: int = MISS_REPEATS) -> dict:
     """The ablation set submitted cold, ``repeats`` times per mode, each
-    time into a new temporary store: graphs built (points that did not
+    time into a new temporary store: DAGs built (points that did not
     report ``graph_reused``) and seconds for the whole set, min and
     median."""
     specs = ablation_points()
     row: dict = {"points": len(specs),
                  "structures": len({structure_key(s) for s in specs}),
+                 "dags": len({dag_key(s) for s in specs}),
                  "repeats": repeats}
     for mode in ("submit", "sweep"):
         builds, seconds = [], []
@@ -363,7 +365,8 @@ def test_engine_scale(run_once, sweep_client):
     for mode in ("submit", "sweep"):
         m = miss[mode]
         print(f"cold {mode} of {miss['points']} points ({miss['structures']} "
-              f"structures): {m['builds']['min']} / {m['builds']['median']} "
+              f"structures, {miss['dags']} DAGs): {m['builds']['min']} / "
+              f"{m['builds']['median']} "
               f"builds, {m['seconds']['min']:.2f} / "
               f"{m['seconds']['median']:.2f} s (min / median of "
               f"{miss['repeats']})")

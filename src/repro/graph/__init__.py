@@ -18,9 +18,11 @@ from .inversion import (
 )
 from .lu import build_lu_graph, build_lu_graph_25d
 from .compiled import (
+    DAGS,
     CommPlan,
     CompiledGraph,
     compile_cholesky,
+    compile_dag,
     compile_graph,
     compile_lauum,
     compile_lu,
@@ -28,6 +30,7 @@ from .compiled import (
     compile_potri,
     compile_trtri,
     compiled_critical_path_priorities,
+    place,
 )
 from .priorities import (
     KIND_RANK,
@@ -66,7 +69,7 @@ __all__ = [  # one line per module, in the order imported above
     "build_lu_graph", "build_lu_graph_25d",
     "CommPlan", "CompiledGraph", "compile_graph", "compile_cholesky", "compile_lu",
     "compile_posv", "compile_trtri", "compile_lauum", "compile_potri",
-    "compiled_critical_path_priorities",
+    "compiled_critical_path_priorities", "DAGS", "compile_dag", "place",
     "KIND_RANK", "set_iteration_priorities", "set_critical_path_priorities",
     "validate_graph", "kind_counts", "node_task_counts", "expected_cholesky_counts",
     "expected_trtri_counts", "expected_lauum_counts", "GraphStats", "graph_stats",

@@ -29,6 +29,12 @@ Two ways in, one numbering:
   ``tests/test_graph_pins.py`` and property-tested); :data:`OPERATIONS`
   lists them.
 
+A graph is a DAG plus a placement: for the :data:`DAGS` operations only
+``node`` and ``data_source_node`` follow the layout, so
+:func:`compile_dag` compiles one DAG per slice count on tile slots and
+:func:`place` puts it on a layout with one gather (``compile_cholesky`` /
+``compile_lu`` do both).
+
 One adjacency, two reductions: :meth:`CompiledGraph.consumers_csr` (each
 task's readers, in task order) is built once per graph, and the priority
 sweep and the comm plan (:func:`_build_comm_plan`, for every graph alike)
@@ -59,6 +65,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..distributions.base import Distribution
+from ..distributions.twod5 import TwoDotFiveD
 from .cholesky import describe_cholesky
 from .inversion import describe_lauum, describe_potri, describe_trtri
 from .lu import describe_lu
@@ -69,6 +76,9 @@ __all__ = [
     "CompiledGraph",
     "CommPlan",
     "compile_graph",
+    "DAGS",
+    "compile_dag",
+    "place",
     "compile_cholesky",
     "compile_lu",
     "compile_posv",
@@ -193,15 +203,13 @@ class CompiledGraph:
     def total_flops(self) -> float:
         return float(self.flops.sum())
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes this graph holds: its columns plus the comm plan and the
-        consumer adjacency once cached (``data_keys``, an extra of the
-        object-graph lowering, is not counted)."""
-        arrays = [*vars(self).values(), *(self._cons_csr or ())]
-        if self._plan is not None:
-            arrays += vars(self._plan).values()
-        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    def arrays(self) -> list[npt.NDArray[Any]]:
+        """The arrays this graph holds: its columns plus the comm plan and
+        the consumer adjacency once cached (``data_keys``, an extra of the
+        object-graph lowering, is not one)."""
+        held = [*vars(self).values(), *(self._cons_csr or ()),
+                *(vars(self._plan).values() if self._plan else ())]
+        return [a for a in held if isinstance(a, np.ndarray)]
 
     def comm_plan(self) -> CommPlan:
         """The precomputed communication structures (built once, cached)."""
@@ -710,15 +718,67 @@ class ColumnSink:
         )
 
 
+class _TileSlots(Distribution):
+    """The base layout a DAG is compiled on: tile (i, j) is "owned" by its
+    slot ``i*N + j``, so over ``c`` slices tile (part, i, j) is owned by
+    its flat slot ``(part*N + i)*N + j``."""
+
+    def __init__(self, N: int) -> None:
+        self.N = N
+
+    num_nodes = property(lambda self: self.N * self.N)
+    name = property(lambda self: "tile slots")
+
+    def owner(self, i: int, j: int) -> int:
+        return i * self.N + j
+
+    def owner_map(self, N: int) -> npt.NDArray[np.int32]:
+        return np.arange(N * N, dtype=np.int32).reshape(N, N)
+
+
+#: The operations whose tasks, reads and sizes do not depend on the
+#: layout: every task runs on the owner of the tile it writes, and no
+#: phase asks where a tile is (``source_of``, as solve and remap do).
+DAGS = {"cholesky": describe_cholesky, "lu": describe_lu}
+
+
+def compile_dag(algorithm: str, N: int, b: int, c: int = 1,
+                element_size: int = 8) -> CompiledGraph:
+    """The :data:`DAGS` operation ``algorithm`` on ``N x N`` tiles over
+    ``c`` slices, compiled on its tile slots: ``node`` and
+    ``data_source_node`` hold the slot ``(part*N + i)*N + j`` of the tile
+    each task writes and each initial version starts in.  :func:`place`
+    puts it on any layout of ``c`` slices."""
+    return ColumnSink.build(DAGS[algorithm], N, b,
+                            TwoDotFiveD(_TileSlots(N), c),
+                            element_size=element_size)
+
+
+def place(dag: CompiledGraph, N: int, layout: Any) -> CompiledGraph:
+    """``dag`` (a :func:`compile_dag` graph on ``N x N`` tiles) under
+    ``layout`` of the same slice count: each slot becomes its tile's
+    owner.  Every other column is shared with ``dag``, and so is its
+    consumer adjacency if built; priorities and comm plan are its own."""
+    owners = TwoDotFiveD.of(layout).owner_map(N).ravel()
+    source = owners[dag.data_source_node]
+    # As on the column sink, ``node`` is the produced versions' part of
+    # the one column: version n_init + t is written by task t.
+    return replace(dag, node=source[dag.n_init:], data_source_node=source,
+                   priority=np.zeros(dag.n_tasks), _plan=None)
+
+
 def compile_cholesky(N: int, b: int, dist: Any, element_size: int = 8) -> CompiledGraph:
     """Arrays of ``build_cholesky_graph(N, b, dist)`` — a 2D distribution
     or a :class:`TwoDotFiveD` — from the same description, on the column
-    sink; every ``compile_*`` below is its ``build_*`` likewise."""
-    return ColumnSink.build(describe_cholesky, N, b, dist, element_size=element_size)
+    sink: its DAG, placed.  Every ``compile_*`` below is its ``build_*``
+    likewise."""
+    return place(compile_dag("cholesky", N, b, TwoDotFiveD.of(dist).c,
+                             element_size), N, dist)
 
 
 def compile_lu(N: int, b: int, dist: Any, element_size: int = 8) -> CompiledGraph:
-    return ColumnSink.build(describe_lu, N, b, dist, element_size=element_size)
+    return place(compile_dag("lu", N, b, TwoDotFiveD.of(dist).c,
+                             element_size), N, dist)
 
 
 def compile_posv(

@@ -13,6 +13,8 @@ it closes the server and its worker pool before it exits.  The other
 subcommands act as clients: with ``--server`` they talk to a running
 instance over HTTP; with ``--store`` they operate in-process against the
 store directory directly (no daemon needed — handy for scripts and CI).
+``serve`` and ``submit`` create a missing store directory; ``status`` and
+``result`` only read one, and a missing one is a usage error.
 
 Job flags (submit/status) are the ``JobSpec`` table's keys, spelt
 ``--name-with-dashes``; the machine has ``--nodes`` / ``--cores`` /
@@ -98,9 +100,13 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def _open_store(parser: argparse.ArgumentParser, root: str,
-                max_bytes: Optional[int] = None) -> ResultStore:
+                max_bytes: Optional[int] = None,
+                create: bool = True) -> ResultStore:
     """The ``--store`` directory, or one ``error:`` line and exit 2 when it
-    cannot be one (a regular file, a path through one, no permission)."""
+    cannot be one (a regular file, a path through one, no permission) or
+    when a command that only reads (``create=False``) names none."""
+    if not create and not os.path.exists(root):
+        parser.error(f"--store {root!r} does not exist")
     try:
         return ResultStore(root, max_bytes=max_bytes)
     except OSError as exc:
@@ -217,7 +223,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (ValueError, OSError) as exc:
             sub.choices[args.command].error(str(exc))
     client = (SweepClient(url=args.server) if args.server else SweepClient(
-        store=_open_store(sub.choices[args.command], args.store),
+        store=_open_store(sub.choices[args.command], args.store,
+                          create=args.command == "submit"),
         workers=args.workers))
 
     if args.command == "submit":

@@ -11,9 +11,9 @@ digest alone names what runs.  It keys in-flight dedup, the result store,
 invalidates every prior entry at once; see ``docs/service.md`` ("Content
 hash") for the invalidation matrix.
 
-:func:`structure_key` (the canonical JSON of
-:meth:`JobSpec.structure_fields`) keys the workers' compiled-graph memo,
-and :func:`structure_hash` fingerprints a compiled graph's arrays for the
+:func:`structure_key` (canonical JSON of :meth:`JobSpec.structure_fields`)
+keys a held DAG's placements in the workers' graph memo, and
+:func:`structure_hash` fingerprints a compiled graph's arrays for the
 tests that pin the graph builders; no address depends on either.
 """
 

@@ -292,8 +292,9 @@ class JobSpec:
 
         Everything else (machine constants, engine, simulator options,
         fault plan, scheduler policy) changes timing but not the graph's
-        tasks/edges, so it keys the workers' graph memo; see
-        ``docs/service.md`` ("A miss builds each structure once").
+        tasks/edges, so it keys a held DAG's placements in the workers'
+        graph memo; see ``docs/service.md`` ("A miss builds each DAG
+        once").
         """
         return {
             "algorithm": self.algorithm,

@@ -28,14 +28,15 @@ import resource
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Hashable, Mapping
 from concurrent.futures import Future
 from dataclasses import fields
 from operator import itemgetter
 from typing import Any, Optional
 
+from ..distributions.twod5 import TwoDotFiveD
 from ..graph import OPERATIONS
-from ..graph.compiled import CompiledGraph
+from ..graph.compiled import CompiledGraph, compile_dag, place
 from ..graph.task import TaskGraph
 from ..obs import Recorder
 from ..runtime.faults import SimulatedFailure
@@ -76,109 +77,126 @@ def report_from_dict(d: Mapping[str, Any]) -> SimReport:
     return rep
 
 
+def dag_key(spec: JobSpec) -> tuple[Any, ...]:
+    """``compile_dag``'s arguments for the point: its structure less the
+    layout, save the layout's slice count."""
+    return (spec.algorithm, spec.ntiles, spec.b,
+            TwoDotFiveD.of(spec.distribution()).c, spec.machine["element_size"])
+
+
 def _build(spec: JobSpec, sink: int) -> Any:
-    """The algorithm's description in the oracle's sink (0: objects) or the
-    core's (1: columns); 2.5D is the description's ``slices`` > 1 case, so
-    the distribution needs no fork."""
-    return OPERATIONS[spec.algorithm][sink](
+    """The algorithm's description in the oracle's sink (0: an object
+    graph), or its DAG in the core's (1: columns on tile slots, which
+    every layout of the point's slice count places)."""
+    if sink:
+        return compile_dag(*dag_key(spec))
+    return OPERATIONS[spec.algorithm][0](
         spec.ntiles, spec.b, spec.distribution(),
         spec.machine_spec().element_size)
 
 
 # --------------------------------------------------------------------------
-# incremental re-simulation: worker-side compiled-graph memo
+# incremental re-simulation: worker-side DAG memo
 # --------------------------------------------------------------------------
-# Sweeps routinely vary only network/machine constants, fault seeds or
-# scheduler policies across points — the graph structure (and hence the
-# expensive build + comm plan) is identical.  Each worker holds compiled
-# graphs keyed by the spec's structure key and hands them to later
-# matching points instead of rebuilding:
+# Sweeps vary the layout at one N (a figure's curves), machine constants,
+# fault seeds or policies far more often than the task DAG, which only
+# owner-computes placement ties to a layout.  Each worker holds DAGs by
+# dag_key and, beside each, its placements by structure key:
 #
-# * a structure built for the first time is held only until the next
-#   build, and dropped *before* it, so a sweep of distinct structures
-#   (ascending N) holds one graph at a time;
-# * a structure built a second time is one that sweeps come back to (a
-#   figure's options over one set of layouts), so it is kept.  Before
-#   each build the kept graphs are evicted, least recently used first,
-#   until their bytes are within GRAPH_MEMO_BYTES; a second build larger
-#   than that is held like a first, so no graph past the budget is held
-#   beside a build;
-# * a point whose structure another thread is building waits for that
-#   build instead of starting its own.
+# * a point whose DAG is held (or in flight: it waits for that build)
+#   places it with one gather, or takes the placement an earlier point
+#   made, comm plan included;
+# * a DAG's consumer adjacency is built with it, for all its placements;
+# * before each build, the least recently used DAGs are dropped, with
+#   their placements, until the arrays held (shared ones counted once)
+#   fit GRAPH_MEMO_BYTES, so a DAG larger than that is held only until
+#   the next build.
 #
 # A run reads its graph and never writes it (priorities live with the
 # run), so thread-executor points may simulate one instance at once.  The
 # memo lives as long as the server: SweepServer.close() clears it for the
 # thread executor, and pool workers die with their pool.
 
-#: Bytes (CompiledGraph.nbytes) of kept graphs a worker may hold at a build.
+#: Bytes (arrays counted once) of DAGs and placements a worker may hold
+#: at a build.
 GRAPH_MEMO_BYTES = 64 << 20
 
 
+def _nbytes(graphs: Any) -> int:
+    """Bytes of the graphs' arrays, an array shared by several once."""
+    return sum({id(a): a.nbytes for g in graphs for a in g.arrays()}.values())
+
+
 class GraphMemo:
-    """This process's compiled graphs by structure key (see above)."""
+    """This process's DAGs and their placements (see above)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: held graphs, least recently used first
-        self._held: OrderedDict[str, CompiledGraph] = OrderedDict()
-        self._once: Optional[str] = None  # the held graph built only once
-        self._built: set[str] = set()  # every structure built since clear()
-        self._building: dict[str, Future[CompiledGraph]] = {}
+        #: held DAGs, least recently used first, each with its placements
+        self._held: OrderedDict[
+            Hashable, tuple[CompiledGraph, dict[str, CompiledGraph]]
+        ] = OrderedDict()
+        self._building: dict[Hashable, Future[CompiledGraph]] = {}
 
     def __len__(self) -> int:
         return len(self._held)
 
-    def __contains__(self, skey: str) -> bool:
-        return skey in self._held
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._held
 
-    def get(self, skey: str,
-            build: Callable[[], CompiledGraph]) -> tuple[CompiledGraph, bool]:
-        """(graph, reused?): the held or in-flight graph of ``skey``, else
-        ``build()``'s."""
+    def get(self, key: Hashable, build: Callable[[], CompiledGraph],
+            layout: str, place: Callable[[CompiledGraph], CompiledGraph]
+            ) -> tuple[CompiledGraph, bool]:
+        """(graph, reused?): ``place`` of the DAG ``key`` names — held, in
+        flight, else ``build()``'s (not reused) — kept beside it as
+        ``layout``."""
+        dag, reused = self._dag(key, build)
         with self._lock:
-            cg = self._held.get(skey)
-            if cg is not None:
-                self._held.move_to_end(skey)
-                return cg, True
-            waiting = self._building.get(skey)
+            held = self._held.get(key)
+            placed = held[1] if held is not None and held[0] is dag else {}
+            if layout not in placed:
+                placed[layout] = place(dag)
+            return placed[layout], reused
+
+    def _dag(self, key: Hashable,
+             build: Callable[[], CompiledGraph]) -> tuple[CompiledGraph, bool]:
+        with self._lock:
+            held = self._held.get(key)
+            if held is not None:
+                self._held.move_to_end(key)
+                return held[0], True
+            waiting = self._building.get(key)
             if waiting is None:
-                self._drop_once()
-                total = sum(g.nbytes for g in self._held.values())
-                while total > GRAPH_MEMO_BYTES:
-                    total -= self._held.popitem(last=False)[1].nbytes
+                sizes = [_nbytes((dag, *placed.values()))
+                         for dag, placed in self._held.values()]
+                total = sum(sizes)
+                for size in sizes:  # least recently used first
+                    if total <= GRAPH_MEMO_BYTES:
+                        break
+                    self._held.popitem(last=False)
+                    total -= size
                 pending: Future[CompiledGraph] = Future()
-                self._building[skey] = pending
+                self._building[key] = pending
         if waiting is not None:
             return waiting.result(), True
         try:
-            cg = build()
+            dag = build()
+            dag.consumers_csr()  # built once, for every placement
         except BaseException as exc:
             with self._lock:
-                del self._building[skey]
+                del self._building[key]
             pending.set_exception(exc)
             raise
         with self._lock:
-            del self._building[skey]
-            if skey not in self._built or cg.nbytes > GRAPH_MEMO_BYTES:
-                self._drop_once()
-                self._once = skey
-            self._built.add(skey)
-            self._held[skey] = cg
-        pending.set_result(cg)
-        return cg, False
+            del self._building[key]
+            self._held[key] = (dag, {})
+        pending.set_result(dag)
+        return dag, False
 
     def clear(self) -> None:
-        """Drop every graph and forget which structures were built."""
+        """Drop every DAG and placement."""
         with self._lock:
             self._held.clear()
-            self._once = None
-            self._built.clear()
-
-    def _drop_once(self) -> None:
-        if self._once is not None:
-            del self._held[self._once]
-            self._once = None
 
 
 #: The worker's memo (one per process: a pool worker has its own).
@@ -201,8 +219,10 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
 
     t0 = time.perf_counter()
     if spec.engine == "compiled":
-        cg, graph_reused = graph_memo.get(structure_key(spec),
-                                          lambda: _build(spec, 1))
+        layout = spec.distribution()
+        cg, graph_reused = graph_memo.get(
+            dag_key(spec), lambda: _build(spec, 1), structure_key(spec),
+            lambda dag: place(dag, spec.ntiles, layout))
         t1 = time.perf_counter()
         cg.comm_plan()
         t2 = time.perf_counter()

@@ -62,9 +62,9 @@ class JobResult:
     #: meaningful even when points run in executor processes.  None for
     #: records stored before this field existed.
     peak_rss_mb: Optional[float] = None
-    #: True when the worker did not build this point's compiled graph: it
-    #: held one of the same structure (incremental re-simulation), or
-    #: another point was already building it and this one waited.
+    #: True when the worker did not build this point's DAG: it held the
+    #: DAG (placed for this layout, or already placed by an earlier
+    #: point), or another point was building it and this one waited.
     graph_reused: bool = False
 
     def raise_for_status(self) -> JobResult:
@@ -123,10 +123,12 @@ class SweepServer:
 
     # -- the pipeline --------------------------------------------------------
 
-    def lookup(self, spec: JobSpec) -> Optional[JobResult]:
+    def lookup(self, spec: JobSpec,
+               ckey: Optional[str] = None) -> Optional[JobResult]:
         """A stored point's whole submit, synchronously (counted as a job
-        and a hit); None on a miss, which counts nothing."""
-        record = self.store.get(config_digest(spec))
+        and a hit); None on a miss, which counts nothing.  ``ckey`` is the
+        spec's config digest, if the caller has it."""
+        record = self.store.get(ckey or config_digest(spec))
         if record is None:
             return None
         self._count("service.jobs", "points submitted")
@@ -136,10 +138,10 @@ class SweepServer:
     async def submit(self, spec: JobSpec) -> JobResult:
         """Resolve one point: cache, then dedup, then simulate + persist."""
         # 1. memoized result?
-        hit = self.lookup(spec)
+        ckey = config_digest(spec)
+        hit = self.lookup(spec, ckey)
         if hit is not None:
             return hit
-        ckey = config_digest(spec)
         self._count("service.jobs", "points submitted")
 
         # 2. join an identical in-flight point (registered synchronously

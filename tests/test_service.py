@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,7 +43,13 @@ from repro.distributions import (
     SymmetricBlockCyclic,
     TwoDotFiveD,
 )
-from repro.graph import build_cholesky_graph, compile_cholesky, compile_graph
+from repro.graph import (
+    build_cholesky_graph,
+    compile_cholesky,
+    compile_dag,
+    compile_graph,
+    place,
+)
 from repro.graph.compiled import CompiledGraph
 from repro.runtime import cholesky_bounds
 from repro.runtime.faults import (
@@ -797,6 +805,30 @@ def test_an_object_miss_builds_no_compiled_graph(tmp_path, monkeypatch):
     assert not res.cached and made == []
 
 
+def test_a_miss_digests_its_spec_once(tmp_path, monkeypatch):
+    """``SweepServer.submit`` computes a point's config digest once: the
+    store lookup and the in-flight key share it."""
+    calls = []
+
+    def spy(s):
+        calls.append(s)
+        return config_digest(s)
+
+    monkeypatch.setattr(server_module, "config_digest", spy)
+    server = server_module.SweepServer(ResultStore(tmp_path / "store"))
+    loop = asyncio.new_event_loop()
+    try:
+        for sp in (spec(), spec(ntiles=NT + 1)):
+            res = loop.run_until_complete(server.submit(sp))
+            assert not res.cached and res.hash == config_digest(sp)
+        assert calls == [spec(), spec(ntiles=NT + 1)]
+        assert loop.run_until_complete(server.submit(spec())).cached
+        assert len(calls) == 3
+    finally:
+        loop.run_until_complete(server.close())
+        loop.close()
+
+
 def test_a_point_is_addressed_by_its_spec_digest(tmp_path):
     """Cold and warm, ``JobResult.hash`` is the spec's config digest, and
     ``result_by_hash`` of it is the point's stored record."""
@@ -876,37 +908,62 @@ def test_one_sweep_of_a_structure_builds_it_once(tmp_path, monkeypatch):
         [_fresh_report(s) for s in specs]
 
 
-def test_graph_memo_keeps_what_is_built_twice(monkeypatch):
-    """A structure built once is dropped before the next build; one built
-    twice is kept, and a build first evicts the least recently used kept
-    graphs past the byte budget; under a budget below one graph's bytes
-    nothing is kept."""
+def test_a_figure_9_sweep_builds_one_dag_per_size_and_slice_count(
+        tmp_path, monkeypatch):
+    """The five Figure 9 layouts — SBC, 2DBC, synchronized 2DBC and two
+    2.5D layouts of c = 3 — at three N, submitted in a shuffled order: two
+    DAGs per N (c = 1 and c = 3) are built for the 15 points, and every
+    report is what a graph built for its point alone gives."""
+    layouts = ((SymmetricBlockCyclic(8), {}), (BlockCyclic2D(7, 4), {}),
+               (TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 3), {}),
+               (TwoDotFiveD(BlockCyclic2D(3, 3), 3), {}),
+               (BlockCyclic2D(8, 4), {"synchronized": True}))
+    specs = [spec(ntiles=n, dist=d, machine=bora(nodes=d.num_nodes), **o)
+             for n in (4, 5, 6) for d, o in layouts]
+    random.Random(0).shuffle(specs)
+    built = _builds(monkeypatch)
+    with SweepClient(store=tmp_path / "store") as client:
+        rows = [client.submit(s).raise_for_status() for s in specs]
+    assert len(built) == sum(not r.graph_reused for r in rows) == 6
+    assert [report_to_dict(r.report) for r in rows] == \
+        [_fresh_report(s) for s in specs]
+
+
+def test_graph_memo_holds_dags_least_recent_first(monkeypatch):
+    """A held DAG is placed, not built: each layout's placement is kept
+    beside it and shares its columns and adjacency.  Before a build, the
+    least recently used DAGs are dropped, with their placements, until
+    what is held fits the byte budget; under a budget below one DAG's
+    bytes only the last build is held."""
     memo = runner.GraphMemo()
     builds = []
 
-    def get(key, held=()):
+    def get(key, held=(), layout=DIST):
         def build():
             assert sorted(k for k in "abcd" if k in memo) == sorted(held)
             builds.append(key)
-            return compile_cholesky(5, B, DIST)
-        return memo.get(key, build)
+            return compile_dag("cholesky", 5, B)
+        return memo.get(key, build, layout.name,
+                        lambda dag: place(dag, 5, layout))
 
-    size = compile_cholesky(5, B, DIST).nbytes
-    monkeypatch.setattr(runner, "GRAPH_MEMO_BYTES", 2 * size)
-    get("a")
-    assert get("a")[1] and "a" in memo
-    get("b")  # the first "a" is dropped before this build
-    get("a")  # built twice: kept
+    dag = compile_dag("cholesky", 5, B)
+    dag.consumers_csr()
+    size = runner._nbytes((dag, place(dag, 5, DIST)))
+    monkeypatch.setattr(runner, "GRAPH_MEMO_BYTES", 3 * size - 1)
+    first, reused = get("a")
+    assert not reused and get("a") == (first, True)
+    other, reused = get("a", layout=BlockCyclic2D(1, 3))
+    assert reused and builds == ["a"]
+    assert other.read_ids is first.read_ids
+    assert other.consumers_csr() is first.consumers_csr()
+    assert not np.array_equal(other.node, first.node)
     get("b", held="a")
-    assert builds == ["a", "b", "a", "b"] and len(memo) == 2
-    assert get("a")[1] and get("b")[1]
-    get("c", held="ab")
-    get("d", held="ab")
-    get("c", held="ab")  # kept: three graphs, one past the budget ...
-    assert builds[-3:] == ["c", "d", "c"] and len(memo) == 3
-    assert get("a")[1]
-    get("d", held="ca")  # ... until the next build evicts the least recent
-    assert len(memo) == 3 and "b" not in memo
+    get("c", held="ab")  # a with two placements still fits beside b
+    get("d", held="bc")  # a, least recently used, is dropped first
+    assert builds == list("abcd") and len(memo) == 3
+    assert get("c")[1] and get("b")[1]
+    get("a", held="bc")  # d is dropped: b and c were used since
+    assert "d" not in memo and len(memo) == 3
 
     memo.clear()
     builds.clear()
@@ -919,7 +976,7 @@ def test_graph_memo_keeps_what_is_built_twice(monkeypatch):
 def test_a_closed_client_holds_no_graph(tmp_path):
     with SweepClient(store=tmp_path / "store") as client:
         client.submit(spec(ntiles=7)).raise_for_status()
-        assert structure_key(spec(ntiles=7)) in runner.graph_memo
+        assert runner.dag_key(spec(ntiles=7)) in runner.graph_memo
     assert len(runner.graph_memo) == 0
 
 
@@ -1232,6 +1289,7 @@ def test_cli_submit_twice_is_cache_hit(tmp_path, capsys):
 
 def test_cli_status_and_result(tmp_path, capsys):
     store = str(tmp_path / "store")
+    (tmp_path / "store").mkdir()
     job = ["--dist", "sbc:r=2", "--ntiles", str(NT), "--b", str(B)]
     assert service_main(["status", "--store", store] + job) == 0
     assert capsys.readouterr().out.strip() == "unknown"
@@ -1244,6 +1302,27 @@ def test_cli_status_and_result(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["hash"] == point and record["status"] == "ok"
     assert service_main(["result", "--store", store, "deadbeef"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["status", "--dist", "sbc:r=2"], ["result", "deadbeef"]],
+    ids=["status", "result"])
+def test_a_read_only_command_on_a_missing_store_is_one_error_line(
+        tmp_path, capsys, argv):
+    """``status`` and ``result`` read a store: a mistyped ``--store`` is
+    one ``error:`` line naming it, and no directory is made."""
+    store = tmp_path / "typo" / "store"
+    line = _one_error_line(capsys, [*argv, "--store", str(store)])
+    assert str(store) in line and "does not exist" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_submit_creates_a_missing_store(tmp_path, capsys):
+    store = tmp_path / "new" / "store"
+    assert service_main(["submit", "--store", str(store), "--dist", "sbc:r=2",
+                         "--ntiles", str(NT), "--b", str(B)]) == 0
+    assert "cached: false" in capsys.readouterr().out
+    assert [p.name for p in store.iterdir()] == [ResultStore.RESULTS]
 
 
 def test_cli_result_into_a_closed_pipe_ends_quietly(tmp_path, capsys):
